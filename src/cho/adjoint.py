@@ -16,14 +16,23 @@ step of the continuous adjoint system with coefficients frozen at the
 right end of the step interval; ``adjoint_continuous_form`` freezes
 them at the left end instead (discretize-the-adjoint variant) and is
 kept for cross-validation.
+
+No backward matrix is assembled.  The backward step matrix equals
+diag(dt I, I) J^T with J the forward step Jacobian, so both solvers
+solve J^T (p, q) = (rhs / dt, 0) through the forward solver's
+fixed-pattern block solve with ``trans="T"``; the terminal pair uses the
+same block template with the coefficients of [[M, tau M], [K, -M]].
 """
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
 
-from .errors import SolverError
-from .forward import Problem, StateTrajectory, scheme_functions
+from .forward import (
+    Problem,
+    StateTrajectory,
+    jacobian_coefficients,
+    scheme_functions,
+    solve_block_system,
+)
 
 
 class AdjointTrajectory:
@@ -35,52 +44,48 @@ class AdjointTrajectory:
         self.q = q
 
 
-def _terminal_solve(ops, tau, zeta3_w):
-    """Pair (p, q) with M(p + tau q) = zeta3_w and K p = M q."""
-    Mbar, Kbar = ops.M_total, ops.K_total
-    B = sp.bmat([[Mbar, tau * Mbar], [Kbar, -Mbar]], format="csc")
-    sol = spsolve(B, np.concatenate([zeta3_w, np.zeros_like(zeta3_w)]))
-    if not np.all(np.isfinite(sol)):
-        raise SolverError("singular terminal adjoint solve")
-    return np.split(sol, 2)
+def _sweep_backward(problem: Problem, base: StateTrajectory, cost, step_terms):
+    """Terminal pair, then backward steps m = N..1.
 
+    The terminal pair solves M(p + tau q) = zeta3_w and K p = M q.  Each
+    backward step solves J^T (p, q) = (rhs1, 0) with the step Jacobian J,
+    where ``step_terms(data, m, p_m, q_m)`` returns J's diagonal weights
+    and rhs1.
+    """
+    ops, grid = problem.ops, problem.grid
+    data = cost.expand(problem.mesh, grid)
+    n = problem.mesh.n_bulk
+    p = np.zeros((grid.N + 1, n))
+    q = np.zeros((grid.N + 1, n))
+    zero = np.zeros(n)
 
-def _backward_step(ops, physics, dt, lam_vec, rhs1):
-    Mbar, Kbar = ops.M_total, ops.K_total
-    B = sp.bmat(
-        [
-            [(1.0 + physics.gamma * dt) * Mbar, physics.tau * Mbar + dt * (Kbar + sp.diags(lam_vec))],
-            [Kbar, -Mbar],
-        ],
-        format="csc",
+    zeta3 = data.zeta3_w(ops, base.phi[grid.N])
+    p[grid.N], q[grid.N] = solve_block_system(
+        ops, (1.0, problem.physics.tau, 0.0, -1.0), (0.0, 0.0, 1.0, 0.0),
+        np.concatenate([zeta3, zero]), step=grid.N,
     )
-    sol = spsolve(B, np.concatenate([rhs1, np.zeros_like(rhs1)]))
-    return np.split(sol, 2)
+    a, b = jacobian_coefficients(problem.physics, grid.dt)
+    for m in range(grid.N, 0, -1):
+        lam, rhs1 = step_terms(data, m, p[m], q[m])
+        p[m - 1], q[m - 1] = solve_block_system(
+            ops, a, b, np.concatenate([rhs1, zero]), lam=lam, trans="T", step=m
+        )
+    return AdjointTrajectory(base, p, q)
 
 
 def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:
     """Exact transpose of the discrete linearized dynamics against the cost."""
-    ops, grid, physics = problem.ops, problem.grid, problem.physics
+    ops, N, tau, dt = problem.ops, problem.grid.N, problem.physics.tau, problem.grid.dt
     fns = scheme_functions(problem.pair, problem.opts)
-    dt = grid.dt
-    data = cost.expand(problem.mesh, grid)
 
-    n = problem.mesh.n_bulk
-    p = np.zeros((grid.N + 1, n))
-    q = np.zeros((grid.N + 1, n))
-    p[grid.N], q[grid.N] = _terminal_solve(ops, physics.tau, data.zeta3_w(ops, base.phi[grid.N]))
+    def step_terms(data, m, pm, qm):
+        phi = base.phi[m]
+        rhs1 = data.zeta1_w(ops, phi, m) + ops.M_total @ (pm + tau * qm) / dt
+        if m < N:
+            rhs1 -= fns.nodal(ops, phi, 3) * qm
+        return fns.nodal(ops, phi, 1), rhs1
 
-    Mbar = ops.M_total
-    for m in range(grid.N, 0, -1):
-        lam = fns.nodal(ops, base.phi[m], 1)
-        rhs1 = dt * data.zeta1_w(ops, base.phi[m], m) + Mbar @ (p[m] + physics.tau * q[m])
-        if m < grid.N:
-            rhs1 -= dt * fns.nodal(ops, base.phi[m], 3) * q[m]
-        pm, qm = _backward_step(ops, physics, dt, lam, rhs1)
-        if not np.all(np.isfinite(pm)):
-            raise SolverError(f"singular adjoint solve at step {m}", step=m)
-        p[m - 1], q[m - 1] = pm, qm
-    return AdjointTrajectory(base, p, q)
+    return _sweep_backward(problem, base, cost, step_terms)
 
 
 def _lambda_second_derivative(ops, pair, phi):
@@ -98,24 +103,14 @@ def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> Ad
     level; agrees with ``adjoint_solve`` up to O(dt) and is used as an
     independent consistency target.
     """
-    ops, grid, physics = problem.ops, problem.grid, problem.physics
-    dt = grid.dt
-    data = cost.expand(problem.mesh, grid)
+    ops, tau, dt = problem.ops, problem.physics.tau, problem.grid.dt
 
-    n = problem.mesh.n_bulk
-    p = np.zeros((grid.N + 1, n))
-    q = np.zeros((grid.N + 1, n))
-    p[grid.N], q[grid.N] = _terminal_solve(ops, physics.tau, data.zeta3_w(ops, base.phi[grid.N]))
+    def step_terms(data, m, pm, qm):
+        phi = base.phi[m - 1]
+        rhs1 = data.zeta1_w(ops, phi, m - 1) + ops.M_total @ (pm + tau * qm) / dt
+        return _lambda_second_derivative(ops, problem.pair, phi), rhs1
 
-    Mbar = ops.M_total
-    for m in range(grid.N, 0, -1):
-        lam = _lambda_second_derivative(ops, problem.pair, base.phi[m - 1])
-        rhs1 = dt * data.zeta1_w(ops, base.phi[m - 1], m - 1) + Mbar @ (p[m] + physics.tau * q[m])
-        pm, qm = _backward_step(ops, physics, dt, lam, rhs1)
-        if not np.all(np.isfinite(pm)):
-            raise SolverError(f"singular adjoint solve at step {m}", step=m)
-        p[m - 1], q[m - 1] = pm, qm
-    return AdjointTrajectory(base, p, q)
+    return _sweep_backward(problem, base, cost, step_terms)
 
 
 def reduced_gradient(problem: Problem, u, adj: AdjointTrajectory, cost):

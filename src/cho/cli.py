@@ -6,7 +6,8 @@
 
 Exit codes: 0 success, 1 malformed configuration or violated standing
 assumption, 2 data validation failure (mean-value condition, infeasible
-box), 3 solver failure.
+box), 3 solver failure, including a potential evaluated outside its
+domain during a run.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 
 from .config import PRESETS, load_config, preset_config, save_config
 from .control import projected_gradient
-from .errors import ConfigError, SolverError, ValidationError
+from .errors import ConfigError, PotentialDomainError, SolverError, ValidationError
 from .forward import solve
 from .output import (
     ensure_dir,
@@ -165,7 +166,7 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SolverError as err:
+    except (SolverError, PotentialDomainError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return EXIT_SOLVER
 

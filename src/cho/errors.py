@@ -27,5 +27,6 @@ class PotentialDomainError(ChoError, ValueError):
     """Argument outside the domain of a singular potential.
 
     Raised instead of returning NaN so that separation violations are
-    impossible to miss.
+    impossible to miss.  It is a failure during a run, so the CLI maps it
+    to exit code 3 like ``SolverError``.
     """

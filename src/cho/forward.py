@@ -21,8 +21,7 @@ so every converged run satisfies the mean dynamics to solver tolerance.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+import scipy.sparse.linalg as spla
 
 from .errors import SolverError, ValidationError
 from .mesh import BulkSurfaceMesh
@@ -174,11 +173,36 @@ def scheme_functions(pair: PotentialPair, opts: SolverOptions) -> _SchemeFns:
     return _SchemeFns(pair, opts)
 
 
-def step_jacobian(ops, physics, dt, lam_vec):
-    """Jacobian of the coupled step residuals at the nodal weights lam_vec."""
-    A11 = (1.0 / dt + physics.gamma) * ops.M_total
-    A21 = (physics.tau / dt) * ops.M_total + ops.K_total + sp.diags(lam_vec)
-    return sp.bmat([[A11, ops.K_total], [A21, -ops.M_total]], format="csc")
+def jacobian_coefficients(physics, dt):
+    """Block coefficients (a, b) of the step Jacobian
+
+        J = [[(1/dt + gamma) M, K], [(tau/dt) M + K + diag(lam), -M]]
+
+    in the form taken by ``solve_block_system``."""
+    return (1.0 / dt + physics.gamma, 0.0, physics.tau / dt, -1.0), (0.0, 1.0, 1.0, 0.0)
+
+
+def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
+    """Solve one coupled block system and return its two halves.
+
+    The matrix [[a11 M + b11 K, a12 M + b12 K], [a21 M + b21 K + diag(lam),
+    a22 M + b22 K]] is refilled into the operators' fixed block template,
+    factored with a minimum-degree ordering on the symmetric pattern
+    A^T + A, and solved with A (trans="N") or its transpose (trans="T").
+    The factor is dropped before returning.  A singular matrix or a
+    non-finite solution raises ``SolverError`` carrying ``step``.
+    """
+    where = "linear solve" if step is None else f"linear solve at step {step}"
+    A = ops.block_template.fill(a, b, lam)
+    try:
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as err:
+        raise SolverError(f"{where}: {err}", step=step) from err
+    x = lu.solve(rhs, trans=trans)
+    del lu
+    if not np.all(np.isfinite(x)):
+        raise SolverError(f"{where} returned non-finite values", step=step)
+    return np.split(x, 2)
 
 
 def _weighted_norm(ops, r1, r2):
@@ -209,6 +233,7 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
     mask = _interior_mask(ops, pair, opts)
     limit = 1.0 - opts.interior_safeguard
 
+    a, b = jacobian_coefficients(physics, dt)
     phi = phi_n.copy()
     mu = mu_n.copy()
     for it in range(opts.newton_max_iter + 1):
@@ -229,9 +254,12 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
                 f"(last residual {res:.3e})",
                 residual=res,
             )
-        J = step_jacobian(ops, physics, dt, fns.nodal(ops, phi, 1))
-        delta = spsolve(J, -np.concatenate([r1, r2]))
-        dphi, dmu = np.split(delta, 2)
+        try:
+            dphi, dmu = solve_block_system(
+                ops, a, b, -np.concatenate([r1, r2]), lam=fns.nodal(ops, phi, 1)
+            )
+        except SolverError as err:
+            raise SolverError(f"Newton iteration {it + 1}: {err}", residual=res) from err
         alpha = 1.0
         if mask is not None:
             moving = mask & (dphi != 0.0)
@@ -274,7 +302,10 @@ def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
     ops = problem.ops
     fns = scheme_functions(problem.pair, problem.opts)
     rhs = ops.K_total @ phi0 + fns.nodal(ops, phi0, 0) + fns.nodal(ops, phi0, 2)
-    return spsolve(ops.M_total.tocsc(), rhs)
+    mu0 = spla.spsolve(ops.M_total.tocsc(), rhs)
+    if not np.all(np.isfinite(mu0)):
+        raise SolverError("initial chemical potential has non-finite values", step=0)
+    return mu0
 
 
 def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:

@@ -5,21 +5,22 @@ per step it solves the same block system as the converged Newton
 iteration, with the potential derivative frozen at the end-of-step base
 state.  This makes the Taylor test and the adjoint gradient exact at
 the discrete level while the scheme itself discretizes the continuous
-linearized system.
+linearized system.  The solve goes through the forward solver's shared
+fixed-pattern block solve (``forward.solve_block_system``), which
+raises ``SolverError`` on a singular matrix or a non-finite solution.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import spsolve
 
-from .errors import SolverError
 from .forward import (
     Problem,
     StateTrajectory,
+    jacobian_coefficients,
     scheme_functions,
     solve,
-    step_jacobian,
+    solve_block_system,
     traj_norm_Y,
 )
 
@@ -51,17 +52,16 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
     eta = np.zeros((grid.N + 1, n))
 
     Mbar = ops.M_total
+    a, b = jacobian_coefficients(physics, dt)
     for k in range(grid.N):
         lam = fns.nodal(ops, base.phi[k + 1], 1)
-        J = step_jacobian(ops, physics, dt, lam)
         rhs1 = (1.0 / dt) * (Mbar @ psi[k]) + physics.gamma * (
             ops.M_bulk @ hu[k] + ops.P.T @ (ops.M_gamma @ hg[k])
         )
         rhs2 = (physics.tau / dt) * (Mbar @ psi[k]) - fns.nodal(ops, base.phi[k], 3) * psi[k]
-        sol = spsolve(J, np.concatenate([rhs1, rhs2]))
-        if not np.all(np.isfinite(sol)):
-            raise SolverError(f"singular linearized system at step {k + 1}", step=k + 1)
-        psi[k + 1], eta[k + 1] = np.split(sol, 2)
+        psi[k + 1], eta[k + 1] = solve_block_system(
+            ops, a, b, np.concatenate([rhs1, rhs2]), lam=lam, step=k + 1
+        )
     return LinearizedTrajectory(base, psi, eta)
 
 

@@ -9,6 +9,7 @@ the trace constraint is structural rather than penalized.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,11 +93,52 @@ class CoupledOperators:
 
         self.measure = mesh.volume + mesh.surface
 
+    @cached_property
+    def block_template(self) -> "BlockTemplate":
+        """Fixed pattern of the 2n x 2n step systems, built on first use."""
+        return BlockTemplate(self.M_total, self.K_total)
+
     def scatter(self, boundary_values: np.ndarray) -> np.ndarray:
         """Embed a boundary-indexed vector into bulk indexing (zeros elsewhere)."""
         out = np.zeros(self.mesh.n_bulk)
         out[self.mesh.trace_map] = boundary_values
         return out
+
+
+class BlockTemplate:
+    """CSC matrix whose coefficients are refilled in place for every step system.
+
+    Every block system of the time stepper has the form
+
+        [[a11 M + b11 K,           a12 M + b12 K],
+         [a21 M + b21 K + diag(l), a22 M + b22 K]]
+
+    with M = M_total and K = K_total.  All four blocks share the union of
+    the patterns of M, K and the identity, so one pattern serves every
+    coefficient set; per slot the template keeps its M value, its K value
+    and its block, plus the slots of the lower-left diagonal.
+    """
+
+    def __init__(self, M, K):
+        n = M.shape[0]
+        S = abs(M) + abs(K) + sp.identity(n, format="csr")
+        self.matrix = sp.bmat([[S, S], [S, S]], format="csc")
+        rows = self.matrix.indices
+        cols = np.repeat(np.arange(2 * n), np.diff(self.matrix.indptr))
+        self.m = np.asarray(M[rows % n, cols % n]).ravel()
+        self.k = np.asarray(K[rows % n, cols % n]).ravel()
+        self.block = (2 * (rows >= n) + (cols >= n)).astype(np.int8)
+        self.diag = np.flatnonzero(rows - n == cols)
+
+    def fill(self, a, b, lam=None):
+        """Write the blocks a_ij M + b_ij K (+ diag(lam) in block 21) into the
+        template, with a and b listed as (11, 12, 21, 22); returns the matrix."""
+        data = self.matrix.data
+        np.multiply(np.take(a, self.block), self.m, out=data)
+        data += np.take(b, self.block) * self.k
+        if lam is not None:
+            data[self.diag] += lam
+        return self.matrix
 
 
 def assemble(mesh: BulkSurfaceMesh) -> CoupledOperators:

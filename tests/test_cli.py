@@ -124,6 +124,19 @@ class TestSimulate:
         data["control"] = {"u": 0.5, "uG": 0.5}
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
 
+    def test_potential_domain_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # The Yosida-regularized run leaves (-1, 1); evaluating the
+        # logarithmic energy of its states is a failure during the run.
+        import copy
+
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(MINIMAL)
+        data["potential"] = {"kind": "logarithmic", "eps_yosida": 0.1}
+        data["initial"] = {"preset": "constant", "value": 0.9}
+        data["control"] = {"u": 5.0, "uG": 5.0}
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 3
+        assert "outside the open domain" in capsys.readouterr().err
+
     def test_malformed_yaml_exits_1(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("{{{nope")
