@@ -37,7 +37,6 @@ from .forward import (
     mean_ode_residual,
     separation_check,
     solve,
-    step,
     yosida_continuation,
 )
 from .mesh import BulkSurfaceMesh, build_interval, build_rectangle, trace

@@ -119,11 +119,5 @@ def reduced_gradient(problem: Problem, u, adj: AdjointTrajectory, cost):
 
     gamma = problem.physics.gamma
     a5, a6 = cost.alphas[4], cost.alphas[5]
-    trace_map = problem.mesh.trace_map
-    N = problem.grid.N
-    gu = np.empty_like(np.asarray(u.u, dtype=float))
-    gg = np.empty_like(np.asarray(u.uG, dtype=float))
-    for j in range(N):
-        gu[j] = gamma * adj.p[j] + a5 * u.u[j]
-        gg[j] = gamma * adj.p[j][trace_map] + a6 * u.uG[j]
-    return ControlPair(gu, gg)
+    p = adj.p[:problem.grid.N]
+    return ControlPair(gamma * p + a5 * u.u, gamma * p[:, problem.mesh.trace_map] + a6 * u.uG)

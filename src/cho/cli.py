@@ -4,10 +4,10 @@
     cho optimize -c config.yaml     projected gradient descent run
     cho verify   -c config.yaml     full invariant suite (or --all-presets)
 
-Exit codes: 0 success, 1 malformed configuration or violated standing
-assumption, 2 data validation failure (mean-value condition, infeasible
-box), 3 solver failure, including a potential evaluated outside its
-domain during a run.
+Exit codes: 0 success, 1 malformed configuration (unknown key, bad type
+or range, unreadable or non-finite CSV) or violated standing assumption,
+2 data validation failure (mean-value condition, infeasible box), 3
+solver failure, including a potential evaluated outside its domain.
 """
 
 import argparse
@@ -37,7 +37,7 @@ EXIT_SOLVER = 3
 
 
 def _prepare_outdir(cfg, config_path):
-    outdir = ensure_dir(os.path.join(cfg.output["directory"], cfg.run_name))
+    outdir = ensure_dir(os.path.join(cfg.output.directory, cfg.run_name))
     if config_path is not None and os.path.isfile(config_path):
         shutil.copy(config_path, os.path.join(outdir, "config.yaml"))
     else:
@@ -55,7 +55,7 @@ def cmd_simulate(cfg, config_path) -> int:
     series = write_series_csv(
         os.path.join(outdir, "series_0.csv"), problem, traj, controls
     )
-    snapshots = write_snapshots(outdir, mesh, traj, cfg.output["snapshot_stride"])
+    snapshots = write_snapshots(outdir, mesh, traj, cfg.output.snapshot_stride)
     print(mesh.summary())
     print(f"simulated {grid.N} steps to T = {grid.T:g}")
     print(f"wrote {series} and {len(snapshots)} snapshots")
@@ -74,7 +74,7 @@ def cmd_optimize(cfg, config_path) -> int:
         os.path.join(outdir, "series_0.csv"), cp.problem, result.trajectory, result.u
     )
     write_snapshots(outdir, cp.problem.mesh, result.trajectory,
-                    cfg.output["snapshot_stride"])
+                    cfg.output.snapshot_stride)
     adj = adjoint_solve(cp.problem, result.trajectory, cp.cost)
     write_adjoint_norms_csv(
         os.path.join(outdir, "adjoint_norms_0.csv"), cp.problem.ops,
@@ -96,7 +96,7 @@ def cmd_verify(cfg, label) -> int:
     print(f"verification suite [{label}]")
     for res in results:
         print("  " + res.line())
-    outdir = ensure_dir(os.path.join(cfg.output["directory"], cfg.run_name))
+    outdir = ensure_dir(os.path.join(cfg.output.directory, cfg.run_name))
     for res in results:
         if res.name == "taylor" and res.extra:
             for k, taylor in enumerate(res.extra):

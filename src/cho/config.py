@@ -1,373 +1,422 @@
-"""YAML run configuration: parsing, validation, presets, serialization.
+"""YAML run configuration: typed sections, presets, serialization.
 
 A configuration file is the reproducibility unit: it is copied verbatim
-into the output directory of every run.  Sections:
+into the output directory of every run.  Each section builds the types
+that own its defaults and range checks: domain -> IntervalDomain (dim 1)
+or RectangleDomain (dim 2), time -> TimeGrid, physics -> Physics,
+potential -> Potential plus SolverOptions.eps_yosida, solver ->
+SolverOptions, initial -> one of INITIAL_PRESETS, control -> Controls,
+optimization -> CostSpec weights, Targets, BoxBounds arguments and
+OptimizerOptions, output -> Output.
 
-    run_name   identifier used for the output folder
-    domain     dim 1: {cells, length}; dim 2: {nx, ny, lx, ly}
-    time       {T, steps}
-    physics    {tau, gamma}
-    potential  {kind, c1, eps_yosida, beta_hat, pi_hat}
-    solver     {scheme, newton_tol, newton_max_iter, interior_safeguard}
-    initial    named preset (constant / tanh-profile / random-seeded) or csv
-    control    slab sources for `simulate`
-    optimization  cost weights, targets, box bounds, optimizer options
-    output     {directory, snapshot_stride}
-
-Structural validation distinguishes malformed input (ConfigError, exit 1)
-from data failing the standing assumptions such as the mean-value
-condition (ValidationError, exit 2, raised later by the solvers).
+``RunConfig.from_dict`` converts each YAML value to the type of the field
+it sets; an unknown key, a wrongly typed value or a value a constructor
+rejects raises ConfigError naming it (exit 1).  The mesh, operators,
+potentials and box are built lazily by the ``build_*`` methods, so data
+failing a structural precondition (mean-value condition, infeasible box)
+still raises ValidationError there (exit 2).
 """
 
-import copy
-from dataclasses import dataclass
+import types
+from dataclasses import MISSING, asdict, dataclass, fields, replace
+from typing import ClassVar
 
 import numpy as np
 import yaml
 
 from .control import BoxBounds, ControlPair, ControlProblem, CostSpec, OptimizerOptions
-from .errors import ConfigError
+from .errors import ChoError, ConfigError
 from .forward import Physics, Problem, SolverOptions, TimeGrid
-from .mesh import build_interval, build_rectangle
-from .potentials import PotentialPair, make_potential
+from .mesh import build_interval, build_rectangle, check_interval, check_rectangle
+from .potentials import (
+    PotentialPair,
+    custom_potential,
+    logarithmic_potential,
+    regular_potential,
+)
 from .spaces import PairField
 
+# A constant, or the path of a CSV table (one row, or one row per slab or node).
+Source = float | str
 
-@dataclass
-class RunConfig:
-    """Normalized configuration dictionary plus typed accessors."""
 
-    data: dict
+@dataclass(frozen=True)
+class IntervalDomain:
+    dim: ClassVar[int] = 1
+    cells: int
+    length: float
+
+    def __post_init__(self):
+        check_interval(self.cells, self.length)
+
+    def build(self):
+        return build_interval(self.cells, self.length)
+
+
+@dataclass(frozen=True)
+class RectangleDomain:
+    dim: ClassVar[int] = 2
+    nx: int
+    ny: int
+    lx: float
+    ly: float
+
+    def __post_init__(self):
+        check_rectangle(self.nx, self.ny, self.lx, self.ly)
+
+    def build(self):
+        return build_rectangle(self.nx, self.ny, self.lx, self.ly)
+
+
+@dataclass(frozen=True)
+class Potential:
+    """Potential kind and coefficients; ``build`` makes the PotentialSpec."""
+
+    kind: str = "regular"
+    c1: float = 2.0
+    beta_hat: tuple | None = None
+    pi_hat: tuple | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("regular", "logarithmic", "custom"):
+            raise ConfigError(f"unknown potential kind {self.kind!r}")
+        if self.kind == "custom" and (self.beta_hat is None or self.pi_hat is None):
+            raise ConfigError("custom potential needs beta_hat and pi_hat coefficients")
+
+    def build(self):
+        if self.kind == "logarithmic":
+            return logarithmic_potential(self.c1)
+        if self.kind == "custom":
+            return custom_potential(self.beta_hat, self.pi_hat)
+        return regular_potential()
+
+
+@dataclass(frozen=True)
+class ConstantInitial:
+    preset: ClassVar[str] = "constant"
+    value: float = 0.0
+
+    def values(self, mesh):
+        return np.full(mesh.n_bulk, self.value)
+
+
+@dataclass(frozen=True)
+class TanhInitial:
+    preset: ClassVar[str] = "tanh-profile"
+    amplitude: float = 0.5
+    center: float = 0.5
+    width: float = 0.1
+
+    def values(self, mesh):
+        x = mesh.bulk_nodes[:, 0]
+        return self.amplitude * np.tanh((x - self.center) / self.width)
+
+
+@dataclass(frozen=True)
+class RandomInitial:
+    preset: ClassVar[str] = "random-seeded"
+    seed: int = 0
+    amplitude: float = 0.1
+
+    def values(self, mesh):
+        rng = np.random.default_rng(self.seed)
+        return rng.uniform(-self.amplitude, self.amplitude, mesh.n_bulk)
+
+
+@dataclass(frozen=True)
+class CsvInitial:
+    preset: ClassVar[str] = "csv"
+    path: str
+
+    def values(self, mesh):
+        return _table(self.path, 1, mesh.n_bulk, "initial.path")[0]
+
+
+DOMAINS = {cls.dim: cls for cls in (IntervalDomain, RectangleDomain)}
+INITIAL_PRESETS = {
+    cls.preset: cls for cls in (ConstantInitial, TanhInitial, RandomInitial, CsvInitial)
+}
+
+
+@dataclass(frozen=True)
+class Controls:
+    u: Source = 0.0
+    uG: Source = 0.0
+
+
+@dataclass(frozen=True)
+class Targets:
+    phiQ: Source = 0.0
+    phiS: Source = 0.0
+    phiO: Source = 0.0
+    phiG: Source = 0.0
+
+
+@dataclass(frozen=True)
+class Optimization:
+    cost: CostSpec          # the weights; build_control_problem adds the targets
+    targets: Targets
+    box: dict               # BoxBounds keyword arguments, checked when it is built
+    optimizer: OptimizerOptions
+    u0: float = 0.0
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        return cls(_normalize(raw))
+    def from_dict(cls, opt) -> "Optimization":
+        """alphas, m_prime and u0 are scalar keys; the rest are subsections."""
+        _check_keys(opt, ("alphas", "m_prime", "u0", "targets", "box", "optimizer"),
+                    "optimization.")
+        sub = {name: _mapping(opt.get(name, {}), f"optimization.{name}")
+               for name in ("targets", "box", "optimizer")}
+        box = _kwargs(BoxBounds, sub["box"], "optimization.box", exclude=("M_prime",))
+        if "m_prime" in opt:
+            box["M_prime"] = _convert(opt["m_prime"], float, "optimization.m_prime")
+        return _build(
+            cls, _pick(opt, "u0"), "optimization",
+            cost=_build(CostSpec, _pick(opt, "alphas"), "optimization",
+                        exclude=("phiQ", "phiS", "phiO", "phiG")),
+            targets=_build(Targets, {k: _target_form(v) for k, v in sub["targets"].items()},
+                           "optimization.targets"),
+            box=box,
+            optimizer=_build(OptimizerOptions, sub["optimizer"], "optimization.optimizer"),
+        )
 
     def to_dict(self) -> dict:
-        return copy.deepcopy(self.data)
+        box = dict(self.box)
+        m_prime = {"m_prime": box.pop("M_prime")} if "M_prime" in box else {}
+        return {"alphas": list(self.cost.alphas), "targets": _plain(self.targets),
+                "box": box, **m_prime, "u0": self.u0, "optimizer": _plain(self.optimizer)}
+
+
+@dataclass(frozen=True)
+class Output:
+    directory: str = "out"
+    snapshot_stride: int = 0
+
+
+SECTIONS = ("run_name", "domain", "time", "physics", "potential", "solver",
+            "initial", "control", "optimization", "output")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A run configuration as typed values; see the module docstring."""
+
+    domain: IntervalDomain | RectangleDomain
+    time: TimeGrid
+    physics: Physics
+    potential: Potential = Potential()
+    solver: SolverOptions = SolverOptions()
+    initial: ConstantInitial | TanhInitial | RandomInitial | CsvInitial = ConstantInitial()
+    control: Controls | None = None
+    optimization: Optimization | None = None
+    output: Output = Output()
+    run_name: str = "run"
+
+    @classmethod
+    def from_dict(cls, raw) -> "RunConfig":
+        _check_keys(_mapping(raw, "configuration root"), SECTIONS, "")
+        sec = {name: dict(_mapping(raw.get(name, {}), name)) for name in SECTIONS[1:]}
+        dim = _convert(sec["domain"].pop("dim", None), int, "domain.dim")
+        if dim not in DOMAINS:
+            raise ConfigError(f"domain.dim must be 1 or 2, got {dim}")
+        preset = _convert(sec["initial"].pop("preset", "constant"), str, "initial.preset")
+        if preset not in INITIAL_PRESETS:
+            raise ConfigError(f"unknown initial-condition preset {preset!r}")
+        physics = _build(Physics, sec["physics"], "physics")
+        if physics.gamma <= 0:
+            raise ConfigError("standing assumption violated: gamma must be positive")
+        eps = _kwargs(SolverOptions, _pick(sec["potential"], "eps_yosida"), "potential")
+        sec["potential"].pop("eps_yosida", None)
+        optional = {}
+        if "control" in raw:
+            optional["control"] = _build(Controls, sec["control"], "control")
+        if "optimization" in raw:
+            optional["optimization"] = Optimization.from_dict(sec["optimization"])
+        if "run_name" in raw:
+            optional["run_name"] = _convert(raw["run_name"], str, "run_name")
+        return cls(
+            domain=_build(DOMAINS[dim], sec["domain"], "domain"),
+            time=_build(TimeGrid, sec["time"], "time", rename={"N": "steps"}),
+            physics=physics,
+            potential=_build(Potential, sec["potential"], "potential"),
+            solver=_build(SolverOptions, sec["solver"], "solver",
+                          exclude=("eps_yosida",), **eps),
+            initial=_build(INITIAL_PRESETS[preset], sec["initial"], "initial"),
+            output=_build(Output, sec["output"], "output"),
+            **optional,
+        )
+
+    def to_dict(self) -> dict:
+        """The YAML mapping that ``from_dict`` reads back to equal values."""
+        out = {
+            "run_name": self.run_name,
+            "domain": {"dim": self.domain.dim, **_plain(self.domain)},
+            "time": {"T": self.time.T, "steps": self.time.N},
+            "physics": _plain(self.physics),
+            "potential": {**_plain(self.potential), "eps_yosida": self.solver.eps_yosida},
+            "solver": _plain(self.solver, skip="eps_yosida"),
+            "initial": {"preset": self.initial.preset, **_plain(self.initial)},
+            "output": _plain(self.output),
+        }
+        if self.control is not None:
+            out["control"] = _plain(self.control)
+        if self.optimization is not None:
+            out["optimization"] = self.optimization.to_dict()
+        return out
 
     # -- builders ----------------------------------------------------------
 
     def build_mesh(self):
-        dom = self.data["domain"]
-        if dom["dim"] == 1:
-            return build_interval(dom["cells"], dom["length"])
-        return build_rectangle(dom["nx"], dom["ny"], dom["lx"], dom["ly"])
+        return self.domain.build()
 
     def build_pair(self) -> PotentialPair:
-        pot = self.data["potential"]
-        spec = make_potential(
-            pot["kind"], c1=pot["c1"],
-            beta_hat=pot.get("beta_hat"), pi_hat=pot.get("pi_hat"),
-        )
-        return PotentialPair.same(spec)
+        return PotentialPair.same(self.potential.build())
 
     def build_options(self) -> SolverOptions:
-        sol = self.data["solver"]
-        return SolverOptions(
-            scheme=sol["scheme"],
-            newton_tol=sol["newton_tol"],
-            newton_max_iter=sol["newton_max_iter"],
-            eps_yosida=self.data["potential"]["eps_yosida"],
-            interior_safeguard=sol["interior_safeguard"],
-        )
+        return self.solver
 
     def build_problem(self) -> Problem:
-        t = self.data["time"]
-        p = self.data["physics"]
         return Problem.create(
-            self.build_mesh(),
-            self.build_pair(),
-            self.build_options(),
-            Physics(tau=p["tau"], gamma=p["gamma"]),
-            TimeGrid(T=t["T"], N=t["steps"]),
+            self.build_mesh(), self.build_pair(), self.build_options(),
+            self.physics, self.time,
         )
 
     def build_initial(self, mesh) -> PairField:
-        ini = self.data["initial"]
-        x = mesh.bulk_nodes[:, 0]
-        kind = ini["preset"]
-        if kind == "constant":
-            values = np.full(mesh.n_bulk, float(ini["value"]))
-        elif kind == "tanh-profile":
-            values = ini["amplitude"] * np.tanh((x - ini["center"]) / ini["width"])
-        elif kind == "random-seeded":
-            rng = np.random.default_rng(ini["seed"])
-            values = rng.uniform(-ini["amplitude"], ini["amplitude"], mesh.n_bulk)
-        elif kind == "csv":
-            values = _load_field_csv(ini["path"], mesh.n_bulk)
-        else:
-            raise ConfigError(f"unknown initial-condition preset {kind!r}")
-        return PairField.from_bulk(mesh, values)
+        return PairField.from_bulk(mesh, self.initial.values(mesh))
 
     def build_controls(self, mesh, grid) -> ControlPair:
-        ctl = self.data.get("control")
-        if ctl is None:
+        if self.control is None:
             raise ConfigError("configuration has no [control] section")
-        u = _control_slabs(ctl["u"], grid.N, mesh.n_bulk)
-        ug = _control_slabs(ctl["uG"], grid.N, mesh.n_boundary)
-        return ControlPair(u, ug)
+        return ControlPair(
+            _table(self.control.u, grid.N, mesh.n_bulk, "control.u"),
+            _table(self.control.uG, grid.N, mesh.n_boundary, "control.uG"),
+        )
 
     def build_control_problem(self):
-        opt = self.data.get("optimization")
+        opt = self.optimization
         if opt is None:
             raise ConfigError("configuration has no [optimization] section")
         problem = self.build_problem()
         mesh, grid = problem.mesh, problem.grid
-        cost_spec = CostSpec(
-            alphas=tuple(opt["alphas"]),
-            phiQ=_target(opt["targets"].get("phiQ"), grid.N + 1, mesh.n_bulk),
-            phiS=_target(opt["targets"].get("phiS"), grid.N + 1, mesh.n_boundary),
-            phiO=_target(opt["targets"].get("phiO"), 1, mesh.n_bulk),
-            phiG=_target(opt["targets"].get("phiG"), 1, mesh.n_boundary),
+        t = opt.targets
+        where = "optimization.targets."
+        cost_spec = replace(
+            opt.cost,
+            phiQ=_table(t.phiQ, grid.N + 1, mesh.n_bulk, where + "phiQ"),
+            phiS=_table(t.phiS, grid.N + 1, mesh.n_boundary, where + "phiS"),
+            phiO=_table(t.phiO, 1, mesh.n_bulk, where + "phiO")[0],
+            phiG=_table(t.phiG, 1, mesh.n_boundary, where + "phiG")[0],
         )
-        box = BoxBounds(
-            u_min=opt["box"]["u_min"], u_max=opt["box"]["u_max"],
-            uG_min=opt["box"]["uG_min"], uG_max=opt["box"]["uG_max"],
-            M_prime=opt["m_prime"],
-        )
-        cp = ControlProblem(problem, self.build_initial(mesh), cost_spec, box)
-        oo = opt["optimizer"]
-        pg_opts = OptimizerOptions(
-            armijo_c1=oo["armijo_c1"], backtrack=oo["backtrack"],
-            initial_step=oo["initial_step"], max_iter=oo["max_iter"],
-            tol=oo["tol"], bb_warm_start=oo["bb_warm_start"],
-        )
-        u0 = ControlPair(
-            np.full((grid.N, mesh.n_bulk), float(opt["u0"])),
-            np.full((grid.N, mesh.n_boundary), float(opt["u0"])),
-        )
-        return cp, u0, pg_opts
-
-    @property
-    def run_name(self) -> str:
-        return self.data["run_name"]
-
-    @property
-    def output(self) -> dict:
-        return self.data["output"]
+        cp = ControlProblem(problem, self.build_initial(mesh), cost_spec,
+                            BoxBounds(**opt.box))
+        return cp, ControlPair.constant(mesh, grid, opt.u0), opt.optimizer
 
 
-def _require(section, key, caster, where):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in section [{where}]")
+# ---------------------------------------------------------------------------
+# Conversion from YAML values
+# ---------------------------------------------------------------------------
+
+def _mapping(value, where):
+    if not isinstance(value, dict):
+        raise ConfigError(f"[{where}] must be a mapping, got {value!r}")
+    return value
+
+
+def _check_keys(section, known, where):
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key {where}{key}")
+
+
+def _build(cls, section, where, rename=None, exclude=(), **fixed):
+    """Dataclass ``cls`` from one YAML mapping, each value converted to its
+    field's type; ``fixed`` fields come from elsewhere.  Whatever the
+    constructor rejects becomes a ConfigError naming the section."""
+    kwargs = _kwargs(cls, section, where, rename, exclude=(*exclude, *fixed))
     try:
-        return caster(section[key])
+        return cls(**kwargs, **fixed)
+    except (ChoError, ValueError, TypeError) as err:
+        raise ConfigError(f"{where}: {err}") from err
+
+
+def _kwargs(cls, section, where, rename=None, exclude=()):
+    """Keyword arguments of ``cls`` from a YAML mapping whose keys are its
+    field names (or their ``rename``); ``exclude`` fields are not keys.
+    Unknown and missing keys are errors; absent optional keys leave the
+    field default in force."""
+    rename = rename or {}
+    by_key = {rename.get(f.name, f.name): f
+              for f in fields(cls) if f.init and f.name not in exclude}
+    _check_keys(section, by_key, f"{where}.")
+    for key, f in by_key.items():
+        if key not in section and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {where}.{key}")
+    return {f.name: _convert(section[key], f.type, f"{where}.{key}")
+            for key, f in by_key.items() if key in section}
+
+
+def _convert(value, kind, where):
+    """One YAML value as the type ``kind`` of the field it sets."""
+    if kind == Source:
+        return value if isinstance(value, str) else _convert(value, float, where)
+    if isinstance(kind, types.UnionType):     # float | ndarray, tuple | None
+        kind = kind.__args__[0]
+    try:
+        if kind is tuple:
+            if not isinstance(value, list):
+                raise TypeError(f"expected a list, got {value!r}")
+            return tuple(_convert(v, float, where) for v in value)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float, str)):
+            raise TypeError(f"expected {kind.__name__}, got {value!r}")
+        if kind is int and isinstance(value, float):
+            if not value.is_integer():
+                raise ValueError(f"expected an integer, got {value!r}")
+            value = int(value)
+        return kind(value)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad value for {where}.{key}: {err}") from err
+        raise ConfigError(f"bad value for {where}: {err}") from err
 
 
-def _normalize(raw: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a mapping")
-    out = {"run_name": str(raw.get("run_name", "run"))}
-
-    dom = raw.get("domain")
-    if not isinstance(dom, dict):
-        raise ConfigError("missing [domain] section")
-    dim = _require(dom, "dim", int, "domain")
-    if dim == 1:
-        out["domain"] = {
-            "dim": 1,
-            "cells": _require(dom, "cells", int, "domain"),
-            "length": _require(dom, "length", float, "domain"),
-        }
-        if out["domain"]["cells"] < 1 or out["domain"]["length"] <= 0:
-            raise ConfigError("domain needs cells >= 1 and length > 0")
-    elif dim == 2:
-        out["domain"] = {
-            "dim": 2,
-            "nx": _require(dom, "nx", int, "domain"),
-            "ny": _require(dom, "ny", int, "domain"),
-            "lx": _require(dom, "lx", float, "domain"),
-            "ly": _require(dom, "ly", float, "domain"),
-        }
-        if min(out["domain"]["nx"], out["domain"]["ny"]) < 1:
-            raise ConfigError("domain needs nx, ny >= 1")
-        if min(out["domain"]["lx"], out["domain"]["ly"]) <= 0:
-            raise ConfigError("domain sides must be positive")
-    else:
-        raise ConfigError(f"dim must be 1 or 2, got {dim}")
-
-    tsec = raw.get("time")
-    if not isinstance(tsec, dict):
-        raise ConfigError("missing [time] section")
-    out["time"] = {
-        "T": _require(tsec, "T", float, "time"),
-        "steps": _require(tsec, "steps", int, "time"),
-    }
-    if out["time"]["T"] <= 0 or out["time"]["steps"] < 1:
-        raise ConfigError("time needs T > 0 and steps >= 1")
-
-    ph = raw.get("physics")
-    if not isinstance(ph, dict):
-        raise ConfigError("missing [physics] section")
-    out["physics"] = {
-        "tau": _require(ph, "tau", float, "physics"),
-        "gamma": _require(ph, "gamma", float, "physics"),
-    }
-    if out["physics"]["tau"] <= 0:
-        raise ConfigError("standing assumption violated: tau must be positive")
-    if out["physics"]["gamma"] <= 0:
-        raise ConfigError("standing assumption violated: gamma must be positive")
-
-    pot = raw.get("potential", {})
-    kind = str(pot.get("kind", "regular"))
-    if kind not in ("regular", "logarithmic", "custom"):
-        raise ConfigError(f"unknown potential kind {kind!r}")
-    out["potential"] = {
-        "kind": kind,
-        "c1": float(pot.get("c1", 2.0)),
-        "eps_yosida": float(pot.get("eps_yosida", 0.0)),
-    }
-    if kind == "custom":
-        for key in ("beta_hat", "pi_hat"):
-            if key not in pot:
-                raise ConfigError(f"custom potential needs {key} coefficients")
-            out["potential"][key] = [float(c) for c in pot[key]]
-    if not 0.0 <= out["potential"]["eps_yosida"] < 1.0:
-        raise ConfigError("eps_yosida must be 0 or inside (0, 1)")
-
-    sol = raw.get("solver", {})
-    out["solver"] = {
-        "scheme": str(sol.get("scheme", "fully-implicit")),
-        "newton_tol": float(sol.get("newton_tol", 1e-10)),
-        "newton_max_iter": int(sol.get("newton_max_iter", 50)),
-        "interior_safeguard": float(sol.get("interior_safeguard", 1e-8)),
-    }
-    if out["solver"]["scheme"] not in ("fully-implicit", "convex-splitting"):
-        raise ConfigError(f"unknown scheme {out['solver']['scheme']!r}")
-
-    ini = raw.get("initial", {"preset": "constant", "value": 0.0})
-    preset = str(ini.get("preset", "constant"))
-    norm_ini = {"preset": preset}
-    if preset == "constant":
-        norm_ini["value"] = float(ini.get("value", 0.0))
-    elif preset == "tanh-profile":
-        norm_ini["amplitude"] = float(ini.get("amplitude", 0.5))
-        norm_ini["center"] = float(ini.get("center", 0.5))
-        norm_ini["width"] = float(ini.get("width", 0.1))
-    elif preset == "random-seeded":
-        norm_ini["seed"] = int(ini.get("seed", 0))
-        norm_ini["amplitude"] = float(ini.get("amplitude", 0.1))
-    elif preset == "csv":
-        norm_ini["path"] = str(ini["path"])
-    else:
-        raise ConfigError(f"unknown initial-condition preset {preset!r}")
-    out["initial"] = norm_ini
-
-    if "control" in raw:
-        ctl = raw["control"]
-        out["control"] = {
-            "u": _control_spec(ctl.get("u", 0.0)),
-            "uG": _control_spec(ctl.get("uG", 0.0)),
-        }
-
-    if "optimization" in raw:
-        opt = raw["optimization"]
-        alphas = opt.get("alphas", [1, 0, 1, 0, 0.1, 0.1])
-        if len(alphas) != 6:
-            raise ConfigError("optimization.alphas needs exactly 6 entries")
-        alphas = [float(a) for a in alphas]
-        if any(a < 0 for a in alphas):
-            raise ConfigError("standing assumption violated: cost weights must be >= 0")
-        targets = opt.get("targets", {})
-        box = opt.get("box", {})
-        oo = opt.get("optimizer", {})
-        out["optimization"] = {
-            "alphas": alphas,
-            "targets": {
-                key: _target_spec(targets.get(key))
-                for key in ("phiQ", "phiS", "phiO", "phiG")
-            },
-            "box": {
-                "u_min": float(box.get("u_min", -1.0)),
-                "u_max": float(box.get("u_max", 1.0)),
-                "uG_min": float(box.get("uG_min", -1.0)),
-                "uG_max": float(box.get("uG_max", 1.0)),
-            },
-            "m_prime": float(opt.get("m_prime", 1.0e3)),
-            "u0": float(opt.get("u0", 0.0)),
-            "optimizer": {
-                "max_iter": int(oo.get("max_iter", 200)),
-                "tol": float(oo.get("tol", 1e-6)),
-                "armijo_c1": float(oo.get("armijo_c1", 1e-4)),
-                "backtrack": float(oo.get("backtrack", 0.5)),
-                "initial_step": float(oo.get("initial_step", 1.0)),
-                "bb_warm_start": bool(oo.get("bb_warm_start", False)),
-            },
-        }
-
-    outsec = raw.get("output", {})
-    out["output"] = {
-        "directory": str(outsec.get("directory", "out")),
-        "snapshot_stride": int(outsec.get("snapshot_stride", 0)),
-    }
-    return out
+def _target_form(value):
+    """A target given as {csv: path} or null, as a path or zero."""
+    if isinstance(value, dict) and list(value) == ["csv"] and isinstance(value["csv"], str):
+        return value["csv"]
+    return 0.0 if value is None else value
 
 
-def _control_spec(value):
-    if isinstance(value, str):
-        return {"csv": value}
-    return float(value)
+def _pick(section, *keys):
+    return {k: section[k] for k in keys if k in section}
 
 
-def _control_slabs(spec, n_slabs, width):
-    if isinstance(spec, dict) and "csv" in spec:
-        arr = _load_table_csv(spec["csv"])
-        if arr.shape == (1, width):
-            return np.repeat(arr, n_slabs, axis=0)
-        if arr.shape != (n_slabs, width):
-            raise ConfigError(
-                f"control CSV has shape {arr.shape}, expected ({n_slabs}, {width})"
-            )
-        return arr
-    return np.full((n_slabs, width), float(spec))
+def _plain(obj, skip=None) -> dict:
+    """Fields of a flat dataclass as YAML values; unset (None) ones omitted."""
+    return {k: list(v) if isinstance(v, tuple) else v
+            for k, v in asdict(obj).items() if v is not None and k != skip}
 
 
-def _target_spec(value):
-    if value is None:
-        return 0.0
-    if isinstance(value, str):
-        return {"csv": value}
-    if isinstance(value, dict):
-        if "csv" in value:
-            return {"csv": str(value["csv"])}
-        if value.get("preset") == "constant":
-            return float(value.get("value", 0.0))
-        raise ConfigError(f"unknown target specification {value!r}")
-    return float(value)
+# ---------------------------------------------------------------------------
+# CSV tables
+# ---------------------------------------------------------------------------
 
-
-def _target(spec, n_rows, width):
-    if isinstance(spec, dict) and "csv" in spec:
-        arr = _load_table_csv(spec["csv"])
-        if arr.shape == (1, width):
-            return np.repeat(arr, n_rows, axis=0) if n_rows > 1 else arr[0]
-        if n_rows == 1 and arr.shape == (n_rows, width):
-            return arr[0]
-        if arr.shape != (n_rows, width):
-            raise ConfigError(
-                f"target CSV has shape {arr.shape}, expected ({n_rows}, {width})"
-            )
-        return arr
-    return float(spec)
-
-
-def _load_field_csv(path, width):
-    arr = _load_table_csv(path)
-    if arr.shape != (1, width):
-        raise ConfigError(f"field CSV has shape {arr.shape}, expected (1, {width})")
-    return arr[0]
-
-
-def _load_table_csv(path):
+def _table(source, n_rows, width, where):
+    """A source as an (n_rows, width) array; a one-row CSV is repeated."""
+    if not isinstance(source, str):
+        return np.full((n_rows, width), source)
     try:
-        return np.atleast_2d(np.loadtxt(path, delimiter=",", ndmin=2))
+        arr = np.loadtxt(source, delimiter=",", ndmin=2)
     except OSError as err:
-        raise ConfigError(f"cannot read CSV {path}: {err}") from err
+        raise ConfigError(f"{where}: cannot read CSV {source}: {err}") from err
     except ValueError as err:
-        raise ConfigError(f"cannot parse CSV {path}: {err}") from err
+        raise ConfigError(f"{where}: cannot parse CSV {source}: {err}") from err
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{where}: CSV {source} has non-finite values")
+    if arr.shape == (1, width):
+        return np.repeat(arr, n_rows, axis=0)
+    if arr.shape != (n_rows, width):
+        raise ConfigError(
+            f"{where}: CSV {source} has shape {arr.shape}, expected ({n_rows}, {width})"
+        )
+    return arr
 
 
 def load_config(path) -> RunConfig:
@@ -461,4 +510,4 @@ PRESETS = {
 def preset_config(name: str) -> RunConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    return RunConfig.from_dict(copy.deepcopy(PRESETS[name]))
+    return RunConfig.from_dict(PRESETS[name])

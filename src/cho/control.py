@@ -14,7 +14,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .forward import Problem, StateTrajectory, solve
 from .potentials import check_mz
-from .spaces import PairField, mean
+from .spaces import PairField, mean, row_inner
 
 
 class ControlPair:
@@ -31,10 +31,6 @@ class ControlPair:
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.uG))):
             raise ValidationError("control values must be finite")
 
-    @property
-    def n_slabs(self) -> int:
-        return self.u.shape[0]
-
     @classmethod
     def zeros(cls, mesh, grid) -> "ControlPair":
         return cls(
@@ -50,9 +46,6 @@ class ControlPair:
             np.full((grid.N, mesh.n_boundary), float(boundary_value)),
         )
 
-    def copy(self) -> "ControlPair":
-        return ControlPair(self.u.copy(), self.uG.copy())
-
     def plus(self, other: "ControlPair", scale: float = 1.0) -> "ControlPair":
         return ControlPair(self.u + scale * other.u, self.uG + scale * other.uG)
 
@@ -65,13 +58,13 @@ class ControlPair:
         )
 
 
+def _mass_sum(M, A, B) -> float:
+    return float(row_inner(M, A, B).sum())
+
+
 def control_inner(a: ControlPair, b: ControlPair, ops, dt: float) -> float:
     """Discrete L2-in-time inner product over bulk and boundary controls."""
-    total = 0.0
-    for j in range(a.n_slabs):
-        total += dt * float(a.u[j] @ (ops.M_bulk @ b.u[j]))
-        total += dt * float(a.uG[j] @ (ops.M_gamma @ b.uG[j]))
-    return total
+    return dt * (_mass_sum(ops.M_bulk, a.u, b.u) + _mass_sum(ops.M_gamma, a.uG, b.uG))
 
 
 def control_norm(a: ControlPair, ops, dt: float) -> float:
@@ -100,10 +93,10 @@ class BoxBounds:
     Bounds may be scalars or arrays broadcastable to the slab shapes.
     """
 
-    u_min: float | np.ndarray
-    u_max: float | np.ndarray
-    uG_min: float | np.ndarray
-    uG_max: float | np.ndarray
+    u_min: float | np.ndarray = -1.0
+    u_max: float | np.ndarray = 1.0
+    uG_min: float | np.ndarray = -1.0
+    uG_max: float | np.ndarray = 1.0
     M_prime: float = 1.0e3
 
     def __post_init__(self):
@@ -158,13 +151,10 @@ def validate_Uad(pair: ControlPair, box: BoxBounds, grid, ops) -> UadReport:
         and np.all(pair.uG <= np.asarray(box.uG_max) + 1e-14)
     )
     dt = grid.dt
-    h1u = h1g = 0.0
-    for j in range(1, pair.n_slabs):
-        du = (pair.u[j] - pair.u[j - 1]) / dt
-        dg = (pair.uG[j] - pair.uG[j - 1]) / dt
-        h1u += dt * float(du @ (ops.M_bulk @ du))
-        h1g += dt * float(dg @ (ops.M_gamma @ dg))
-    h1u, h1g = float(np.sqrt(h1u)), float(np.sqrt(h1g))
+    du = np.diff(pair.u, axis=0) / dt
+    dg = np.diff(pair.uG, axis=0) / dt
+    h1u = float(np.sqrt(dt * _mass_sum(ops.M_bulk, du, du)))
+    h1g = float(np.sqrt(dt * _mass_sum(ops.M_gamma, dg, dg)))
     h1_ok = h1u <= box.M_prime and h1g <= box.M_prime
     parts = []
     if not box_ok:
@@ -189,7 +179,7 @@ class CostSpec:
     Targets may be scalars, arrays, or None (zero target).
     """
 
-    alphas: tuple
+    alphas: tuple = (1.0, 0.0, 1.0, 0.0, 0.1, 0.1)
     phiQ: object = None
     phiS: object = None
     phiO: object = None
@@ -259,19 +249,15 @@ def cost(cost_spec: CostSpec, traj: StateTrajectory, u: ControlPair, ops) -> flo
     dt = grid.dt
     tm = traj.mesh.trace_map
 
-    J = 0.0
-    for nidx in range(1, grid.N + 1):
-        d = traj.phi[nidx] - data.phiQ[nidx]
-        dg = traj.phi[nidx][tm] - data.phiS[nidx]
-        J += 0.5 * dt * (a1 * float(d @ (ops.M_bulk @ d)) + a2 * float(dg @ (ops.M_gamma @ dg)))
+    d = traj.phi[1:] - data.phiQ[1:]
+    dg = traj.phi[1:, tm] - data.phiS[1:]
+    J = 0.5 * dt * (a1 * _mass_sum(ops.M_bulk, d, d) + a2 * _mass_sum(ops.M_gamma, dg, dg))
     d = traj.phi[grid.N] - data.phiO
     dg = traj.phi[grid.N][tm] - data.phiG
     J += 0.5 * (a3 * float(d @ (ops.M_bulk @ d)) + a4 * float(dg @ (ops.M_gamma @ dg)))
-    for j in range(grid.N):
-        J += 0.5 * dt * (
-            a5 * float(u.u[j] @ (ops.M_bulk @ u.u[j]))
-            + a6 * float(u.uG[j] @ (ops.M_gamma @ u.uG[j]))
-        )
+    J += 0.5 * dt * (
+        a5 * _mass_sum(ops.M_bulk, u.u, u.u) + a6 * _mass_sum(ops.M_gamma, u.uG, u.uG)
+    )
     return float(J)
 
 
@@ -285,16 +271,14 @@ def cost_directional(cost_spec: CostSpec, problem, base: StateTrajectory,
     ops, grid = problem.ops, problem.grid
     data = cost_spec.expand(problem.mesh, grid)
     dt = grid.dt
-    dJ = 0.0
-    for nidx in range(1, grid.N + 1):
-        dJ += dt * float(data.zeta1_w(ops, base.phi[nidx], nidx) @ psi[nidx])
+    tm = problem.mesh.trace_map
+    a1, a2, _, _, a5, a6 = data.alphas
+    d = base.phi[1:] - data.phiQ[1:]
+    dg = base.phi[1:, tm] - data.phiS[1:]
+    dJ = dt * (a1 * _mass_sum(ops.M_bulk, d, psi[1:])
+               + a2 * _mass_sum(ops.M_gamma, dg, psi[1:, tm]))
     dJ += float(data.zeta3_w(ops, base.phi[grid.N]) @ psi[grid.N])
-    a5, a6 = data.alphas[4], data.alphas[5]
-    for j in range(grid.N):
-        dJ += dt * (
-            a5 * float(u.u[j] @ (ops.M_bulk @ h.u[j]))
-            + a6 * float(u.uG[j] @ (ops.M_gamma @ h.uG[j]))
-        )
+    dJ += dt * (a5 * _mass_sum(ops.M_bulk, u.u, h.u) + a6 * _mass_sum(ops.M_gamma, u.uG, h.uG))
     return float(dJ)
 
 
@@ -322,15 +306,32 @@ class ControlProblem:
     box: BoxBounds
 
 
-@dataclass
+# Armijo backtracks per iterate before the line search gives up.
+MAX_BACKTRACKS = 60
+
+
+@dataclass(frozen=True)
 class OptimizerOptions:
+    """Projected-gradient controls: Armijo constant, step and stopping rule."""
+
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
     initial_step: float = 1.0
-    max_backtracks: int = 60
     max_iter: int = 200
     tol: float = 1e-6
     bb_warm_start: bool = False
+
+    def __post_init__(self):
+        if not 0.0 < self.armijo_c1 < 1.0:
+            raise ValidationError(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1}")
+        if not 0.0 < self.backtrack < 1.0:
+            raise ValidationError(f"backtrack must lie in (0, 1), got {self.backtrack}")
+        if not self.initial_step > 0:
+            raise ValidationError(f"initial_step must be positive, got {self.initial_step}")
+        if not self.tol > 0:
+            raise ValidationError(f"tol must be positive, got {self.tol}")
+        if self.max_iter < 0:
+            raise ValidationError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass
@@ -401,7 +402,7 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
                 s = min(max(control_inner(du, du, ops, dt) / denom, 1e-6), 1e6)
         accepted = False
         newton_total = 0
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             trial = project_box(u.plus(g, -s), box)
             descent = control_inner(g, trial.plus(u, -1.0), ops, dt)
             traj_t, J_t = evaluate(trial)
@@ -413,7 +414,7 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
         if not accepted:
             gnorm = control_norm(g, ops, dt)
             raise SolverError(
-                f"line search failed after {opts.max_backtracks} backtracks "
+                f"line search failed after {MAX_BACKTRACKS} backtracks "
                 f"(gradient norm {gnorm:.3e})"
             )
         prev_u, prev_g = u, g

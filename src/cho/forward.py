@@ -26,7 +26,7 @@ import scipy.sparse.linalg as spla
 from .errors import SolverError, ValidationError
 from .mesh import BulkSurfaceMesh
 from .potentials import PotentialPair, check_mz, yosida_beta, yosida_dbeta
-from .spaces import CoupledOperators, PairField, assemble, mean
+from .spaces import CoupledOperators, PairField, assemble, mean, row_inner
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class Physics:
             raise ValidationError(f"gamma must be nonnegative, got {self.gamma}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Newton and scheme controls for one forward solve."""
 
@@ -79,6 +79,10 @@ class SolverOptions:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.newton_tol <= 0 or self.interior_safeguard <= 0:
             raise ValidationError("tolerances must be positive")
+        if self.newton_max_iter < 0:
+            raise ValidationError(
+                f"newton_max_iter must be >= 0, got {self.newton_max_iter}"
+            )
         if self.eps_yosida and not 0.0 < self.eps_yosida < 1.0:
             raise ValidationError("eps_yosida must be 0 or inside (0, 1)")
 
@@ -107,10 +111,6 @@ class StateTrajectory:
             PairField.from_bulk(self.mesh, self.phi[n]),
             PairField.from_bulk(self.mesh, self.mu[n]),
         )
-
-    @property
-    def n_steps(self) -> int:
-        return self.grid.N
 
 
 @dataclass(frozen=True)
@@ -280,23 +280,6 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
     raise AssertionError("unreachable")
 
 
-def step(ops, pair, opts, state_n: StateSnapshot, control_np1, tau, gamma, dt):
-    """Advance one implicit step from state_n under the slab control
-    (bulk vector, boundary vector) active on the step."""
-    physics = Physics(tau, gamma)
-    fns = scheme_functions(pair, opts)
-    u, ug = control_np1
-    phi, mu, _ = _step_arrays(
-        ops, pair, fns, opts, physics, dt,
-        np.asarray(state_n.phi.bulk, dtype=float),
-        np.asarray(state_n.mu.bulk, dtype=float),
-        np.asarray(u, dtype=float),
-        np.asarray(ug, dtype=float),
-    )
-    mesh = ops.mesh
-    return StateSnapshot(PairField.from_bulk(mesh, phi), PairField.from_bulk(mesh, mu))
-
-
 def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
     """Chemical potential at t = 0 from the second equation (no dynamics)."""
     ops = problem.ops
@@ -372,14 +355,9 @@ def mean_ode_residual(traj: StateTrajectory, controls, ops, gamma) -> np.ndarray
     r_n = (m_{n+1} - m_n)/dt + gamma m_{n+1} - gamma omega_{n+1}; vanishes
     to Newton tolerance because it is R1 tested with the constant pair.
     """
-    m = np.array(
-        [mean(PairField.from_bulk(traj.mesh, traj.phi[k]), ops)
-         for k in range(traj.grid.N + 1)]
-    )
-    omega = np.array(
-        [mean(PairField(controls.u[k], controls.uG[k]), ops)
-         for k in range(traj.grid.N)]
-    )
+    tm = traj.mesh.trace_map
+    m = (traj.phi @ ops.lumped_bulk + traj.phi[:, tm] @ ops.lumped_gamma) / ops.measure
+    omega = (controls.u @ ops.lumped_bulk + controls.uG @ ops.lumped_gamma) / ops.measure
     dt = traj.grid.dt
     return np.diff(m) / dt + gamma * m[1:] - gamma * omega
 
@@ -472,30 +450,15 @@ def yosida_continuation(problem: Problem, phi0: PairField, controls, eps_list):
 # Discrete trajectory norms (conforming bulk-indexed time series)
 # ---------------------------------------------------------------------------
 
-def _H_sq(ops, v):
-    return float(v @ (ops.M_total @ v))
-
-
-def _V_sq(ops, v):
-    return _H_sq(ops, v) + float(v @ (ops.K_total @ v))
-
-
 def traj_norm_L2H(ops, grid: TimeGrid, Z) -> float:
     """Right-endpoint-in-time L2 norm of a conforming trajectory array."""
-    return float(np.sqrt(sum(grid.dt * _H_sq(ops, Z[n]) for n in range(1, grid.N + 1))))
-
-
-def traj_norm_H1H(ops, grid: TimeGrid, Z) -> float:
-    rate = sum(
-        grid.dt * _H_sq(ops, (Z[n] - Z[n - 1]) / grid.dt) for n in range(1, grid.N + 1)
-    )
-    return float(np.sqrt(traj_norm_L2H(ops, grid, Z) ** 2 + rate))
-
-
-def traj_norm_LinfV(ops, grid: TimeGrid, Z) -> float:
-    return float(np.sqrt(max(_V_sq(ops, Z[n]) for n in range(grid.N + 1))))
+    return float(np.sqrt(grid.dt * row_inner(ops.M_total, Z[1:], Z[1:]).sum()))
 
 
 def traj_norm_Y(ops, grid: TimeGrid, Z) -> float:
-    """Discrete H1-in-time / L-infinity-in-space-energy intersection norm."""
-    return traj_norm_H1H(ops, grid, Z) + traj_norm_LinfV(ops, grid, Z)
+    """Discrete H1-in-time / L-infinity-in-space-energy intersection norm:
+    the H1(0,T;H) part plus the max over time nodes of the V norm."""
+    dZ = np.diff(Z, axis=0) / grid.dt
+    rate = grid.dt * row_inner(ops.M_total, dZ, dZ).sum()
+    h1h = np.sqrt(traj_norm_L2H(ops, grid, Z) ** 2 + rate)
+    return float(h1h + np.sqrt(row_inner(ops.M_total + ops.K_total, Z, Z).max()))

@@ -67,16 +67,21 @@ class BulkSurfaceMesh:
         )
 
 
+def check_interval(n_cells: int, length: float):
+    """Raise ValueError unless ``build_interval`` accepts these arguments."""
+    if n_cells < 1:
+        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+    if length <= 0:
+        raise ValueError(f"length must be positive, got {length}")
+
+
 def build_interval(n_cells: int, length: float) -> BulkSurfaceMesh:
     """Uniform mesh of [0, length] with n_cells segments.
 
     The boundary consists of the two endpoints; boundary integrals use
     the counting measure (weight 1 per endpoint), so surface == 2.
     """
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    if length <= 0:
-        raise ValueError(f"length must be positive, got {length}")
+    check_interval(n_cells, length)
     nodes = np.linspace(0.0, length, n_cells + 1).reshape(-1, 1)
     elements = np.column_stack([np.arange(n_cells), np.arange(1, n_cells + 1)])
     boundary_elements = np.array([[0], [1]])
@@ -92,16 +97,21 @@ def build_interval(n_cells: int, length: float) -> BulkSurfaceMesh:
     )
 
 
+def check_rectangle(nx: int, ny: int, Lx: float, Ly: float):
+    """Raise ValueError unless ``build_rectangle`` accepts these arguments."""
+    if nx < 1 or ny < 1:
+        raise ValueError(f"nx, ny must be >= 1, got ({nx}, {ny})")
+    if Lx <= 0 or Ly <= 0:
+        raise ValueError(f"side lengths must be positive, got ({Lx}, {Ly})")
+
+
 def build_rectangle(nx: int, ny: int, Lx: float, Ly: float) -> BulkSurfaceMesh:
     """Structured triangulation of [0, Lx] x [0, Ly].
 
     Each grid cell is split into two triangles.  The boundary is the
     counterclockwise perimeter polyline starting at the origin.
     """
-    if nx < 1 or ny < 1:
-        raise ValueError(f"nx, ny must be >= 1, got ({nx}, {ny})")
-    if Lx <= 0 or Ly <= 0:
-        raise ValueError(f"side lengths must be positive, got ({Lx}, {Ly})")
+    check_rectangle(nx, ny, Lx, Ly)
 
     xs = np.linspace(0.0, Lx, nx + 1)
     ys = np.linspace(0.0, Ly, ny + 1)

@@ -10,7 +10,7 @@ import os
 import numpy as np
 
 from .forward import exact_mean, energy, StateTrajectory
-from .spaces import mean, PairField
+from .spaces import mean, PairField, row_inner
 
 
 def ensure_dir(path):
@@ -138,14 +138,9 @@ def write_taylor_csv(path, result) -> str:
 
 def write_adjoint_norms_csv(path, ops, grid, adj) -> str:
     """Diagnostic dump of the adjoint magnitudes per time node."""
-    from .forward import _H_sq
-
-    times = grid.times()
-    rows = (
-        (times[n], np.sqrt(_H_sq(ops, adj.p[n])), np.sqrt(_H_sq(ops, adj.q[n])))
-        for n in range(grid.N + 1)
-    )
-    _write_csv(path, "t (time),norm_p (1),norm_q (1)", rows)
+    norm_p = np.sqrt(row_inner(ops.M_total, adj.p, adj.p))
+    norm_q = np.sqrt(row_inner(ops.M_total, adj.q, adj.q))
+    _write_csv(path, "t (time),norm_p (1),norm_q (1)", zip(grid.times(), norm_p, norm_q))
     return path
 
 

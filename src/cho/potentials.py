@@ -94,11 +94,6 @@ class PotentialSpec:
         return self._dpi(np.asarray(r, dtype=float))
 
 
-def eval(spec: PotentialSpec, r, order: int = 0):
-    """Functional alias for ``spec.F(r, order)``."""
-    return spec.F(r, order)
-
-
 def regular_potential() -> PotentialSpec:
     """Classical quartic double well, beta_hat = r^4/4, pi_hat = 1/4 - r^2/2."""
     derivs = (
@@ -160,19 +155,6 @@ def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
     beta_fns = (bh, beta, beta.deriv())
     pi_fns = (ph.deriv(), ph.deriv(2))
     return PotentialSpec("custom", _UNBOUNDED, derivs, beta_fns, pi_fns)
-
-
-def make_potential(kind: str, c1: float = 2.0, beta_hat=None, pi_hat=None):
-    """Factory used by the configuration layer."""
-    if kind == "regular":
-        return regular_potential()
-    if kind == "logarithmic":
-        return logarithmic_potential(c1)
-    if kind == "custom":
-        if beta_hat is None or pi_hat is None:
-            raise ValidationError("custom potential needs beta_hat and pi_hat coefficients")
-        return custom_potential(beta_hat, pi_hat)
-    raise ValidationError(f"unknown potential kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,6 @@ class CoupledOperators:
         """Fixed pattern of the 2n x 2n step systems, built on first use."""
         return BlockTemplate(self.M_total, self.K_total)
 
-    def scatter(self, boundary_values: np.ndarray) -> np.ndarray:
-        """Embed a boundary-indexed vector into bulk indexing (zeros elsewhere)."""
-        out = np.zeros(self.mesh.n_bulk)
-        out[self.mesh.trace_map] = boundary_values
-        return out
-
 
 class BlockTemplate:
     """CSC matrix whose coefficients are refilled in place for every step system.
@@ -200,6 +194,11 @@ def mean(field: PairField, ops: CoupledOperators) -> float:
     field.check_shapes(ops.mesh)
     total = ops.lumped_bulk @ field.bulk + ops.lumped_gamma @ field.boundary
     return float(total / ops.measure)
+
+
+def row_inner(M, A, B) -> np.ndarray:
+    """Inner products A[j] @ M @ B[j] of the matching rows of two arrays."""
+    return np.einsum("ij,ji->i", A, M @ B.T)
 
 
 def norm_H(field: PairField, ops: CoupledOperators) -> float:

@@ -8,7 +8,7 @@ where the property allows it and pin whatever the property itself fixes
 with a regular potential and no reaction).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -52,10 +52,10 @@ class CheckResult:
 
 
 def _check_mesh(cfg: RunConfig):
-    dom = cfg.data["domain"]
-    if dom["dim"] == 1:
-        return build_interval(min(dom["cells"], 128), dom["length"])
-    return build_rectangle(min(dom["nx"], 16), min(dom["ny"], 16), dom["lx"], dom["ly"])
+    dom = cfg.domain
+    if dom.dim == 1:
+        return build_interval(min(dom.cells, 128), dom.length)
+    return build_rectangle(min(dom.nx, 16), min(dom.ny, 16), dom.lx, dom.ly)
 
 
 def _tanh_ic(mesh, amplitude):
@@ -70,8 +70,8 @@ def check_mean_ode(cfg: RunConfig) -> CheckResult:
     """Discrete mean dynamics residual and first-order closed-form error."""
     mesh = _check_mesh(cfg)
     pair = cfg.build_pair()
-    gamma = min(cfg.data["physics"]["gamma"], 1.0)
-    physics = Physics(tau=cfg.data["physics"]["tau"], gamma=gamma)
+    gamma = min(cfg.physics.gamma, 1.0)
+    physics = Physics(tau=cfg.physics.tau, gamma=gamma)
     T = 1.0
 
     def omega_fn(t):
@@ -154,9 +154,9 @@ def check_mean_bound(cfg: RunConfig) -> CheckResult:
     """Discrete mean stays inside the reaction-limited interval."""
     mesh = _check_mesh(cfg)
     pair = cfg.build_pair()
-    gamma = min(cfg.data["physics"]["gamma"], 1.0)
-    physics = Physics(tau=cfg.data["physics"]["tau"], gamma=gamma)
-    grid = TimeGrid(T=cfg.data["time"]["T"], N=min(cfg.data["time"]["steps"], 50))
+    gamma = min(cfg.physics.gamma, 1.0)
+    physics = Physics(tau=cfg.physics.tau, gamma=gamma)
+    grid = TimeGrid(T=cfg.time.T, N=min(cfg.time.N, 50))
     problem = Problem.create(mesh, pair, SolverOptions(), physics, grid)
     M, m0 = 0.3, 0.1
     lo = -max(-m0, 0.0) - M / gamma - 1e-9
@@ -185,7 +185,7 @@ def check_mean_bound(cfg: RunConfig) -> CheckResult:
 def check_separation(cfg: RunConfig) -> CheckResult:
     """Logarithmic run stays below the separation threshold."""
     mesh = _check_mesh(cfg)
-    c1 = cfg.data["potential"]["c1"] if cfg.data["potential"]["kind"] == "logarithmic" else 2.0
+    c1 = cfg.potential.c1 if cfg.potential.kind == "logarithmic" else 2.0
     pair = PotentialPair.same(logarithmic_potential(c1))
     grid = TimeGrid(T=0.5, N=25)
     problem = Problem.create(mesh, pair, SolverOptions(), Physics(1.0, 1.0), grid)
@@ -254,7 +254,7 @@ def check_taylor(cfg: RunConfig) -> CheckResult:
     """
     mesh = _check_mesh(cfg)
     pair = cfg.build_pair()
-    grid = TimeGrid(T=0.4, N=min(cfg.data["time"]["steps"], 16))
+    grid = TimeGrid(T=0.4, N=min(cfg.time.N, 16))
     problem = Problem.create(mesh, pair, SolverOptions(newton_tol=1e-12),
                              Physics(1.0, 1.0), grid)
     phi0 = _tanh_ic(mesh, 0.2)
@@ -328,7 +328,7 @@ def check_adjoint(cfg: RunConfig) -> CheckResult:
 
 def check_optimality(cfg: RunConfig) -> CheckResult:
     """Projected gradient reaches a certified box-stationary point."""
-    if "optimization" not in cfg.data:
+    if cfg.optimization is None:
         cfg = preset_config("default")
     cp, u0, pg_opts = cfg.build_control_problem()
     problem = cp.problem
@@ -345,7 +345,7 @@ def check_optimality(cfg: RunConfig) -> CheckResult:
             f"gradient check failed on the bundle (gap {max(gaps):.2e}, fd {max(fd):.2e})",
         )
 
-    pg_opts.tol = min(pg_opts.tol, 1e-6)
+    pg_opts = replace(pg_opts, tol=min(pg_opts.tol, 1e-6))
     result = ctl_mod.projected_gradient(cp, u0, pg_opts)
     J_values = [h.J for h in result.history]
     monotone = all(b <= a + 1e-15 for a, b in zip(J_values, J_values[1:]))

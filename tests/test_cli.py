@@ -1,11 +1,13 @@
 import csv
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 from cho.cli import main
-from cho.config import RunConfig, load_config, preset_config, save_config
+from cho.config import PRESETS, RunConfig, load_config, preset_config, save_config
 from cho.errors import ConfigError
 
 MINIMAL = {
@@ -45,12 +47,13 @@ class TestConfig:
 
     def test_defaults_filled(self):
         cfg = RunConfig.from_dict(MINIMAL)
-        assert cfg.data["solver"]["scheme"] == "fully-implicit"
-        assert cfg.data["potential"]["eps_yosida"] == 0.0
+        assert cfg.solver.scheme == "fully-implicit"
+        assert cfg.solver.eps_yosida == 0.0
 
     @pytest.mark.parametrize("mutate,fragment", [
         (lambda d: d["physics"].update(tau=0.0), "tau"),
         (lambda d: d["physics"].update(gamma=-1.0), "gamma"),
+        (lambda d: d["physics"].update(gamma=0.0), "gamma-zero"),
         (lambda d: d["time"].update(steps=0), "steps"),
         (lambda d: d["domain"].update(cells=0), "cells"),
         (lambda d: d.update(potential={"kind": "mystery"}), "kind"),
@@ -82,6 +85,104 @@ class TestConfig:
         cfg = RunConfig.from_dict(data)
         mesh = cfg.build_mesh()
         assert np.allclose(cfg.build_initial(mesh).bulk, field)
+
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_round_trips_to_equal_values(self, tmp_path, name):
+        cfg = preset_config(name)
+        save_config(cfg, tmp_path / "rt.yaml")
+        assert load_config(tmp_path / "rt.yaml") == cfg
+
+    def test_exponent_without_dot_loads_as_float(self, tmp_path):
+        # PyYAML reads 1e-6 (no dot) as the string '1e-6'.
+        text = yaml.safe_dump(MINIMAL) + "solver: {newton_tol: 1e-6}\n"
+        assert yaml.safe_load(text)["solver"]["newton_tol"] == "1e-6"
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        assert load_config(path).solver.newton_tol == 1e-6
+
+    def test_readme_minimal_config_builds(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"A minimal configuration:\s*```yaml\n(.*?)```", readme, re.S)
+        cfg = RunConfig.from_dict(yaml.safe_load(block.group(1)))
+        cp, u0, opts = cfg.build_control_problem()
+        controls = cfg.build_controls(cp.problem.mesh, cp.problem.grid)
+        assert u0.u.shape == controls.u.shape == (50, 65)
+        assert cp.problem.pair.bulk.kind == "logarithmic"
+        assert opts.max_iter == 400
+
+
+def _write_csv_table(path, rows):
+    np.savetxt(path, np.atleast_2d(rows), delimiter=",")
+    return str(path)
+
+
+MALFORMED = {
+    "csv initial without path": (
+        lambda d, tmp: d.update(initial={"preset": "csv"}), "initial.path"),
+    "box bound not a number": (
+        lambda d, tmp: d.update(optimization={"box": {"u_min": "a"}}),
+        "optimization.box.u_min"),
+    "alphas not a list": (
+        lambda d, tmp: d.update(optimization={"alphas": 5}), "optimization.alphas"),
+    "custom coefficients not a list": (
+        lambda d, tmp: d.update(potential={"kind": "custom", "beta_hat": 5, "pi_hat": [0]}),
+        "potential.beta_hat"),
+    "control given as a mapping": (
+        lambda d, tmp: d["control"].update(u={"csv": "x.csv"}), "control.u"),
+    "missing control CSV": (
+        lambda d, tmp: d["control"].update(u=str(tmp / "x.csv")), "x.csv"),
+    "null section": (lambda d, tmp: d.update(optimization=None), "optimization"),
+    "tolerance not a number": (
+        lambda d, tmp: d.update(solver={"newton_tol": "abc"}), "solver.newton_tol"),
+    "negative Newton budget": (
+        lambda d, tmp: d.update(solver={"newton_max_iter": -1}), "newton_max_iter"),
+    "nonpositive tolerance": (
+        lambda d, tmp: d.update(solver={"newton_tol": 0.0}), "tolerances"),
+    "negative initial step": (
+        lambda d, tmp: d.update(optimization={"optimizer": {"initial_step": -1}}),
+        "initial_step"),
+    "unknown solver key": (
+        lambda d, tmp: d.update(solver={"newton_tl": 1e-3}), "solver.newton_tl"),
+    "unknown initial key": (
+        lambda d, tmp: d.update(initial={"preset": "constant", "vlaue": 0.7}),
+        "initial.vlaue"),
+    "unknown section": (lambda d, tmp: d.update(optimisation={}), "optimisation"),
+    "non-finite initial CSV": (
+        lambda d, tmp: d.update(initial={"preset": "csv", "path": _write_csv_table(
+            tmp / "ic.csv", [0.1] * 8 + [np.nan])}),
+        "ic.csv has non-finite values"),
+    "non-finite control CSV": (
+        lambda d, tmp: d["control"].update(u=_write_csv_table(
+            tmp / "u.csv", [[0.1] * 9] * 3 + [[np.inf] * 9])),
+        "u.csv has non-finite values"),
+}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_1_naming_the_key(self, tmp_path, monkeypatch, capsys, case):
+        import copy
+
+        monkeypatch.chdir(tmp_path)
+        mutate, fragment = MALFORMED[case]
+        data = copy.deepcopy(MINIMAL)
+        mutate(data, tmp_path)
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert fragment in err
+
+    def test_non_finite_target_csv_exits_1(self, tmp_path, monkeypatch, capsys):
+        import copy
+
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(MINIMAL)
+        data["optimization"] = {
+            "targets": {"phiO": _write_csv_table(tmp_path / "phiO.csv", [np.nan] * 9)},
+        }
+        assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 1
+        assert "phiO.csv has non-finite values" in capsys.readouterr().err
 
 
 class TestSimulate:

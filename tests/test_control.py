@@ -205,3 +205,21 @@ class TestProjectedGradient:
         )
         with pytest.raises(ValidationError, match="mean-value"):
             projected_gradient(cp, ControlPair.zeros(problem.mesh, problem.grid))
+
+
+class TestOptimizerOptions:
+    @pytest.mark.parametrize("kwargs", [
+        {"armijo_c1": 0.0}, {"armijo_c1": 1.0}, {"backtrack": 0.0}, {"backtrack": 1.0},
+        {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": float("nan")},
+        {"tol": 0.0}, {"tol": float("nan")}, {"max_iter": -1},
+    ])
+    def test_out_of_range_rejected(self, kwargs):
+        with pytest.raises(ValidationError, match=next(iter(kwargs))):
+            OptimizerOptions(**kwargs)
+
+    def test_zero_iteration_budget_allowed(self):
+        problem = make_problem(N=4)
+        cp = ControlProblem(problem, cosine_ic(problem.mesh),
+                            CostSpec(alphas=(1, 0, 0, 0, 0.1, 0.1), phiQ=0.1), BOX)
+        result = projected_gradient(cp, make_pair(problem, 0.2), OptimizerOptions(max_iter=0))
+        assert len(result.history) == 1

@@ -13,7 +13,6 @@ from cho.forward import (
     mean_ode_residual,
     separation_check,
     solve,
-    step,
     yosida_continuation,
 )
 from cho.mesh import build_rectangle
@@ -27,17 +26,12 @@ class TestStep:
     def test_constant_state_scalar_recursion(self):
         # With vanishing stiffness the first residual collapses to
         # (1 + gamma dt) phi_new = phi_old + gamma dt b.
-        problem = make_problem(n_cells=6, gamma=1.0)
-        mesh, ops = problem.mesh, problem.ops
-        dt = 0.1
-        state = solve(problem, PairField.constant(mesh, 0.5),
-                      ControlPair.zeros(mesh, problem.grid)).snapshot(0)
-        new = step(
-            ops, problem.pair, problem.opts, state,
-            (np.zeros(mesh.n_bulk), np.zeros(mesh.n_boundary)),
-            tau=1.0, gamma=1.0, dt=dt,
-        )
-        assert np.allclose(new.phi.bulk, 0.5 / 1.1, atol=1e-11)
+        # One step of dt = 0.1 from phi = 0.5 with zero sources.
+        problem = make_problem(n_cells=6, T=0.1, N=1, gamma=1.0)
+        mesh = problem.mesh
+        traj = solve(problem, PairField.constant(mesh, 0.5),
+                     ControlPair.zeros(mesh, problem.grid))
+        assert np.allclose(traj.snapshot(1).phi.bulk, 0.5 / 1.1, atol=1e-11)
 
     def test_zero_data_is_fixed_point(self):
         problem = make_problem()
@@ -72,6 +66,10 @@ class TestStep:
             solve(problem, cosine_ic(mesh, 0.4), ControlPair.zeros(mesh, grid))
         assert err.value.residual is not None
         assert err.value.step == 1
+
+    def test_negative_newton_budget_rejected(self):
+        with pytest.raises(ValidationError, match="newton_max_iter"):
+            SolverOptions(newton_max_iter=-1)
 
 
 class TestSolve:

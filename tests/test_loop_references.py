@@ -1,0 +1,197 @@
+"""Vectorized slab and trajectory sums against their per-step loop forms.
+
+The loops below are the reference implementations the vectorized code
+replaced.  Sums now accumulate in another order, so results agree to a
+relative 1e-12 (float64); the reduced gradient does the same arithmetic
+elementwise and must agree exactly.
+"""
+
+import numpy as np
+import pytest
+
+from cho.adjoint import adjoint_solve, reduced_gradient
+from cho.control import (
+    BoxBounds,
+    ControlPair,
+    CostSpec,
+    control_inner,
+    cost,
+    cost_directional,
+    random_direction,
+    validate_Uad,
+)
+from cho.forward import (
+    Physics,
+    Problem,
+    SolverOptions,
+    TimeGrid,
+    mean_ode_residual,
+    solve,
+    traj_norm_L2H,
+    traj_norm_Y,
+)
+from cho.mesh import build_rectangle
+from cho.potentials import PotentialPair, regular_potential
+from cho.sensitivity import linearized_solve
+from cho.spaces import PairField, mean
+
+from conftest import cosine_ic, make_problem
+
+RTOL = 1e-12
+SPEC = CostSpec(alphas=(1.0, 0.5, 1.0, 0.5, 0.2, 0.2), phiQ=0.2, phiS=0.1, phiO=0.2, phiG=0.1)
+
+
+def loop_control_inner(a, b, ops, dt):
+    total = 0.0
+    for j in range(a.u.shape[0]):
+        total += dt * float(a.u[j] @ (ops.M_bulk @ b.u[j]))
+        total += dt * float(a.uG[j] @ (ops.M_gamma @ b.uG[j]))
+    return total
+
+
+def loop_cost(cost_spec, traj, u, ops):
+    grid = traj.grid
+    data = cost_spec.expand(traj.mesh, grid)
+    a1, a2, a3, a4, a5, a6 = data.alphas
+    dt, tm = grid.dt, traj.mesh.trace_map
+    J = 0.0
+    for n in range(1, grid.N + 1):
+        d = traj.phi[n] - data.phiQ[n]
+        dg = traj.phi[n][tm] - data.phiS[n]
+        J += 0.5 * dt * (a1 * float(d @ (ops.M_bulk @ d)) + a2 * float(dg @ (ops.M_gamma @ dg)))
+    d = traj.phi[grid.N] - data.phiO
+    dg = traj.phi[grid.N][tm] - data.phiG
+    J += 0.5 * (a3 * float(d @ (ops.M_bulk @ d)) + a4 * float(dg @ (ops.M_gamma @ dg)))
+    for j in range(grid.N):
+        J += 0.5 * dt * (a5 * float(u.u[j] @ (ops.M_bulk @ u.u[j]))
+                         + a6 * float(u.uG[j] @ (ops.M_gamma @ u.uG[j])))
+    return J
+
+
+def loop_cost_directional(cost_spec, problem, base, psi, u, h):
+    ops, grid = problem.ops, problem.grid
+    data = cost_spec.expand(problem.mesh, grid)
+    dt = grid.dt
+    dJ = 0.0
+    for n in range(1, grid.N + 1):
+        dJ += dt * float(data.zeta1_w(ops, base.phi[n], n) @ psi[n])
+    dJ += float(data.zeta3_w(ops, base.phi[grid.N]) @ psi[grid.N])
+    a5, a6 = data.alphas[4], data.alphas[5]
+    for j in range(grid.N):
+        dJ += dt * (a5 * float(u.u[j] @ (ops.M_bulk @ h.u[j]))
+                    + a6 * float(u.uG[j] @ (ops.M_gamma @ h.uG[j])))
+    return dJ
+
+
+def loop_h1_norms(pair, grid, ops):
+    dt = grid.dt
+    h1u = h1g = 0.0
+    for j in range(1, pair.u.shape[0]):
+        du = (pair.u[j] - pair.u[j - 1]) / dt
+        dg = (pair.uG[j] - pair.uG[j - 1]) / dt
+        h1u += dt * float(du @ (ops.M_bulk @ du))
+        h1g += dt * float(dg @ (ops.M_gamma @ dg))
+    return np.sqrt(h1u), np.sqrt(h1g)
+
+
+def loop_mean_ode_residual(traj, controls, ops, gamma):
+    N = traj.grid.N
+    m = np.array([mean(PairField.from_bulk(traj.mesh, traj.phi[k]), ops) for k in range(N + 1)])
+    omega = np.array([mean(PairField(controls.u[k], controls.uG[k]), ops) for k in range(N)])
+    return np.diff(m) / traj.grid.dt + gamma * m[1:] - gamma * omega
+
+
+def loop_reduced_gradient(problem, u, adj, cost_spec):
+    gamma, (a5, a6) = problem.physics.gamma, cost_spec.alphas[4:]
+    gu, gg = np.empty_like(u.u), np.empty_like(u.uG)
+    for j in range(problem.grid.N):
+        gu[j] = gamma * adj.p[j] + a5 * u.u[j]
+        gg[j] = gamma * adj.p[j][problem.mesh.trace_map] + a6 * u.uG[j]
+    return gu, gg
+
+
+def loop_norm_sq(M, v):
+    return float(v @ (M @ v))
+
+
+def loop_traj_norm_L2H(ops, grid, Z):
+    return np.sqrt(sum(grid.dt * loop_norm_sq(ops.M_total, Z[n]) for n in range(1, grid.N + 1)))
+
+
+def loop_traj_norm_Y(ops, grid, Z):
+    rate = sum(grid.dt * loop_norm_sq(ops.M_total, (Z[n] - Z[n - 1]) / grid.dt)
+               for n in range(1, grid.N + 1))
+    h1h = np.sqrt(loop_traj_norm_L2H(ops, grid, Z) ** 2 + rate)
+    linfv = max(loop_norm_sq(ops.M_total, Z[n]) + loop_norm_sq(ops.K_total, Z[n])
+                for n in range(grid.N + 1))
+    return h1h + np.sqrt(linfv)
+
+
+def _problem_2d():
+    mesh = build_rectangle(4, 3, 1.0, 0.8)
+    return Problem.create(mesh, PotentialPair.same(regular_potential()),
+                          SolverOptions(newton_tol=1e-12), Physics(1.0, 0.7),
+                          TimeGrid(T=0.3, N=6))
+
+
+@pytest.fixture(scope="module", params=["1d", "2d"])
+def bundle(request):
+    problem = make_problem(newton_tol=1e-12) if request.param == "1d" else _problem_2d()
+    mesh, grid = problem.mesh, problem.grid
+    rng = np.random.default_rng(4)
+    u = ControlPair(0.1 + 0.05 * rng.uniform(-1, 1, (grid.N, mesh.n_bulk)),
+                    0.05 + 0.05 * rng.uniform(-1, 1, (grid.N, mesh.n_boundary)))
+    h = random_direction(mesh, grid, rng)
+    traj = solve(problem, cosine_ic(mesh, 0.3), u)
+    return problem, u, h, traj
+
+
+def test_control_inner(bundle):
+    problem, u, h, _ = bundle
+    expected = loop_control_inner(u, h, problem.ops, problem.grid.dt)
+    assert control_inner(u, h, problem.ops, problem.grid.dt) == pytest.approx(expected, rel=RTOL)
+
+
+def test_cost(bundle):
+    problem, u, _, traj = bundle
+    assert cost(SPEC, traj, u, problem.ops) == pytest.approx(
+        loop_cost(SPEC, traj, u, problem.ops), rel=RTOL)
+
+
+def test_cost_directional(bundle):
+    problem, u, h, traj = bundle
+    psi = linearized_solve(problem, traj, h).psi
+    assert cost_directional(SPEC, problem, traj, psi, u, h) == pytest.approx(
+        loop_cost_directional(SPEC, problem, traj, psi, u, h), rel=RTOL)
+
+
+def test_validate_Uad_time_derivative_norms(bundle):
+    problem, u, _, _ = bundle
+    report = validate_Uad(u, BoxBounds(), problem.grid, problem.ops)
+    expected = loop_h1_norms(u, problem.grid, problem.ops)
+    assert (report.h1_norm_u, report.h1_norm_uG) == pytest.approx(expected, rel=RTOL)
+
+
+def test_mean_ode_residual(bundle):
+    problem, u, _, traj = bundle
+    gamma = problem.physics.gamma
+    got = mean_ode_residual(traj, u, problem.ops, gamma)
+    expected = loop_mean_ode_residual(traj, u, problem.ops, gamma)
+    assert np.allclose(got, expected, rtol=0.0, atol=RTOL * np.abs(traj.phi).max() / problem.grid.dt)
+
+
+def test_reduced_gradient_is_elementwise_identical(bundle):
+    problem, u, _, traj = bundle
+    adj = adjoint_solve(problem, traj, SPEC)
+    g = reduced_gradient(problem, u, adj, SPEC)
+    gu, gg = loop_reduced_gradient(problem, u, adj, SPEC)
+    assert np.array_equal(g.u, gu) and np.array_equal(g.uG, gg)
+
+
+def test_trajectory_norms(bundle):
+    problem, _, _, traj = bundle
+    ops, grid = problem.ops, problem.grid
+    assert traj_norm_L2H(ops, grid, traj.phi) == pytest.approx(
+        loop_traj_norm_L2H(ops, grid, traj.phi), rel=RTOL)
+    assert traj_norm_Y(ops, grid, traj.phi) == pytest.approx(
+        loop_traj_norm_Y(ops, grid, traj.phi), rel=RTOL)

@@ -9,7 +9,6 @@ from cho.potentials import (
     PotentialPair,
     check_mz,
     custom_potential,
-    eval as peval,
     logarithmic_potential,
     regular_potential,
     resolvent,
@@ -26,16 +25,16 @@ IDENTITY_BETA = custom_potential(beta_hat_coeffs=[0, 0, 0.5], pi_hat_coeffs=[0])
 
 class TestEvaluation:
     def test_regular_well_values(self):
-        assert peval(REG, 0.0) == 0.25
-        assert peval(REG, 1.0) == 0.0
-        assert peval(REG, -1.0) == 0.0
+        assert REG.F(0.0) == 0.25
+        assert REG.F(1.0) == 0.0
+        assert REG.F(-1.0) == 0.0
 
     def test_regular_first_derivative(self):
         # d/dr (r^2-1)^2/4 = r^3 - r, so F'(2) = 6.
-        assert peval(REG, 2.0, order=1) == 6.0
+        assert REG.F(2.0, order=1) == 6.0
 
     def test_logarithmic_vanishes_at_origin(self):
-        assert peval(LOG, 0.0) == 0.0
+        assert LOG.F(0.0) == 0.0
 
     @pytest.mark.parametrize("spec", [REG, LOG, IDENTITY_BETA])
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -56,14 +55,14 @@ class TestEvaluation:
     @pytest.mark.parametrize("r", [1.0, -1.0, 1.5, -2.0])
     def test_logarithmic_domain_guard(self, r):
         with pytest.raises(PotentialDomainError):
-            peval(LOG, r)
+            LOG.F(r)
 
     def test_regular_defined_everywhere(self):
-        assert np.isfinite(peval(REG, 100.0))
+        assert np.isfinite(REG.F(100.0))
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
-            peval(REG, 0.0, order=4)
+            REG.F(0.0, order=4)
 
 
 class TestCustomValidation:
