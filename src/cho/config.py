@@ -223,9 +223,10 @@ class RunConfig:
         if preset not in INITIAL_PRESETS:
             raise ConfigError(f"unknown initial-condition preset {preset!r}")
         physics = _build(Physics, sec["physics"], "physics")
-        if physics.gamma <= 0:
+        if not physics.gamma > 0:
             raise ConfigError("standing assumption violated: gamma must be positive")
-        eps = _kwargs(SolverOptions, _pick(sec["potential"], "eps_yosida"), "potential")
+        # eps_yosida is a potential key that SolverOptions owns.
+        eps = _build(SolverOptions, _pick(sec["potential"], "eps_yosida"), "potential")
         sec["potential"].pop("eps_yosida", None)
         optional = {}
         if "control" in raw:
@@ -240,7 +241,7 @@ class RunConfig:
             physics=physics,
             potential=_build(Potential, sec["potential"], "potential"),
             solver=_build(SolverOptions, sec["solver"], "solver",
-                          exclude=("eps_yosida",), **eps),
+                          exclude=("eps_yosida",), eps_yosida=eps.eps_yosida),
             initial=_build(INITIAL_PRESETS[preset], sec["initial"], "initial"),
             output=_build(Output, sec["output"], "output"),
             **optional,

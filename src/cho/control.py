@@ -100,12 +100,15 @@ class BoxBounds:
     M_prime: float = 1.0e3
 
     def __post_init__(self):
-        if np.any(np.asarray(self.u_min) > np.asarray(self.u_max)) or np.any(
-            np.asarray(self.uG_min) > np.asarray(self.uG_max)
+        if not (
+            np.all(np.asarray(self.u_min) <= np.asarray(self.u_max))
+            and np.all(np.asarray(self.uG_min) <= np.asarray(self.uG_max))
         ):
-            raise ValidationError("infeasible box: lower bound exceeds upper bound")
-        if self.M_prime <= 0:
-            raise ValidationError("M' must be positive")
+            raise ValidationError(
+                "infeasible box: lower bound exceeds upper bound or a bound is NaN"
+            )
+        if not self.M_prime > 0:
+            raise ValidationError(f"M' must be positive, got {self.M_prime}")
 
     @property
     def M(self) -> float:
@@ -189,7 +192,7 @@ class CostSpec:
         self.alphas = tuple(float(a) for a in self.alphas)
         if len(self.alphas) != 6:
             raise ValidationError(f"expected 6 cost weights, got {len(self.alphas)}")
-        if any(a < 0 for a in self.alphas):
+        if not all(a >= 0 for a in self.alphas):
             raise ValidationError("cost weights must be nonnegative")
 
     def expand(self, mesh, grid) -> "CostData":

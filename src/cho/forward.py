@@ -39,8 +39,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError(f"step count must be >= 1, got {self.N}")
-        if self.T <= 0:
-            raise ValidationError(f"final time must be positive, got {self.T}")
+        if not self.T > 0:
+            raise ValidationError(f"final time T must be positive, got {self.T}")
 
     @property
     def dt(self) -> float:
@@ -58,9 +58,9 @@ class Physics:
     gamma: float
 
     def __post_init__(self):
-        if self.tau <= 0:
+        if not self.tau > 0:
             raise ValidationError(f"tau must be positive, got {self.tau}")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValidationError(f"gamma must be nonnegative, got {self.gamma}")
 
 
@@ -77,14 +77,19 @@ class SolverOptions:
     def __post_init__(self):
         if self.scheme not in ("fully-implicit", "convex-splitting"):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
-        if self.newton_tol <= 0 or self.interior_safeguard <= 0:
-            raise ValidationError("tolerances must be positive")
+        for name in ("newton_tol", "interior_safeguard"):
+            if not getattr(self, name) > 0:
+                raise ValidationError(
+                    f"tolerances must be positive, got {name} = {getattr(self, name)}"
+                )
         if self.newton_max_iter < 0:
             raise ValidationError(
                 f"newton_max_iter must be >= 0, got {self.newton_max_iter}"
             )
         if self.eps_yosida and not 0.0 < self.eps_yosida < 1.0:
-            raise ValidationError("eps_yosida must be 0 or inside (0, 1)")
+            raise ValidationError(
+                f"eps_yosida must be 0 or inside (0, 1), got {self.eps_yosida}"
+            )
 
 
 @dataclass
@@ -185,24 +190,31 @@ def jacobian_coefficients(physics, dt):
 def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     """Solve one coupled block system and return its two halves.
 
-    The matrix [[a11 M + b11 K, a12 M + b12 K], [a21 M + b21 K + diag(lam),
-    a22 M + b22 K]] is refilled into the operators' fixed block template,
-    factored with a minimum-degree ordering on the symmetric pattern
-    A^T + A, and solved with A (trans="N") or its transpose (trans="T").
-    The factor is dropped before returning.  A singular matrix or a
-    non-finite solution raises ``SolverError`` carrying ``step``.
+    The matrix A = [[a11 M + b11 K, a12 M + b12 K], [a21 M + b21 K +
+    diag(lam), a22 M + b22 K]] is refilled into the operators' fixed block
+    template, which stores it symmetrically permuted by the template's
+    fill-reducing ordering.  A ``NATURAL`` factorization of the stored
+    matrix therefore has the columns a per-call minimum-degree ordering of
+    A would give, without recomputing that ordering.  The system is solved
+    with A (trans="N") or its transpose (trans="T"); the permutation is
+    symmetric, so both map the right-hand side in with ``order`` and the
+    solution out with ``inverse``.  The factor is dropped before returning.
+    A singular matrix or a non-finite solution raises ``SolverError``
+    carrying ``step``.
     """
     where = "linear solve" if step is None else f"linear solve at step {step}"
-    A = ops.block_template.fill(a, b, lam)
+    template = ops.block_template
+    A = template.fill(a, b, lam)
     try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        lu = spla.splu(A, permc_spec="NATURAL")
     except RuntimeError as err:
         raise SolverError(f"{where}: {err}", step=step) from err
-    x = lu.solve(rhs, trans=trans)
+    x = lu.solve(rhs[template.order], trans=trans)[template.inverse]
     del lu
     if not np.all(np.isfinite(x)):
         raise SolverError(f"{where} returned non-finite values", step=step)
-    return np.split(x, 2)
+    n = ops.mesh.n_bulk
+    return x[:n], x[n:]
 
 
 def _weighted_norm(ops, r1, r2):
@@ -237,14 +249,11 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
     phi = phi_n.copy()
     mu = mu_n.copy()
     for it in range(opts.newton_max_iter + 1):
-        r1 = Mbar @ ((phi - phi_n) / dt + gamma * phi) + Kbar @ mu - source
-        r2 = (
-            (tau / dt) * (Mbar @ (phi - phi_n))
-            + Kbar @ phi
-            + fns.nodal(ops, phi, 0)
-            + explicit
-            - Mbar @ mu
-        )
+        dphi_dt = (phi - phi_n) / dt
+        m = Mbar @ np.column_stack([dphi_dt + gamma * phi, tau * dphi_dt - mu])
+        k = Kbar @ np.column_stack([mu, phi])
+        r1 = m[:, 0] + k[:, 0] - source
+        r2 = m[:, 1] + k[:, 1] + fns.nodal(ops, phi, 0) + explicit
         res = _weighted_norm(ops, r1, r2)
         if res <= opts.newton_tol:
             return phi, mu, it

@@ -71,7 +71,7 @@ def check_interval(n_cells: int, length: float):
     """Raise ValueError unless ``build_interval`` accepts these arguments."""
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    if length <= 0:
+    if not length > 0:
         raise ValueError(f"length must be positive, got {length}")
 
 
@@ -101,7 +101,7 @@ def check_rectangle(nx: int, ny: int, Lx: float, Ly: float):
     """Raise ValueError unless ``build_rectangle`` accepts these arguments."""
     if nx < 1 or ny < 1:
         raise ValueError(f"nx, ny must be >= 1, got ({nx}, {ny})")
-    if Lx <= 0 or Ly <= 0:
+    if not (Lx > 0 and Ly > 0):
         raise ValueError(f"side lengths must be positive, got ({Lx}, {Ly})")
 
 

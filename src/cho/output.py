@@ -9,8 +9,8 @@ import os
 
 import numpy as np
 
-from .forward import exact_mean, energy, StateTrajectory
-from .spaces import mean, PairField, row_inner
+from .forward import exact_mean, StateTrajectory
+from .spaces import row_inner
 
 
 def ensure_dir(path):
@@ -20,25 +20,20 @@ def ensure_dir(path):
 
 def write_series_csv(path, problem, traj: StateTrajectory, controls) -> str:
     """Per-step time series: mean vs closed form, energy, range, iterations."""
-    ops, grid = problem.ops, problem.grid
+    ops, grid, pair = problem.ops, problem.grid, problem.pair
     gamma = problem.physics.gamma
-    omega = np.array(
-        [mean(PairField(controls.u[j], controls.uG[j]), ops) for j in range(grid.N)]
+    phi, tm = traj.phi, traj.mesh.trace_map
+    omega = (controls.u @ ops.lumped_bulk + controls.uG @ ops.lumped_gamma) / ops.measure
+    means = (phi @ ops.lumped_bulk + phi[:, tm] @ ops.lumped_gamma) / ops.measure
+    energies = (
+        0.5 * row_inner(ops.K_total, phi, phi)
+        + pair.bulk.F(phi) @ ops.lumped_bulk
+        + pair.boundary.F(phi[:, tm]) @ ops.lumped_gamma
     )
-    m0 = mean(PairField.from_bulk(traj.mesh, traj.phi[0]), ops)
     times = grid.times()
-    rows = []
-    for n in range(grid.N + 1):
-        snap = traj.snapshot(n)
-        rows.append((
-            times[n],
-            mean(snap.phi, ops),
-            exact_mean(m0, gamma, omega, grid, times[n]),
-            energy(ops, problem.pair, snap),
-            float(traj.phi[n].min()),
-            float(traj.phi[n].max()),
-            int(traj.newton_iters[n - 1]) if n > 0 else 0,
-        ))
+    exact = [exact_mean(means[0], gamma, omega, grid, t) for t in times]
+    iters = np.concatenate([[0], traj.newton_iters])
+    rows = zip(times, means, exact, energies, phi.min(axis=1), phi.max(axis=1), iters)
     header = (
         "t (time),mean (1),exact_mean (1),energy (energy),"
         "phi_min (1),phi_max (1),newton_iters (1)"

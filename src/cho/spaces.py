@@ -13,6 +13,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .mesh import (
     BulkSurfaceMesh,
@@ -110,29 +111,53 @@ class BlockTemplate:
     with M = M_total and K = K_total.  All four blocks share the union of
     the patterns of M, K and the identity, so one pattern serves every
     coefficient set; per slot the template keeps its M value, its K value
-    and its block, plus the slots of the lower-left diagonal.
+    and its block, plus the slots of the lower-left diagonal in node order.
+
+    The stored matrix is the block matrix A symmetrically permuted,
+    ``matrix = A[order][:, order]``.  ``order`` is the fill-reducing
+    column ordering (minimum degree on the pattern of A^T + A, then the
+    postorder of the column elimination tree) that a per-call
+    ``splu(A, permc_spec="MMD_AT_PLUS_A")`` would compute.  Both steps see
+    only the pattern, so they are computed once here, from a factorization
+    of the identity stored on that pattern, and every step factorization
+    takes the stored matrix in its natural order.  ``inverse`` maps the
+    permuted unknowns back: if y solves ``matrix @ y = r[order]``, then
+    x = y[inverse] solves A x = r.
     """
 
     def __init__(self, M, K):
         n = M.shape[0]
         S = abs(M) + abs(K) + sp.identity(n, format="csr")
-        self.matrix = sp.bmat([[S, S], [S, S]], format="csc")
-        rows = self.matrix.indices
-        cols = np.repeat(np.arange(2 * n), np.diff(self.matrix.indptr))
+        A = sp.bmat([[S, S], [S, S]], format="csc")
+        rows, cols = _slots(A)
+        A.data = (rows == cols).astype(float)
+        # A copy: perm_c is a view that would keep the whole factor alive.
+        self.inverse = spla.splu(A, permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.intp)
+        self.order = np.argsort(self.inverse)
+        self.matrix = A[self.order][:, self.order]
+        self.matrix.sort_indices()
+        rows, cols = (self.order[i] for i in _slots(self.matrix))
         self.m = np.asarray(M[rows % n, cols % n]).ravel()
         self.k = np.asarray(K[rows % n, cols % n]).ravel()
         self.block = (2 * (rows >= n) + (cols >= n)).astype(np.int8)
-        self.diag = np.flatnonzero(rows - n == cols)
+        diag = np.flatnonzero(rows - n == cols)
+        self.diag = diag[np.argsort(cols[diag])]
 
     def fill(self, a, b, lam=None):
         """Write the blocks a_ij M + b_ij K (+ diag(lam) in block 21) into the
-        template, with a and b listed as (11, 12, 21, 22); returns the matrix."""
+        template, with a and b listed as (11, 12, 21, 22); returns the
+        permuted matrix."""
         data = self.matrix.data
         np.multiply(np.take(a, self.block), self.m, out=data)
         data += np.take(b, self.block) * self.k
         if lam is not None:
             data[self.diag] += lam
         return self.matrix
+
+
+def _slots(A):
+    """Row and column index of every stored entry of a CSC matrix."""
+    return A.indices, np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
 
 
 def assemble(mesh: BulkSurfaceMesh) -> CoupledOperators:

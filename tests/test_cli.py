@@ -101,6 +101,13 @@ class TestConfig:
         path.write_text(text)
         assert load_config(path).solver.newton_tol == 1e-6
 
+    def test_eps_yosida_inside_unit_interval_loads(self):
+        import copy
+
+        data = copy.deepcopy(MINIMAL)
+        data["potential"]["eps_yosida"] = 0.5
+        assert RunConfig.from_dict(data).solver.eps_yosida == 0.5
+
     def test_readme_minimal_config_builds(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         block = re.search(r"A minimal configuration:\s*```yaml\n(.*?)```", readme, re.S)
@@ -152,6 +159,16 @@ MALFORMED = {
         lambda d, tmp: d.update(initial={"preset": "csv", "path": _write_csv_table(
             tmp / "ic.csv", [0.1] * 8 + [np.nan])}),
         "ic.csv has non-finite values"),
+    "NaN final time": (lambda d, tmp: d["time"].update(T=float("nan")), "time: final time T"),
+    "NaN tau": (lambda d, tmp: d["physics"].update(tau=float("nan")), "physics: tau"),
+    "NaN Newton tolerance": (
+        lambda d, tmp: d.update(solver={"newton_tol": float("nan")}), "newton_tol = nan"),
+    "eps_yosida above 1": (
+        lambda d, tmp: d["potential"].update(eps_yosida=2), "potential: eps_yosida"),
+    "eps_yosida equal to 1": (
+        lambda d, tmp: d["potential"].update(eps_yosida=1.0), "potential: eps_yosida"),
+    "negative eps_yosida": (
+        lambda d, tmp: d["potential"].update(eps_yosida=-0.1), "potential: eps_yosida"),
     "non-finite control CSV": (
         lambda d, tmp: d["control"].update(u=_write_csv_table(
             tmp / "u.csv", [[0.1] * 9] * 3 + [[np.inf] * 9])),
@@ -224,6 +241,19 @@ class TestSimulate:
         data["initial"] = {"preset": "constant", "value": 0.6}
         data["control"] = {"u": 0.5, "uG": 0.5}
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
+
+    @pytest.mark.parametrize("touch", [1.0, -1.0])
+    def test_initial_datum_touching_the_domain_boundary_exits_2(
+            self, tmp_path, monkeypatch, capsys, touch):
+        import copy
+
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(MINIMAL)
+        data["potential"] = {"kind": "logarithmic"}
+        data["initial"] = {"preset": "csv", "path": _write_csv_table(
+            tmp_path / "ic.csv", [0.1] * 4 + [touch] + [0.1] * 4)}
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
+        assert "initial datum must be strictly interior" in capsys.readouterr().err
 
     def test_potential_domain_error_exits_3(self, tmp_path, monkeypatch, capsys):
         # The Yosida-regularized run leaves (-1, 1); evaluating the

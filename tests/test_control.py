@@ -91,6 +91,19 @@ class TestProjectBox:
         with pytest.raises(ValidationError, match="infeasible"):
             BoxBounds(u_min=1.0, u_max=-1.0, uG_min=0.0, uG_max=0.0)
 
+    @pytest.mark.parametrize("bound", ["u_min", "u_max", "uG_min", "uG_max"])
+    def test_nan_bound_rejected(self, bound):
+        with pytest.raises(ValidationError, match="NaN"):
+            BoxBounds(**{bound: float("nan")})
+
+    def test_nan_bound_array_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            BoxBounds(u_min=np.array([-1.0, np.nan]))
+
+    def test_nan_M_prime_rejected(self):
+        with pytest.raises(ValidationError, match="M'"):
+            BoxBounds(M_prime=float("nan"))
+
 
 class TestValidateUad:
     def test_time_constant_passes(self):

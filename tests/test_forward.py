@@ -72,6 +72,22 @@ class TestStep:
             SolverOptions(newton_max_iter=-1)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build,fragment", [
+    (lambda: TimeGrid(T=NAN, N=4), "final time T"),
+    (lambda: Physics(tau=NAN, gamma=1.0), "tau"),
+    (lambda: Physics(tau=1.0, gamma=NAN), "gamma"),
+    (lambda: SolverOptions(newton_tol=NAN), "newton_tol"),
+    (lambda: SolverOptions(interior_safeguard=NAN), "interior_safeguard"),
+    (lambda: SolverOptions(eps_yosida=NAN), "eps_yosida"),
+])
+def test_nan_parameters_rejected(build, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        build()
+
+
 class TestSolve:
     def test_constant_data_first_order_convergence(self):
         # Spatially constant run against a e^{-gamma T} + b (1 - e^{-gamma T}).

@@ -25,12 +25,15 @@ from cho.forward import (
     Problem,
     SolverOptions,
     TimeGrid,
+    energy,
+    exact_mean,
     mean_ode_residual,
     solve,
     traj_norm_L2H,
     traj_norm_Y,
 )
 from cho.mesh import build_rectangle
+from cho.output import write_series_csv
 from cho.potentials import PotentialPair, regular_potential
 from cho.sensitivity import linearized_solve
 from cho.spaces import PairField, mean
@@ -127,6 +130,33 @@ def loop_traj_norm_Y(ops, grid, Z):
     return h1h + np.sqrt(linfv)
 
 
+SERIES_HEADER = ("t (time),mean (1),exact_mean (1),energy (energy),"
+                 "phi_min (1),phi_max (1),newton_iters (1)")
+
+
+def loop_series_rows(problem, traj, controls):
+    ops, grid = problem.ops, problem.grid
+    gamma = problem.physics.gamma
+    omega = np.array(
+        [mean(PairField(controls.u[j], controls.uG[j]), ops) for j in range(grid.N)]
+    )
+    m0 = mean(PairField.from_bulk(traj.mesh, traj.phi[0]), ops)
+    times = grid.times()
+    rows = []
+    for n in range(grid.N + 1):
+        snap = traj.snapshot(n)
+        rows.append((
+            times[n],
+            mean(snap.phi, ops),
+            exact_mean(m0, gamma, omega, grid, times[n]),
+            energy(ops, problem.pair, snap),
+            float(traj.phi[n].min()),
+            float(traj.phi[n].max()),
+            int(traj.newton_iters[n - 1]) if n > 0 else 0,
+        ))
+    return np.array(rows)
+
+
 def _problem_2d():
     mesh = build_rectangle(4, 3, 1.0, 0.8)
     return Problem.create(mesh, PotentialPair.same(regular_potential()),
@@ -195,3 +225,18 @@ def test_trajectory_norms(bundle):
         loop_traj_norm_L2H(ops, grid, traj.phi), rel=RTOL)
     assert traj_norm_Y(ops, grid, traj.phi) == pytest.approx(
         loop_traj_norm_Y(ops, grid, traj.phi), rel=RTOL)
+
+
+def test_series_csv(bundle, tmp_path):
+    problem, u, _, traj = bundle
+    path = write_series_csv(tmp_path / "series.csv", problem, traj, u)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.readline().rstrip("\n") == SERIES_HEADER
+    got = np.loadtxt(path, delimiter=",", skiprows=1)
+    expected = loop_series_rows(problem, traj, u)
+    assert got.shape == expected.shape == (problem.grid.N + 1, 7)
+    exact = [0, 4, 5, 6]    # times, range and Newton counts are copied, not summed
+    assert np.array_equal(got[:, exact], expected[:, exact])
+    for col in (1, 2, 3):
+        scale = np.abs(expected[:, col]).max()
+        assert np.allclose(got[:, col], expected[:, col], rtol=0.0, atol=RTOL * scale)

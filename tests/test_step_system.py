@@ -3,7 +3,9 @@ linearized and adjoint solvers.
 
 The reference block matrices below are the per-call assemblies the solvers
 used before the fixed template: the step Jacobian, the adjoint backward
-matrix and the terminal adjoint matrix.
+matrix and the terminal adjoint matrix.  The template stores its matrix
+symmetrically permuted by a fill-reducing ordering; ``unpermuted`` undoes
+that before comparing entries.
 """
 
 import copy
@@ -68,6 +70,10 @@ def system(request):
     return ops, lam, rng
 
 
+def unpermuted(template, A):
+    return A[template.inverse][:, template.inverse]
+
+
 def assert_same_entries(A, B):
     assert A.shape == B.shape
     assert abs(A - B).max() <= 1e-14 * abs(B).max()
@@ -81,25 +87,28 @@ class TestTemplate:
     def test_jacobian_matches_reference(self, system):
         ops, lam, _ = system
         a, b = jacobian_coefficients(PHYSICS, DT)
-        J = ops.block_template.fill(a, b, lam)
+        J = unpermuted(ops.block_template, ops.block_template.fill(a, b, lam))
         assert_same_entries(J, jacobian_reference(ops, PHYSICS, DT, lam))
 
     def test_backward_matrix_is_scaled_jacobian_transpose(self, system):
         ops, lam, _ = system
         n = ops.mesh.n_bulk
-        J = ops.block_template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
+        template = ops.block_template
+        J = unpermuted(template, template.fill(*jacobian_coefficients(PHYSICS, DT), lam))
         scale = sp.diags(np.concatenate([np.full(n, DT), np.ones(n)]))
         assert_same_entries(scale @ J.T, backward_reference(ops, PHYSICS, DT, lam))
 
     def test_terminal_matches_reference(self, system):
         ops, _, _ = system
-        B = ops.block_template.fill(*TERMINAL)
+        B = unpermuted(ops.block_template, ops.block_template.fill(*TERMINAL))
         assert_same_entries(B, terminal_reference(ops, PHYSICS.tau))
 
     def test_pattern_is_fixed_across_refills(self, system):
         ops, lam, _ = system
         template = ops.block_template
         indptr, indices = template.matrix.indptr.copy(), template.matrix.indices.copy()
+        assert np.array_equal(np.sort(template.order), np.arange(2 * ops.mesh.n_bulk))
+        assert np.array_equal(template.order[template.inverse], np.arange(2 * ops.mesh.n_bulk))
         template.fill(*TERMINAL)
         template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
         assert ops.block_template is template
@@ -137,6 +146,20 @@ class TestSolveAgainstReference:
         assert relative_error(x, ref) <= 1e-12
 
 
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_stored_ordering_matches_per_call_ordering(system, trans):
+    ops, lam, rng = system
+    template = ops.block_template
+    P = template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
+    A = unpermuted(template, P).tocsc()
+    stored = spla.splu(P, permc_spec="NATURAL")
+    per_call = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    assert stored.L.nnz + stored.U.nnz <= per_call.L.nnz + per_call.U.nnz
+    rhs = rng.standard_normal(2 * ops.mesh.n_bulk)
+    x = stored.solve(rhs[template.order], trans=trans)[template.inverse]
+    assert relative_error(x, per_call.solve(rhs, trans=trans)) <= 1e-12
+
+
 @pytest.fixture
 def run():
     problem = make_problem()
@@ -157,6 +180,7 @@ def test_one_template_and_no_live_factor_between_solves(monkeypatch):
     monkeypatch.setattr(sp, "bmat", lambda *a, **k: bmat_calls.append(1) or bmat(*a, **k))
 
     live = []
+    orderings = []
     splu = spla.splu
 
     class Factor:
@@ -164,15 +188,17 @@ def test_one_template_and_no_live_factor_between_solves(monkeypatch):
             self.lu = lu
             live.append(1)
 
-        def solve(self, *args, **kwargs):
-            return self.lu.solve(*args, **kwargs)
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
 
         def __del__(self):
             live.pop()
 
-    def counting_splu(*args, **kwargs):
+    def counting_splu(*args, permc_spec, **kwargs):
         assert not live, "a factor outlived its solve"
-        return Factor(splu(*args, **kwargs))
+        assert permc_spec in ("MMD_AT_PLUS_A", "NATURAL")
+        orderings.append(permc_spec)
+        return Factor(splu(*args, permc_spec=permc_spec, **kwargs))
 
     monkeypatch.setattr(spla, "splu", counting_splu)
     u = ControlPair.constant(mesh, grid, 0.1, 0.05)
@@ -181,6 +207,13 @@ def test_one_template_and_no_live_factor_between_solves(monkeypatch):
     adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
     assert len(bmat_calls) == 1
     assert not live
+    # One ordering for the template, first; every step factorization after
+    # it reuses that ordering.
+    assert orderings[0] == "MMD_AT_PLUS_A"
+    assert orderings.count("MMD_AT_PLUS_A") == 1
+    assert len(orderings) > 1
+    # The stored permutation is a copy, not a view keeping the factor alive.
+    assert problem.ops.block_template.inverse.base is None
 
 
 def nan_second_derivative(monkeypatch):
@@ -194,8 +227,13 @@ def nan_second_derivative(monkeypatch):
 
 
 def singular_factor(monkeypatch):
+    """Every step factorization fails; the template's ordering does not."""
+    splu = spla.splu
+
     def raising(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+        if kwargs.get("permc_spec") == "NATURAL":
+            raise RuntimeError("Factor is exactly singular")
+        return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", raising)
 
