@@ -29,7 +29,6 @@ from .forward import (
     Physics,
     Problem,
     SolverOptions,
-    StateSnapshot,
     StateTrajectory,
     TimeGrid,
     energy,

@@ -88,14 +88,6 @@ def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTraje
     return _sweep_backward(problem, base, cost, step_terms)
 
 
-def _lambda_second_derivative(ops, pair, phi):
-    """Lumped-mass weights of F'' regardless of the time-stepping split."""
-    out = ops.lumped_bulk * pair.bulk.F(phi, 2)
-    tr = phi[ops.mesh.trace_map]
-    out[ops.mesh.trace_map] += ops.lumped_gamma * pair.boundary.F(tr, 2)
-    return out
-
-
 def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:
     """Implicit Euler applied directly to the continuous adjoint system.
 
@@ -103,12 +95,15 @@ def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> Ad
     level; agrees with ``adjoint_solve`` up to O(dt) and is used as an
     independent consistency target.
     """
-    ops, tau, dt = problem.ops, problem.physics.tau, problem.grid.dt
+    ops, pair = problem.ops, problem.pair
+    tau, dt = problem.physics.tau, problem.grid.dt
 
     def step_terms(data, m, pm, qm):
         phi = base.phi[m - 1]
         rhs1 = data.zeta1_w(ops, phi, m - 1) + ops.M_total @ (pm + tau * qm) / dt
-        return _lambda_second_derivative(ops, problem.pair, phi), rhs1
+        # F'' whatever the time-stepping split.
+        lam = ops.lumped(pair.bulk.F(phi, 2), pair.boundary.F(phi[ops.mesh.trace_map], 2))
+        return lam, rhs1
 
     return _sweep_backward(problem, base, cost, step_terms)
 

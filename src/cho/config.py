@@ -40,6 +40,16 @@ from .spaces import PairField
 Source = float | str
 
 
+class _Finite:
+    """Base of the sections whose numbers must all be finite; CSV paths pass."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class IntervalDomain:
     dim: ClassVar[int] = 1
@@ -92,7 +102,7 @@ class Potential:
 
 
 @dataclass(frozen=True)
-class ConstantInitial:
+class ConstantInitial(_Finite):
     preset: ClassVar[str] = "constant"
     value: float = 0.0
 
@@ -101,11 +111,16 @@ class ConstantInitial:
 
 
 @dataclass(frozen=True)
-class TanhInitial:
+class TanhInitial(_Finite):
     preset: ClassVar[str] = "tanh-profile"
     amplitude: float = 0.5
     center: float = 0.5
     width: float = 0.1
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.width > 0:
+            raise ConfigError(f"width must be positive, got {self.width}")
 
     def values(self, mesh):
         x = mesh.bulk_nodes[:, 0]
@@ -113,7 +128,7 @@ class TanhInitial:
 
 
 @dataclass(frozen=True)
-class RandomInitial:
+class RandomInitial(_Finite):
     preset: ClassVar[str] = "random-seeded"
     seed: int = 0
     amplitude: float = 0.1
@@ -139,13 +154,13 @@ INITIAL_PRESETS = {
 
 
 @dataclass(frozen=True)
-class Controls:
+class Controls(_Finite):
     u: Source = 0.0
     uG: Source = 0.0
 
 
 @dataclass(frozen=True)
-class Targets:
+class Targets(_Finite):
     phiQ: Source = 0.0
     phiS: Source = 0.0
     phiO: Source = 0.0
@@ -153,7 +168,7 @@ class Targets:
 
 
 @dataclass(frozen=True)
-class Optimization:
+class Optimization(_Finite):
     cost: CostSpec          # the weights; build_control_problem adds the targets
     targets: Targets
     box: dict               # BoxBounds keyword arguments, checked when it is built

@@ -230,18 +230,14 @@ class CostData:
     def zeta1_w(self, ops, phi_row, n) -> np.ndarray:
         """Mass-weighted running misfit a1 M (phi - phiQ) + a2 M_g (tr - phiS)."""
         a1, a2 = self.alphas[0], self.alphas[1]
-        out = a1 * (ops.M_bulk @ (phi_row - self.phiQ[n]))
         tr = phi_row[ops.mesh.trace_map]
-        out[ops.mesh.trace_map] += a2 * (ops.M_gamma @ (tr - self.phiS[n]))
-        return out
+        return ops.mass(a1 * (phi_row - self.phiQ[n]), a2 * (tr - self.phiS[n]))
 
     def zeta3_w(self, ops, phi_last) -> np.ndarray:
         """Mass-weighted terminal misfit."""
         a3, a4 = self.alphas[2], self.alphas[3]
-        out = a3 * (ops.M_bulk @ (phi_last - self.phiO))
         tr = phi_last[ops.mesh.trace_map]
-        out[ops.mesh.trace_map] += a4 * (ops.M_gamma @ (tr - self.phiG))
-        return out
+        return ops.mass(a3 * (phi_last - self.phiO), a4 * (tr - self.phiG))
 
 
 def cost(cost_spec: CostSpec, traj: StateTrajectory, u: ControlPair, ops) -> float:
@@ -322,7 +318,6 @@ class OptimizerOptions:
     initial_step: float = 1.0
     max_iter: int = 200
     tol: float = 1e-6
-    bb_warm_start: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.armijo_c1 < 1.0:
@@ -392,17 +387,10 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
     history = [IterateRecord(0, J, vi, 0.0, newton_total,
                              validate_Uad(u, box, grid, ops).passed)]
 
-    prev_u = prev_g = None
     for k in range(1, opts.max_iter + 1):
         if vi <= opts.tol:
             break
         s = opts.initial_step
-        if opts.bb_warm_start and prev_u is not None:
-            du = u.plus(prev_u, -1.0)
-            dg = g.plus(prev_g, -1.0)
-            denom = control_inner(du, dg, ops, dt)
-            if denom > 0:
-                s = min(max(control_inner(du, du, ops, dt) / denom, 1e-6), 1e6)
         accepted = False
         newton_total = 0
         for _ in range(MAX_BACKTRACKS + 1):
@@ -420,7 +408,6 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
                 f"line search failed after {MAX_BACKTRACKS} backtracks "
                 f"(gradient norm {gnorm:.3e})"
             )
-        prev_u, prev_g = u, g
         u, traj, J = trial, traj_t, J_t
         adj = adjoint_solve(problem, traj, cp.cost)
         g = reduced_gradient(problem, u, adj, cp.cost)

@@ -92,14 +92,6 @@ class SolverOptions:
             )
 
 
-@dataclass
-class StateSnapshot:
-    """Order parameter and chemical potential at one time node."""
-
-    phi: PairField
-    mu: PairField
-
-
 class StateTrajectory:
     """Time series of (phi, mu) on a uniform grid; index 0 is the initial
     state with mu obtained from the chemical-potential relation at t = 0."""
@@ -110,12 +102,6 @@ class StateTrajectory:
         self.phi = phi          # (N+1, n_bulk)
         self.mu = mu            # (N+1, n_bulk)
         self.newton_iters = newton_iters
-
-    def snapshot(self, n: int) -> StateSnapshot:
-        return StateSnapshot(
-            PairField.from_bulk(self.mesh, self.phi[n]),
-            PairField.from_bulk(self.mesh, self.mu[n]),
-        )
 
 
 @dataclass(frozen=True)
@@ -168,10 +154,7 @@ class _SchemeFns:
         """Lumped-mass-weighted nodal term; which selects imp/dimp/exp/dexp."""
         fb = self.parts["bulk"][which]
         fg = self.parts["gamma"][which]
-        out = ops.lumped_bulk * fb(phi)
-        tr = phi[ops.mesh.trace_map]
-        out[ops.mesh.trace_map] += ops.lumped_gamma * fg(tr)
-        return out
+        return ops.lumped(fb(phi), fg(phi[ops.mesh.trace_map]))
 
 
 def scheme_functions(pair: PotentialPair, opts: SolverOptions) -> _SchemeFns:
@@ -240,7 +223,7 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
     """Newton solve of one implicit step; returns (phi, mu, iterations)."""
     Mbar, Kbar = ops.M_total, ops.K_total
     gamma, tau = physics.gamma, physics.tau
-    source = gamma * (ops.M_bulk @ u + ops.P.T @ (ops.M_gamma @ ug))
+    source = gamma * ops.mass(u, ug)
     explicit = fns.nodal(ops, phi_n, 2)
     mask = _interior_mask(ops, pair, opts)
     limit = 1.0 - opts.interior_safeguard
@@ -364,11 +347,9 @@ def mean_ode_residual(traj: StateTrajectory, controls, ops, gamma) -> np.ndarray
     r_n = (m_{n+1} - m_n)/dt + gamma m_{n+1} - gamma omega_{n+1}; vanishes
     to Newton tolerance because it is R1 tested with the constant pair.
     """
-    tm = traj.mesh.trace_map
-    m = (traj.phi @ ops.lumped_bulk + traj.phi[:, tm] @ ops.lumped_gamma) / ops.measure
-    omega = (controls.u @ ops.lumped_bulk + controls.uG @ ops.lumped_gamma) / ops.measure
-    dt = traj.grid.dt
-    return np.diff(m) / dt + gamma * m[1:] - gamma * omega
+    m = ops.mean(traj.phi, traj.phi[:, traj.mesh.trace_map])
+    omega = ops.mean(controls.u, controls.uG)
+    return np.diff(m) / traj.grid.dt + gamma * m[1:] - gamma * omega
 
 
 def exact_mean(m0: float, gamma: float, omega_slabs, grid: TimeGrid, t: float) -> float:
@@ -395,13 +376,12 @@ def exact_mean(m0: float, gamma: float, omega_slabs, grid: TimeGrid, t: float) -
     return float(value)
 
 
-def energy(ops, pair: PotentialPair, state: StateSnapshot) -> float:
-    """Free energy: gradient seminorm plus lumped potential terms."""
-    phi = state.phi.bulk
-    e = 0.5 * float(phi @ (ops.K_total @ phi))
-    e += float(ops.lumped_bulk @ pair.bulk.F(phi))
-    e += float(ops.lumped_gamma @ pair.boundary.F(state.phi.boundary))
-    return e
+def energy(ops, pair: PotentialPair, phi):
+    """Free energy of a conforming state given by its bulk values, one row
+    or each row of a stack: gradient seminorm plus lumped potential terms."""
+    tr = phi[..., ops.mesh.trace_map]
+    potential = ops.integral(pair.bulk.F(phi), pair.boundary.F(tr))
+    return 0.5 * row_inner(ops.K_total, phi, phi) + potential
 
 
 @dataclass

@@ -9,7 +9,7 @@ import os
 
 import numpy as np
 
-from .forward import exact_mean, StateTrajectory
+from .forward import StateTrajectory, energy, exact_mean
 from .spaces import row_inner
 
 
@@ -20,18 +20,12 @@ def ensure_dir(path):
 
 def write_series_csv(path, problem, traj: StateTrajectory, controls) -> str:
     """Per-step time series: mean vs closed form, energy, range, iterations."""
-    ops, grid, pair = problem.ops, problem.grid, problem.pair
-    gamma = problem.physics.gamma
-    phi, tm = traj.phi, traj.mesh.trace_map
-    omega = (controls.u @ ops.lumped_bulk + controls.uG @ ops.lumped_gamma) / ops.measure
-    means = (phi @ ops.lumped_bulk + phi[:, tm] @ ops.lumped_gamma) / ops.measure
-    energies = (
-        0.5 * row_inner(ops.K_total, phi, phi)
-        + pair.bulk.F(phi) @ ops.lumped_bulk
-        + pair.boundary.F(phi[:, tm]) @ ops.lumped_gamma
-    )
+    ops, grid, phi = problem.ops, problem.grid, traj.phi
+    omega = ops.mean(controls.u, controls.uG)
+    means = ops.mean(phi, phi[:, traj.mesh.trace_map])
+    energies = energy(ops, problem.pair, phi)
     times = grid.times()
-    exact = [exact_mean(means[0], gamma, omega, grid, t) for t in times]
+    exact = [exact_mean(means[0], problem.physics.gamma, omega, grid, t) for t in times]
     iters = np.concatenate([[0], traj.newton_iters])
     rows = zip(times, means, exact, energies, phi.min(axis=1), phi.max(axis=1), iters)
     header = (

@@ -109,7 +109,7 @@ def regular_potential() -> PotentialSpec:
 
 def logarithmic_potential(c1: float = 2.0) -> PotentialSpec:
     """Logarithmic double well on (-1, 1); nonconvex for c1 > 1."""
-    if c1 <= 1.0:
+    if not c1 > 1.0:
         raise ValidationError(f"logarithmic potential needs c1 > 1, got {c1}")
 
     def f0(r):

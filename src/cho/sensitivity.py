@@ -55,9 +55,7 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
     a, b = jacobian_coefficients(physics, dt)
     for k in range(grid.N):
         lam = fns.nodal(ops, base.phi[k + 1], 1)
-        rhs1 = (1.0 / dt) * (Mbar @ psi[k]) + physics.gamma * (
-            ops.M_bulk @ hu[k] + ops.P.T @ (ops.M_gamma @ hg[k])
-        )
+        rhs1 = (1.0 / dt) * (Mbar @ psi[k]) + physics.gamma * ops.mass(hu[k], hg[k])
         rhs2 = (physics.tau / dt) * (Mbar @ psi[k]) - fns.nodal(ops, base.phi[k], 3) * psi[k]
         psi[k + 1], eta[k + 1] = solve_block_system(
             ops, a, b, np.concatenate([rhs1, rhs2]), lam=lam, step=k + 1

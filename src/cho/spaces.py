@@ -64,6 +64,11 @@ class CoupledOperators:
     assemble by plain addition (``M_total``, ``K_total``).  Boundary-indexed
     copies (``M_gamma``, ``K_gamma``) serve inner products of fields that
     live on the boundary alone, e.g. boundary controls.
+
+    ``lumped``, ``mass``, ``integral`` and ``mean`` are the only code that
+    pairs a bulk part z with a boundary part z_G.  Each takes one row (z of
+    length n_bulk, z_G of length n_boundary) or a stack of rows, one pair
+    per row; for a conforming pair z_G is z at ``mesh.trace_map``.
     """
 
     def __init__(self, mesh: BulkSurfaceMesh):
@@ -88,11 +93,31 @@ class CoupledOperators:
         # for the mass-weighted residual norms.
         self.lumped_bulk = np.asarray(self.M_bulk.sum(axis=1)).ravel()
         self.lumped_gamma = np.asarray(self.M_gamma.sum(axis=1)).ravel()
-        self.lumped_surf = np.zeros(n)
-        self.lumped_surf[mesh.trace_map] = self.lumped_gamma
-        self.lumped_total = self.lumped_bulk + self.lumped_surf
+        self.lumped_total = self.lumped(np.ones(n), np.ones(nb))
 
         self.measure = mesh.volume + mesh.surface
+
+    def lumped(self, z, z_G):
+        """Bulk-indexed lumped coupling: lumped_bulk * z, plus lumped_gamma * z_G
+        added at the trace nodes."""
+        out = self.lumped_bulk * z
+        out[..., self.mesh.trace_map] += self.lumped_gamma * z_G
+        return out
+
+    def mass(self, z, z_G):
+        """Bulk-indexed mass coupling: M_bulk z, plus M_gamma z_G added at the
+        trace nodes (that is, M_bulk z + P^T M_gamma z_G)."""
+        out = (self.M_bulk @ z.T).T
+        out[..., self.mesh.trace_map] += (self.M_gamma @ z_G.T).T
+        return out
+
+    def integral(self, z, z_G):
+        """Lumped integral of z over Omega plus that of z_G over Gamma."""
+        return z @ self.lumped_bulk + z_G @ self.lumped_gamma
+
+    def mean(self, z, z_G):
+        """Extended mean value (int_Omega z + int_Gamma z_G) / (|Omega| + |Gamma|)."""
+        return self.integral(z, z_G) / self.measure
 
     @cached_property
     def block_template(self) -> "BlockTemplate":
@@ -215,15 +240,15 @@ def _accumulate(local, connectivity, n):
 
 
 def mean(field: PairField, ops: CoupledOperators) -> float:
-    """Extended mean value: (int_Omega z + int_Gamma z_Gamma) / (|Omega| + |Gamma|)."""
+    """Extended mean value of a pair: see ``CoupledOperators.mean``."""
     field.check_shapes(ops.mesh)
-    total = ops.lumped_bulk @ field.bulk + ops.lumped_gamma @ field.boundary
-    return float(total / ops.measure)
+    return float(ops.mean(field.bulk, field.boundary))
 
 
-def row_inner(M, A, B) -> np.ndarray:
-    """Inner products A[j] @ M @ B[j] of the matching rows of two arrays."""
-    return np.einsum("ij,ji->i", A, M @ B.T)
+def row_inner(M, A, B):
+    """Inner product A @ M @ B of two rows, or of each matching pair of rows
+    of two stacks."""
+    return np.einsum("...j,...j->...", A, (M @ B.T).T)
 
 
 def norm_H(field: PairField, ops: CoupledOperators) -> float:

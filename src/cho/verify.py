@@ -36,7 +36,7 @@ from .potentials import (
     regular_potential,
     separation_r0,
 )
-from .spaces import PairField, mean
+from .spaces import PairField
 
 
 @dataclass
@@ -89,7 +89,7 @@ def check_mean_ode(cfg: RunConfig) -> CheckResult:
         phi0 = PairField.constant(mesh, 0.1)
         traj = solve(problem, phi0, controls)
         resid = np.abs(mean_ode_residual(traj, controls, problem.ops, gamma)).max()
-        m_T = mean(PairField.from_bulk(mesh, traj.phi[-1]), problem.ops)
+        m_T = problem.ops.mean(traj.phi[-1], traj.phi[-1, mesh.trace_map])
         err = abs(m_T - exact_mean(0.1, gamma, vals, grid, T))
         return resid, err
 
@@ -139,9 +139,7 @@ def check_energy_decay(cfg: RunConfig) -> CheckResult:
     rng = np.random.default_rng(0)
     phi0 = PairField.from_bulk(mesh, rng.uniform(-0.8, 0.8, mesh.n_bulk))
     traj = solve(problem, phi0, ControlPair.zeros(mesh, grid))
-    energies = np.array(
-        [energy(problem.ops, pair, traj.snapshot(n)) for n in range(grid.N + 1)]
-    )
+    energies = energy(problem.ops, pair, traj.phi)
     worst = float(np.diff(energies).max())
     ok = worst <= 1e-12
     return CheckResult(
@@ -170,10 +168,7 @@ def check_mean_bound(cfg: RunConfig) -> CheckResult:
             rng.uniform(-M, M, (grid.N, mesh.n_boundary)),
         )
         traj = solve(problem, phi0, controls)
-        means = np.array(
-            [mean(PairField.from_bulk(mesh, traj.phi[n]), problem.ops)
-             for n in range(grid.N + 1)]
-        )
+        means = problem.ops.mean(traj.phi, traj.phi[:, mesh.trace_map])
         worst = max(worst, float((lo - means).max()), float((means - hi).max()))
     ok = worst <= 0.0
     return CheckResult(

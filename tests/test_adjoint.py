@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cho.adjoint import (
     adjoint_continuous_form,
@@ -14,10 +16,19 @@ from cho.control import (
     cost_directional,
     random_direction,
 )
-from cho.forward import Physics, Problem, SolverOptions, TimeGrid, solve, traj_norm_L2H
-from cho.mesh import build_interval
+from cho.forward import (
+    Physics,
+    Problem,
+    SolverOptions,
+    TimeGrid,
+    mean_ode_residual,
+    solve,
+    traj_norm_L2H,
+)
+from cho.mesh import build_interval, build_rectangle
 from cho.potentials import PotentialPair, regular_potential
 from cho.sensitivity import linearized_solve
+from cho.spaces import PairField
 
 from conftest import cosine_ic, make_problem
 
@@ -175,3 +186,27 @@ class TestReducedGradient:
             assert np.array_equal(
                 g.uG[j], gamma * adj.p[j][problem.mesh.trace_map]
             )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.floats(0.1, 5.0), st.floats(0.1, 5.0),
+       st.integers(0, 2**32 - 1))
+def test_invariants_on_random_rectangles(nx, ny, tau, gamma, seed):
+    # The mean ODE and the exact adjoint duality hold for every rectangle,
+    # viscosity and reaction rate, with the bounds of the verify suite.
+    mesh = build_rectangle(nx, ny, 1.0, 0.8)
+    grid = TimeGrid(T=0.2, N=4)
+    problem = Problem.create(mesh, PotentialPair.same(regular_potential()),
+                             SolverOptions(), Physics(tau, gamma), grid)
+    rng = np.random.default_rng(seed)
+    phi0 = PairField.from_bulk(mesh, rng.uniform(-0.5, 0.5, mesh.n_bulk))
+    u = random_direction(mesh, grid, rng).scaled(0.3)
+    h = random_direction(mesh, grid, rng).scaled(0.1)
+    base = solve(problem, phi0, u)
+    assert np.abs(mean_ode_residual(base, u, problem.ops, gamma)).max() <= 1e-9
+
+    g = reduced_gradient(problem, u, adjoint_solve(problem, base, TRACKING), TRACKING)
+    psi = linearized_solve(problem, base, h).psi
+    dJ_lin = cost_directional(TRACKING, problem, base, psi, u, h)
+    dJ_adj = control_inner(g, h, problem.ops, grid.dt)
+    assert abs(dJ_adj - dJ_lin) / max(1.0, abs(dJ_lin)) <= 1e-10

@@ -173,6 +173,33 @@ MALFORMED = {
         lambda d, tmp: d["control"].update(u=_write_csv_table(
             tmp / "u.csv", [[0.1] * 9] * 3 + [[np.inf] * 9])),
         "u.csv has non-finite values"),
+    "infinite random amplitude": (
+        lambda d, tmp: d.update(initial={"preset": "random-seeded", "amplitude": np.inf}),
+        "initial: amplitude"),
+    "NaN random amplitude": (
+        lambda d, tmp: d.update(initial={"preset": "random-seeded", "amplitude": np.nan}),
+        "initial: amplitude"),
+    "NaN constant initial value": (
+        lambda d, tmp: d.update(initial={"preset": "constant", "value": np.nan}),
+        "initial: value"),
+    "zero tanh width": (
+        lambda d, tmp: d.update(initial={"preset": "tanh-profile", "width": 0.0}),
+        "initial: width must be positive"),
+    "NaN tanh width": (
+        lambda d, tmp: d.update(initial={"preset": "tanh-profile", "width": np.nan}),
+        "initial: width"),
+    "infinite tanh amplitude": (
+        lambda d, tmp: d.update(initial={"preset": "tanh-profile", "amplitude": np.inf}),
+        "initial: amplitude"),
+    "NaN control value": (lambda d, tmp: d["control"].update(u=np.nan), "control: u"),
+    "NaN initial control u0": (
+        lambda d, tmp: d.update(optimization={"u0": np.nan}), "optimization: u0"),
+    "NaN target": (
+        lambda d, tmp: d.update(optimization={"targets": {"phiQ": np.nan}}),
+        "optimization.targets: phiQ"),
+    "removed bb_warm_start key": (
+        lambda d, tmp: d.update(optimization={"optimizer": {"bb_warm_start": True}}),
+        "optimization.optimizer.bb_warm_start"),
 }
 
 
@@ -255,6 +282,15 @@ class TestSimulate:
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
         assert "initial datum must be strictly interior" in capsys.readouterr().err
 
+    def test_nan_c1_exits_2_like_c1_below_1(self, tmp_path, monkeypatch, capsys):
+        import copy
+
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(MINIMAL)
+        data["potential"] = {"kind": "logarithmic", "c1": float("nan")}
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
+        assert "needs c1 > 1" in capsys.readouterr().err
+
     def test_potential_domain_error_exits_3(self, tmp_path, monkeypatch, capsys):
         # The Yosida-regularized run leaves (-1, 1); evaluating the
         # logarithmic energy of its states is a failure during the run.
@@ -317,6 +353,19 @@ class TestOptimize:
         J = rows[:, 1]
         assert np.all(np.diff(J) <= 1e-15)
         assert (tmp_path / "out" / "coarse" / "control_u_0.csv").exists()
+
+    def test_infinite_box_and_budget_run(self, tmp_path, monkeypatch):
+        import copy
+
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(MINIMAL)
+        data["optimization"] = {
+            "box": {"u_min": -np.inf, "u_max": np.inf,
+                    "uG_min": -np.inf, "uG_max": np.inf},
+            "m_prime": np.inf,
+            "optimizer": {"max_iter": 3},
+        }
+        assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 0
 
     def test_infeasible_box_exits_2(self, tmp_path, monkeypatch):
         import copy

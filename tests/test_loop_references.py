@@ -25,7 +25,6 @@ from cho.forward import (
     Problem,
     SolverOptions,
     TimeGrid,
-    energy,
     exact_mean,
     mean_ode_residual,
     solve,
@@ -36,7 +35,6 @@ from cho.mesh import build_rectangle
 from cho.output import write_series_csv
 from cho.potentials import PotentialPair, regular_potential
 from cho.sensitivity import linearized_solve
-from cho.spaces import PairField, mean
 
 from conftest import cosine_ic, make_problem
 
@@ -97,10 +95,23 @@ def loop_h1_norms(pair, grid, ops):
     return np.sqrt(h1u), np.sqrt(h1g)
 
 
+def loop_mean(ops, z, z_G):
+    """Extended mean of one bulk/boundary pair, written out."""
+    return float(ops.lumped_bulk @ z + ops.lumped_gamma @ z_G) / ops.measure
+
+
+def loop_energy(ops, pair, phi):
+    """Free energy of one conforming state, written out."""
+    tr = phi[ops.mesh.trace_map]
+    return (0.5 * float(phi @ (ops.K_total @ phi))
+            + float(ops.lumped_bulk @ pair.bulk.F(phi))
+            + float(ops.lumped_gamma @ pair.boundary.F(tr)))
+
+
 def loop_mean_ode_residual(traj, controls, ops, gamma):
-    N = traj.grid.N
-    m = np.array([mean(PairField.from_bulk(traj.mesh, traj.phi[k]), ops) for k in range(N + 1)])
-    omega = np.array([mean(PairField(controls.u[k], controls.uG[k]), ops) for k in range(N)])
+    N, tm = traj.grid.N, traj.mesh.trace_map
+    m = np.array([loop_mean(ops, traj.phi[k], traj.phi[k][tm]) for k in range(N + 1)])
+    omega = np.array([loop_mean(ops, controls.u[k], controls.uG[k]) for k in range(N)])
     return np.diff(m) / traj.grid.dt + gamma * m[1:] - gamma * omega
 
 
@@ -136,20 +147,19 @@ SERIES_HEADER = ("t (time),mean (1),exact_mean (1),energy (energy),"
 
 def loop_series_rows(problem, traj, controls):
     ops, grid = problem.ops, problem.grid
-    gamma = problem.physics.gamma
+    gamma, tm = problem.physics.gamma, traj.mesh.trace_map
     omega = np.array(
-        [mean(PairField(controls.u[j], controls.uG[j]), ops) for j in range(grid.N)]
+        [loop_mean(ops, controls.u[j], controls.uG[j]) for j in range(grid.N)]
     )
-    m0 = mean(PairField.from_bulk(traj.mesh, traj.phi[0]), ops)
+    m0 = loop_mean(ops, traj.phi[0], traj.phi[0][tm])
     times = grid.times()
     rows = []
     for n in range(grid.N + 1):
-        snap = traj.snapshot(n)
         rows.append((
             times[n],
-            mean(snap.phi, ops),
+            loop_mean(ops, traj.phi[n], traj.phi[n][tm]),
             exact_mean(m0, gamma, omega, grid, times[n]),
-            energy(ops, problem.pair, snap),
+            loop_energy(ops, problem.pair, traj.phi[n]),
             float(traj.phi[n].min()),
             float(traj.phi[n].max()),
             int(traj.newton_iters[n - 1]) if n > 0 else 0,

@@ -65,6 +65,12 @@ class TestEvaluation:
             REG.F(0.0, order=4)
 
 
+@pytest.mark.parametrize("c1", [1.0, 0.5, float("nan")])
+def test_logarithmic_rejects_c1_not_above_1(c1):
+    with pytest.raises(ValidationError, match="c1 > 1"):
+        logarithmic_potential(c1)
+
+
 class TestCustomValidation:
     def test_beta_hat_must_vanish_at_zero(self):
         with pytest.raises(ValidationError):

@@ -108,6 +108,42 @@ class TestAssemble:
         assert eigvalsh(ops.M_surf.toarray()).min() > -1e-14
 
 
+MESHES = st.one_of(
+    st.builds(build_interval, st.integers(2, 5), st.floats(0.5, 2.0)),
+    st.builds(build_rectangle, st.integers(2, 5), st.integers(2, 5),
+              st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+)
+
+
+class TestCouplingMaps:
+    @settings(max_examples=30, deadline=None)
+    @given(MESHES, st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_maps_equal_the_explicit_forms(self, mesh, rows, seed):
+        ops = assemble(mesh)
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((rows, mesh.n_bulk))
+        z_G = rng.standard_normal((rows, mesh.n_boundary))
+        lumped_total = np.asarray(ops.M_total.sum(axis=1)).ravel()
+        P = ops.P.toarray()
+        assert np.allclose(ops.lumped_total, lumped_total, rtol=1e-14, atol=0.0)
+        for r in range(rows):
+            lumped = ops.lumped_bulk * z[r] + P.T @ (ops.lumped_gamma * z_G[r])
+            mass = ops.M_bulk @ z[r] + P.T @ (ops.M_gamma @ z_G[r])
+            # One row, and the same row inside a stack, agree bit for bit.
+            assert np.array_equal(ops.lumped(z[r], z_G[r]), ops.lumped(z, z_G)[r])
+            assert np.array_equal(ops.mass(z[r], z_G[r]), ops.mass(z, z_G)[r])
+            assert np.allclose(ops.lumped(z[r], z_G[r]), lumped, rtol=1e-14, atol=1e-15)
+            assert np.allclose(ops.mass(z[r], z_G[r]), mass, rtol=1e-13, atol=1e-14)
+            # A conforming pair couples through the assembled totals.
+            tr = z[r][mesh.trace_map]
+            assert np.allclose(ops.lumped(z[r], tr), lumped_total * z[r],
+                               rtol=1e-14, atol=1e-15)
+            assert np.allclose(ops.mass(z[r], tr), ops.M_total @ z[r],
+                               rtol=1e-13, atol=1e-14)
+            assert np.isclose(ops.mean(z, z_G)[r], mean(PairField(z[r], z_G[r]), ops),
+                              rtol=1e-14, atol=1e-15)
+
+
 class TestMean:
     def test_constant_pair(self, interval_ops):
         mesh, ops = interval_ops
