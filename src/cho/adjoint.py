@@ -22,6 +22,10 @@ diag(dt I, I) J^T with J the forward step Jacobian, so both solvers
 solve J^T (p, q) = (rhs / dt, 0) through the forward solver's
 fixed-pattern block solve with ``trans="T"``; the terminal pair uses the
 same block template with the coefficients of [[M, tau M], [K, -M]].
+That solve refines on the template's one live factor to a relative
+residual of 1e-13, so a backward sweep factors twice: once for the terminal pair
+and once for the step Jacobian at the last state, which then serves
+every backward step.
 """
 
 import numpy as np

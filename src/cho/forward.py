@@ -21,7 +21,6 @@ so every converged run satisfies the mean dynamics to solver tolerance.
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import SolverError, ValidationError
 from .mesh import BulkSurfaceMesh
@@ -170,39 +169,131 @@ def jacobian_coefficients(physics, dt):
     return (1.0 / dt + physics.gamma, 0.0, physics.tau / dt, -1.0), (0.0, 1.0, 1.0, 0.0)
 
 
+# Module constants of the step solves.  Every step system shares one live
+# factor per block template (``BlockTemplate.factor``), taken at some
+# reference diagonal; the solves below use it as a preconditioner.
+#
+# A refined solve stops at this relative residual ||r - A x|| / ||r||.
+# Fresh factors land near 1e-16 to 1e-15; 1e-14 sits on the round-off
+# floor of the larger systems and stalls.
+REFINE_RTOL = 1e-13
+# A refinement sweep that leaves more than this fraction of the residual
+# has stalled, and the factor is rebuilt at the current matrix.
+STALL_RATIO = 0.5
+# A stalled solve is accepted when its normwise backward error
+# ||r - A x|| / (||A||_F ||x|| + ||r||) is below this round-off level: a
+# solution with a large ||x|| / ||r|| cannot reach REFINE_RTOL in double
+# precision, however fresh the factor.
+ROUNDOFF = 1e-14
+# Chord Newton rebuilds the factor at the current state when one
+# iteration leaves more than this fraction of the previous residual.
+CHORD_RHO = 0.2
+# The mass solve for the initial chemical potential: preconditioned by the
+# lumped mass, CG contracts at a rate independent of the mesh, and reaches
+# this relative residual in about 30 iterations.
+MASS_RTOL = 1e-14
+MASS_MAXITER = 100
+
+
+def _norm(v):
+    return np.sqrt(v @ v)
+
+
+def _where(step):
+    return "linear solve" if step is None else f"linear solve at step {step}"
+
+
+def _refactor_if_needed(ops, a, b, lam, step, refresh=False):
+    """Make the template's live factor serve the coefficients (a, b); returns
+    whether it was rebuilt, at ``lam``, by this call.  It is rebuilt when
+    there is none, when it was built for other coefficients, or on
+    ``refresh``.  A non-finite ``lam`` raises ``SolverError`` first, naming
+    its first node, since a reused factor would never see it.  Callers read
+    the factor from ``template.lu`` and keep no reference to it, so that
+    the old factor is released before a new one is built."""
+    if lam is not None and not np.all(np.isfinite(lam)):
+        node = int(np.flatnonzero(~np.isfinite(lam))[0])
+        raise SolverError(
+            f"{_where(step)}: non-finite Jacobian diagonal at node {node} "
+            f"({lam[node]})",
+            step=step,
+        )
+    template = ops.block_template
+    if not refresh and template.coeffs == (tuple(a), tuple(b)):
+        return False
+    try:
+        template.factor(a, b, lam)
+    except RuntimeError as err:
+        raise SolverError(f"{_where(step)}: {err}", step=step) from err
+    return True
+
+
 def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
-    """Solve one coupled block system and return its two halves.
+    """Solve one coupled block system to a relative residual of
+    ``REFINE_RTOL`` and return its two halves.
 
     The matrix A = [[a11 M + b11 K, a12 M + b12 K], [a21 M + b21 K +
     diag(lam), a22 M + b22 K]] is refilled into the operators' fixed block
     template, which stores it symmetrically permuted by the template's
-    fill-reducing ordering.  A ``NATURAL`` factorization of the stored
-    matrix therefore has the columns a per-call minimum-degree ordering of
-    A would give, without recomputing that ordering.  The system is solved
-    with A (trans="N") or its transpose (trans="T"); the permutation is
-    symmetric, so both map the right-hand side in with ``order`` and the
-    solution out with ``inverse``.  The factor is dropped before returning.
-    A singular matrix or a non-finite solution raises ``SolverError``
-    carrying ``step``.
+    fill-reducing ordering.  The system is solved with A (trans="N") or its
+    transpose (trans="T") by iterative refinement: each sweep corrects the
+    solution with the template's live factor and recomputes the residual
+    with the exact refilled matrix.  The factor, taken at an earlier
+    diagonal, is rebuilt here when it was built for other coefficients or
+    when a sweep stalls (``STALL_RATIO``) short of the round-off level
+    (``ROUNDOFF``).  A singular matrix, a non-finite ``lam`` or a stall on
+    a factor of this very matrix raises ``SolverError`` carrying ``step``.
     """
-    where = "linear solve" if step is None else f"linear solve at step {step}"
+    fresh = _refactor_if_needed(ops, a, b, lam, step)
     template = ops.block_template
     A = template.fill(a, b, lam)
-    try:
-        lu = spla.splu(A, permc_spec="NATURAL")
-    except RuntimeError as err:
-        raise SolverError(f"{where}: {err}", step=step) from err
-    x = lu.solve(rhs[template.order], trans=trans)[template.inverse]
-    del lu
+    if trans == "T":
+        A = template.transposed
+    r = rhs[template.order]
+    rnorm = _norm(r)
+    target = REFINE_RTOL * rnorm
+    y, res, norm = np.zeros_like(r), r, rnorm
+    while not norm <= target:
+        y_new = y + template.lu.solve(res, trans=trans)
+        res_new = r - A @ y_new
+        norm_new = _norm(res_new)
+        if norm_new <= max(STALL_RATIO * norm, target):
+            y, res, norm = y_new, res_new, norm_new
+            continue
+        if norm_new < norm:
+            y, norm = y_new, norm_new
+        if norm <= ROUNDOFF * (_norm(A.data) * _norm(y) + rnorm):
+            break
+        if fresh:
+            if not np.isfinite(norm_new):
+                raise SolverError(f"{_where(step)} returned non-finite values", step=step)
+            raise SolverError(
+                f"{_where(step)}: refinement stalled at relative residual "
+                f"{norm / rnorm:.1e}",
+                step=step,
+            )
+        fresh = _refactor_if_needed(ops, a, b, lam, step, refresh=True)
+        y, res, norm = np.zeros_like(r), r, rnorm
+    x = y[template.inverse]
+    n = ops.mesh.n_bulk
+    return x[:n], x[n:]
+
+
+def _chord_step(ops, a, b, rhs, lam, refresh):
+    """One chord Newton correction: a single solve with the live factor,
+    rebuilt at ``lam`` on ``refresh`` or when the coefficients changed."""
+    _refactor_if_needed(ops, a, b, lam, None, refresh)
+    template = ops.block_template
+    x = template.lu.solve(rhs[template.order])[template.inverse]
     if not np.all(np.isfinite(x)):
-        raise SolverError(f"{where} returned non-finite values", step=step)
+        raise SolverError(f"{_where(None)} returned non-finite values")
     n = ops.mesh.n_bulk
     return x[:n], x[n:]
 
 
 def _weighted_norm(ops, r1, r2):
     w = ops.lumped_total
-    return float(np.sqrt(np.sum(r1 * r1 / w) + np.sum(r2 * r2 / w)))
+    return float(np.sqrt(r1 @ (r1 / w) + r2 @ (r2 / w)))
 
 
 def _interior_mask(ops, pair, opts):
@@ -220,23 +311,31 @@ def _interior_mask(ops, pair, opts):
 
 
 def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
-    """Newton solve of one implicit step; returns (phi, mu, iterations)."""
+    """Chord Newton solve of one implicit step; returns (phi, mu, iterations).
+
+    The residual is exact; the corrections reuse the template's live factor
+    across iterations and steps, and rebuild it at the current state when
+    an iteration leaves more than ``CHORD_RHO`` of the previous residual.
+    """
     Mbar, Kbar = ops.M_total, ops.K_total
     gamma, tau = physics.gamma, physics.tau
-    source = gamma * ops.mass(u, ug)
-    explicit = fns.nodal(ops, phi_n, 2)
     mask = _interior_mask(ops, pair, opts)
     limit = 1.0 - opts.interior_safeguard
+    # R1 = (1/dt + gamma) M phi + K mu - c1 and R2 = (tau/dt) M phi + K phi
+    # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
+    Mphi_n = Mbar @ phi_n
+    c1 = Mphi_n / dt + gamma * ops.mass(u, ug)
+    c2 = (tau / dt) * Mphi_n - fns.nodal(ops, phi_n, 2)
 
     a, b = jacobian_coefficients(physics, dt)
     phi = phi_n.copy()
     mu = mu_n.copy()
+    prev = np.inf
     for it in range(opts.newton_max_iter + 1):
-        dphi_dt = (phi - phi_n) / dt
-        m = Mbar @ np.column_stack([dphi_dt + gamma * phi, tau * dphi_dt - mu])
-        k = Kbar @ np.column_stack([mu, phi])
-        r1 = m[:, 0] + k[:, 0] - source
-        r2 = m[:, 1] + k[:, 1] + fns.nodal(ops, phi, 0) + explicit
+        X = np.column_stack([phi, mu])
+        m, k = Mbar @ X, Kbar @ X
+        r1 = a[0] * m[:, 0] + k[:, 1] - c1
+        r2 = a[2] * m[:, 0] + k[:, 0] - m[:, 1] + fns.nodal(ops, phi, 0) - c2
         res = _weighted_norm(ops, r1, r2)
         if res <= opts.newton_tol:
             return phi, mu, it
@@ -247,11 +346,13 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
                 residual=res,
             )
         try:
-            dphi, dmu = solve_block_system(
-                ops, a, b, -np.concatenate([r1, r2]), lam=fns.nodal(ops, phi, 1)
+            dphi, dmu = _chord_step(
+                ops, a, b, -np.concatenate([r1, r2]), fns.nodal(ops, phi, 1),
+                refresh=res > CHORD_RHO * prev,
             )
         except SolverError as err:
             raise SolverError(f"Newton iteration {it + 1}: {err}", residual=res) from err
+        prev = res
         alpha = 1.0
         if mask is not None:
             moving = mask & (dphi != 0.0)
@@ -272,14 +373,38 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
     raise AssertionError("unreachable")
 
 
+def _mass_solve(ops, rhs):
+    """M_total x = rhs by conjugate gradients preconditioned by the lumped
+    mass, to ``MASS_RTOL`` in the preconditioned norm; None when that fails."""
+    M, d = ops.M_total, ops.lumped_total
+    x = rhs / d
+    r = rhs - M @ x
+    z = r / d
+    p, rz = z, r @ z
+    target = MASS_RTOL**2 * (rhs @ (rhs / d))
+    for _ in range(MASS_MAXITER):
+        if rz <= target:
+            return x
+        q = M @ p
+        alpha = rz / (p @ q)
+        x = x + alpha * p
+        r = r - alpha * q
+        z = r / d
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return None
+
+
 def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
     """Chemical potential at t = 0 from the second equation (no dynamics)."""
     ops = problem.ops
     fns = scheme_functions(problem.pair, problem.opts)
     rhs = ops.K_total @ phi0 + fns.nodal(ops, phi0, 0) + fns.nodal(ops, phi0, 2)
-    mu0 = spla.spsolve(ops.M_total.tocsc(), rhs)
-    if not np.all(np.isfinite(mu0)):
-        raise SolverError("initial chemical potential has non-finite values", step=0)
+    mu0 = _mass_solve(ops, rhs)
+    if mu0 is None or not np.all(np.isfinite(mu0)):
+        raise SolverError(
+            "initial chemical potential: the mass solve did not converge", step=0
+        )
     return mu0
 
 

@@ -6,8 +6,11 @@ iteration, with the potential derivative frozen at the end-of-step base
 state.  This makes the Taylor test and the adjoint gradient exact at
 the discrete level while the scheme itself discretizes the continuous
 linearized system.  The solve goes through the forward solver's shared
-fixed-pattern block solve (``forward.solve_block_system``), which
-raises ``SolverError`` on a singular matrix or a non-finite solution.
+fixed-pattern block solve (``forward.solve_block_system``): iterative
+refinement on the block template's live factor, usually the one the
+forward run left behind, to a relative residual of 1e-13.  It raises
+``SolverError`` on a singular matrix, a non-finite solution or a
+refinement that stalls on a fresh factor.
 """
 
 from dataclasses import dataclass

@@ -121,7 +121,8 @@ class CoupledOperators:
 
     @cached_property
     def block_template(self) -> "BlockTemplate":
-        """Fixed pattern of the 2n x 2n step systems, built on first use."""
+        """Fixed pattern of the 2n x 2n step systems and their one live
+        factor, built on first use."""
         return BlockTemplate(self.M_total, self.K_total)
 
 
@@ -148,6 +149,11 @@ class BlockTemplate:
     takes the stored matrix in its natural order.  ``inverse`` maps the
     permuted unknowns back: if y solves ``matrix @ y = r[order]``, then
     x = y[inverse] solves A x = r.
+
+    The template owns at most one live factor of its stored matrix, ``lu``,
+    with the coefficients ``coeffs`` = (a, b) it was filled with.  The
+    diagonal it was factored at is not kept: callers solve with the exact
+    refilled matrix and use ``lu`` as a preconditioner.
     """
 
     def __init__(self, M, K):
@@ -161,12 +167,19 @@ class BlockTemplate:
         self.order = np.argsort(self.inverse)
         self.matrix = A[self.order][:, self.order]
         self.matrix.sort_indices()
+        # matrix.T as a CSR matrix over the same arrays: refilled with it.
+        self.transposed = sp.csr_matrix(
+            (self.matrix.data, self.matrix.indices, self.matrix.indptr),
+            shape=self.matrix.shape,
+        )
         rows, cols = (self.order[i] for i in _slots(self.matrix))
         self.m = np.asarray(M[rows % n, cols % n]).ravel()
         self.k = np.asarray(K[rows % n, cols % n]).ravel()
         self.block = (2 * (rows >= n) + (cols >= n)).astype(np.int8)
         diag = np.flatnonzero(rows - n == cols)
         self.diag = diag[np.argsort(cols[diag])]
+        self.lu = None
+        self.coeffs = None
 
     def fill(self, a, b, lam=None):
         """Write the blocks a_ij M + b_ij K (+ diag(lam) in block 21) into the
@@ -178,6 +191,14 @@ class BlockTemplate:
         if lam is not None:
             data[self.diag] += lam
         return self.matrix
+
+    def factor(self, a, b, lam=None):
+        """Fill the template and factor it in its stored order, releasing the
+        previous factor first so that two are never alive at once.  A
+        singular matrix raises ``RuntimeError`` and leaves no factor."""
+        self.lu = self.coeffs = None
+        self.lu = spla.splu(self.fill(a, b, lam), permc_spec="NATURAL")
+        self.coeffs = (tuple(a), tuple(b))
 
 
 def _slots(A):

@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from cho import forward
 from cho.control import ControlPair
 from cho.errors import SolverError, ValidationError
 from cho.forward import (
     Physics,
+    Problem,
     SolverOptions,
     StateTrajectory,
     TimeGrid,
     energy,
+    _SchemeFns,
     exact_mean,
+    initial_mu,
     mean_ode_residual,
     separation_check,
     solve,
     yosida_continuation,
 )
 from cho.mesh import build_rectangle
-from cho.potentials import PotentialPair, regular_potential
+from cho.potentials import PotentialPair, logarithmic_potential, regular_potential
 from cho.spaces import PairField, mean
 
 from conftest import cosine_ic, make_problem
@@ -70,6 +75,42 @@ class TestStep:
     def test_negative_newton_budget_rejected(self):
         with pytest.raises(ValidationError, match="newton_max_iter"):
             SolverOptions(newton_max_iter=-1)
+
+
+class TestInitialMu:
+    @pytest.mark.parametrize("kind", ["interval", "rectangle"])
+    def test_matches_a_direct_mass_solve(self, kind):
+        if kind == "interval":
+            problem = make_problem(n_cells=24, kind="logarithmic")
+        else:
+            problem = Problem.create(
+                build_rectangle(6, 5, 1.0, 0.8),
+                PotentialPair.same(logarithmic_potential(2.0)),
+                SolverOptions(), Physics(1.0, 1.0), TimeGrid(0.4, 4),
+            )
+        ops = problem.ops
+        phi0 = 0.6 * np.sin(np.arange(ops.mesh.n_bulk))
+        fns = forward.scheme_functions(problem.pair, problem.opts)
+        rhs = ops.K_total @ phi0 + fns.nodal(ops, phi0, 0)
+        direct = spla.spsolve(ops.M_total.tocsc(), rhs)
+        mu0 = initial_mu(problem, phi0)
+        assert np.linalg.norm(mu0 - direct) <= 1e-13 * np.linalg.norm(direct)
+
+    def test_non_finite_potential_fails_at_step_0(self, monkeypatch):
+        nodal = _SchemeFns.nodal
+        monkeypatch.setattr(_SchemeFns, "nodal", lambda self, ops, phi, which: (
+            np.full(ops.mesh.n_bulk, np.nan) if which == 0 else nodal(self, ops, phi, which)))
+        problem = make_problem()
+        with pytest.raises(SolverError, match="initial chemical potential") as err:
+            solve(problem, cosine_ic(problem.mesh), ControlPair.zeros(problem.mesh, problem.grid))
+        assert err.value.step == 0
+
+    def test_nonconvergence_fails_at_step_0(self, monkeypatch):
+        monkeypatch.setattr(forward, "MASS_MAXITER", 1)
+        problem = make_problem()
+        with pytest.raises(SolverError, match="initial chemical potential") as err:
+            initial_mu(problem, cosine_ic(problem.mesh).bulk)
+        assert err.value.step == 0
 
 
 NAN = float("nan")

@@ -6,6 +6,12 @@ used before the fixed template: the step Jacobian, the adjoint backward
 matrix and the terminal adjoint matrix.  The template stores its matrix
 symmetrically permuted by a fill-reducing ordering; ``unpermuted`` undoes
 that before comparing entries.
+
+The template keeps one live factor, taken at whatever diagonal it was last
+built for; the forward solver runs chord Newton on it and the linearized
+and adjoint solves refine on it.  The tests below check that the results
+do not depend on that history and that a factor is released before the
+next one is built.
 """
 
 import copy
@@ -14,21 +20,29 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cho import forward
 from cho.adjoint import adjoint_solve
 from cho.cli import main
-from cho.control import ControlPair, CostSpec
+from cho.control import ControlPair, CostSpec, random_direction
 from cho.errors import SolverError
 from cho.forward import (
     Physics,
+    Problem,
+    SolverOptions,
+    TimeGrid,
     _SchemeFns,
     jacobian_coefficients,
+    mean_ode_residual,
     solve,
     solve_block_system,
 )
 from cho.mesh import build_interval, build_rectangle
+from cho.potentials import PotentialPair, regular_potential
 from cho.sensitivity import linearized_solve
-from cho.spaces import assemble
+from cho.spaces import PairField, assemble
 
 from conftest import cosine_ic, make_problem
 from test_cli import MINIMAL, write_yaml
@@ -115,6 +129,13 @@ class TestTemplate:
         assert np.array_equal(template.matrix.indptr, indptr)
         assert np.array_equal(template.matrix.indices, indices)
 
+    def test_transposed_view_follows_refills(self, system):
+        ops, lam, _ = system
+        template = ops.block_template
+        assert np.shares_memory(template.transposed.data, template.matrix.data)
+        template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
+        assert abs(template.transposed - template.matrix.T).max() == 0.0
+
 
 class TestSolveAgainstReference:
     def test_forward_solve(self, system):
@@ -172,43 +193,62 @@ def run():
     return problem, phi0, u, base, cost
 
 
-def test_one_template_and_no_live_factor_between_solves(monkeypatch):
+class FactorLog:
+    def __init__(self):
+        self.live = []
+        self.orderings = []
+
+    @property
+    def step_factors(self):
+        return self.orderings.count("NATURAL")
+
+
+@pytest.fixture
+def factor_log(monkeypatch):
+    """Wraps ``splu``: records each ordering asked for, and fails when a
+    factor is still alive while the next one is built."""
+    log = FactorLog()
+    splu = spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+            log.live.append(1)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def __del__(self):
+            log.live.pop()
+
+    def counting_splu(*args, permc_spec, **kwargs):
+        assert not log.live, "a factor was alive while the next one was built"
+        assert permc_spec in ("MMD_AT_PLUS_A", "NATURAL")
+        log.orderings.append(permc_spec)
+        return Factor(splu(*args, permc_spec=permc_spec, **kwargs))
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return log
+
+
+def test_one_template_and_at_most_one_live_factor(monkeypatch, factor_log):
     problem = make_problem()
     mesh, grid = problem.mesh, problem.grid
     bmat_calls = []
     bmat = sp.bmat
     monkeypatch.setattr(sp, "bmat", lambda *a, **k: bmat_calls.append(1) or bmat(*a, **k))
 
-    live = []
-    orderings = []
-    splu = spla.splu
-
-    class Factor:
-        def __init__(self, lu):
-            self.lu = lu
-            live.append(1)
-
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
-
-        def __del__(self):
-            live.pop()
-
-    def counting_splu(*args, permc_spec, **kwargs):
-        assert not live, "a factor outlived its solve"
-        assert permc_spec in ("MMD_AT_PLUS_A", "NATURAL")
-        orderings.append(permc_spec)
-        return Factor(splu(*args, permc_spec=permc_spec, **kwargs))
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
     u = ControlPair.constant(mesh, grid, 0.1, 0.05)
     base = solve(problem, cosine_ic(mesh), u)
     linearized_solve(problem, base, u)
     adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
     assert len(bmat_calls) == 1
-    assert not live
+    # The template's own factor, and no other.
+    assert len(factor_log.live) == 1
+    assert problem.ops.block_template.lu is not None
     # One ordering for the template, first; every step factorization after
     # it reuses that ordering.
+    orderings = factor_log.orderings
     assert orderings[0] == "MMD_AT_PLUS_A"
     assert orderings.count("MMD_AT_PLUS_A") == 1
     assert len(orderings) > 1
@@ -216,7 +256,121 @@ def test_one_template_and_no_live_factor_between_solves(monkeypatch):
     assert problem.ops.block_template.inverse.base is None
 
 
-def nan_second_derivative(monkeypatch):
+def test_factorization_budget(factor_log):
+    # Forward, linearized and adjoint on an 8x8 rectangle: one factor for
+    # the forward run, which the linearized solve reuses, and two for the
+    # adjoint (the terminal pair, then the step Jacobian).
+    mesh = build_rectangle(8, 8, 1.0, 1.0)
+    grid = TimeGrid(T=0.4, N=8)
+    problem = Problem.create(mesh, PotentialPair.same(regular_potential()),
+                             SolverOptions(), PHYSICS, grid)
+    rng = np.random.default_rng(11)
+    phi0 = PairField.from_bulk(mesh, rng.uniform(-0.4, 0.4, mesh.n_bulk))
+    u = ControlPair.constant(mesh, grid, 0.1, 0.05)
+    base = solve(problem, phi0, u)
+    linearized_solve(problem, base, random_direction(mesh, grid, rng).scaled(0.1))
+    adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
+    assert factor_log.step_factors <= 4
+
+
+MESHES = st.one_of(
+    st.builds(build_interval, st.integers(2, 12), st.floats(0.5, 2.0)),
+    st.builds(build_rectangle, st.integers(2, 5), st.integers(2, 5),
+              st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+)
+
+
+class TestHistoryIndependence:
+    @settings(max_examples=40, deadline=None)
+    @given(MESHES, st.sampled_from(["N", "T"]), st.floats(-3.0, 0.0),
+           st.floats(-1.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_refined_solve_matches_direct_solve(self, mesh, trans, log_dt, log_scale, seed):
+        # Factor at one diagonal, solve at another: the refined solution is
+        # the direct solution of the un-permuted matrix, to within the
+        # forward error a relative residual of 1e-13 allows.
+        ops = assemble(mesh)
+        rng = np.random.default_rng(seed)
+        n = mesh.n_bulk
+        physics = Physics(tau=rng.uniform(0.1, 5.0), gamma=rng.uniform(0.0, 5.0))
+        dt = 10.0 ** log_dt
+        a, b = jacobian_coefficients(physics, dt)
+        lam_bar = ops.lumped_total * rng.uniform(-1.0, 2.0, n) * 10.0 ** log_scale
+        lam = ops.lumped_total * rng.uniform(-1.0, 2.0, n)
+        ops.block_template.factor(a, b, lam_bar)
+        rhs = rng.standard_normal(2 * n)
+        x = np.concatenate(solve_block_system(ops, a, b, rhs, lam=lam, trans=trans))
+        A = jacobian_reference(ops, physics, dt, lam)
+        if trans == "T":
+            A = A.T.tocsc()
+        cond = np.linalg.cond(A.toarray())
+        assert relative_error(x, spla.spsolve(A, rhs)) <= 1e-13 * cond
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_stalled_refinement_refactors(self, system, trans, factor_log):
+        # A factor taken far from the current diagonal stalls the
+        # refinement; the solve rebuilds it once and still matches.
+        ops, lam, rng = system
+        a, b = jacobian_coefficients(PHYSICS, DT)
+        ops.block_template.factor(a, b, lam + 1e3 * ops.lumped_total)
+        rhs = rng.standard_normal(2 * ops.mesh.n_bulk)
+        x = np.concatenate(solve_block_system(ops, a, b, rhs, lam=lam, trans=trans))
+        A = jacobian_reference(ops, PHYSICS, DT, lam)
+        ref = spla.spsolve(A.T.tocsc() if trans == "T" else A, rhs)
+        assert relative_error(x, ref) <= 1e-12
+        assert factor_log.step_factors == 2
+
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_solve_stops_at_the_round_off_floor(self, trans):
+        # A right-hand side along the smallest singular direction puts the
+        # attainable relative residual near eps * cond(A), about 1e-12
+        # here, above 1e-13.  The refinement stalls there on a fresh
+        # factor, and the solve accepts it as round-off instead of raising.
+        ops = assemble(build_interval(12, 1.0))
+        rng = np.random.default_rng(7)
+        lam = -30.0 * ops.lumped_total * rng.uniform(-1.0, 2.0, ops.mesh.n_bulk)
+        dt = 100.0
+        A = jacobian_reference(ops, PHYSICS, dt, lam).toarray()
+        if trans == "T":
+            A = A.T
+        _, sv, vt = np.linalg.svd(A)
+        x = np.concatenate(solve_block_system(
+            ops, *jacobian_coefficients(PHYSICS, dt), A @ vt[-1], lam=lam, trans=trans,
+        ))
+        assert relative_error(x, vt[-1]) <= 1e-13 * sv[0] / sv[-1]
+
+
+def _spinodal(scheme):
+    problem = make_problem(n_cells=32, T=10.0, N=2, gamma=0.0, scheme=scheme)
+    rng = np.random.default_rng(3)
+    return problem, PairField.from_bulk(problem.mesh, rng.uniform(-0.8, 0.8, problem.mesh.n_bulk))
+
+
+def _near_separation():
+    problem = make_problem(kind="logarithmic", n_cells=24, T=0.2, N=10)
+    return problem, cosine_ic(problem.mesh, amplitude=0.97, waves=2.0)
+
+
+@pytest.mark.parametrize("case", [
+    _near_separation,
+    lambda: _spinodal("fully-implicit"),
+    lambda: _spinodal("convex-splitting"),
+], ids=["logarithmic-near-separation", "spinodal-large-dt", "convex-splitting"])
+def test_chord_refactors_and_converges(case, factor_log, monkeypatch):
+    # Runs where the live factor goes stale within a step: chord Newton
+    # rebuilds it, converges, keeps the mean ODE, and lands on the state
+    # a run that refactors at every iteration finds.
+    problem, phi0 = case()
+    u = ControlPair.constant(problem.mesh, problem.grid, 0.0, 0.0)
+    traj = solve(problem, phi0, u)
+    assert factor_log.step_factors >= 2
+    assert np.abs(mean_ode_residual(traj, u, problem.ops, problem.physics.gamma)).max() <= 1e-9
+    monkeypatch.setattr(forward, "CHORD_RHO", 0.0)
+    newton = solve(problem, phi0, u)
+    assert np.abs(traj.phi - newton.phi).max() <= 1e-9
+
+
+def nan_second_derivative(monkeypatch, ops):
     nodal = _SchemeFns.nodal
 
     def patched(self, ops, phi, which):
@@ -226,8 +380,16 @@ def nan_second_derivative(monkeypatch):
     monkeypatch.setattr(_SchemeFns, "nodal", patched)
 
 
-def singular_factor(monkeypatch):
+def _fresh_template(monkeypatch, ops):
+    """Drop the operators' template, and with it the live factor, so that
+    the next solve must build a factor."""
+    if ops is not None:
+        monkeypatch.delitem(vars(ops), "block_template", raising=False)
+
+
+def singular_factor(monkeypatch, ops):
     """Every step factorization fails; the template's ordering does not."""
+    _fresh_template(monkeypatch, ops)
     splu = spla.splu
 
     def raising(*args, **kwargs):
@@ -238,6 +400,20 @@ def singular_factor(monkeypatch):
     monkeypatch.setattr(spla, "splu", raising)
 
 
+def stalled_refinement(monkeypatch, ops):
+    """Every step factor is a factor of 10 A: each sweep leaves 90 % of the
+    residual, on a fresh factor too."""
+    _fresh_template(monkeypatch, ops)
+    splu = spla.splu
+
+    def scaled(A, permc_spec, **kwargs):
+        if permc_spec == "NATURAL":
+            A = 10.0 * A
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", scaled)
+
+
 FAULTS = [nan_second_derivative, singular_factor]
 
 
@@ -245,27 +421,65 @@ FAULTS = [nan_second_derivative, singular_factor]
 class TestFaultInjection:
     def test_forward_fails_on_first_newton_iteration(self, run, fault, monkeypatch):
         problem, phi0, u, _, _ = run
-        fault(monkeypatch)
+        fault(monkeypatch, problem.ops)
         with pytest.raises(SolverError, match="Newton iteration 1:") as err:
             solve(problem, phi0, u)
         assert err.value.step == 1
 
     def test_linearized_solve(self, run, fault, monkeypatch):
         problem, _, u, base, _ = run
-        fault(monkeypatch)
+        fault(monkeypatch, problem.ops)
         with pytest.raises(SolverError) as err:
             linearized_solve(problem, base, u)
         assert err.value.step == 1
 
     def test_adjoint_solve(self, run, fault, monkeypatch):
         problem, _, _, base, cost = run
-        fault(monkeypatch)
+        fault(monkeypatch, problem.ops)
         with pytest.raises(SolverError) as err:
             adjoint_solve(problem, base, cost)
         assert err.value.step == problem.grid.N
 
     def test_simulate_exits_3(self, tmp_path, fault, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        fault(monkeypatch)
+        fault(monkeypatch, None)
+        assert main(["simulate", "-c", write_yaml(tmp_path, copy.deepcopy(MINIMAL))]) == 3
+        assert "solver error:" in capsys.readouterr().err
+
+
+def test_nan_diagonal_names_node_and_step(run, monkeypatch):
+    # The live factor from the fixture's run would serve the solve; the
+    # diagonal is checked before it is used.
+    problem, _, u, base, _ = run
+    nan_second_derivative(monkeypatch, problem.ops)
+    with pytest.raises(SolverError, match=r"at step 1: non-finite Jacobian diagonal at node 0"):
+        linearized_solve(problem, base, u)
+
+
+class TestStalledRefinement:
+    def test_forward(self, run, monkeypatch):
+        problem, phi0, u, _, _ = run
+        stalled_refinement(monkeypatch, problem.ops)
+        with pytest.raises(SolverError, match="did not converge") as err:
+            solve(problem, phi0, u)
+        assert err.value.step == 1
+
+    def test_linearized_solve(self, run, monkeypatch):
+        problem, _, u, base, _ = run
+        stalled_refinement(monkeypatch, problem.ops)
+        with pytest.raises(SolverError, match="refinement stalled") as err:
+            linearized_solve(problem, base, u)
+        assert err.value.step == 1
+
+    def test_adjoint_solve(self, run, monkeypatch):
+        problem, _, _, base, cost = run
+        stalled_refinement(monkeypatch, problem.ops)
+        with pytest.raises(SolverError, match="refinement stalled") as err:
+            adjoint_solve(problem, base, cost)
+        assert err.value.step == problem.grid.N
+
+    def test_simulate_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        stalled_refinement(monkeypatch, None)
         assert main(["simulate", "-c", write_yaml(tmp_path, copy.deepcopy(MINIMAL))]) == 3
         assert "solver error:" in capsys.readouterr().err
