@@ -81,13 +81,14 @@ def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTraje
     """Exact transpose of the discrete linearized dynamics against the cost."""
     ops, N, tau, dt = problem.ops, problem.grid.N, problem.physics.tau, problem.grid.dt
     fns = scheme_functions(problem.pair, problem.opts)
+    lam, dexp = fns.jacobian(ops, base.phi)
 
     def step_terms(data, m, pm, qm):
         phi = base.phi[m]
         rhs1 = data.zeta1_w(ops, phi, m) + ops.M_total @ (pm + tau * qm) / dt
         if m < N:
-            rhs1 -= fns.nodal(ops, phi, 3) * qm
-        return fns.nodal(ops, phi, 1), rhs1
+            rhs1 -= dexp[m] * qm
+        return lam[m], rhs1
 
     return _sweep_backward(problem, base, cost, step_terms)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .mesh import BulkSurfaceMesh
-from .potentials import PotentialPair, check_mz, yosida_beta, yosida_dbeta
+from .potentials import PotentialPair, check_mz, yosida_derivatives
 from .spaces import CoupledOperators, PairField, assemble, mean, row_inner
 
 
@@ -123,37 +123,51 @@ class Problem:
 
 
 class _SchemeFns:
-    """Nodal nonlinearity split into implicit/explicit parts per side."""
+    """Nodal nonlinearity split into an implicit part N and an explicit part
+    E.  Each evaluation returns lumped terms of one state or of an (N+1, n)
+    stack of states in one pass: one domain check or one Yosida resolvent
+    per potential, whose bulk values also serve the trace when both sides
+    share it."""
 
     def __init__(self, pair: PotentialPair, opts: SolverOptions):
-        eps = opts.eps_yosida
-        self.parts = {}
-        for side, spec in (("bulk", pair.bulk), ("gamma", pair.boundary)):
-            if opts.scheme == "fully-implicit":
-                if eps:
-                    imp = lambda r, s=spec: yosida_beta(s, eps, r) + s.pi(r)
-                    dimp = lambda r, s=spec: yosida_dbeta(s, eps, r) + s.dpi(r)
-                else:
-                    imp = lambda r, s=spec: s.F(r, 1)
-                    dimp = lambda r, s=spec: s.F(r, 2)
-                exp_ = lambda r: np.zeros_like(r)
-                dexp = lambda r: np.zeros_like(r)
-            else:
-                if eps:
-                    imp = lambda r, s=spec: yosida_beta(s, eps, r)
-                    dimp = lambda r, s=spec: yosida_dbeta(s, eps, r)
-                else:
-                    imp = lambda r, s=spec: s.beta(r)
-                    dimp = lambda r, s=spec: s.dbeta(r)
-                exp_ = spec.pi
-                dexp = spec.dpi
-            self.parts[side] = (imp, dimp, exp_, dexp)
+        self.pair = pair
+        self.eps = opts.eps_yosida
+        self.split = opts.scheme == "convex-splitting"
 
-    def nodal(self, ops, phi, which: int):
-        """Lumped-mass-weighted nodal term; which selects imp/dimp/exp/dexp."""
-        fb = self.parts["bulk"][which]
-        fg = self.parts["gamma"][which]
-        return ops.lumped(fb(phi), fg(phi[ops.mesh.trace_map]))
+    def _implicit(self, spec, r, orders=(1, 2)):
+        """Orders 1 (N) and 2 (lambda) of one potential's implicit part."""
+        if not self.eps:
+            return spec.derivatives(r, orders, convex=self.split)
+        parts = yosida_derivatives(spec, self.eps, r)
+        if not self.split:
+            parts = (parts[0] + spec.pi(r), parts[1] + spec.dpi(r))
+        return tuple(parts[k - 1] for k in orders)
+
+    def _lumped(self, ops, side, phi):
+        tr = ops.mesh.trace_map
+        bulk = side(self.pair.bulk, phi)
+        if self.pair.boundary is self.pair.bulk:
+            gamma = [z[..., tr] for z in bulk]
+        else:
+            gamma = side(self.pair.boundary, phi[..., tr])
+        return tuple(ops.lumped(z, z_G) for z, z_G in zip(bulk, gamma))
+
+    def implicit(self, ops, phi):
+        """(N(phi), lambda(phi)) with lambda = N'."""
+        return self._lumped(ops, self._implicit, phi)
+
+    def explicit(self, ops, phi):
+        """(E(phi), E'(phi)); read-only zeros without convex splitting."""
+        if not self.split:
+            zero = np.broadcast_to(0.0, np.shape(phi))
+            return zero, zero
+        return self._lumped(ops, lambda spec, r: (spec.pi(r), spec.dpi(r)), phi)
+
+    def jacobian(self, ops, phi):
+        """(lambda(phi), E'(phi)), the state-dependent terms of the
+        linearized step."""
+        lam, = self._lumped(ops, lambda spec, r: self._implicit(spec, r, (2,)), phi)
+        return lam, self.explicit(ops, phi)[1]
 
 
 def scheme_functions(pair: PotentialPair, opts: SolverOptions) -> _SchemeFns:
@@ -287,8 +301,7 @@ def _chord_step(ops, a, b, rhs, lam, refresh):
     x = template.lu.solve(rhs[template.order])[template.inverse]
     if not np.all(np.isfinite(x)):
         raise SolverError(f"{_where(None)} returned non-finite values")
-    n = ops.mesh.n_bulk
-    return x[:n], x[n:]
+    return x.reshape(2, -1)
 
 
 def _weighted_norm(ops, r1, r2):
@@ -325,20 +338,22 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
     # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
     Mphi_n = Mbar @ phi_n
     c1 = Mphi_n / dt + gamma * ops.mass(u, ug)
-    c2 = (tau / dt) * Mphi_n - fns.nodal(ops, phi_n, 2)
+    c2 = (tau / dt) * Mphi_n - fns.explicit(ops, phi_n)[0]
 
     a, b = jacobian_coefficients(physics, dt)
-    phi = phi_n.copy()
-    mu = mu_n.copy()
+    # The iterate (phi, mu) as the two columns of X: two sparse products
+    # per residual.
+    X = np.column_stack([phi_n, mu_n])
     prev = np.inf
     for it in range(opts.newton_max_iter + 1):
-        X = np.column_stack([phi, mu])
+        phi = X[:, 0]
         m, k = Mbar @ X, Kbar @ X
+        nodal, lam = fns.implicit(ops, phi)
         r1 = a[0] * m[:, 0] + k[:, 1] - c1
-        r2 = a[2] * m[:, 0] + k[:, 0] - m[:, 1] + fns.nodal(ops, phi, 0) - c2
+        r2 = a[2] * m[:, 0] + k[:, 0] - m[:, 1] + nodal - c2
         res = _weighted_norm(ops, r1, r2)
         if res <= opts.newton_tol:
-            return phi, mu, it
+            return phi, X[:, 1], it
         if it == opts.newton_max_iter:
             raise SolverError(
                 f"Newton did not converge in {opts.newton_max_iter} iterations "
@@ -346,13 +361,14 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
                 residual=res,
             )
         try:
-            dphi, dmu = _chord_step(
-                ops, a, b, -np.concatenate([r1, r2]), fns.nodal(ops, phi, 1),
+            dX = _chord_step(
+                ops, a, b, -np.concatenate([r1, r2]), lam,
                 refresh=res > CHORD_RHO * prev,
             )
         except SolverError as err:
             raise SolverError(f"Newton iteration {it + 1}: {err}", residual=res) from err
         prev = res
+        dphi = dX[0]
         alpha = 1.0
         if mask is not None:
             moving = mask & (dphi != 0.0)
@@ -368,8 +384,7 @@ def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
                         f"iterate pinned at the potential domain boundary "
                         f"at node {node} (phi = {phi[node]:.6f})"
                     )
-        phi = phi + alpha * dphi
-        mu = mu + alpha * dmu
+        X = X + alpha * dX.T
     raise AssertionError("unreachable")
 
 
@@ -399,7 +414,7 @@ def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
     """Chemical potential at t = 0 from the second equation (no dynamics)."""
     ops = problem.ops
     fns = scheme_functions(problem.pair, problem.opts)
-    rhs = ops.K_total @ phi0 + fns.nodal(ops, phi0, 0) + fns.nodal(ops, phi0, 2)
+    rhs = ops.K_total @ phi0 + fns.implicit(ops, phi0)[0] + fns.explicit(ops, phi0)[0]
     mu0 = _mass_solve(ops, rhs)
     if mu0 is None or not np.all(np.isfinite(mu0)):
         raise SolverError(

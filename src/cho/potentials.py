@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import PotentialDomainError, ValidationError
+from .errors import PotentialDomainError, SolverError, ValidationError
 
 _UNBOUNDED = (-math.inf, math.inf)
 _UNIT = (-1.0, 1.0)
@@ -50,10 +50,7 @@ class PotentialSpec:
         self._derivs = derivs
         self._beta_hat, self._beta, self._dbeta = beta_fns
         self._pi, self._dpi = pi_fns
-
-    @property
-    def bounded(self) -> bool:
-        return math.isfinite(self.domain[0]) or math.isfinite(self.domain[1])
+        self.bounded = math.isfinite(domain[0]) or math.isfinite(domain[1])
 
     def check_domain(self, r):
         """Raise unless every value is strictly inside D."""
@@ -74,6 +71,15 @@ class PotentialSpec:
             raise ValueError(f"order must be 0..3, got {order}")
         self.check_domain(r)
         return self._derivs[order](np.asarray(r, dtype=float))
+
+    def derivatives(self, r, orders=(1, 2), convex: bool = False):
+        """Derivatives of the given orders of F, or of beta_hat when
+        ``convex`` (orders 1 and 2 give beta and beta'), at r after one
+        domain check."""
+        self.check_domain(r)
+        r = np.asarray(r, dtype=float)
+        fns = (self._beta_hat, self._beta, self._dbeta) if convex else self._derivs
+        return tuple(fns[k](r) for k in orders)
 
     def beta_hat(self, r):
         self.check_domain(r)
@@ -162,20 +168,24 @@ def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
 # ---------------------------------------------------------------------------
 
 RESOLVENT_RTOL = 1e-12
+RESOLVENT_MAXITER = 200
 
 
 def resolvent(spec: PotentialSpec, eps: float, r):
     """Solve J + eps * beta(J) = r for J, vectorized.
 
     Defined for every real r, also outside D: the solution J always lies
-    strictly inside D.  Safeguarded Newton with a bisection fallback,
-    relative tolerance 1e-12.
+    strictly inside D.  Safeguarded Newton with a bisection fallback on
+    the nodes not yet converged.  A node stops when a Newton correction
+    below the relative tolerance 1e-12 lands inside its bracket or on one
+    of its ends.  A node still moving after ``RESOLVENT_MAXITER``
+    iterations raises ``SolverError``.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r).astype(float)
+    shape = r.shape
+    r = r.ravel()
 
     lo = np.minimum(r, 0.0)
     hi = np.maximum(r, 0.0)
@@ -184,45 +194,56 @@ def resolvent(spec: PotentialSpec, eps: float, r):
         lo = np.maximum(lo, np.nextafter(a, 0.0))
         hi = np.minimum(hi, np.nextafter(b, 0.0))
 
-    def g(J):
-        return J + eps * spec._beta(J) - r
-
-    glo, ghi = g(lo), g(hi)
+    glo = lo + eps * spec._beta(lo) - r
+    ghi = hi + eps * spec._beta(hi) - r
     J = np.where(glo >= 0.0, lo, np.where(ghi <= 0.0, hi, 0.5 * (lo + hi)))
-    active = (glo < 0.0) & (ghi > 0.0)
-
-    # Safeguarded Newton: converged when the Newton correction is below the
-    # relative tolerance (the correction size measures the error in J).
-    for _ in range(200):
-        if not np.any(active):
+    # Newton runs on the compacted active nodes only; ``idx`` maps them
+    # back into J.
+    idx = np.flatnonzero((glo < 0.0) & (ghi > 0.0))
+    x, r, lo, hi = J[idx], r[idx], lo[idx], hi[idx]
+    for _ in range(RESOLVENT_MAXITER):
+        if not idx.size:
             break
-        gJ = np.where(active, g(J), 0.0)
-        lo = np.where(active & (gJ < 0.0), J, lo)
-        hi = np.where(active & (gJ > 0.0), J, hi)
-        dg = 1.0 + eps * spec._dbeta(np.where(active, J, 0.0))
-        step = np.where(active, -gJ / dg, 0.0)
-        J_newton = J + step
-        inside = (J_newton > lo) & (J_newton < hi)
-        converged = active & inside & (
-            np.abs(step) <= RESOLVENT_RTOL * np.maximum(1.0, np.abs(J))
+        gx = x + eps * spec._beta(x) - r
+        lo = np.where(gx < 0.0, x, lo)
+        hi = np.where(gx > 0.0, x, hi)
+        step = -gx / (1.0 + eps * spec._dbeta(x))
+        x_newton = x + step
+        inside = (x_newton > lo) & (x_newton < hi)
+        # The correction size measures the error in J; a small correction
+        # that lands on an end of the bracket has converged as well.
+        small = np.abs(step) <= RESOLVENT_RTOL * np.maximum(1.0, np.abs(x))
+        converged = small & (x_newton >= lo) & (x_newton <= hi)
+        x = np.where(inside | converged, x_newton, 0.5 * (lo + hi))
+        if converged.any():
+            J[idx[converged]] = x[converged]
+            keep = ~converged
+            idx, x, r, lo, hi = idx[keep], x[keep], r[keep], lo[keep], hi[keep]
+    if idx.size:
+        raise SolverError(
+            f"Yosida resolvent did not converge in {RESOLVENT_MAXITER} iterations "
+            f"at {idx.size} nodes (first r = {float(r[0]):.6g})"
         )
-        J = np.where(active, np.where(inside, J_newton, 0.5 * (lo + hi)), J)
-        active = active & ~converged
+    return J.reshape(shape) if shape else float(J[0])
 
-    return float(J[0]) if scalar else J
+
+def yosida_derivatives(spec: PotentialSpec, eps: float, r):
+    """beta_eps(r) = (r - J)/eps and its derivative beta'(J)/(1 + eps beta'(J))
+    <= 1/eps, from one resolvent J = J_eps(r)."""
+    r = np.asarray(r, dtype=float)
+    J = resolvent(spec, eps, r)
+    dB = spec._dbeta(J)
+    return (r - J) / eps, dB / (1.0 + eps * dB)
 
 
 def yosida_beta(spec: PotentialSpec, eps: float, r):
     """Yosida approximation beta_eps(r) = (r - J_eps(r)) / eps."""
-    r = np.asarray(r, dtype=float)
-    return (r - resolvent(spec, eps, r)) / eps
+    return yosida_derivatives(spec, eps, r)[0]
 
 
 def yosida_dbeta(spec: PotentialSpec, eps: float, r):
-    """Derivative of beta_eps; equals beta'(J)/(1 + eps beta'(J)) <= 1/eps."""
-    J = np.asarray(resolvent(spec, eps, r))
-    dB = spec._dbeta(J)
-    return dB / (1.0 + eps * dB)
+    """Derivative of beta_eps; see ``yosida_derivatives``."""
+    return yosida_derivatives(spec, eps, r)[1]
 
 
 def yosida_hat(spec: PotentialSpec, eps: float, r):

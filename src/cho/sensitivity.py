@@ -56,12 +56,12 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
 
     Mbar = ops.M_total
     a, b = jacobian_coefficients(physics, dt)
+    lam, dexp = fns.jacobian(ops, base.phi)
     for k in range(grid.N):
-        lam = fns.nodal(ops, base.phi[k + 1], 1)
         rhs1 = (1.0 / dt) * (Mbar @ psi[k]) + physics.gamma * ops.mass(hu[k], hg[k])
-        rhs2 = (physics.tau / dt) * (Mbar @ psi[k]) - fns.nodal(ops, base.phi[k], 3) * psi[k]
+        rhs2 = (physics.tau / dt) * (Mbar @ psi[k]) - dexp[k] * psi[k]
         psi[k + 1], eta[k + 1] = solve_block_system(
-            ops, a, b, np.concatenate([rhs1, rhs2]), lam=lam, step=k + 1
+            ops, a, b, np.concatenate([rhs1, rhs2]), lam=lam[k + 1], step=k + 1
         )
     return LinearizedTrajectory(base, psi, eta)
 

@@ -304,6 +304,18 @@ class TestSimulate:
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 3
         assert "outside the open domain" in capsys.readouterr().err
 
+    def test_resolvent_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        import copy
+
+        from cho import potentials
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(potentials, "RESOLVENT_MAXITER", 1)
+        data = copy.deepcopy(MINIMAL)
+        data["potential"] = {"kind": "logarithmic", "eps_yosida": 0.1}
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 3
+        assert "Yosida resolvent did not converge" in capsys.readouterr().err
+
     def test_malformed_yaml_exits_1(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("{{{nope")

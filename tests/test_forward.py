@@ -60,7 +60,7 @@ class TestStep:
             phi_n, phi, mu = traj.phi[k], traj.phi[k + 1], traj.mu[k + 1]
             r1 = ops.M_total @ ((phi - phi_n) / dt + gamma * phi) + ops.K_total @ mu - source
             r2 = ((tau / dt) * (ops.M_total @ (phi - phi_n)) + ops.K_total @ phi
-                  + fns.nodal(ops, phi, 0) + fns.nodal(ops, phi_n, 2)
+                  + fns.implicit(ops, phi)[0] + fns.explicit(ops, phi_n)[0]
                   - ops.M_total @ mu)
             assert _weighted_norm(ops, r1, r2) <= problem.opts.newton_tol
 
@@ -91,15 +91,16 @@ class TestInitialMu:
         ops = problem.ops
         phi0 = 0.6 * np.sin(np.arange(ops.mesh.n_bulk))
         fns = forward.scheme_functions(problem.pair, problem.opts)
-        rhs = ops.K_total @ phi0 + fns.nodal(ops, phi0, 0)
+        rhs = ops.K_total @ phi0 + fns.implicit(ops, phi0)[0]
         direct = spla.spsolve(ops.M_total.tocsc(), rhs)
         mu0 = initial_mu(problem, phi0)
         assert np.linalg.norm(mu0 - direct) <= 1e-13 * np.linalg.norm(direct)
 
     def test_non_finite_potential_fails_at_step_0(self, monkeypatch):
-        nodal = _SchemeFns.nodal
-        monkeypatch.setattr(_SchemeFns, "nodal", lambda self, ops, phi, which: (
-            np.full(ops.mesh.n_bulk, np.nan) if which == 0 else nodal(self, ops, phi, which)))
+        implicit = _SchemeFns._implicit
+        monkeypatch.setattr(_SchemeFns, "_implicit", lambda self, spec, r, orders=(1, 2): tuple(
+            np.full_like(z, np.nan) if k == 1 else z
+            for k, z in zip(orders, implicit(self, spec, r, orders))))
         problem = make_problem()
         with pytest.raises(SolverError, match="initial chemical potential") as err:
             solve(problem, cosine_ic(problem.mesh), ControlPair.zeros(problem.mesh, problem.grid))

@@ -4,6 +4,11 @@ The loops below are the reference implementations the vectorized code
 replaced.  Sums now accumulate in another order, so results agree to a
 relative 1e-12 (float64); the reduced gradient does the same arithmetic
 elementwise and must agree exactly.
+
+The nodal scheme terms are checked the same way: the fused evaluations
+(one pass per state for a term and its derivative, one resolvent per
+side) against the per-order formulas, and the compacted resolvent against
+the full-array safeguarded Newton loop.
 """
 
 import numpy as np
@@ -26,14 +31,21 @@ from cho.forward import (
     SolverOptions,
     TimeGrid,
     exact_mean,
+    scheme_functions,
     mean_ode_residual,
     solve,
     traj_norm_L2H,
     traj_norm_Y,
 )
-from cho.mesh import build_rectangle
+from cho.mesh import build_interval, build_rectangle
 from cho.output import write_series_csv
-from cho.potentials import PotentialPair, regular_potential
+from cho.potentials import (
+    RESOLVENT_RTOL,
+    PotentialPair,
+    logarithmic_potential,
+    regular_potential,
+    resolvent,
+)
 from cho.sensitivity import linearized_solve
 
 from conftest import cosine_ic, make_problem
@@ -250,3 +262,133 @@ def test_series_csv(bundle, tmp_path):
     for col in (1, 2, 3):
         scale = np.abs(expected[:, col]).max()
         assert np.allclose(got[:, col], expected[:, col], rtol=0.0, atol=RTOL * scale)
+
+
+# ---------------------------------------------------------------------------
+# Nodal scheme terms and the Yosida resolvent
+# ---------------------------------------------------------------------------
+
+def loop_resolvent(spec, eps, r):
+    """Safeguarded Newton over every node with ``np.where``, stopping only on
+    a small correction strictly inside the bracket.  Returns J and the mask
+    of nodes the compacted resolvent must reproduce exactly: those that
+    converged before the 200-iteration cap without a small correction ever
+    landing on an end of their bracket (the compacted loop stops there)."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    lo, hi = np.minimum(r, 0.0), np.maximum(r, 0.0)
+    if spec.bounded:
+        lo = np.maximum(lo, np.nextafter(spec.domain[0], 0.0))
+        hi = np.minimum(hi, np.nextafter(spec.domain[1], 0.0))
+
+    def g(J):
+        return J + eps * spec._beta(J) - r
+
+    glo, ghi = g(lo), g(hi)
+    J = np.where(glo >= 0.0, lo, np.where(ghi <= 0.0, hi, 0.5 * (lo + hi)))
+    active = (glo < 0.0) & (ghi > 0.0)
+    landed = np.zeros_like(active)
+    for _ in range(200):
+        if not np.any(active):
+            break
+        gJ = np.where(active, g(J), 0.0)
+        lo = np.where(active & (gJ < 0.0), J, lo)
+        hi = np.where(active & (gJ > 0.0), J, hi)
+        dg = 1.0 + eps * spec._dbeta(np.where(active, J, 0.0))
+        step = np.where(active, -gJ / dg, 0.0)
+        J_newton = J + step
+        inside = (J_newton > lo) & (J_newton < hi)
+        small = np.abs(step) <= RESOLVENT_RTOL * np.maximum(1.0, np.abs(J))
+        landed |= active & small & ~inside & (J_newton >= lo) & (J_newton <= hi)
+        converged = active & inside & small
+        J = np.where(active, np.where(inside, J_newton, 0.5 * (lo + hi)), J)
+        active = active & ~converged
+    return J, ~active & ~landed
+
+
+def loop_yosida_beta(spec, eps, r):
+    return (r - loop_resolvent(spec, eps, r)[0]) / eps
+
+
+def loop_yosida_dbeta(spec, eps, r):
+    dB = spec._dbeta(loop_resolvent(spec, eps, r)[0])
+    return dB / (1.0 + eps * dB)
+
+
+def loop_nodal(pair, opts, ops, phi):
+    """Lumped nodal terms (N, N', E, E') of the implicit/explicit split at
+    one state, from the per-order formulas.  Also returns the nodes whose
+    resolvent the compacted loop must reproduce exactly."""
+    eps = opts.eps_yosida
+    out, exact = [], []
+    for spec, r in ((pair.bulk, phi), (pair.boundary, phi[ops.mesh.trace_map])):
+        if opts.scheme == "fully-implicit":
+            if eps:
+                parts = (loop_yosida_beta(spec, eps, r) + spec.pi(r),
+                         loop_yosida_dbeta(spec, eps, r) + spec.dpi(r))
+            else:
+                parts = (spec.F(r, 1), spec.F(r, 2))
+            parts += (np.zeros_like(r), np.zeros_like(r))
+        else:
+            if eps:
+                parts = (loop_yosida_beta(spec, eps, r), loop_yosida_dbeta(spec, eps, r))
+            else:
+                parts = (spec.beta(r), spec.dbeta(r))
+            parts += (spec.pi(r), spec.dpi(r))
+        out.append(parts)
+        exact.append(loop_resolvent(spec, eps, r)[1] if eps else np.ones(r.shape, bool))
+    terms = []
+    for bulk, gamma in zip(*out):
+        total = ops.lumped_bulk * bulk
+        for i, node in enumerate(ops.mesh.trace_map):
+            total[node] += ops.lumped_gamma[i] * gamma[i]
+        terms.append(total)
+    mask = exact[0].copy()
+    for i, node in enumerate(ops.mesh.trace_map):
+        mask[node] &= exact[1][i]
+    return terms, mask
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("scheme", ["fully-implicit", "convex-splitting"])
+@pytest.mark.parametrize("mesh", [build_interval(9, 1.0), build_rectangle(4, 3, 1.0, 0.8)],
+                         ids=["interval", "rectangle"])
+@pytest.mark.parametrize("pair", [
+    PotentialPair(bulk=regular_potential(), boundary=logarithmic_potential(2.0)),
+    PotentialPair.same(logarithmic_potential(2.0)),
+], ids=["bulk-boundary", "same"])
+def test_fused_nodal_terms(pair, mesh, scheme, eps):
+    # With a regular bulk and a logarithmic boundary potential the trace
+    # scatter adds a different term at the boundary nodes; with one
+    # potential the trace reuses the bulk values.
+    problem = Problem.create(mesh, pair, SolverOptions(scheme=scheme, eps_yosida=eps),
+                             Physics(1.0, 1.0), TimeGrid(0.1, 4))
+    ops, fns = problem.ops, scheme_functions(pair, problem.opts)
+    # With eps > 0 the states leave the logarithmic domain (-1, 1).
+    spread = 1.5 if eps else 0.95
+    stack = np.random.default_rng(8).uniform(-spread, spread, (5, mesh.n_bulk))
+    rows = [loop_nodal(pair, problem.opts, ops, row) for row in stack]
+    expected = np.array([terms for terms, _ in rows]).transpose(1, 0, 2)
+    exact = np.array([mask for _, mask in rows])
+    assert exact.mean() > 0.9
+    for phi, ref, mask in ((stack, expected, exact), (stack[2], expected[:, 2], exact[2])):
+        got_terms = fns.implicit(ops, phi) + fns.explicit(ops, phi) + fns.jacobian(ops, phi)
+        for which, (got, want) in enumerate(zip(got_terms, [*ref, ref[1], ref[3]])):
+            scale = np.abs(want).max()
+            assert np.abs(got - want)[mask].max() <= 1e-14 * scale, which
+            assert np.allclose(got, want, rtol=1e-10, atol=0.0), which
+
+
+@pytest.mark.parametrize("spec", [regular_potential(), logarithmic_potential(2.0)],
+                         ids=["regular", "logarithmic"])
+@pytest.mark.parametrize("eps", [0.5, 0.1, 1e-2, 1e-3])
+def test_compacted_resolvent(spec, eps):
+    # Equal where the full-array loop converged without a small correction
+    # landing on a bracket end; elsewhere within the tolerance.  Rows, a
+    # stack and a strided view give the same values.
+    rs = np.random.default_rng(2).uniform(-3.0, 3.0, (4, 81))
+    expected, exact = loop_resolvent(spec, eps, rs.ravel())
+    got = resolvent(spec, eps, rs[:, ::-1].T).T[:, ::-1].ravel()
+    assert np.array_equal(got[exact], expected[exact])
+    assert np.allclose(got, expected, rtol=RESOLVENT_RTOL, atol=0.0)
+    rows = np.concatenate([resolvent(spec, eps, row) for row in rs])
+    assert np.array_equal(rows, got)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cho.errors import PotentialDomainError, ValidationError
+from cho import potentials
+from cho.errors import PotentialDomainError, SolverError, ValidationError
 from cho.potentials import (
     MeanValueCheck,
     PotentialPair,
@@ -156,6 +157,33 @@ class TestYosida:
     def test_eps_out_of_range(self):
         with pytest.raises(ValueError):
             resolvent(REG, 1.5, 0.0)
+
+    def test_resolvent_stops_on_a_bracket_end(self):
+        # Here a Newton correction below the tolerance lands exactly on an
+        # end of its bracket at several nodes; they stop there instead of
+        # bisecting on to the iteration cap.
+        spec = logarithmic_potential(2.0)
+        calls = []
+        dbeta = spec._dbeta
+        spec._dbeta = lambda J: calls.append(J.size) or dbeta(J)
+        rs = np.random.default_rng(0).uniform(-3.0, 3.0, 81)
+        J = resolvent(spec, 0.1, rs)
+        assert len(calls) <= 60
+        # Bisection down to adjacent doubles; near +-1 the residual
+        # J + eps beta(J) - r cannot be small, so compare values.
+        lo = np.maximum(np.minimum(rs, 0.0), np.nextafter(-1.0, 0.0))
+        hi = np.minimum(np.maximum(rs, 0.0), np.nextafter(1.0, 0.0))
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            g = mid + 0.1 * LOG.beta(mid) - rs
+            lo, hi = np.where(g < 0.0, mid, lo), np.where(g > 0.0, mid, hi)
+        assert np.all(np.abs(J) < 1.0)
+        assert np.allclose(J, 0.5 * (lo + hi), rtol=potentials.RESOLVENT_RTOL, atol=0.0)
+
+    def test_resolvent_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(potentials, "RESOLVENT_MAXITER", 2)
+        with pytest.raises(SolverError, match="did not converge in 2 iterations"):
+            resolvent(LOG, 0.1, np.linspace(-2.5, 2.5, 25))
 
 
 class TestMeanValueCondition:

@@ -23,7 +23,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cho import forward
+from cho import forward, potentials
 from cho.adjoint import adjoint_solve
 from cho.cli import main
 from cho.control import ControlPair, CostSpec, random_direction
@@ -40,7 +40,12 @@ from cho.forward import (
     solve_block_system,
 )
 from cho.mesh import build_interval, build_rectangle
-from cho.potentials import PotentialPair, regular_potential
+from cho.potentials import (
+    PotentialPair,
+    PotentialSpec,
+    logarithmic_potential,
+    regular_potential,
+)
 from cho.sensitivity import linearized_solve
 from cho.spaces import PairField, assemble
 
@@ -273,6 +278,66 @@ def test_factorization_budget(factor_log):
     assert factor_log.step_factors <= 4
 
 
+class EvaluationLog:
+    def __init__(self, monkeypatch):
+        self.counts = {}
+        for cls, name in ((_SchemeFns, "implicit"), (_SchemeFns, "explicit"),
+                          (_SchemeFns, "jacobian"), (_SchemeFns, "_implicit"),
+                          (PotentialSpec, "check_domain"), (potentials, "resolvent")):
+            monkeypatch.setattr(cls, name, self._counting(getattr(cls, name), name))
+        self.take()
+
+    def _counting(self, fn, name):
+        def counted(*args, **kwargs):
+            self.counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    def take(self):
+        counts = dict(self.counts)
+        self.counts = dict.fromkeys(
+            ("implicit", "explicit", "jacobian", "_implicit", "check_domain", "resolvent"), 0)
+        return counts
+
+
+@pytest.mark.parametrize("sides", [1, 2], ids=["same", "bulk-boundary"])
+@pytest.mark.parametrize("scheme", ["fully-implicit", "convex-splitting"])
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+def test_evaluation_budget(sides, scheme, eps, monkeypatch):
+    # 8x8 rectangle, with one logarithmic potential or a regular bulk and a
+    # logarithmic boundary one.  Forward: one implicit evaluation per
+    # residual (and one for the initial chemical potential), each one pass
+    # per distinct potential with one domain check, or one resolvent when
+    # eps > 0.  Linearized and adjoint: one stacked evaluation each,
+    # whatever N.
+    mesh = build_rectangle(8, 8, 1.0, 1.0)
+    grid = TimeGrid(T=0.4, N=8)
+    log_potential = logarithmic_potential(2.0)
+    pair = (PotentialPair.same(log_potential) if sides == 1
+            else PotentialPair(bulk=regular_potential(), boundary=log_potential))
+    problem = Problem.create(mesh, pair, SolverOptions(scheme=scheme, eps_yosida=eps),
+                             PHYSICS, grid)
+    rng = np.random.default_rng(11)
+    phi0 = PairField.from_bulk(mesh, rng.uniform(-0.4, 0.4, mesh.n_bulk))
+    u = ControlPair.constant(mesh, grid, 0.1, 0.05)
+    log = EvaluationLog(monkeypatch)
+
+    base = solve(problem, phi0, u)
+    implicit = int((base.newton_iters + 1).sum()) + 1
+    passes = sides * implicit
+    assert log.take() == {
+        "implicit": implicit, "explicit": grid.N + 1, "jacobian": 0, "_implicit": passes,
+        "check_domain": 0 if eps else passes, "resolvent": passes if eps else 0,
+    }
+    linearized_solve(problem, base, random_direction(mesh, grid, rng).scaled(0.1))
+    adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
+    passes = 2 * sides
+    assert log.take() == {
+        "implicit": 0, "explicit": 2, "jacobian": 2, "_implicit": passes,
+        "check_domain": 0 if eps else passes, "resolvent": passes if eps else 0,
+    }
+
+
 MESHES = st.one_of(
     st.builds(build_interval, st.integers(2, 12), st.floats(0.5, 2.0)),
     st.builds(build_rectangle, st.integers(2, 5), st.integers(2, 5),
@@ -371,13 +436,13 @@ def test_chord_refactors_and_converges(case, factor_log, monkeypatch):
 
 
 def nan_second_derivative(monkeypatch, ops):
-    nodal = _SchemeFns.nodal
+    implicit = _SchemeFns._implicit
 
-    def patched(self, ops, phi, which):
-        out = nodal(self, ops, phi, which)
-        return np.full_like(out, np.nan) if which == 1 else out
+    def patched(self, spec, r, orders=(1, 2)):
+        return tuple(np.full_like(z, np.nan) if k == 2 else z
+                     for k, z in zip(orders, implicit(self, spec, r, orders)))
 
-    monkeypatch.setattr(_SchemeFns, "nodal", patched)
+    monkeypatch.setattr(_SchemeFns, "_implicit", patched)
 
 
 def _fresh_template(monkeypatch, ops):
