@@ -17,6 +17,12 @@ right end of the step interval; ``adjoint_continuous_form`` freezes
 them at the left end instead (discretize-the-adjoint variant) and is
 kept for cross-validation.
 
+The cost enters through ``CostSpec.sources``: the terminal source zeta3
+and the running source Z1, one mass-weighted misfit row per time level,
+evaluated once for the whole trajectory.  Step m reads Z1[m] here and
+Z1[m - 1] in the continuous form; ``cost_directional`` pairs the same
+rows with the sensitivity.
+
 No backward matrix is assembled.  The backward step matrix equals
 diag(dt I, I) J^T with J the forward step Jacobian, so both solvers
 solve J^T (p, q) = (rhs / dt, 0) through the forward solver's
@@ -51,26 +57,25 @@ class AdjointTrajectory:
 def _sweep_backward(problem: Problem, base: StateTrajectory, cost, step_terms):
     """Terminal pair, then backward steps m = N..1.
 
-    The terminal pair solves M(p + tau q) = zeta3_w and K p = M q.  Each
+    The terminal pair solves M(p + tau q) = zeta3 and K p = M q.  Each
     backward step solves J^T (p, q) = (rhs1, 0) with the step Jacobian J,
-    where ``step_terms(data, m, p_m, q_m)`` returns J's diagonal weights
-    and rhs1.
+    where ``step_terms(Z1, m, p_m, q_m)`` returns J's diagonal weights and
+    rhs1, given the running sources Z1 of ``CostSpec.sources``.
     """
     ops, grid = problem.ops, problem.grid
-    data = cost.expand(problem.mesh, grid)
+    Z1, zeta3 = cost.sources(ops, base.phi)
     n = problem.mesh.n_bulk
     p = np.zeros((grid.N + 1, n))
     q = np.zeros((grid.N + 1, n))
     zero = np.zeros(n)
 
-    zeta3 = data.zeta3_w(ops, base.phi[grid.N])
     p[grid.N], q[grid.N] = solve_block_system(
         ops, (1.0, problem.physics.tau, 0.0, -1.0), (0.0, 0.0, 1.0, 0.0),
         np.concatenate([zeta3, zero]), step=grid.N,
     )
     a, b = jacobian_coefficients(problem.physics, grid.dt)
     for m in range(grid.N, 0, -1):
-        lam, rhs1 = step_terms(data, m, p[m], q[m])
+        lam, rhs1 = step_terms(Z1, m, p[m], q[m])
         p[m - 1], q[m - 1] = solve_block_system(
             ops, a, b, np.concatenate([rhs1, zero]), lam=lam, trans="T", step=m
         )
@@ -83,9 +88,8 @@ def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTraje
     fns = scheme_functions(problem.pair, problem.opts)
     lam, dexp = fns.jacobian(ops, base.phi)
 
-    def step_terms(data, m, pm, qm):
-        phi = base.phi[m]
-        rhs1 = data.zeta1_w(ops, phi, m) + ops.M_total @ (pm + tau * qm) / dt
+    def step_terms(Z1, m, pm, qm):
+        rhs1 = Z1[m] + ops.M_total @ (pm + tau * qm) / dt
         if m < N:
             rhs1 -= dexp[m] * qm
         return lam[m], rhs1
@@ -103,9 +107,9 @@ def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> Ad
     ops, pair = problem.ops, problem.pair
     tau, dt = problem.physics.tau, problem.grid.dt
 
-    def step_terms(data, m, pm, qm):
+    def step_terms(Z1, m, pm, qm):
         phi = base.phi[m - 1]
-        rhs1 = data.zeta1_w(ops, phi, m - 1) + ops.M_total @ (pm + tau * qm) / dt
+        rhs1 = Z1[m - 1] + ops.M_total @ (pm + tau * qm) / dt
         # F'' whatever the time-stepping split.
         lam = ops.lumped(pair.bulk.F(phi, 2), pair.boundary.F(phi[ops.mesh.trace_map], 2))
         return lam, rhs1

@@ -58,28 +58,21 @@ class ControlPair:
         )
 
 
-def _mass_sum(M, A, B) -> float:
-    return float(row_inner(M, A, B).sum())
-
-
 def control_inner(a: ControlPair, b: ControlPair, ops, dt: float) -> float:
     """Discrete L2-in-time inner product over bulk and boundary controls."""
-    return dt * (_mass_sum(ops.M_bulk, a.u, b.u) + _mass_sum(ops.M_gamma, a.uG, b.uG))
+    return float(dt * ops.inner(a.u, a.uG, b.u, b.uG).sum())
 
 
 def control_norm(a: ControlPair, ops, dt: float) -> float:
     return float(np.sqrt(max(control_inner(a, a, ops, dt), 0.0)))
 
 
-def random_direction(mesh, grid, rng, normalize_ops=None, dt=None) -> ControlPair:
-    """Uniform random slabs in [-1, 1]; optionally unit L2-in-time norm."""
-    h = ControlPair(
+def random_direction(mesh, grid, rng) -> ControlPair:
+    """Uniform random slabs in [-1, 1]."""
+    return ControlPair(
         rng.uniform(-1.0, 1.0, (grid.N, mesh.n_bulk)),
         rng.uniform(-1.0, 1.0, (grid.N, mesh.n_boundary)),
     )
-    if normalize_ops is not None:
-        h = h.scaled(1.0 / control_norm(h, normalize_ops, dt))
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +149,8 @@ def validate_Uad(pair: ControlPair, box: BoxBounds, grid, ops) -> UadReport:
     dt = grid.dt
     du = np.diff(pair.u, axis=0) / dt
     dg = np.diff(pair.uG, axis=0) / dt
-    h1u = float(np.sqrt(dt * _mass_sum(ops.M_bulk, du, du)))
-    h1g = float(np.sqrt(dt * _mass_sum(ops.M_gamma, dg, dg)))
+    h1u = float(np.sqrt(dt * row_inner(ops.M_bulk, du, du).sum()))
+    h1g = float(np.sqrt(dt * row_inner(ops.M_gamma, dg, dg).sum()))
     h1_ok = h1u <= box.M_prime and h1g <= box.M_prime
     parts = []
     if not box_ok:
@@ -179,7 +172,9 @@ class CostSpec:
 
     alphas = (a1 bulk running, a2 boundary running, a3 bulk terminal,
     a4 boundary terminal, a5 bulk control, a6 boundary control).
-    Targets may be scalars, arrays, or None (zero target).
+    Targets are scalars or arrays broadcasting against the states: the
+    running targets phiQ, phiS against the (N+1)-row stacks, the terminal
+    targets phiO, phiG against one row.  None is a zero target.
     """
 
     alphas: tuple = (1.0, 0.0, 1.0, 0.0, 0.1, 0.1)
@@ -194,70 +189,39 @@ class CostSpec:
             raise ValidationError(f"expected 6 cost weights, got {len(self.alphas)}")
         if not all(a >= 0 for a in self.alphas):
             raise ValidationError("cost weights must be nonnegative")
+        for name in ("phiQ", "phiS", "phiO", "phiG"):
+            value = getattr(self, name)
+            target = np.asarray(0.0 if value is None else value, dtype=float)
+            if not np.all(np.isfinite(target)):
+                raise ValidationError(f"cost target {name} must be finite")
+            setattr(self, name, target)
 
-    def expand(self, mesh, grid) -> "CostData":
-        def running(target, width):
-            arr = np.zeros((grid.N + 1, width))
-            if target is not None:
-                arr[:] = np.asarray(target, dtype=float)
-            return arr
+    def misfits(self, ops, phi):
+        """Running misfit pair (phi - phiQ, phi|Gamma - phiS) of a state stack,
+        one row per time level, and the terminal pair at its last row."""
+        tr = phi[:, ops.mesh.trace_map]
+        return (phi - self.phiQ, tr - self.phiS), (phi[-1] - self.phiO, tr[-1] - self.phiG)
 
-        def terminal(target, width):
-            arr = np.zeros(width)
-            if target is not None:
-                arr[:] = np.asarray(target, dtype=float)
-            return arr
-
-        return CostData(
-            self.alphas,
-            running(self.phiQ, mesh.n_bulk),
-            running(self.phiS, mesh.n_boundary),
-            terminal(self.phiO, mesh.n_bulk),
-            terminal(self.phiG, mesh.n_boundary),
-        )
-
-
-@dataclass
-class CostData:
-    """Cost targets expanded to dense arrays on a concrete mesh/grid."""
-
-    alphas: tuple
-    phiQ: np.ndarray        # (N+1, n_bulk)
-    phiS: np.ndarray        # (N+1, n_boundary)
-    phiO: np.ndarray        # (n_bulk,)
-    phiG: np.ndarray        # (n_boundary,)
-
-    def zeta1_w(self, ops, phi_row, n) -> np.ndarray:
-        """Mass-weighted running misfit a1 M (phi - phiQ) + a2 M_g (tr - phiS)."""
-        a1, a2 = self.alphas[0], self.alphas[1]
-        tr = phi_row[ops.mesh.trace_map]
-        return ops.mass(a1 * (phi_row - self.phiQ[n]), a2 * (tr - self.phiS[n]))
-
-    def zeta3_w(self, ops, phi_last) -> np.ndarray:
-        """Mass-weighted terminal misfit."""
-        a3, a4 = self.alphas[2], self.alphas[3]
-        tr = phi_last[ops.mesh.trace_map]
-        return ops.mass(a3 * (phi_last - self.phiO), a4 * (tr - self.phiG))
+    def sources(self, ops, phi):
+        """Mass-weighted misfits of a state stack: the running source
+        Z1 = a1 M (phi - phiQ) + a2 M_Gamma (phi|Gamma - phiS), one row per
+        time level, and the terminal source zeta3.  They are the state
+        gradient of the cost, so the adjoint and ``cost_directional`` read
+        them both."""
+        a1, a2, a3, a4 = self.alphas[:4]
+        (d, dg), (dN, dgN) = self.misfits(ops, phi)
+        return ops.mass(a1 * d, a2 * dg), ops.mass(a3 * dN, a4 * dgN)
 
 
 def cost(cost_spec: CostSpec, traj: StateTrajectory, u: ControlPair, ops) -> float:
     """Discrete cost: right-endpoint running terms, exact terminal terms."""
-    grid = traj.grid
-    data = cost_spec.expand(traj.mesh, grid)
-    a1, a2, a3, a4, a5, a6 = data.alphas
-    dt = grid.dt
-    tm = traj.mesh.trace_map
-
-    d = traj.phi[1:] - data.phiQ[1:]
-    dg = traj.phi[1:, tm] - data.phiS[1:]
-    J = 0.5 * dt * (a1 * _mass_sum(ops.M_bulk, d, d) + a2 * _mass_sum(ops.M_gamma, dg, dg))
-    d = traj.phi[grid.N] - data.phiO
-    dg = traj.phi[grid.N][tm] - data.phiG
-    J += 0.5 * (a3 * float(d @ (ops.M_bulk @ d)) + a4 * float(dg @ (ops.M_gamma @ dg)))
-    J += 0.5 * dt * (
-        a5 * _mass_sum(ops.M_bulk, u.u, u.u) + a6 * _mass_sum(ops.M_gamma, u.uG, u.uG)
-    )
-    return float(J)
+    a1, a2, a3, a4, a5, a6 = cost_spec.alphas
+    dt = traj.grid.dt
+    (d, dg), (dN, dgN) = cost_spec.misfits(ops, traj.phi)
+    J = dt * ops.inner(a1 * d[1:], a2 * dg[1:], d[1:], dg[1:]).sum()
+    J += ops.inner(a3 * dN, a4 * dgN, dN, dgN)
+    J += dt * ops.inner(a5 * u.u, a6 * u.uG, u.u, u.uG).sum()
+    return float(0.5 * J)
 
 
 def cost_directional(cost_spec: CostSpec, problem, base: StateTrajectory,
@@ -265,19 +229,14 @@ def cost_directional(cost_spec: CostSpec, problem, base: StateTrajectory,
     """Directional derivative of the discrete cost along (psi, h).
 
     ``psi`` is the (N+1, n_bulk) sensitivity of phi in the direction h,
-    e.g. from the linearized solver.  Cross-validates the adjoint path.
+    e.g. from the linearized solver.  The state part pairs psi with the
+    adjoint's own sources, so it cross-validates the adjoint path.
     """
-    ops, grid = problem.ops, problem.grid
-    data = cost_spec.expand(problem.mesh, grid)
-    dt = grid.dt
-    tm = problem.mesh.trace_map
-    a1, a2, _, _, a5, a6 = data.alphas
-    d = base.phi[1:] - data.phiQ[1:]
-    dg = base.phi[1:, tm] - data.phiS[1:]
-    dJ = dt * (a1 * _mass_sum(ops.M_bulk, d, psi[1:])
-               + a2 * _mass_sum(ops.M_gamma, dg, psi[1:, tm]))
-    dJ += float(data.zeta3_w(ops, base.phi[grid.N]) @ psi[grid.N])
-    dJ += dt * (a5 * _mass_sum(ops.M_bulk, u.u, h.u) + a6 * _mass_sum(ops.M_gamma, u.uG, h.uG))
+    ops, dt = problem.ops, problem.grid.dt
+    a5, a6 = cost_spec.alphas[4:]
+    Z1, zeta3 = cost_spec.sources(ops, base.phi)
+    dJ = dt * np.vdot(Z1[1:], psi[1:]) + zeta3 @ psi[-1]
+    dJ += dt * ops.inner(a5 * u.u, a6 * u.uG, h.u, h.uG).sum()
     return float(dJ)
 
 

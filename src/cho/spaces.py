@@ -65,10 +65,10 @@ class CoupledOperators:
     copies (``M_gamma``, ``K_gamma``) serve inner products of fields that
     live on the boundary alone, e.g. boundary controls.
 
-    ``lumped``, ``mass``, ``integral`` and ``mean`` are the only code that
-    pairs a bulk part z with a boundary part z_G.  Each takes one row (z of
-    length n_bulk, z_G of length n_boundary) or a stack of rows, one pair
-    per row; for a conforming pair z_G is z at ``mesh.trace_map``.
+    ``lumped``, ``mass``, ``integral``, ``mean`` and ``inner`` are the only
+    code that pairs a bulk part z with a boundary part z_G.  Each takes one
+    row (z of length n_bulk, z_G of length n_boundary) or a stack of rows,
+    one pair per row; for a conforming pair z_G is z at ``mesh.trace_map``.
     """
 
     def __init__(self, mesh: BulkSurfaceMesh):
@@ -118,6 +118,11 @@ class CoupledOperators:
     def mean(self, z, z_G):
         """Extended mean value (int_Omega z + int_Gamma z_G) / (|Omega| + |Gamma|)."""
         return self.integral(z, z_G) / self.measure
+
+    def inner(self, z, z_G, w, w_G):
+        """Inner product of the product space H of bulk and boundary L2
+        functions, per row: z . M_bulk w + z_G . M_gamma w_G."""
+        return row_inner(self.M_bulk, z, w) + row_inner(self.M_gamma, z_G, w_G)
 
     @cached_property
     def block_template(self) -> "BlockTemplate":
@@ -271,24 +276,3 @@ def row_inner(M, A, B):
     of two stacks."""
     return np.einsum("...j,...j->...", A, (M @ B.T).T)
 
-
-def norm_H(field: PairField, ops: CoupledOperators) -> float:
-    """Norm of the product space of bulk and boundary L2 functions."""
-    field.check_shapes(ops.mesh)
-    sq = field.bulk @ (ops.M_bulk @ field.bulk) + field.boundary @ (
-        ops.M_gamma @ field.boundary
-    )
-    return float(np.sqrt(max(sq, 0.0)))
-
-
-def norm_V(field: PairField, ops: CoupledOperators) -> float:
-    """H1-type norm; defined for conforming pairs only."""
-    if not field.conforming:
-        raise ValueError("norm_V requires a conforming pair")
-    field.check_shapes(ops.mesh)
-    sq = (
-        field.bulk @ (ops.M_bulk @ field.bulk)
-        + field.boundary @ (ops.M_gamma @ field.boundary)
-        + field.bulk @ (ops.K_total @ field.bulk)
-    )
-    return float(np.sqrt(max(sq, 0.0)))

@@ -62,6 +62,14 @@ class TestCost:
         with pytest.raises(ValidationError):
             CostSpec(alphas=(1, 1, 1, 1, -0.1, 1))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, [0.1, -np.inf]],
+                             ids=["nan", "inf", "row"])
+    @pytest.mark.parametrize("target", ["phiQ", "phiS", "phiO", "phiG"])
+    def test_non_finite_target_rejected(self, target, value):
+        # Caught where it enters, not as a non-finite cost or linear solve.
+        with pytest.raises(ValidationError, match=f"cost target {target} "):
+            CostSpec(**{target: value})
+
 
 class TestProjectBox:
     def test_interior_unchanged(self):

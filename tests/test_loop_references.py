@@ -47,6 +47,7 @@ from cho.potentials import (
     resolvent,
 )
 from cho.sensitivity import linearized_solve
+from cho.spaces import CoupledOperators
 
 from conftest import cosine_ic, make_problem
 
@@ -62,18 +63,22 @@ def loop_control_inner(a, b, ops, dt):
     return total
 
 
+def loop_target(target, n):
+    """Target at time level n: row n of a table, else the scalar or row itself."""
+    return target[n] if np.ndim(target) == 2 else target
+
+
 def loop_cost(cost_spec, traj, u, ops):
     grid = traj.grid
-    data = cost_spec.expand(traj.mesh, grid)
-    a1, a2, a3, a4, a5, a6 = data.alphas
+    a1, a2, a3, a4, a5, a6 = cost_spec.alphas
     dt, tm = grid.dt, traj.mesh.trace_map
     J = 0.0
     for n in range(1, grid.N + 1):
-        d = traj.phi[n] - data.phiQ[n]
-        dg = traj.phi[n][tm] - data.phiS[n]
+        d = traj.phi[n] - loop_target(cost_spec.phiQ, n)
+        dg = traj.phi[n][tm] - loop_target(cost_spec.phiS, n)
         J += 0.5 * dt * (a1 * float(d @ (ops.M_bulk @ d)) + a2 * float(dg @ (ops.M_gamma @ dg)))
-    d = traj.phi[grid.N] - data.phiO
-    dg = traj.phi[grid.N][tm] - data.phiG
+    d = traj.phi[grid.N] - cost_spec.phiO
+    dg = traj.phi[grid.N][tm] - cost_spec.phiG
     J += 0.5 * (a3 * float(d @ (ops.M_bulk @ d)) + a4 * float(dg @ (ops.M_gamma @ dg)))
     for j in range(grid.N):
         J += 0.5 * dt * (a5 * float(u.u[j] @ (ops.M_bulk @ u.u[j]))
@@ -83,13 +88,18 @@ def loop_cost(cost_spec, traj, u, ops):
 
 def loop_cost_directional(cost_spec, problem, base, psi, u, h):
     ops, grid = problem.ops, problem.grid
-    data = cost_spec.expand(problem.mesh, grid)
-    dt = grid.dt
+    a1, a2, a3, a4, a5, a6 = cost_spec.alphas
+    dt, tm = grid.dt, problem.mesh.trace_map
     dJ = 0.0
     for n in range(1, grid.N + 1):
-        dJ += dt * float(data.zeta1_w(ops, base.phi[n], n) @ psi[n])
-    dJ += float(data.zeta3_w(ops, base.phi[grid.N]) @ psi[grid.N])
-    a5, a6 = data.alphas[4], data.alphas[5]
+        d = base.phi[n] - loop_target(cost_spec.phiQ, n)
+        dg = base.phi[n][tm] - loop_target(cost_spec.phiS, n)
+        dJ += dt * (a1 * float(d @ (ops.M_bulk @ psi[n]))
+                    + a2 * float(dg @ (ops.M_gamma @ psi[n][tm])))
+    d = base.phi[grid.N] - cost_spec.phiO
+    dg = base.phi[grid.N][tm] - cost_spec.phiG
+    dJ += (a3 * float(d @ (ops.M_bulk @ psi[grid.N]))
+           + a4 * float(dg @ (ops.M_gamma @ psi[grid.N][tm])))
     for j in range(grid.N):
         dJ += dt * (a5 * float(u.u[j] @ (ops.M_bulk @ h.u[j]))
                     + a6 * float(u.uG[j] @ (ops.M_gamma @ h.uG[j])))
@@ -215,6 +225,45 @@ def test_cost_directional(bundle):
     psi = linearized_solve(problem, traj, h).psi
     assert cost_directional(SPEC, problem, traj, psi, u, h) == pytest.approx(
         loop_cost_directional(SPEC, problem, traj, psi, u, h), rel=RTOL)
+
+
+@pytest.mark.parametrize("running", ["row", "table"])
+def test_cost_broadcasts_target_arrays(bundle, running):
+    # Running targets as one row for every time level or as an (N+1)-row
+    # table; terminal targets as one row.
+    problem, u, h, traj = bundle
+    n, nb, levels = problem.mesh.n_bulk, problem.mesh.n_boundary, problem.grid.N + 1
+    rows = () if running == "row" else (levels,)
+    rng = np.random.default_rng(6)
+    spec = CostSpec(alphas=SPEC.alphas, phiQ=rng.uniform(0, 0.3, (*rows, n)),
+                    phiS=rng.uniform(0, 0.3, (*rows, nb)), phiO=rng.uniform(0, 0.3, n),
+                    phiG=rng.uniform(0, 0.3, nb))
+    psi = linearized_solve(problem, traj, h).psi
+    assert cost(spec, traj, u, problem.ops) == pytest.approx(
+        loop_cost(spec, traj, u, problem.ops), rel=RTOL)
+    assert cost_directional(spec, problem, traj, psi, u, h) == pytest.approx(
+        loop_cost_directional(spec, problem, traj, psi, u, h), rel=RTOL)
+
+
+def test_boundary_weight_mutant_fails_the_loops(bundle, monkeypatch):
+    # Scaling the shared boundary term changes the cost and its derivative
+    # alike, so finite differences and the duality gap cannot see it; the
+    # written-out loops do.
+    problem, u, h, traj = bundle
+    ops, dt = problem.ops, problem.grid.dt
+    psi = linearized_solve(problem, traj, h).psi
+    scale = 1.0 + 1e-6
+    inner, mass = CoupledOperators.inner, CoupledOperators.mass
+    monkeypatch.setattr(CoupledOperators, "inner",
+                        lambda self, z, z_G, w, w_G: inner(self, z, scale * z_G, w, w_G))
+    monkeypatch.setattr(CoupledOperators, "mass",
+                        lambda self, z, z_G: mass(self, z, scale * z_G))
+    assert cost(SPEC, traj, u, ops) != pytest.approx(
+        loop_cost(SPEC, traj, u, ops), rel=RTOL)
+    assert cost_directional(SPEC, problem, traj, psi, u, h) != pytest.approx(
+        loop_cost_directional(SPEC, problem, traj, psi, u, h), rel=RTOL)
+    assert control_inner(u, h, ops, dt) != pytest.approx(
+        loop_control_inner(u, h, ops, dt), rel=RTOL)
 
 
 def test_validate_Uad_time_derivative_norms(bundle):

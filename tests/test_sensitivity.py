@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cho.control import ControlPair, random_direction
+from cho.control import ControlPair, control_norm, random_direction
 from cho.forward import solve, traj_norm_Y
 from cho.potentials import PotentialPair, custom_potential
 from cho.sensitivity import linearized_solve, taylor_test
@@ -18,9 +18,8 @@ def base_setup():
 
 
 def unit_direction(problem, seed):
-    h = random_direction(problem.mesh, problem.grid, np.random.default_rng(seed),
-                         normalize_ops=problem.ops, dt=problem.grid.dt)
-    return h
+    h = random_direction(problem.mesh, problem.grid, np.random.default_rng(seed))
+    return h.scaled(1.0 / control_norm(h, problem.ops, problem.grid.dt))
 
 
 class TestLinearizedSolve:

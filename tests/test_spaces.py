@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cho.mesh import build_interval, build_rectangle
-from cho.spaces import PairField, assemble, mean, norm_H, norm_V
+from cho.spaces import PairField, assemble, mean
 
 
 @pytest.fixture(scope="module")
@@ -108,10 +108,10 @@ class TestAssemble:
         assert eigvalsh(ops.M_surf.toarray()).min() > -1e-14
 
 
+RECTANGLES = st.builds(build_rectangle, st.integers(2, 5), st.integers(2, 5),
+                       st.floats(0.5, 2.0), st.floats(0.5, 2.0))
 MESHES = st.one_of(
-    st.builds(build_interval, st.integers(2, 5), st.floats(0.5, 2.0)),
-    st.builds(build_rectangle, st.integers(2, 5), st.integers(2, 5),
-              st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+    st.builds(build_interval, st.integers(2, 5), st.floats(0.5, 2.0)), RECTANGLES
 )
 
 
@@ -142,6 +142,24 @@ class TestCouplingMaps:
                                rtol=1e-13, atol=1e-14)
             assert np.isclose(ops.mean(z, z_G)[r], mean(PairField(z[r], z_G[r]), ops),
                               rtol=1e-14, atol=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(RECTANGLES, st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_inner_is_symmetric_stack_aware_and_pairs_with_mass(self, mesh, rows, seed):
+        ops = assemble(mesh)
+        rng = np.random.default_rng(seed)
+        z, w = rng.standard_normal((2, rows, mesh.n_bulk))
+        z_G, w_G = rng.standard_normal((2, rows, mesh.n_boundary))
+        stack = ops.inner(z, z_G, w, w_G)
+        assert stack.shape == (rows,)
+        assert np.allclose(ops.inner(w, w_G, z, z_G), stack, rtol=1e-13, atol=1e-14)
+        tr = w[:, mesh.trace_map]
+        for r in range(rows):
+            assert np.isclose(ops.inner(z[r], z_G[r], w[r], w_G[r]), stack[r],
+                              rtol=1e-14, atol=1e-15)
+            # Against a conforming pair the product is the mass coupling.
+            assert np.isclose(ops.inner(z[r], z_G[r], w[r], tr[r]),
+                              ops.mass(z[r], z_G[r]) @ w[r], rtol=1e-13, atol=1e-14)
 
 
 class TestMean:
@@ -174,24 +192,22 @@ class TestMean:
             mean(PairField(np.zeros(3), np.zeros(2)), ops)
 
 
+def norm_H_sq(ops, v):
+    """Squared H norm of the conforming pair (v, v|Gamma)."""
+    tr = v[..., ops.mesh.trace_map]
+    return ops.inner(v, tr, v, tr)
+
+
 class TestNorms:
     def test_zero_field(self, interval_ops):
         mesh, ops = interval_ops
         z = PairField.constant(mesh, 0.0)
-        assert norm_H(z, ops) == 0.0
-        assert norm_V(z, ops) == 0.0
+        assert ops.inner(z.bulk, z.boundary, z.bulk, z.boundary) == 0.0
 
     def test_constant_measures_domain(self):
         mesh = build_interval(4, 1.0)
         ops = assemble(mesh)
-        one = PairField.constant(mesh, 1.0)
-        assert np.isclose(norm_H(one, ops) ** 2, 3.0)
-
-    def test_norm_V_rejects_nonconforming(self, interval_ops):
-        mesh, ops = interval_ops
-        field = PairField(np.zeros(mesh.n_bulk), np.ones(mesh.n_boundary))
-        with pytest.raises(ValueError, match="conforming"):
-            norm_V(field, ops)
+        assert np.isclose(norm_H_sq(ops, np.ones(mesh.n_bulk)), 3.0)
 
     @pytest.mark.parametrize("builder", [
         lambda: build_interval(16, 1.0),
@@ -212,7 +228,7 @@ class TestNorms:
             for v in fields:
                 f = PairField.from_bulk(mesh, v)
                 semi = float(v @ (ops.K_total @ v))
-                out.append(norm_H(f, ops) ** 2 / (semi + mean(f, ops) ** 2))
+                out.append(norm_H_sq(ops, v) / (semi + mean(f, ops) ** 2))
             return np.array(out)
 
         fitted = ratios(0).max()
