@@ -63,8 +63,6 @@ def cmd_simulate(cfg, config_path) -> int:
 
 
 def cmd_optimize(cfg, config_path) -> int:
-    from .adjoint import adjoint_solve
-
     cp, u0, pg_opts = cfg.build_control_problem()
     result = projected_gradient(cp, u0, pg_opts)
     outdir = _prepare_outdir(cfg, config_path)
@@ -75,10 +73,9 @@ def cmd_optimize(cfg, config_path) -> int:
     )
     write_snapshots(outdir, cp.problem.mesh, result.trajectory,
                     cfg.output.snapshot_stride)
-    adj = adjoint_solve(cp.problem, result.trajectory, cp.cost)
     write_adjoint_norms_csv(
         os.path.join(outdir, "adjoint_norms_0.csv"), cp.problem.ops,
-        cp.problem.grid, adj,
+        cp.problem.grid, result.adjoint,
     )
     last = result.history[-1]
     print(cp.problem.mesh.summary())

@@ -11,10 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adjoint import AdjointTrajectory, adjoint_solve, reduced_gradient
 from .errors import SolverError, ValidationError
-from .forward import Problem, StateTrajectory, solve
-from .potentials import check_mz
-from .spaces import PairField, mean, row_inner
+from .forward import Problem, StateTrajectory, require_mean_value, solve
+from .spaces import PairField, row_inner
 
 
 class ControlPair:
@@ -303,8 +303,12 @@ class IterateRecord:
 
 @dataclass
 class OptimizeResult:
+    """The last iterate with its state, adjoint and reduced gradient."""
+
     u: ControlPair
     trajectory: StateTrajectory
+    adjoint: AdjointTrajectory
+    gradient: ControlPair
     history: list = field(default_factory=list)
     converged: bool = False
 
@@ -318,18 +322,12 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
     below tol.  The H1-in-time budget is reported per iterate but not
     enforced (no closed-form projection onto box and ball jointly).
     """
-    from .adjoint import adjoint_solve, reduced_gradient
-
     opts = opts or OptimizerOptions()
     problem, box = cp.problem, cp.box
     ops, grid = problem.ops, problem.grid
     dt = grid.dt
 
-    if problem.pair.bounded and not problem.opts.eps_yosida:
-        m0 = mean(cp.phi0, ops)
-        mz = check_mz(problem.pair, m0, box.M, problem.physics.gamma)
-        if not mz.passed:
-            raise ValidationError(f"mean-value condition fails for the box: {mz.message}")
+    require_mean_value(problem, cp.phi0, box.M, " for the box")
 
     u = project_box(u0, box)
 
@@ -373,7 +371,7 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
         vi = vi_residual(u, g, box, ops, dt)
         history.append(IterateRecord(k, J, vi, s, newton_total,
                                      validate_Uad(u, box, grid, ops).passed))
-    return OptimizeResult(u, traj, history, converged=vi <= opts.tol)
+    return OptimizeResult(u, traj, adj, g, history, converged=vi <= opts.tol)
 
 
 def optimality_bilinear(cp: ControlProblem, u_star: ControlPair, g: ControlPair,

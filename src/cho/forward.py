@@ -423,6 +423,16 @@ def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
     return mu0
 
 
+def require_mean_value(problem: Problem, phi0: PairField, M: float, what="") -> None:
+    """Raise ValidationError when a bounded potential without Yosida
+    regularization fails the mean-value condition for the mean of phi0
+    and sources bounded by M."""
+    if problem.pair.bounded and not problem.opts.eps_yosida:
+        mz = check_mz(problem.pair, mean(phi0, problem.ops), M, problem.physics.gamma)
+        if not mz.passed:
+            raise ValidationError(f"mean-value condition fails{what}: {mz.message}")
+
+
 def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:
     """March the state system over the whole grid.
 
@@ -447,11 +457,8 @@ def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:
         lo, hi = problem.pair.boundary.domain
         if np.any(phi0.bulk <= lo) or np.any(phi0.bulk >= hi):
             raise ValidationError("initial datum must be strictly interior")
-        m0 = mean(phi0, ops)
-        M = max(np.abs(u).max(initial=0.0), np.abs(ug).max(initial=0.0))
-        mz = check_mz(problem.pair, m0, M, problem.physics.gamma)
-        if not mz.passed:
-            raise ValidationError(f"mean-value condition fails: {mz.message}")
+        require_mean_value(problem, phi0,
+                           max(np.abs(u).max(initial=0.0), np.abs(ug).max(initial=0.0)))
 
     n = mesh.n_bulk
     phi = np.empty((grid.N + 1, n))

@@ -6,8 +6,13 @@ number.  Checks take the domain and potential from the configuration
 where the property allows it and pin whatever the property itself fixes
 (e.g. the energy-decay check always runs the convex-splitting scheme
 with a regular potential and no reaction).
+
+A suite run assembles its check mesh and operators once, in a
+``CheckContext``; every check builds its problems from it, so they share
+one block template and its live factor.
 """
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +22,7 @@ from . import control as ctl_mod
 from . import sensitivity as sen_mod
 from .config import RunConfig, preset_config
 from .control import ControlPair, control_inner, random_direction
+from .errors import ChoError
 from .forward import (
     Physics,
     Problem,
@@ -36,7 +42,7 @@ from .potentials import (
     regular_potential,
     separation_r0,
 )
-from .spaces import PairField
+from .spaces import CoupledOperators, PairField, assemble
 
 
 @dataclass
@@ -51,11 +57,48 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-def _check_mesh(cfg: RunConfig):
-    dom = cfg.domain
-    if dom.dim == 1:
-        return build_interval(min(dom.cells, 128), dom.length)
-    return build_rectangle(min(dom.nx, 16), min(dom.ny, 16), dom.lx, dom.ly)
+@dataclass(frozen=True)
+class CheckContext:
+    """The configuration and the check operators of one suite run."""
+
+    cfg: RunConfig
+    ops: CoupledOperators
+
+    @classmethod
+    def build(cls, cfg: RunConfig) -> "CheckContext":
+        """Assemble the check mesh: the configured domain with at most 128
+        cells in 1D and at most 16 x 16 in 2D."""
+        dom = cfg.domain
+        if dom.dim == 1:
+            mesh = build_interval(min(dom.cells, 128), dom.length)
+        else:
+            mesh = build_rectangle(min(dom.nx, 16), min(dom.ny, 16), dom.lx, dom.ly)
+        return cls(cfg, assemble(mesh))
+
+    @property
+    def mesh(self):
+        return self.ops.mesh
+
+    def problem(self, T, N, pair=None, physics=Physics(1.0, 1.0), **solver) -> Problem:
+        """A problem on the check operators; the pair defaults to the
+        configured one and ``solver`` holds ``SolverOptions`` fields."""
+        return Problem(self.mesh, self.ops, pair or self.cfg.build_pair(),
+                       SolverOptions(**solver), physics, TimeGrid(T=T, N=N))
+
+
+def _check(name):
+    """Name a check.  Its body takes the CheckContext and returns (passed,
+    detail) or (passed, detail, extra); the check returns them as a
+    CheckResult called ``name``, and ``run_suite`` reports an aborted
+    check under the same ``check.name``, which a ``functools.wraps``
+    wrapper of the check keeps."""
+    def register(body):
+        @functools.wraps(body)
+        def check(ctx: CheckContext) -> CheckResult:
+            return CheckResult(name, *body(ctx))
+        check.name = name
+        return check
+    return register
 
 
 def _tanh_ic(mesh, amplitude):
@@ -66,10 +109,21 @@ def _tanh_ic(mesh, amplitude):
     )
 
 
-def check_mean_ode(cfg: RunConfig) -> CheckResult:
+def _base_point(problem):
+    """Smooth initial datum and constant controls of the derivative checks."""
+    return _tanh_ic(problem.mesh, 0.2), ControlPair.constant(problem.mesh, problem.grid, 0.05)
+
+
+def _direction(problem, seed, size):
+    """Random control direction of sup norm ``size``."""
+    h = random_direction(problem.mesh, problem.grid, np.random.default_rng(seed))
+    return h.scaled(size / h.sup_norm())
+
+
+@_check("mean-ode")
+def check_mean_ode(ctx):
     """Discrete mean dynamics residual and first-order closed-form error."""
-    mesh = _check_mesh(cfg)
-    pair = cfg.build_pair()
+    mesh, cfg = ctx.mesh, ctx.cfg
     gamma = min(cfg.physics.gamma, 1.0)
     physics = Physics(tau=cfg.physics.tau, gamma=gamma)
     T = 1.0
@@ -78,8 +132,8 @@ def check_mean_ode(cfg: RunConfig) -> CheckResult:
         return 0.3 if t <= 0.5 * T else -0.2
 
     def run(N):
-        grid = TimeGrid(T=T, N=N)
-        problem = Problem.create(mesh, pair, SolverOptions(), physics, grid)
+        problem = ctx.problem(T, N, physics=physics)
+        grid = problem.grid
         times = grid.times()
         vals = np.array([omega_fn(times[j + 1]) for j in range(N)])
         controls = ControlPair(
@@ -96,66 +150,52 @@ def check_mean_ode(cfg: RunConfig) -> CheckResult:
     residuals, errors = zip(*(run(N) for N in (8, 16, 32, 64)))
     orders = [float(np.log2(e1 / e2)) for e1, e2 in zip(errors, errors[1:])]
     ok = max(residuals) <= 1e-9 and all(0.7 <= o <= 1.3 for o in orders)
-    return CheckResult(
-        "mean-ode", ok,
+    return ok, (
         f"max residual {max(residuals):.2e} (<= 1e-9), orders "
-        + "/".join(f"{o:.2f}" for o in orders) + " (1.0 +- 0.3)",
+        + "/".join(f"{o:.2f}" for o in orders) + " (1.0 +- 0.3)"
     )
 
 
-def check_constant_data(cfg: RunConfig) -> CheckResult:
+@_check("constant-data")
+def check_constant_data(ctx):
     """Spatially constant run against the scalar exponential solution."""
-    mesh = _check_mesh(cfg)
     pair = PotentialPair.same(regular_potential())
     physics = Physics(tau=1.0, gamma=2.0)
     a, b, T = 0.5, 1.0, 1.0
     exact = a * np.exp(-physics.gamma * T) + b * (1.0 - np.exp(-physics.gamma * T))
 
     def terminal_error(N):
-        grid = TimeGrid(T=T, N=N)
-        problem = Problem.create(mesh, pair, SolverOptions(), physics, grid)
-        traj = solve(problem, PairField.constant(mesh, a),
-                     ControlPair.constant(mesh, grid, b))
+        problem = ctx.problem(T, N, pair, physics)
+        traj = solve(problem, PairField.constant(ctx.mesh, a),
+                     ControlPair.constant(ctx.mesh, problem.grid, b))
         return abs(float(traj.phi[-1][0]) - exact)
 
-    e1, e2 = terminal_error(16), terminal_error(32)
-    ratio = e1 / e2
-    ok = 1.7 <= ratio <= 2.3
-    return CheckResult(
-        "constant-data", ok, f"dt-halving error ratio {ratio:.3f} (in [1.7, 2.3])"
-    )
+    ratio = terminal_error(16) / terminal_error(32)
+    return 1.7 <= ratio <= 2.3, f"dt-halving error ratio {ratio:.3f} (in [1.7, 2.3])"
 
 
-def check_energy_decay(cfg: RunConfig) -> CheckResult:
+@_check("energy-decay")
+def check_energy_decay(ctx):
     """Unconditional energy decay of the convex-splitting scheme."""
-    mesh = _check_mesh(cfg)
-    pair = PotentialPair.same(regular_potential())
-    grid = TimeGrid(T=1.0, N=200)
-    problem = Problem.create(
-        mesh, pair,
-        SolverOptions(scheme="convex-splitting", newton_tol=1e-12),
-        Physics(tau=1.0, gamma=0.0), grid,
-    )
+    mesh, pair = ctx.mesh, PotentialPair.same(regular_potential())
+    problem = ctx.problem(1.0, 200, pair, Physics(tau=1.0, gamma=0.0),
+                          scheme="convex-splitting", newton_tol=1e-12)
     rng = np.random.default_rng(0)
     phi0 = PairField.from_bulk(mesh, rng.uniform(-0.8, 0.8, mesh.n_bulk))
-    traj = solve(problem, phi0, ControlPair.zeros(mesh, grid))
-    energies = energy(problem.ops, pair, traj.phi)
-    worst = float(np.diff(energies).max())
-    ok = worst <= 1e-12
-    return CheckResult(
-        "energy-decay", ok,
-        f"worst energy increment {worst:.2e} over {grid.N} steps (<= 1e-12)",
+    traj = solve(problem, phi0, ControlPair.zeros(mesh, problem.grid))
+    worst = float(np.diff(energy(problem.ops, pair, traj.phi)).max())
+    return worst <= 1e-12, (
+        f"worst energy increment {worst:.2e} over {problem.grid.N} steps (<= 1e-12)"
     )
 
 
-def check_mean_bound(cfg: RunConfig) -> CheckResult:
+@_check("mean-bound")
+def check_mean_bound(ctx):
     """Discrete mean stays inside the reaction-limited interval."""
-    mesh = _check_mesh(cfg)
-    pair = cfg.build_pair()
+    mesh, cfg = ctx.mesh, ctx.cfg
     gamma = min(cfg.physics.gamma, 1.0)
-    physics = Physics(tau=cfg.physics.tau, gamma=gamma)
-    grid = TimeGrid(T=cfg.time.T, N=min(cfg.time.N, 50))
-    problem = Problem.create(mesh, pair, SolverOptions(), physics, grid)
+    problem = ctx.problem(cfg.time.T, min(cfg.time.N, 50),
+                          physics=Physics(tau=cfg.physics.tau, gamma=gamma))
     M, m0 = 0.3, 0.1
     lo = -max(-m0, 0.0) - M / gamma - 1e-9
     hi = max(m0, 0.0) + M / gamma + 1e-9
@@ -164,120 +204,92 @@ def check_mean_bound(cfg: RunConfig) -> CheckResult:
     worst = 0.0
     for _ in range(10):
         controls = ControlPair(
-            rng.uniform(-M, M, (grid.N, mesh.n_bulk)),
-            rng.uniform(-M, M, (grid.N, mesh.n_boundary)),
+            rng.uniform(-M, M, (problem.grid.N, mesh.n_bulk)),
+            rng.uniform(-M, M, (problem.grid.N, mesh.n_boundary)),
         )
         traj = solve(problem, phi0, controls)
         means = problem.ops.mean(traj.phi, traj.phi[:, mesh.trace_map])
         worst = max(worst, float((lo - means).max()), float((means - hi).max()))
-    ok = worst <= 0.0
-    return CheckResult(
-        "mean-bound", ok,
-        f"worst excess {worst:.2e} against [{lo:.3f}, {hi:.3f}] over 10 runs",
+    return worst <= 0.0, (
+        f"worst excess {worst:.2e} against [{lo:.3f}, {hi:.3f}] over 10 runs"
     )
 
 
-def check_separation(cfg: RunConfig) -> CheckResult:
+@_check("separation")
+def check_separation(ctx):
     """Logarithmic run stays below the separation threshold."""
-    mesh = _check_mesh(cfg)
-    c1 = cfg.potential.c1 if cfg.potential.kind == "logarithmic" else 2.0
+    mesh, potential = ctx.mesh, ctx.cfg.potential
+    c1 = potential.c1 if potential.kind == "logarithmic" else 2.0
     pair = PotentialPair.same(logarithmic_potential(c1))
-    grid = TimeGrid(T=0.5, N=25)
-    problem = Problem.create(mesh, pair, SolverOptions(), Physics(1.0, 1.0), grid)
+    problem = ctx.problem(0.5, 25, pair)
     x = mesh.bulk_nodes[:, 0]
     span = x.max() - x.min()
     phi0 = PairField.from_bulk(mesh, 0.3 * np.sin(np.pi * (x - x.min()) / span))
-    controls = ControlPair.constant(mesh, grid, 0.2, 0.1)
+    controls = ControlPair.constant(mesh, problem.grid, 0.2, 0.1)
     traj = solve(problem, phi0, controls)
     N_mu = float(np.abs(traj.mu).max())
-    r0 = separation_r0(pair, N_mu, 0.3)
-    report = separation_check(traj, r0)
-    ok = report.applicable and report.passed
-    return CheckResult(
-        "separation", ok,
+    report = separation_check(traj, separation_r0(pair, N_mu, 0.3))
+    return report.applicable and report.passed, (
         f"max |phi| = {report.worst_value:.4f} <= r0 = {report.r0:.4f} "
-        f"(mu bound {N_mu:.3f})",
+        f"(mu bound {N_mu:.3f})"
     )
 
 
-def check_yosida(cfg: RunConfig) -> CheckResult:
+@_check("yosida")
+def check_yosida(ctx):
     """Yosida-regularized runs approach the unregularized one."""
-    mesh = _check_mesh(cfg)
-    pair = PotentialPair.same(regular_potential())
-    grid = TimeGrid(T=0.5, N=20)
-    problem = Problem.create(mesh, pair, SolverOptions(), Physics(1.0, 1.0), grid)
-    phi0 = _tanh_ic(mesh, 0.4)
-    controls = ControlPair.constant(mesh, grid, 0.1, 0.05)
+    problem = ctx.problem(0.5, 20, PotentialPair.same(regular_potential()))
+    phi0 = _tanh_ic(ctx.mesh, 0.4)
+    controls = ControlPair.constant(ctx.mesh, problem.grid, 0.1, 0.05)
     reference = solve(problem, phi0, controls)
     errors = []
     for eps in (1e-1, 1e-2, 1e-3):
         traj = solve(problem.with_options(eps_yosida=eps), phi0, controls)
-        errors.append(traj_norm_L2H(problem.ops, grid, traj.phi - reference.phi))
+        errors.append(traj_norm_L2H(problem.ops, problem.grid, traj.phi - reference.phi))
     ok = errors[0] > errors[1] > errors[2] and errors[2] <= 1e-3
-    return CheckResult(
-        "yosida", ok,
-        "errors " + " > ".join(f"{e:.2e}" for e in errors) + " , last <= 1e-3",
-    )
+    return ok, "errors " + " > ".join(f"{e:.2e}" for e in errors) + " , last <= 1e-3"
 
 
-def check_contdep(cfg: RunConfig) -> CheckResult:
+@_check("continuous-dependence")
+def check_contdep(ctx):
     """First-order Lipschitz behavior of the control-to-state map."""
-    mesh = _check_mesh(cfg)
-    pair = cfg.build_pair()
-    grid = TimeGrid(T=0.4, N=16)
-    problem = Problem.create(mesh, pair, SolverOptions(), Physics(1.0, 1.0), grid)
-    phi0 = _tanh_ic(mesh, 0.2)
-    u = ControlPair.constant(mesh, grid, 0.05)
-    rng = np.random.default_rng(5)
-    h = random_direction(mesh, grid, rng)
-    h = h.scaled(0.2 / h.sup_norm())
-    ratios = sen_mod.continuous_dependence(problem, phi0, u, h, scales=(1.0, 0.5, 0.25))
+    problem = ctx.problem(0.4, 16)
+    ratios = sen_mod.continuous_dependence(problem, *_base_point(problem),
+                                           _direction(problem, 5, 0.2),
+                                           scales=(1.0, 0.5, 0.25))
     variation = max(ratios) / min(ratios) - 1.0
-    ok = variation < 0.2
-    return CheckResult(
-        "continuous-dependence", ok,
-        f"ratio variation {100 * variation:.2f}% across scales 1, 1/2, 1/4 (< 20%)",
+    return variation < 0.2, (
+        f"ratio variation {100 * variation:.2f}% across scales 1, 1/2, 1/4 (< 20%)"
     )
 
 
-def check_taylor(cfg: RunConfig) -> CheckResult:
+@_check("taylor")
+def check_taylor(ctx):
     """Quadratic remainder of the first-order state expansion.
 
     The remainder order is a property of the (smooth) discrete step map at
     the configured resolution, so the configured step count is used as is,
     coarse grids included.
     """
-    mesh = _check_mesh(cfg)
-    pair = cfg.build_pair()
-    grid = TimeGrid(T=0.4, N=min(cfg.time.N, 16))
-    problem = Problem.create(mesh, pair, SolverOptions(newton_tol=1e-12),
-                             Physics(1.0, 1.0), grid)
-    phi0 = _tanh_ic(mesh, 0.2)
-    u = ControlPair.constant(mesh, grid, 0.05)
-    min_orders, results = [], []
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        h = random_direction(mesh, grid, rng)
-        h = h.scaled(0.15 / h.sup_norm())
-        result = sen_mod.taylor_test(problem, phi0, u, h,
-                                     scales=(0.5, 0.25, 0.125, 0.0625))
-        min_orders.append(result.min_order())
-        results.append(result)
-    ok = all(o >= 1.9 for o in min_orders)
-    return CheckResult(
-        "taylor", ok,
-        "min orders " + "/".join(f"{o:.2f}" for o in min_orders) + " (>= 1.9)",
-        extra=results,
-    )
+    problem = ctx.problem(0.4, min(ctx.cfg.time.N, 16), newton_tol=1e-12)
+    phi0, u = _base_point(problem)
+    results = [sen_mod.taylor_test(problem, phi0, u, _direction(problem, seed, 0.15),
+                                   scales=(0.5, 0.25, 0.125, 0.0625))
+               for seed in range(3)]
+    min_orders = [result.min_order() for result in results]
+    return all(o >= 1.9 for o in min_orders), (
+        "min orders " + "/".join(f"{o:.2f}" for o in min_orders) + " (>= 1.9)"
+    ), results
 
 
 def _gradient_checks(problem, phi0, u, cost_spec, seeds):
-    """Duality gaps and central-FD gradient errors over random directions."""
+    """Worst duality gap and central-FD gradient error over random
+    directions, and whether they meet the bounds gap <= 1e-10 and FD
+    error <= 1e-6."""
     ops, grid = problem.ops, problem.grid
     base = solve(problem, phi0, u)
     adj = adj_mod.adjoint_solve(problem, base, cost_spec)
     g = adj_mod.reduced_gradient(problem, u, adj, cost_spec)
-    mesh = problem.mesh
 
     def J_of(uc):
         traj = solve(problem, phi0, uc)
@@ -285,9 +297,7 @@ def _gradient_checks(problem, phi0, u, cost_spec, seeds):
 
     duality_gaps, fd_errors = [], []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        h = random_direction(mesh, grid, rng)
-        h = h.scaled(0.1 / h.sup_norm())
+        h = _direction(problem, seed, 0.1)
         lin = sen_mod.linearized_solve(problem, base, h)
         dJ_lin = ctl_mod.cost_directional(cost_spec, problem, base, lin.psi, u, h)
         dJ_adj = control_inner(g, h, ops, grid.dt)
@@ -298,47 +308,39 @@ def _gradient_checks(problem, phi0, u, cost_spec, seeds):
             - (J_of(u.plus(h, 2 * d)) - J_of(u.plus(h, -2 * d)))
         ) / (12.0 * d)
         fd_errors.append(abs(dJ_adj - fd) / max(abs(fd), 1e-14))
-    return duality_gaps, fd_errors
+    gap, fd = max(duality_gaps), max(fd_errors)
+    return gap <= 1e-10 and fd <= 1e-6, gap, fd
 
 
-def check_adjoint(cfg: RunConfig) -> CheckResult:
+@_check("adjoint-duality")
+def check_adjoint(ctx):
     """Exact discrete duality and agreement with a central-difference oracle."""
-    mesh = _check_mesh(cfg)
-    pair = cfg.build_pair()
-    grid = TimeGrid(T=0.4, N=10)
-    problem = Problem.create(mesh, pair, SolverOptions(newton_tol=1e-12),
-                             Physics(1.0, 1.0), grid)
-    phi0 = _tanh_ic(mesh, 0.2)
-    u = ControlPair.constant(mesh, grid, 0.05)
+    problem = ctx.problem(0.4, 10, newton_tol=1e-12)
     cost_spec = ctl_mod.CostSpec(alphas=(1.0, 0.5, 1.0, 0.5, 0.2, 0.2),
                                  phiQ=0.2, phiS=0.1, phiO=0.2, phiG=0.1)
-    gaps, fd = _gradient_checks(problem, phi0, u, cost_spec, seeds=range(5))
-    ok = max(gaps) <= 1e-10 and max(fd) <= 1e-6
-    return CheckResult(
-        "adjoint-duality", ok,
-        f"max duality gap {max(gaps):.2e} (<= 1e-10), "
-        f"max FD error {max(fd):.2e} (<= 1e-6) over 5 directions",
+    ok, gap, fd = _gradient_checks(problem, *_base_point(problem), cost_spec,
+                                   seeds=range(5))
+    return ok, (
+        f"max duality gap {gap:.2e} (<= 1e-10), "
+        f"max FD error {fd:.2e} (<= 1e-6) over 5 directions"
     )
 
 
-def check_optimality(cfg: RunConfig) -> CheckResult:
+@_check("optimality")
+def check_optimality(ctx):
     """Projected gradient reaches a certified box-stationary point."""
-    if cfg.optimization is None:
-        cfg = preset_config("default")
+    cfg = ctx.cfg if ctx.cfg.optimization is not None else preset_config("default")
     cp, u0, pg_opts = cfg.build_control_problem()
     problem = cp.problem
-    ops, grid, mesh = problem.ops, problem.grid, problem.mesh
+    grid, mesh = problem.grid, problem.mesh
 
     # Gradient correctness on the same bundle before optimizing.
-    gaps, fd = _gradient_checks(
+    ok, gap, fd = _gradient_checks(
         problem.with_options(newton_tol=1e-12), cp.phi0,
         ctl_mod.project_box(u0, cp.box), cp.cost, seeds=range(2),
     )
-    if max(gaps) > 1e-10 or max(fd) > 1e-6:
-        return CheckResult(
-            "optimality", False,
-            f"gradient check failed on the bundle (gap {max(gaps):.2e}, fd {max(fd):.2e})",
-        )
+    if not ok:
+        return False, f"gradient check failed on the bundle (gap {gap:.2e}, fd {fd:.2e})"
 
     pg_opts = replace(pg_opts, tol=min(pg_opts.tol, 1e-6))
     result = ctl_mod.projected_gradient(cp, u0, pg_opts)
@@ -346,8 +348,6 @@ def check_optimality(cfg: RunConfig) -> CheckResult:
     monotone = all(b <= a + 1e-15 for a, b in zip(J_values, J_values[1:]))
     vi = result.history[-1].vi_residual
 
-    adj = adj_mod.adjoint_solve(problem, result.trajectory, cp.cost)
-    g = adj_mod.reduced_gradient(problem, result.u, adj, cp.cost)
     rng = np.random.default_rng(11)
     worst_form = np.inf
     for _ in range(20):
@@ -357,27 +357,25 @@ def check_optimality(cfg: RunConfig) -> CheckResult:
             rng.uniform(np.broadcast_to(cp.box.uG_min, (grid.N, mesh.n_boundary)),
                         np.broadcast_to(cp.box.uG_max, (grid.N, mesh.n_boundary))),
         )
-        worst_form = min(worst_form, ctl_mod.optimality_bilinear(cp, result.u, g, other))
+        worst_form = min(worst_form,
+                         ctl_mod.optimality_bilinear(cp, result.u, result.gradient, other))
     ok = result.converged and monotone and vi <= 1e-6 and worst_form >= -1e-5
-    return CheckResult(
-        "optimality", ok,
+    return ok, (
         f"vi residual {vi:.2e} (<= 1e-6) after {len(result.history) - 1} iterations, "
-        f"J monotone: {monotone}, worst bilinear form {worst_form:.2e} (>= -1e-5)",
+        f"J monotone: {monotone}, worst bilinear form {worst_form:.2e} (>= -1e-5)"
     )
 
 
-def check_homogeneous(cfg: RunConfig) -> CheckResult:
+@_check("homogeneous-zero")
+def check_homogeneous(ctx):
     """Zero data propagates to exactly zero forward/linearized/adjoint states."""
-    mesh = _check_mesh(cfg)
-    pair = cfg.build_pair()
-    grid = TimeGrid(T=0.4, N=10)
-    problem = Problem.create(mesh, pair, SolverOptions(), Physics(1.0, 1.0), grid)
-    zero_u = ControlPair.zeros(mesh, grid)
+    problem = ctx.problem(0.4, 10)
+    zero_u = ControlPair.zeros(ctx.mesh, problem.grid)
 
-    traj = solve(problem, PairField.constant(mesh, 0.0), zero_u)
+    traj = solve(problem, PairField.constant(ctx.mesh, 0.0), zero_u)
     fwd = max(float(np.abs(traj.phi).max()), float(np.abs(traj.mu).max()))
 
-    base = solve(problem, _tanh_ic(mesh, 0.2), ControlPair.constant(mesh, grid, 0.05))
+    base = solve(problem, *_base_point(problem))
     lin = sen_mod.linearized_solve(problem, base, zero_u)
     lin_mag = max(float(np.abs(lin.psi).max()), float(np.abs(lin.eta).max()))
 
@@ -386,10 +384,8 @@ def check_homogeneous(cfg: RunConfig) -> CheckResult:
     adj_mag = max(float(np.abs(adj.p).max()), float(np.abs(adj.q).max()))
 
     worst = max(fwd, lin_mag, adj_mag)
-    ok = worst <= 1e-12
-    return CheckResult(
-        "homogeneous-zero", ok,
-        f"max |state| over zero-data forward/linearized/adjoint: {worst:.2e} (<= 1e-12)",
+    return worst <= 1e-12, (
+        f"max |state| over zero-data forward/linearized/adjoint: {worst:.2e} (<= 1e-12)"
     )
 
 
@@ -409,14 +405,13 @@ ALL_CHECKS = (
 
 
 def run_suite(cfg: RunConfig):
-    """Run every check; a check that raises is recorded as a failure."""
-    from .errors import ChoError
-
+    """Run every check on one CheckContext; a check that raises is
+    recorded as a failure under its name."""
+    ctx = CheckContext.build(cfg)
     results = []
     for check in ALL_CHECKS:
         try:
-            results.append(check(cfg))
+            results.append(check(ctx))
         except ChoError as err:
-            name = check.__name__.removeprefix("check_").replace("_", "-")
-            results.append(CheckResult(name, False, f"aborted: {err}"))
+            results.append(CheckResult(check.name, False, f"aborted: {err}"))
     return results

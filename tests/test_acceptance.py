@@ -3,7 +3,9 @@
 Every criterion runs at its stated tolerance through the shared
 verification suite (cho.verify), which pins the tolerances, and prints
 one pass/fail line; run with ``pytest tests/test_acceptance.py -v -s``
-to see the lines as they complete.
+to see the lines as they complete.  As in ``run_suite``, the checks share
+one ``CheckContext``: the check mesh and operators of the default preset,
+assembled once for the module.
 
 Criteria:
  1. mean-ode               residual <= 1e-9; closed-form order 1.0 +- 0.3
@@ -26,57 +28,57 @@ from cho import verify
 
 
 @pytest.fixture(scope="module")
-def default_cfg():
-    return preset_config("default")
+def default_ctx():
+    return verify.CheckContext.build(preset_config("default"))
 
 
-def run_and_report(check, cfg):
-    result = check(cfg)
+def run_and_report(check, ctx):
+    result = check(ctx)
     print(result.line())
     assert result.passed, result.detail
     return result
 
 
-def test_criterion_01_mean_value_ode(default_cfg):
-    run_and_report(verify.check_mean_ode, default_cfg)
+def test_criterion_01_mean_value_ode(default_ctx):
+    run_and_report(verify.check_mean_ode, default_ctx)
 
 
-def test_criterion_02_constant_data_exact_solution(default_cfg):
-    run_and_report(verify.check_constant_data, default_cfg)
+def test_criterion_02_constant_data_exact_solution(default_ctx):
+    run_and_report(verify.check_constant_data, default_ctx)
 
 
-def test_criterion_03_energy_decay(default_cfg):
-    result = run_and_report(verify.check_energy_decay, default_cfg)
+def test_criterion_03_energy_decay(default_ctx):
+    result = run_and_report(verify.check_energy_decay, default_ctx)
     assert "200 steps" in result.detail
 
 
-def test_criterion_04_mean_bound(default_cfg):
-    run_and_report(verify.check_mean_bound, default_cfg)
+def test_criterion_04_mean_bound(default_ctx):
+    run_and_report(verify.check_mean_bound, default_ctx)
 
 
-def test_criterion_05_separation(default_cfg):
-    run_and_report(verify.check_separation, default_cfg)
+def test_criterion_05_separation(default_ctx):
+    run_and_report(verify.check_separation, default_ctx)
 
 
-def test_criterion_06_yosida_consistency(default_cfg):
-    run_and_report(verify.check_yosida, default_cfg)
+def test_criterion_06_yosida_consistency(default_ctx):
+    run_and_report(verify.check_yosida, default_ctx)
 
 
-def test_criterion_07_continuous_dependence(default_cfg):
-    run_and_report(verify.check_contdep, default_cfg)
+def test_criterion_07_continuous_dependence(default_ctx):
+    run_and_report(verify.check_contdep, default_ctx)
 
 
-def test_criterion_08_frechet_taylor(default_cfg):
-    run_and_report(verify.check_taylor, default_cfg)
+def test_criterion_08_frechet_taylor(default_ctx):
+    run_and_report(verify.check_taylor, default_ctx)
 
 
-def test_criterion_09_adjoint_duality_and_fd_gradient(default_cfg):
-    run_and_report(verify.check_adjoint, default_cfg)
+def test_criterion_09_adjoint_duality_and_fd_gradient(default_ctx):
+    run_and_report(verify.check_adjoint, default_ctx)
 
 
-def test_criterion_10_optimality(default_cfg):
-    run_and_report(verify.check_optimality, default_cfg)
+def test_criterion_10_optimality(default_ctx):
+    run_and_report(verify.check_optimality, default_ctx)
 
 
-def test_criterion_11_homogeneous_uniqueness_surrogates(default_cfg):
-    run_and_report(verify.check_homogeneous, default_cfg)
+def test_criterion_11_homogeneous_uniqueness_surrogates(default_ctx):
+    run_and_report(verify.check_homogeneous, default_ctx)

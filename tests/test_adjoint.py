@@ -21,6 +21,7 @@ from cho.forward import (
     Problem,
     SolverOptions,
     TimeGrid,
+    energy,
     mean_ode_residual,
     solve,
     traj_norm_L2H,
@@ -210,3 +211,22 @@ def test_invariants_on_random_rectangles(nx, ny, tau, gamma, seed):
     dJ_lin = cost_directional(TRACKING, problem, base, psi, u, h)
     dJ_adj = control_inner(g, h, problem.ops, grid.dt)
     assert abs(dJ_adj - dJ_lin) / max(1.0, abs(dJ_lin)) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 6), st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+       st.floats(0.1, 5.0), st.floats(0.05, 2.0), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+def test_energy_decay_on_random_rectangles(nx, ny, lx, ly, tau, T, N, seed):
+    # Convex splitting without reaction or sources never raises the free
+    # energy, for every rectangle, viscosity and step, within the bound of
+    # the verify suite.
+    mesh = build_rectangle(nx, ny, lx, ly)
+    pair = PotentialPair.same(regular_potential())
+    problem = Problem.create(mesh, pair,
+                             SolverOptions(scheme="convex-splitting", newton_tol=1e-12),
+                             Physics(tau, 0.0), TimeGrid(T=T, N=N))
+    rng = np.random.default_rng(seed)
+    phi0 = PairField.from_bulk(mesh, rng.uniform(-0.8, 0.8, mesh.n_bulk))
+    traj = solve(problem, phi0, ControlPair.zeros(mesh, problem.grid))
+    assert np.diff(energy(problem.ops, pair, traj.phi)).max() <= 1e-12

@@ -259,7 +259,7 @@ class TestSimulate:
         data["physics"]["tau"] = 0.0
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 1
 
-    def test_mean_value_violation_exits_2(self, tmp_path, monkeypatch):
+    def test_mean_value_violation_exits_2(self, tmp_path, monkeypatch, capsys):
         import copy
 
         monkeypatch.chdir(tmp_path)
@@ -268,6 +268,23 @@ class TestSimulate:
         data["initial"] = {"preset": "constant", "value": 0.6}
         data["control"] = {"u": 0.5, "uG": 0.5}
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error: mean-value condition fails: ")
+
+    def test_mean_value_violation_for_the_box_exits_2(self, tmp_path, monkeypatch, capsys):
+        import copy
+
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(MINIMAL)
+        data["potential"] = {"kind": "logarithmic"}
+        data["initial"] = {"preset": "constant", "value": 0.6}
+        data["optimization"] = {
+            "alphas": [1, 0, 0, 0, 1, 1],
+            "box": {"u_min": -0.5, "u_max": 0.5, "uG_min": -0.5, "uG_max": 0.5},
+        }
+        assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error: mean-value condition fails for the box: ")
 
     @pytest.mark.parametrize("touch", [1.0, -1.0])
     def test_initial_datum_touching_the_domain_boundary_exits_2(

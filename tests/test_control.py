@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cho.adjoint import adjoint_solve, reduced_gradient
 from cho.control import (
     BoxBounds,
     ControlPair,
@@ -205,16 +206,31 @@ class TestProjectedGradient:
         )
         u0 = ControlPair.zeros(cp.problem.mesh, cp.problem.grid)
         result = projected_gradient(cp, u0, OptimizerOptions(tol=1e-7, max_iter=80))
-        from cho.adjoint import adjoint_solve, reduced_gradient
-
-        adj = adjoint_solve(cp.problem, result.trajectory, cp.cost)
-        g = reduced_gradient(cp.problem, result.u, adj, cp.cost)
+        g = result.gradient
         rng = np.random.default_rng(0)
         grid, mesh = cp.problem.grid, cp.problem.mesh
         for _ in range(20):
             other = ControlPair(rng.uniform(-1, 1, (grid.N, mesh.n_bulk)),
                                 rng.uniform(-1, 1, (grid.N, mesh.n_boundary)))
             assert optimality_bilinear(cp, result.u, g, other) >= -1e-6
+
+    def test_result_carries_the_last_adjoint_and_gradient(self):
+        # They equal a fresh solve at the returned control bit for bit: the
+        # fresh backward sweep factors the terminal pair and the Jacobian
+        # at the last state, as the optimizer's last sweep did.
+        cp = self.make_control_problem(
+            (1.0, 0.5, 1.0, 0.5, 0.4, 0.4),
+            targets={"phiQ": 0.25, "phiS": 0.25, "phiO": 0.25, "phiG": 0.25},
+        )
+        u0 = ControlPair.constant(cp.problem.mesh, cp.problem.grid, 0.9)
+        result = projected_gradient(cp, u0, OptimizerOptions(tol=1e-6, max_iter=60))
+        assert result.adjoint.base is result.trajectory
+        adj = adjoint_solve(cp.problem, result.trajectory, cp.cost)
+        g = reduced_gradient(cp.problem, result.u, adj, cp.cost)
+        assert np.array_equal(result.adjoint.p, adj.p)
+        assert np.array_equal(result.adjoint.q, adj.q)
+        assert np.array_equal(result.gradient.u, g.u)
+        assert np.array_equal(result.gradient.uG, g.uG)
 
     def test_mz_guard_for_bounded_potentials(self):
         problem = make_problem(kind="logarithmic", gamma=1.0)
@@ -224,7 +240,7 @@ class TestProjectedGradient:
             CostSpec(alphas=(1, 0, 0, 0, 0.1, 0.1), phiQ=0.1),
             BoxBounds(u_min=-2.0, u_max=2.0, uG_min=-2.0, uG_max=2.0),
         )
-        with pytest.raises(ValidationError, match="mean-value"):
+        with pytest.raises(ValidationError, match="mean-value condition fails for the box: "):
             projected_gradient(cp, ControlPair.zeros(problem.mesh, problem.grid))
 
 

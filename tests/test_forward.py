@@ -150,7 +150,7 @@ class TestSolve:
     def test_mz_precondition_enforced(self):
         problem = make_problem(kind="logarithmic", gamma=1.0)
         mesh, grid = problem.mesh, problem.grid
-        with pytest.raises(ValidationError, match="mean-value"):
+        with pytest.raises(ValidationError, match="mean-value condition fails: "):
             solve(problem, PairField.constant(mesh, 0.8),
                   ControlPair.constant(mesh, grid, 0.5))
 
