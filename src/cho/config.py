@@ -34,7 +34,7 @@ from .potentials import (
     logarithmic_potential,
     regular_potential,
 )
-from .spaces import PairField
+from .spaces import PairField, assemble
 
 # A constant, or the path of a CSV table (one row, or one row per slab or node).
 Source = float | str
@@ -291,11 +291,13 @@ class RunConfig:
     def build_options(self) -> SolverOptions:
         return self.solver
 
-    def build_problem(self) -> Problem:
-        return Problem.create(
-            self.build_mesh(), self.build_pair(), self.build_options(),
-            self.physics, self.time,
-        )
+    def build_problem(self, ops=None) -> Problem:
+        """The forward problem, on ``ops`` when given: operators assembled
+        on this configuration's mesh."""
+        if ops is None:
+            ops = assemble(self.build_mesh())
+        return Problem(ops.mesh, ops, self.build_pair(), self.build_options(),
+                       self.physics, self.time)
 
     def build_initial(self, mesh) -> PairField:
         return PairField.from_bulk(mesh, self.initial.values(mesh))
@@ -308,11 +310,11 @@ class RunConfig:
             _table(self.control.uG, grid.N, mesh.n_boundary, "control.uG"),
         )
 
-    def build_control_problem(self):
+    def build_control_problem(self, ops=None):
         opt = self.optimization
         if opt is None:
             raise ConfigError("configuration has no [optimization] section")
-        problem = self.build_problem()
+        problem = self.build_problem(ops)
         mesh, grid = problem.mesh, problem.grid
         t = opt.targets
         where = "optimization.targets."

@@ -18,6 +18,7 @@ Testing R1 with the constant vector collapses it to the scalar relation
 so every converged run satisfies the mean dynamics to solver tolerance.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,12 +145,11 @@ class _SchemeFns:
         return tuple(parts[k - 1] for k in orders)
 
     def _lumped(self, ops, side, phi):
-        tr = ops.mesh.trace_map
         bulk = side(self.pair.bulk, phi)
         if self.pair.boundary is self.pair.bulk:
-            gamma = [z[..., tr] for z in bulk]
-        else:
-            gamma = side(self.pair.boundary, phi[..., tr])
+            # A conforming pair: the coupling is one multiply by lumped_total.
+            return tuple(ops.lumped_total * z for z in bulk)
+        gamma = side(self.pair.boundary, phi[..., ops.mesh.trace_map])
         return tuple(ops.lumped(z, z_G) for z, z_G in zip(bulk, gamma))
 
     def implicit(self, ops, phi):
@@ -293,22 +293,6 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     return x[:n], x[n:]
 
 
-def _chord_step(ops, a, b, rhs, lam, refresh):
-    """One chord Newton correction: a single solve with the live factor,
-    rebuilt at ``lam`` on ``refresh`` or when the coefficients changed."""
-    _refactor_if_needed(ops, a, b, lam, None, refresh)
-    template = ops.block_template
-    x = template.lu.solve(rhs[template.order])[template.inverse]
-    if not np.all(np.isfinite(x)):
-        raise SolverError(f"{_where(None)} returned non-finite values")
-    return x.reshape(2, -1)
-
-
-def _weighted_norm(ops, r1, r2):
-    w = ops.lumped_total
-    return float(np.sqrt(r1 @ (r1 / w) + r2 @ (r2 / w)))
-
-
 def _interior_mask(ops, pair, opts):
     """Nodes whose iterates must stay inside (-1, 1); None when unconstrained."""
     if opts.eps_yosida:
@@ -323,69 +307,93 @@ def _interior_mask(ops, pair, opts):
     return mask
 
 
-def _step_arrays(ops, pair, fns, opts, physics, dt, phi_n, mu_n, u, ug):
-    """Chord Newton solve of one implicit step; returns (phi, mu, iterations).
+class _ChordNewton:
+    """Chord Newton for the steps of one solve, in the block template's
+    permuted ordering.
 
-    The residual is exact; the corrections reuse the template's live factor
-    across iterations and steps, and rebuild it at the current state when
-    an iteration leaves more than ``CHORD_RHO`` of the previous residual.
+    The iterate is y = [phi; mu][order], so the step residual is one
+    product with the permuted step matrix without diag(lam), L, plus N(phi)
+    added at the mu rows, and a correction is one solve with the
+    template's live factor, no permutes.  The residual is exact; the
+    factor is reused across iterations and steps, and rebuilt at the
+    current state when an iteration leaves more than ``CHORD_RHO`` of the
+    previous residual.  L is a copy, since a refactor refills the template.
     """
-    Mbar, Kbar = ops.M_total, ops.K_total
-    gamma, tau = physics.gamma, physics.tau
-    mask = _interior_mask(ops, pair, opts)
-    limit = 1.0 - opts.interior_safeguard
-    # R1 = (1/dt + gamma) M phi + K mu - c1 and R2 = (tau/dt) M phi + K phi
-    # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
-    Mphi_n = Mbar @ phi_n
-    c1 = Mphi_n / dt + gamma * ops.mass(u, ug)
-    c2 = (tau / dt) * Mphi_n - fns.explicit(ops, phi_n)[0]
 
-    a, b = jacobian_coefficients(physics, dt)
-    # The iterate (phi, mu) as the two columns of X: two sparse products
-    # per residual.
-    X = np.column_stack([phi_n, mu_n])
-    prev = np.inf
-    for it in range(opts.newton_max_iter + 1):
-        phi = X[:, 0]
-        m, k = Mbar @ X, Kbar @ X
-        nodal, lam = fns.implicit(ops, phi)
-        r1 = a[0] * m[:, 0] + k[:, 1] - c1
-        r2 = a[2] * m[:, 0] + k[:, 0] - m[:, 1] + nodal - c2
-        res = _weighted_norm(ops, r1, r2)
-        if res <= opts.newton_tol:
-            return phi, X[:, 1], it
-        if it == opts.newton_max_iter:
+    def __init__(self, problem: Problem, fns: _SchemeFns):
+        ops, physics, dt = problem.ops, problem.physics, problem.grid.dt
+        template = ops.block_template
+        n = ops.mesh.n_bulk
+        self.ops, self.fns, self.opts = ops, fns, problem.opts
+        self.a, self.b = jacobian_coefficients(physics, dt)
+        self.L = template.fill(self.a, self.b).tocsr()
+        self.order = template.order
+        self.phi_at, self.mu_at = template.inverse[:n], template.inverse[n:]
+        # Inverse lumped weights of the mass-weighted residual norm.
+        self.winv = np.tile(1.0 / ops.lumped_total, 2)[self.order]
+        self.mask = _interior_mask(ops, problem.pair, problem.opts)
+        self.limit = 1.0 - problem.opts.interior_safeguard
+        self.dt, self.tau_rate = dt, physics.tau / dt
+
+    def step(self, phi_n, mu_n, source):
+        """Solve one implicit step from (phi_n, mu_n) with the source term
+        gamma (M_bulk u + M_surf u_gamma); returns (phi, mu, iterations)."""
+        ops, opts, template = self.ops, self.opts, self.ops.block_template
+        phi_at, mu_at, winv = self.phi_at, self.mu_at, self.winv
+        # R1 = (1/dt + gamma) M phi + K mu - c1 and R2 = (tau/dt) M phi + K phi
+        # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
+        Mphi_n = ops.M_total @ phi_n
+        c1 = Mphi_n / self.dt + source
+        c2 = self.tau_rate * Mphi_n - self.fns.explicit(ops, phi_n)[0]
+        c = np.concatenate([c1, c2])[self.order]
+        y = np.concatenate([phi_n, mu_n])[self.order]
+        prev = np.inf
+        for it in range(opts.newton_max_iter + 1):
+            phi = y[phi_at]
+            nodal, lam = self.fns.implicit(ops, phi)
+            r = self.L @ y
+            r[mu_at] += nodal
+            r -= c
+            res = math.sqrt(r @ (r * winv))
+            if res <= opts.newton_tol:
+                return phi, y[mu_at], it
+            if it == opts.newton_max_iter:
+                raise SolverError(
+                    f"Newton did not converge in {opts.newton_max_iter} iterations "
+                    f"(last residual {res:.3e})",
+                    residual=res,
+                )
+            try:
+                _refactor_if_needed(ops, self.a, self.b, lam, None,
+                                    refresh=res > CHORD_RHO * prev)
+                dy = template.lu.solve(-r)
+                if not np.isfinite(dy).all():
+                    raise SolverError(f"{_where(None)} returned non-finite values")
+            except SolverError as err:
+                raise SolverError(f"Newton iteration {it + 1}: {err}", residual=res) from err
+            prev = res
+            y += self._damping(phi, dy[phi_at]) * dy
+        raise AssertionError("unreachable")
+
+    def _damping(self, phi, dphi):
+        """Largest step fraction, up to 1, that keeps the constrained nodes
+        inside the safeguarded domain; raises when the iterate is pinned."""
+        if self.mask is None:
+            return 1.0
+        moving = self.mask & (dphi != 0.0)
+        if not moving.any():
+            return 1.0
+        bound = np.where(dphi[moving] > 0, self.limit, -self.limit)
+        frac = (bound - phi[moving]) / dphi[moving]
+        amax = float(frac.min())
+        alpha = 0.995 * amax if amax < 1.0 else 1.0
+        if alpha <= 1e-12:
+            node = int(np.flatnonzero(moving)[int(np.argmin(frac))])
             raise SolverError(
-                f"Newton did not converge in {opts.newton_max_iter} iterations "
-                f"(last residual {res:.3e})",
-                residual=res,
+                f"iterate pinned at the potential domain boundary "
+                f"at node {node} (phi = {phi[node]:.6f})"
             )
-        try:
-            dX = _chord_step(
-                ops, a, b, -np.concatenate([r1, r2]), lam,
-                refresh=res > CHORD_RHO * prev,
-            )
-        except SolverError as err:
-            raise SolverError(f"Newton iteration {it + 1}: {err}", residual=res) from err
-        prev = res
-        dphi = dX[0]
-        alpha = 1.0
-        if mask is not None:
-            moving = mask & (dphi != 0.0)
-            if moving.any():
-                bound = np.where(dphi[moving] > 0, limit, -limit)
-                frac = (bound - phi[moving]) / dphi[moving]
-                amax = float(frac.min())
-                if amax < 1.0:
-                    alpha = 0.995 * amax
-                if alpha <= 1e-12:
-                    node = int(np.flatnonzero(moving)[int(np.argmin(frac))])
-                    raise SolverError(
-                        f"iterate pinned at the potential domain boundary "
-                        f"at node {node} (phi = {phi[node]:.6f})"
-                    )
-        X = X + alpha * dX.T
-    raise AssertionError("unreachable")
+        return alpha
 
 
 def _mass_solve(ops, rhs):
@@ -467,14 +475,11 @@ def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:
     phi[0] = phi0.bulk
     mu[0] = initial_mu(problem, phi[0])
 
-    fns = scheme_functions(problem.pair, problem.opts)
-    dt = grid.dt
+    chord = _ChordNewton(problem, scheme_functions(problem.pair, problem.opts))
+    sources = problem.physics.gamma * ops.mass(u, ug)
     for k in range(grid.N):
         try:
-            phi[k + 1], mu[k + 1], iters[k] = _step_arrays(
-                ops, problem.pair, fns, problem.opts, problem.physics, dt,
-                phi[k], mu[k], u[k], ug[k],
-            )
+            phi[k + 1], mu[k + 1], iters[k] = chord.step(phi[k], mu[k], sources[k])
         except SolverError as err:
             raise SolverError(
                 f"step {k + 1}/{grid.N} failed: {err}",

@@ -102,13 +102,15 @@ class PotentialSpec:
 
 def regular_potential() -> PotentialSpec:
     """Classical quartic double well, beta_hat = r^4/4, pi_hat = 1/4 - r^2/2."""
+    # Products, not np.power, which calls libm pow per element: about 50
+    # times slower on a large array.
     derivs = (
         lambda r: 0.25 * (r * r - 1.0) ** 2,
-        lambda r: r**3 - r,
+        lambda r: (r * r - 1.0) * r,
         lambda r: 3.0 * r * r - 1.0,
         lambda r: 6.0 * r,
     )
-    beta_fns = (lambda r: 0.25 * r**4, lambda r: r**3, lambda r: 3.0 * r * r)
+    beta_fns = (lambda r: 0.25 * (r * r) ** 2, lambda r: r * r * r, lambda r: 3.0 * r * r)
     pi_fns = (lambda r: -r, lambda r: -np.ones_like(r))
     return PotentialSpec("regular", _UNBOUNDED, derivs, beta_fns, pi_fns)
 

@@ -35,7 +35,6 @@ from .forward import (
     solve,
     traj_norm_L2H,
 )
-from .mesh import build_interval, build_rectangle
 from .potentials import (
     PotentialPair,
     logarithmic_potential,
@@ -57,6 +56,14 @@ class CheckResult:
         return f"[{status}] {self.name}: {self.detail}"
 
 
+def _check_domain(dom):
+    """The configured domain with at most 128 cells in 1D and at most
+    16 x 16 in 2D."""
+    if dom.dim == 1:
+        return replace(dom, cells=min(dom.cells, 128))
+    return replace(dom, nx=min(dom.nx, 16), ny=min(dom.ny, 16))
+
+
 @dataclass(frozen=True)
 class CheckContext:
     """The configuration and the check operators of one suite run."""
@@ -66,14 +73,8 @@ class CheckContext:
 
     @classmethod
     def build(cls, cfg: RunConfig) -> "CheckContext":
-        """Assemble the check mesh: the configured domain with at most 128
-        cells in 1D and at most 16 x 16 in 2D."""
-        dom = cfg.domain
-        if dom.dim == 1:
-            mesh = build_interval(min(dom.cells, 128), dom.length)
-        else:
-            mesh = build_rectangle(min(dom.nx, 16), min(dom.ny, 16), dom.lx, dom.ly)
-        return cls(cfg, assemble(mesh))
+        """Assemble the operators on the check domain."""
+        return cls(cfg, assemble(_check_domain(cfg.domain).build()))
 
     @property
     def mesh(self):
@@ -330,7 +331,9 @@ def check_adjoint(ctx):
 def check_optimality(ctx):
     """Projected gradient reaches a certified box-stationary point."""
     cfg = ctx.cfg if ctx.cfg.optimization is not None else preset_config("default")
-    cp, u0, pg_opts = cfg.build_control_problem()
+    # On the check operators when the configured mesh is the check mesh.
+    ops = ctx.ops if cfg.domain == _check_domain(ctx.cfg.domain) else None
+    cp, u0, pg_opts = cfg.build_control_problem(ops)
     problem = cp.problem
     grid, mesh = problem.grid, problem.mesh
 

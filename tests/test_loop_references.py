@@ -8,12 +8,19 @@ elementwise and must agree exactly.
 The nodal scheme terms are checked the same way: the fused evaluations
 (one pass per state for a term and its derivative, one resolvent per
 side) against the per-order formulas, and the compacted resolvent against
-the full-array safeguarded Newton loop.
+the full-array safeguarded Newton loop.  The forward step, which iterates
+in the block template's permuted ordering, is checked against the
+node-ordered chord Newton loop it replaced, and the regular potential's
+products against its ``np.power`` forms.
 """
+
+import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cho import forward
 from cho.adjoint import adjoint_solve, reduced_gradient
 from cho.control import (
     BoxBounds,
@@ -37,6 +44,7 @@ from cho.forward import (
     traj_norm_L2H,
     traj_norm_Y,
 )
+from cho.config import PRESETS, preset_config
 from cho.mesh import build_interval, build_rectangle
 from cho.output import write_series_csv
 from cho.potentials import (
@@ -441,3 +449,132 @@ def test_compacted_resolvent(spec, eps):
     assert np.allclose(got, expected, rtol=RESOLVENT_RTOL, atol=0.0)
     rows = np.concatenate([resolvent(spec, eps, row) for row in rs])
     assert np.array_equal(rows, got)
+
+
+# ---------------------------------------------------------------------------
+# The regular potential's derivatives without np.power
+# ---------------------------------------------------------------------------
+
+def test_regular_potential_is_pow_free():
+    # F' = (r^2 - 1) r, beta = r^3 and beta_hat = r^4 / 4 as products
+    # against the np.power forms, relative to the magnitude of their terms.
+    # The sample keeps every power finite and normal, or exactly zero.
+    rng = np.random.default_rng(5)
+    tiny = 10.0 ** -rng.uniform(8.0, 70.0, 40)
+    large = 10.0 ** rng.uniform(1.0, 70.0, 40)
+    near_one = 1.0 + rng.uniform(-1e-6, 1e-6, 40)
+    r = np.concatenate([[0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300], rng.uniform(-3, 3, 200),
+                        tiny, large, near_one])
+    r = np.concatenate([r, -r])
+    spec = regular_potential()
+    for got, want, scale in (
+        (spec.F(r, 1), r**3 - r, np.abs(r) ** 3 + np.abs(r)),
+        (spec.beta(r), r**3, np.abs(r) ** 3),
+        (spec.beta_hat(r), 0.25 * r**4, 0.25 * r**4),
+        (spec.derivatives(r, (1, 2), convex=True)[0], r**3, np.abs(r) ** 3),
+    ):
+        assert np.all(np.abs(got - want) <= 4e-16 * scale)
+
+
+# ---------------------------------------------------------------------------
+# The chord Newton step against its node-ordered form
+# ---------------------------------------------------------------------------
+
+def loop_step(ops, fns, opts, physics, dt, phi_n, mu_n, u, ug):
+    """One implicit step in node order, two sparse products per residual:
+    the chord Newton loop the permuted-order step replaced."""
+    Mbar, Kbar = ops.M_total, ops.K_total
+    gamma, tau = physics.gamma, physics.tau
+    mask = forward._interior_mask(ops, fns.pair, opts)
+    limit = 1.0 - opts.interior_safeguard
+    w = ops.lumped_total
+    template = ops.block_template
+    Mphi_n = Mbar @ phi_n
+    c1 = Mphi_n / dt + gamma * ops.mass(u, ug)
+    c2 = (tau / dt) * Mphi_n - fns.explicit(ops, phi_n)[0]
+    a, b = forward.jacobian_coefficients(physics, dt)
+    X = np.column_stack([phi_n, mu_n])
+    prev = np.inf
+    for it in range(opts.newton_max_iter + 1):
+        phi = X[:, 0]
+        m, k = Mbar @ X, Kbar @ X
+        nodal, lam = fns.implicit(ops, phi)
+        r1 = a[0] * m[:, 0] + k[:, 1] - c1
+        r2 = a[2] * m[:, 0] + k[:, 0] - m[:, 1] + nodal - c2
+        res = float(np.sqrt(r1 @ (r1 / w) + r2 @ (r2 / w)))
+        if res <= opts.newton_tol:
+            return phi, X[:, 1], it
+        assert it < opts.newton_max_iter
+        forward._refactor_if_needed(ops, a, b, lam, None, res > forward.CHORD_RHO * prev)
+        rhs = -np.concatenate([r1, r2])
+        dX = template.lu.solve(rhs[template.order])[template.inverse].reshape(2, -1)
+        prev = res
+        dphi, alpha = dX[0], 1.0
+        if mask is not None:
+            moving = mask & (dphi != 0.0)
+            if moving.any():
+                bound = np.where(dphi[moving] > 0, limit, -limit)
+                amax = float(((bound - phi[moving]) / dphi[moving]).min())
+                if amax < 1.0:
+                    alpha = 0.995 * amax
+        X = X + alpha * dX.T
+    raise AssertionError("unreachable")
+
+
+def loop_solve(problem, phi0, controls):
+    """The forward solve, step by step with ``loop_step``."""
+    grid = problem.grid
+    fns = scheme_functions(problem.pair, problem.opts)
+    phi = [phi0.bulk]
+    mu = [forward.initial_mu(problem, phi0.bulk)]
+    iters = []
+    for k in range(grid.N):
+        p, m, it = loop_step(problem.ops, fns, problem.opts, problem.physics, grid.dt,
+                             phi[k], mu[k], controls.u[k], controls.uG[k])
+        phi.append(p)
+        mu.append(m)
+        iters.append(it)
+    return np.array(phi), np.array(mu), np.array(iters)
+
+
+def _preset_case(name, scheme, eps, pair=None):
+    cfg = preset_config(name)
+    problem = cfg.build_problem().with_options(scheme=scheme, eps_yosida=eps)
+    if pair is not None:
+        problem = replace(problem, pair=pair)
+    mesh = problem.mesh
+    return problem, cfg.build_initial(mesh), cfg.build_controls(mesh, problem.grid)
+
+
+def _near_separation(scheme, eps):
+    # Logarithmic, with |phi0| up to 0.999 and dt = 0.25: without Yosida,
+    # the interior damping cuts one correction of the first step.
+    problem = make_problem(kind="logarithmic", n_cells=24, T=1.0, N=4, scheme=scheme,
+                           eps_yosida=eps)
+    mesh = problem.mesh
+    return (problem, cosine_ic(mesh, amplitude=0.999, waves=2.0),
+            ControlPair.constant(mesh, problem.grid, 0.0, 0.0))
+
+
+STEP_CASES = {
+    **{name: functools.partial(_preset_case, name) for name in PRESETS},
+    "default-bulk-boundary": functools.partial(_preset_case, "default", pair=PotentialPair(
+        bulk=regular_potential(), boundary=logarithmic_potential(2.0))),
+    "near-separation": _near_separation,
+}
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("scheme", ["fully-implicit", "convex-splitting"])
+@pytest.mark.parametrize("case", STEP_CASES.values(), ids=STEP_CASES.keys())
+def test_forward_step_matches_the_node_ordered_loop(case, scheme, eps):
+    # Each side on operators of its own, so that both start without a
+    # factor and take the same refactor decisions.
+    problem, phi0, controls = case(scheme, eps)
+    traj = solve(problem, phi0, controls)
+    reference = replace(problem, ops=CoupledOperators(problem.mesh))
+    phi, mu, iters = loop_solve(reference, phi0, controls)
+    assert np.array_equal(traj.newton_iters, iters)
+    assert iters.sum() > 0
+    for got, want in ((traj.phi, phi), (traj.mu, mu)):
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()

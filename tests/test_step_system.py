@@ -278,6 +278,53 @@ def test_factorization_budget(factor_log):
     assert factor_log.step_factors <= 4
 
 
+def test_one_product_and_one_triangular_solve_per_iterate(monkeypatch):
+    # A forward solve on an 8x8 rectangle: each residual is one product
+    # with the 2n x 2n step matrix and each chord correction one SuperLU
+    # solve.  M_total and K_total act once per step, on the old state, and
+    # otherwise only in the initial chemical potential.
+    mesh = build_rectangle(8, 8, 1.0, 1.0)
+    grid = TimeGrid(T=0.4, N=8)
+    problem = Problem.create(mesh, PotentialPair.same(logarithmic_potential(2.0)),
+                             SolverOptions(), PHYSICS, grid)
+    ops = problem.ops
+    rng = np.random.default_rng(11)
+    phi0 = PairField.from_bulk(mesh, rng.uniform(-0.4, 0.4, mesh.n_bulk))
+    u = ControlPair.constant(mesh, grid, 0.1, 0.05)
+
+    products, solves = [], []
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+        monkeypatch.setattr(cls, "__matmul__", lambda A, x, matmul=cls.__matmul__:
+                            products.append(A) or matmul(A, x))
+    splu = spla.splu
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, *args, **kwargs):
+            solves.append(1)
+            return self.lu.solve(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: Factor(splu(*a, **k)))
+
+    def operator_products():
+        return sum(A is ops.M_total or A is ops.K_total for A in products)
+
+    forward.initial_mu(problem, phi0.bulk)
+    initial = operator_products()
+    products.clear()
+    traj = solve(problem, phi0, u)
+    assert traj.newton_iters.sum() > grid.N
+    assert len(solves) == traj.newton_iters.sum()
+    assert operator_products() == initial + grid.N
+    step = sum(A.shape == (2 * mesh.n_bulk,) * 2 for A in products)
+    assert step == (traj.newton_iters + 1).sum()
+
+
 class EvaluationLog:
     def __init__(self, monkeypatch):
         self.counts = {}

@@ -28,7 +28,9 @@ def test_aborted_check_is_reported_under_its_name(monkeypatch, check, name):
     assert result.line().startswith(f"[FAIL] {name}: aborted: injected")
 
 
-def test_suite_assembles_its_operators_once_plus_the_control_problem(monkeypatch):
+def test_suite_assembles_its_operators_once(monkeypatch):
+    # The optimality check's control problem shares the check operators:
+    # the coarse preset's mesh is under the cap.
     meshes = []
     init = CoupledOperators.__init__
 
@@ -40,7 +42,7 @@ def test_suite_assembles_its_operators_once_plus_the_control_problem(monkeypatch
     results = verify.run_suite(preset_config("coarse"))
     assert [r.name for r in results] == list(NAMES)
     assert all(r.passed for r in results), [r.line() for r in results]
-    assert len(meshes) == 2
+    assert len(meshes) == 1
 
 
 @pytest.mark.parametrize("domain, n_bulk", [
@@ -50,6 +52,9 @@ def test_suite_assembles_its_operators_once_plus_the_control_problem(monkeypatch
 def test_context_caps_the_check_mesh_and_builds_problems_on_it(domain, n_bulk):
     ctx = verify.CheckContext.build(RunConfig.from_dict({**PRESETS["default"], "domain": domain}))
     assert ctx.mesh is ctx.ops.mesh and ctx.mesh.n_bulk == n_bulk
+    # A capped mesh is not the configured one: the optimality check
+    # assembles the control problem's operators itself.
+    assert verify._check_domain(ctx.cfg.domain) != ctx.cfg.domain
     problem = ctx.problem(0.4, 10, newton_tol=1e-12)
     assert problem.mesh is ctx.mesh and problem.ops is ctx.ops
     assert (problem.grid.T, problem.grid.N, problem.opts.newton_tol) == (0.4, 10, 1e-12)
