@@ -25,13 +25,14 @@ rows with the sensitivity.
 
 No backward matrix is assembled.  The backward step matrix equals
 diag(dt I, I) J^T with J the forward step Jacobian, so both solvers
-solve J^T (p, q) = (rhs / dt, 0) through the forward solver's
-fixed-pattern block solve with ``trans="T"``; the terminal pair uses the
-same block template with the coefficients of [[M, tau M], [K, -M]].
-That solve refines on the template's one live factor to a relative
-residual of 1e-13, so a backward sweep factors twice: once for the terminal pair
-and once for the step Jacobian at the last state, which then serves
-every backward step.
+solve J^T (p, q) = (rhs / dt, 0) on the block template's one step
+matrix with ``trans="T"``; the terminal pair uses the same matrix with
+the coefficients of [[M, tau M], [K, -M]].  A sweep rewrites every entry
+twice, for the terminal pair and for the step Jacobian, and each
+backward step refills only the diagonal lambda.  The solve refines on
+the template's one live factor to a relative residual of 1e-13, so a
+sweep factors twice: once for the terminal pair and once for the step
+Jacobian at the last state, which then serves every backward step.
 """
 
 import numpy as np
@@ -39,8 +40,8 @@ import numpy as np
 from .forward import (
     Problem,
     StateTrajectory,
+    _SchemeFns,
     jacobian_coefficients,
-    scheme_functions,
     solve_block_system,
 )
 
@@ -85,7 +86,7 @@ def _sweep_backward(problem: Problem, base: StateTrajectory, cost, step_terms):
 def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:
     """Exact transpose of the discrete linearized dynamics against the cost."""
     ops, N, tau, dt = problem.ops, problem.grid.N, problem.physics.tau, problem.grid.dt
-    fns = scheme_functions(problem.pair, problem.opts)
+    fns = _SchemeFns(problem.pair, problem.opts)
     lam, dexp = fns.jacobian(ops, base.phi)
 
     def step_terms(Z1, m, pm, qm):

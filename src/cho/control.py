@@ -372,14 +372,3 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
         history.append(IterateRecord(k, J, vi, s, newton_total,
                                      validate_Uad(u, box, grid, ops).passed))
     return OptimizeResult(u, traj, adj, g, history, converged=vi <= opts.tol)
-
-
-def optimality_bilinear(cp: ControlProblem, u_star: ControlPair, g: ControlPair,
-                        other: ControlPair) -> float:
-    """First-order form <gamma p + a5 u_*, u - u_*> + boundary analogue.
-
-    Nonnegative, up to the stationarity tolerance, for every admissible
-    ``other`` at a box-stationary point.
-    """
-    ops, dt = cp.problem.ops, cp.problem.grid.dt
-    return control_inner(g, other.plus(u_star, -1.0), ops, dt)

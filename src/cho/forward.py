@@ -170,10 +170,6 @@ class _SchemeFns:
         return lam, self.explicit(ops, phi)[1]
 
 
-def scheme_functions(pair: PotentialPair, opts: SolverOptions) -> _SchemeFns:
-    return _SchemeFns(pair, opts)
-
-
 def jacobian_coefficients(physics, dt):
     """Block coefficients (a, b) of the step Jacobian
 
@@ -183,8 +179,9 @@ def jacobian_coefficients(physics, dt):
     return (1.0 / dt + physics.gamma, 0.0, physics.tau / dt, -1.0), (0.0, 1.0, 1.0, 0.0)
 
 
-# Module constants of the step solves.  Every step system shares one live
-# factor per block template (``BlockTemplate.factor``), taken at some
+# Module constants of the step solves.  Every step system is the block
+# template's one step matrix, refilled on its lambda diagonal alone while
+# its coefficients hold, and shares its one live factor, taken at some
 # reference diagonal; the solves below use it as a preconditioner.
 #
 # A refined solve stops at this relative residual ||r - A x|| / ||r||.
@@ -233,7 +230,7 @@ def _refactor_if_needed(ops, a, b, lam, step, refresh=False):
             step=step,
         )
     template = ops.block_template
-    if not refresh and template.coeffs == (tuple(a), tuple(b)):
+    if not refresh and template.lu is not None and template.coeffs == (tuple(a), tuple(b)):
         return False
     try:
         template.factor(a, b, lam)
@@ -247,9 +244,9 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     ``REFINE_RTOL`` and return its two halves.
 
     The matrix A = [[a11 M + b11 K, a12 M + b12 K], [a21 M + b21 K +
-    diag(lam), a22 M + b22 K]] is refilled into the operators' fixed block
-    template, which stores it symmetrically permuted by the template's
-    fill-reducing ordering.  The system is solved with A (trans="N") or its
+    diag(lam), a22 M + b22 K]] is the block template's one step matrix,
+    stored symmetrically permuted; a call with the coefficients it holds
+    refills only diag(lam).  The system is solved with A (trans="N") or its
     transpose (trans="T") by iterative refinement: each sweep corrects the
     solution with the template's live factor and recomputes the residual
     with the exact refilled matrix.  The factor, taken at an earlier
@@ -312,12 +309,12 @@ class _ChordNewton:
     permuted ordering.
 
     The iterate is y = [phi; mu][order], so the step residual is one
-    product with the permuted step matrix without diag(lam), L, plus N(phi)
-    added at the mu rows, and a correction is one solve with the
-    template's live factor, no permutes.  The residual is exact; the
+    product with the template's step matrix refilled without diag(lam),
+    plus N(phi) added at the mu rows, and a correction is one solve with
+    the template's live factor, no permutes.  The residual is exact; the
     factor is reused across iterations and steps, and rebuilt at the
     current state when an iteration leaves more than ``CHORD_RHO`` of the
-    previous residual.  L is a copy, since a refactor refills the template.
+    previous residual.
     """
 
     def __init__(self, problem: Problem, fns: _SchemeFns):
@@ -326,7 +323,6 @@ class _ChordNewton:
         n = ops.mesh.n_bulk
         self.ops, self.fns, self.opts = ops, fns, problem.opts
         self.a, self.b = jacobian_coefficients(physics, dt)
-        self.L = template.fill(self.a, self.b).tocsr()
         self.order = template.order
         self.phi_at, self.mu_at = template.inverse[:n], template.inverse[n:]
         # Inverse lumped weights of the mass-weighted residual norm.
@@ -351,7 +347,7 @@ class _ChordNewton:
         for it in range(opts.newton_max_iter + 1):
             phi = y[phi_at]
             nodal, lam = self.fns.implicit(ops, phi)
-            r = self.L @ y
+            r = template.fill(self.a, self.b) @ y
             r[mu_at] += nodal
             r -= c
             res = math.sqrt(r @ (r * winv))
@@ -421,7 +417,7 @@ def _mass_solve(ops, rhs):
 def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
     """Chemical potential at t = 0 from the second equation (no dynamics)."""
     ops = problem.ops
-    fns = scheme_functions(problem.pair, problem.opts)
+    fns = _SchemeFns(problem.pair, problem.opts)
     rhs = ops.K_total @ phi0 + fns.implicit(ops, phi0)[0] + fns.explicit(ops, phi0)[0]
     mu0 = _mass_solve(ops, rhs)
     if mu0 is None or not np.all(np.isfinite(mu0)):
@@ -441,6 +437,18 @@ def require_mean_value(problem: Problem, phi0: PairField, M: float, what="") -> 
             raise ValidationError(f"mean-value condition fails{what}: {mz.message}")
 
 
+def slab_arrays(pair, mesh, grid, what="control"):
+    """Float slab arrays (u, uG) of a control-shaped pair; raises
+    ``ValidationError`` unless shaped (N, n_bulk) and (N, n_boundary)."""
+    u, ug = (np.asarray(z, dtype=float) for z in (pair.u, pair.uG))
+    if u.shape != (grid.N, mesh.n_bulk) or ug.shape != (grid.N, mesh.n_boundary):
+        raise ValidationError(
+            f"{what} slabs have shapes {u.shape}/{ug.shape}, expected "
+            f"({grid.N}, {mesh.n_bulk})/({grid.N}, {mesh.n_boundary})"
+        )
+    return u, ug
+
+
 def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:
     """March the state system over the whole grid.
 
@@ -453,13 +461,7 @@ def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:
     phi0.check_shapes(mesh)
     if not phi0.conforming:
         raise ValidationError("initial datum must be a conforming pair")
-    u = np.asarray(controls.u, dtype=float)
-    ug = np.asarray(controls.uG, dtype=float)
-    if u.shape != (grid.N, mesh.n_bulk) or ug.shape != (grid.N, mesh.n_boundary):
-        raise ValidationError(
-            f"control slabs have shapes {u.shape}/{ug.shape}, expected "
-            f"({grid.N}, {mesh.n_bulk})/({grid.N}, {mesh.n_boundary})"
-        )
+    u, ug = slab_arrays(controls, mesh, grid)
 
     if problem.pair.bounded and not problem.opts.eps_yosida:
         lo, hi = problem.pair.boundary.domain
@@ -475,7 +477,7 @@ def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:
     phi[0] = phi0.bulk
     mu[0] = initial_mu(problem, phi[0])
 
-    chord = _ChordNewton(problem, scheme_functions(problem.pair, problem.opts))
+    chord = _ChordNewton(problem, _SchemeFns(problem.pair, problem.opts))
     sources = problem.physics.gamma * ops.mass(u, ug)
     for k in range(grid.N):
         try:

@@ -6,11 +6,12 @@ iteration, with the potential derivative frozen at the end-of-step base
 state.  This makes the Taylor test and the adjoint gradient exact at
 the discrete level while the scheme itself discretizes the continuous
 linearized system.  The solve goes through the forward solver's shared
-fixed-pattern block solve (``forward.solve_block_system``): iterative
-refinement on the block template's live factor, usually the one the
-forward run left behind, to a relative residual of 1e-13.  It raises
-``SolverError`` on a singular matrix, a non-finite solution or a
-refinement that stalls on a fresh factor.
+block solve (``forward.solve_block_system``) on the block template's
+one step matrix, whose coefficients the forward run left in place, so
+each step refills only the diagonal lambda.  It refines on the live
+factor, usually the one the forward run left behind, to a relative
+residual of 1e-13, and raises ``SolverError`` on a singular matrix, a
+non-finite solution or a refinement that stalls on a fresh factor.
 """
 
 from dataclasses import dataclass
@@ -20,8 +21,9 @@ import numpy as np
 from .forward import (
     Problem,
     StateTrajectory,
+    _SchemeFns,
     jacobian_coefficients,
-    scheme_functions,
+    slab_arrays,
     solve,
     solve_block_system,
     traj_norm_Y,
@@ -40,26 +42,26 @@ class LinearizedTrajectory:
 def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTrajectory:
     """Solve the linearized system for the direction h = (h, h_Gamma).
 
-    ``h`` carries slab arrays like a control pair.  The initial
-    sensitivity vanishes because the initial state does not depend on
-    the control.
+    ``h`` carries slab arrays like a control pair and is checked like
+    one.  The initial sensitivity vanishes because the initial state
+    does not depend on the control.
     """
     ops, grid, physics = problem.ops, problem.grid, problem.physics
-    fns = scheme_functions(problem.pair, problem.opts)
+    fns = _SchemeFns(problem.pair, problem.opts)
     dt = grid.dt
     n = problem.mesh.n_bulk
 
-    hu = np.asarray(h.u, dtype=float)
-    hg = np.asarray(h.uG, dtype=float)
+    hu, hg = slab_arrays(h, problem.mesh, grid, "direction")
     psi = np.zeros((grid.N + 1, n))
     eta = np.zeros((grid.N + 1, n))
 
-    Mbar = ops.M_total
     a, b = jacobian_coefficients(physics, dt)
     lam, dexp = fns.jacobian(ops, base.phi)
+    sources = physics.gamma * ops.mass(hu, hg)
     for k in range(grid.N):
-        rhs1 = (1.0 / dt) * (Mbar @ psi[k]) + physics.gamma * ops.mass(hu[k], hg[k])
-        rhs2 = (physics.tau / dt) * (Mbar @ psi[k]) - dexp[k] * psi[k]
+        Mpsi = ops.M_total @ psi[k]
+        rhs1 = (1.0 / dt) * Mpsi + sources[k]
+        rhs2 = (physics.tau / dt) * Mpsi - dexp[k] * psi[k]
         psi[k + 1], eta[k + 1] = solve_block_system(
             ops, a, b, np.concatenate([rhs1, rhs2]), lam=lam[k + 1], step=k + 1
         )

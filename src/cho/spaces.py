@@ -132,7 +132,7 @@ class CoupledOperators:
 
 
 class BlockTemplate:
-    """CSC matrix whose coefficients are refilled in place for every step system.
+    """The one CSC step matrix of every step system, refilled in place.
 
     Every block system of the time stepper has the form
 
@@ -155,10 +155,13 @@ class BlockTemplate:
     permuted unknowns back: if y solves ``matrix @ y = r[order]``, then
     x = y[inverse] solves A x = r.
 
-    The template owns at most one live factor of its stored matrix, ``lu``,
-    with the coefficients ``coeffs`` = (a, b) it was filled with.  The
-    diagonal it was factored at is not kept: callers solve with the exact
-    refilled matrix and use ``lu`` as a preconditioner.
+    The template holds one coefficient set ``coeffs`` = (a, b) for its
+    matrix and its one live factor ``lu``, if any.  Only the diagonal of
+    block 21 depends on the state: a refill with the coefficients held
+    rewrites those n slots alone, from their lambda-free values ``free``,
+    and new coefficients rewrite every entry and release ``lu``.  The
+    diagonal ``lu`` was factored at is not kept: callers solve with the
+    exact refilled matrix and use ``lu`` as a preconditioner.
     """
 
     def __init__(self, M, K):
@@ -183,27 +186,27 @@ class BlockTemplate:
         self.block = (2 * (rows >= n) + (cols >= n)).astype(np.int8)
         diag = np.flatnonzero(rows - n == cols)
         self.diag = diag[np.argsort(cols[diag])]
-        self.lu = None
-        self.coeffs = None
+        self.lu = self.coeffs = self.free = None
 
     def fill(self, a, b, lam=None):
         """Write the blocks a_ij M + b_ij K (+ diag(lam) in block 21) into the
         template, with a and b listed as (11, 12, 21, 22); returns the
         permuted matrix."""
-        data = self.matrix.data
-        np.multiply(np.take(a, self.block), self.m, out=data)
-        data += np.take(b, self.block) * self.k
-        if lam is not None:
-            data[self.diag] += lam
+        data, coeffs = self.matrix.data, (tuple(a), tuple(b))
+        if coeffs != self.coeffs:
+            self.lu, self.coeffs = None, coeffs
+            np.multiply(np.take(a, self.block), self.m, out=data)
+            data += np.take(b, self.block) * self.k
+            self.free = data[self.diag]
+        data[self.diag] = self.free if lam is None else self.free + lam
         return self.matrix
 
     def factor(self, a, b, lam=None):
         """Fill the template and factor it in its stored order, releasing the
         previous factor first so that two are never alive at once.  A
         singular matrix raises ``RuntimeError`` and leaves no factor."""
-        self.lu = self.coeffs = None
+        self.lu = None
         self.lu = spla.splu(self.fill(a, b, lam), permc_spec="NATURAL")
-        self.coeffs = (tuple(a), tuple(b))
 
 
 def _slots(A):

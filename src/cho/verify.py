@@ -360,8 +360,9 @@ def check_optimality(ctx):
             rng.uniform(np.broadcast_to(cp.box.uG_min, (grid.N, mesh.n_boundary)),
                         np.broadcast_to(cp.box.uG_max, (grid.N, mesh.n_boundary))),
         )
-        worst_form = min(worst_form,
-                         ctl_mod.optimality_bilinear(cp, result.u, result.gradient, other))
+        # The first-order form <gamma p + a5 u_*, u - u_*> + boundary analogue.
+        worst_form = min(worst_form, control_inner(result.gradient, other.plus(result.u, -1.0),
+                                                   problem.ops, grid.dt))
     ok = result.converged and monotone and vi <= 1e-6 and worst_form >= -1e-5
     return ok, (
         f"vi residual {vi:.2e} (<= 1e-6) after {len(result.history) - 1} iterations, "

@@ -50,10 +50,8 @@ class TestStep:
         problem, phi0, controls, traj = generic_run
         # Recompute the step residuals at the stored states, in node order,
         # and take their mass-weighted norm here rather than the solver's.
-        from cho.forward import scheme_functions
-
         ops, dt = problem.ops, problem.grid.dt
-        fns = scheme_functions(problem.pair, problem.opts)
+        fns = forward._SchemeFns(problem.pair, problem.opts)
         gamma, tau = problem.physics.gamma, problem.physics.tau
         for k in range(problem.grid.N):
             u, ug = controls.u[k], controls.uG[k]
@@ -92,7 +90,7 @@ class TestInitialMu:
             )
         ops = problem.ops
         phi0 = 0.6 * np.sin(np.arange(ops.mesh.n_bulk))
-        fns = forward.scheme_functions(problem.pair, problem.opts)
+        fns = forward._SchemeFns(problem.pair, problem.opts)
         rhs = ops.K_total @ phi0 + fns.implicit(ops, phi0)[0]
         direct = spla.spsolve(ops.M_total.tocsc(), rhs)
         mu0 = initial_mu(problem, phi0)

@@ -11,7 +11,10 @@ side) against the per-order formulas, and the compacted resolvent against
 the full-array safeguarded Newton loop.  The forward step, which iterates
 in the block template's permuted ordering, is checked against the
 node-ordered chord Newton loop it replaced, and the regular potential's
-products against its ``np.power`` forms.
+products against its ``np.power`` forms.  The one step matrix, refilled
+on its lambda diagonal alone while the coefficients hold, is checked
+against the template fill that rewrote every entry on each call and the
+lambda-free CSR copy chord Newton held of it.
 """
 
 import functools
@@ -19,6 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from cho import forward
 from cho.adjoint import adjoint_solve, reduced_gradient
@@ -37,8 +41,8 @@ from cho.forward import (
     Problem,
     SolverOptions,
     TimeGrid,
+    _SchemeFns,
     exact_mean,
-    scheme_functions,
     mean_ode_residual,
     solve,
     traj_norm_L2H,
@@ -55,7 +59,7 @@ from cho.potentials import (
     resolvent,
 )
 from cho.sensitivity import linearized_solve
-from cho.spaces import CoupledOperators
+from cho.spaces import BlockTemplate, CoupledOperators
 
 from conftest import cosine_ic, make_problem
 
@@ -419,7 +423,7 @@ def test_fused_nodal_terms(pair, mesh, scheme, eps):
     # potential the trace reuses the bulk values.
     problem = Problem.create(mesh, pair, SolverOptions(scheme=scheme, eps_yosida=eps),
                              Physics(1.0, 1.0), TimeGrid(0.1, 4))
-    ops, fns = problem.ops, scheme_functions(pair, problem.opts)
+    ops, fns = problem.ops, _SchemeFns(pair, problem.opts)
     # With eps > 0 the states leave the logarithmic domain (-1, 1).
     spread = 1.5 if eps else 0.95
     stack = np.random.default_rng(8).uniform(-spread, spread, (5, mesh.n_bulk))
@@ -524,7 +528,7 @@ def loop_step(ops, fns, opts, physics, dt, phi_n, mu_n, u, ug):
 def loop_solve(problem, phi0, controls):
     """The forward solve, step by step with ``loop_step``."""
     grid = problem.grid
-    fns = scheme_functions(problem.pair, problem.opts)
+    fns = _SchemeFns(problem.pair, problem.opts)
     phi = [phi0.bulk]
     mu = [forward.initial_mu(problem, phi0.bulk)]
     iters = []
@@ -578,3 +582,59 @@ def test_forward_step_matches_the_node_ordered_loop(case, scheme, eps):
     assert iters.sum() > 0
     for got, want in ((traj.phi, phi), (traj.mu, mu)):
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# The one step matrix against full refills and the chord's private copy
+# ---------------------------------------------------------------------------
+
+def full_fill(template, a, b, lam=None):
+    """The template fill that rewrote every entry on each call."""
+    data = template.matrix.data
+    np.multiply(np.take(a, template.block), template.m, out=data)
+    data += np.take(b, template.block) * template.k
+    if lam is not None:
+        data[template.diag] += lam
+    return template.matrix
+
+
+def copy_fill(template, a, b, lam=None):
+    """``full_fill``, with the lambda-free matrix handed out as the CSR copy
+    chord Newton held of it."""
+    A = full_fill(template, a, b, lam)
+    return A.tocsr() if lam is None else A
+
+
+def full_factor(template, a, b, lam=None):
+    """The factorization that recorded its coefficients with its factor."""
+    template.lu = template.coeffs = None
+    template.lu = spla.splu(full_fill(template, a, b, lam), permc_spec="NATURAL")
+    template.coeffs = (tuple(a), tuple(b))
+
+
+def round_trip(problem, phi0, controls):
+    """Forward, linearized and adjoint solves: the fields and Newton counts."""
+    mesh, grid = problem.mesh, problem.grid
+    base = solve(problem, phi0, controls)
+    lin = linearized_solve(
+        problem, base, random_direction(mesh, grid, np.random.default_rng(3)).scaled(0.1))
+    adj = adjoint_solve(problem, base, CostSpec(alphas=(1.0, 0.5, 1.0, 0.5, 0.2, 0.2),
+                                                phiQ=0.2, phiS=0.1, phiO=0.2, phiG=0.1))
+    return base.newton_iters, (base.phi, base.mu, lin.psi, lin.eta, adj.p, adj.q)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("scheme", ["fully-implicit", "convex-splitting"])
+@pytest.mark.parametrize("name", PRESETS)
+def test_one_step_matrix_matches_full_refills(name, scheme, eps, monkeypatch):
+    # The reference runs on operators of its own, so that both sides start
+    # without a factor and take the same refactor decisions.
+    problem, phi0, controls = _preset_case(name, scheme, eps)
+    iters, fields = round_trip(problem, phi0, controls)
+    monkeypatch.setattr(BlockTemplate, "fill", copy_fill)
+    monkeypatch.setattr(BlockTemplate, "factor", full_factor)
+    reference = replace(problem, ops=CoupledOperators(problem.mesh))
+    ref_iters, ref_fields = round_trip(reference, phi0, controls)
+    assert np.array_equal(iters, ref_iters)
+    for got, want in zip(fields, ref_fields):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

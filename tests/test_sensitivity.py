@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cho.control import ControlPair, control_norm, random_direction
+from cho.errors import ValidationError
 from cho.forward import solve, traj_norm_Y
 from cho.potentials import PotentialPair, custom_potential
 from cho.sensitivity import linearized_solve, taylor_test
@@ -29,6 +30,21 @@ class TestLinearizedSolve:
                                ControlPair.zeros(problem.mesh, problem.grid))
         assert np.abs(lin.psi).max() == 0.0
         assert np.abs(lin.eta).max() == 0.0
+
+    def test_extra_slabs_rejected(self, base_setup):
+        # N + 3 slabs, of which the solve would read the first N.
+        problem, _, _, base = base_setup
+        h = unit_direction(problem, 0)
+        h = ControlPair(np.vstack([h.u, h.u[:3]]), np.vstack([h.uG, h.uG[:3]]))
+        with pytest.raises(ValidationError, match="direction slabs have shapes"):
+            linearized_solve(problem, base, h)
+
+    def test_boundary_slab_of_wrong_width_rejected(self, base_setup):
+        problem, _, _, base = base_setup
+        h = unit_direction(problem, 0)
+        h = ControlPair(h.u, np.hstack([h.uG, h.uG]))
+        with pytest.raises(ValidationError, match="direction slabs have shapes"):
+            linearized_solve(problem, base, h)
 
     def test_initial_sensitivity_vanishes(self, base_setup):
         problem, phi0, u, base = base_setup

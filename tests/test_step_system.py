@@ -7,11 +7,14 @@ matrix and the terminal adjoint matrix.  The template stores its matrix
 symmetrically permuted by a fill-reducing ordering; ``unpermuted`` undoes
 that before comparing entries.
 
-The template keeps one live factor, taken at whatever diagonal it was last
-built for; the forward solver runs chord Newton on it and the linearized
-and adjoint solves refine on it.  The tests below check that the results
-do not depend on that history and that a factor is released before the
-next one is built.
+The template is the one step matrix of every solve: a refill with the
+coefficients it holds rewrites only the diagonal lambda of block 21.  It
+keeps one live factor, taken at whatever diagonal it was last built for;
+the forward solver runs chord Newton on it and the linearized and adjoint
+solves refine on it.  The tests below check that the results do not
+depend on that history, that a factor is released before the next one is
+built, and that a forward, linearized and adjoint round rewrites every
+entry only when the coefficients change.
 """
 
 import copy
@@ -133,6 +136,32 @@ class TestTemplate:
         assert ops.block_template is template
         assert np.array_equal(template.matrix.indptr, indptr)
         assert np.array_equal(template.matrix.indices, indices)
+
+    def test_lambda_refill_touches_only_the_diagonal(self, system):
+        ops, lam, _ = system
+        template = ops.block_template
+        a, b = jacobian_coefficients(PHYSICS, DT)
+        template.factor(a, b, lam)
+        lu, before = template.lu, template.matrix.data.copy()
+        for new_lam in (2.0 * lam, None):
+            A = template.fill(a, b, new_lam)
+            assert template.lu is lu
+            off = np.ones(A.nnz, dtype=bool)
+            off[template.diag] = False
+            assert np.array_equal(A.data[off], before[off])
+            reference = jacobian_reference(
+                ops, PHYSICS, DT, np.zeros_like(lam) if new_lam is None else new_lam)
+            assert_same_entries(unpermuted(template, A), reference)
+
+    def test_coefficient_change_releases_the_factor(self, system):
+        ops, lam, _ = system
+        template = ops.block_template
+        template.factor(*jacobian_coefficients(PHYSICS, DT), lam)
+        assert template.lu is not None
+        B = template.fill(*TERMINAL)
+        assert template.lu is None
+        assert template.coeffs == TERMINAL
+        assert_same_entries(unpermuted(template, B), terminal_reference(ops, PHYSICS.tau))
 
     def test_transposed_view_follows_refills(self, system):
         ops, lam, _ = system
@@ -276,6 +305,37 @@ def test_factorization_budget(factor_log):
     linearized_solve(problem, base, random_direction(mesh, grid, rng).scaled(0.1))
     adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
     assert factor_log.step_factors <= 4
+
+
+class CountedReads(np.ndarray):
+    """Per-slot values that record each ufunc call reading them."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.reads.append(ufunc.__name__)
+        inputs = tuple(x.view(np.ndarray) if x is self else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_full_refills_only_on_new_coefficients(N):
+    # Forward, linearized and adjoint on an 8x8 rectangle.  Only a refill
+    # that rewrites every entry reads the per-slot M values: one for the
+    # forward run's Jacobian coefficients, which the linearized solve keeps,
+    # and two for the adjoint (the terminal pair, then the Jacobian again).
+    # Every other refill rewrites the diagonal lambda alone, whatever N.
+    mesh = build_rectangle(8, 8, 1.0, 1.0)
+    grid = TimeGrid(T=0.4, N=N)
+    problem = Problem.create(mesh, PotentialPair.same(regular_potential()),
+                             SolverOptions(), PHYSICS, grid)
+    template = problem.ops.block_template
+    template.m = template.m.view(CountedReads)
+    template.m.reads = []
+    rng = np.random.default_rng(11)
+    phi0 = PairField.from_bulk(mesh, rng.uniform(-0.4, 0.4, mesh.n_bulk))
+    base = solve(problem, phi0, ControlPair.constant(mesh, grid, 0.1, 0.05))
+    linearized_solve(problem, base, random_direction(mesh, grid, rng).scaled(0.1))
+    adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
+    assert len(template.m.reads) == 3
 
 
 def test_one_product_and_one_triangular_solve_per_iterate(monkeypatch):
