@@ -103,17 +103,17 @@ def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> Ad
 
     Coefficients and sources are evaluated at the unknown's own time
     level; agrees with ``adjoint_solve`` up to O(dt) and is used as an
-    independent consistency target.
+    independent consistency target.  The coefficient is the second
+    derivative of the run's potential, Yosida-regularized when the run is,
+    whatever the time-stepping split: the sum of both terms of
+    ``_SchemeFns.jacobian``, evaluated once over the stack.
     """
-    ops, pair = problem.ops, problem.pair
-    tau, dt = problem.physics.tau, problem.grid.dt
+    ops, tau, dt = problem.ops, problem.physics.tau, problem.grid.dt
+    lam, dexp = _SchemeFns(problem.pair, problem.opts).jacobian(ops, base.phi[:-1])
+    lam = lam + dexp
 
     def step_terms(Z1, m, pm, qm):
-        phi = base.phi[m - 1]
-        rhs1 = Z1[m - 1] + ops.M_total @ (pm + tau * qm) / dt
-        # F'' whatever the time-stepping split.
-        lam = ops.lumped(pair.bulk.F(phi, 2), pair.boundary.F(phi[ops.mesh.trace_map], 2))
-        return lam, rhs1
+        return lam[m - 1], Z1[m - 1] + ops.M_total @ (pm + tau * qm) / dt
 
     return _sweep_backward(problem, base, cost, step_terms)
 

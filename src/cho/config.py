@@ -133,6 +133,11 @@ class RandomInitial(_Finite):
     seed: int = 0
     amplitude: float = 0.1
 
+    def __post_init__(self):
+        super().__post_init__()
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+
     def values(self, mesh):
         rng = np.random.default_rng(self.seed)
         return rng.uniform(-self.amplitude, self.amplitude, mesh.n_bulk)
@@ -206,6 +211,10 @@ class Optimization(_Finite):
 class Output:
     directory: str = "out"
     snapshot_stride: int = 0
+
+    def __post_init__(self):
+        if self.snapshot_stride < 0:
+            raise ConfigError(f"snapshot_stride must be nonnegative, got {self.snapshot_stride}")
 
 
 SECTIONS = ("run_name", "domain", "time", "physics", "potential", "solver",

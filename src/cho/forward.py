@@ -77,11 +77,12 @@ class SolverOptions:
     def __post_init__(self):
         if self.scheme not in ("fully-implicit", "convex-splitting"):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
-        for name in ("newton_tol", "interior_safeguard"):
-            if not getattr(self, name) > 0:
-                raise ValidationError(
-                    f"tolerances must be positive, got {name} = {getattr(self, name)}"
-                )
+        if not self.newton_tol > 0:
+            raise ValidationError(
+                f"tolerances must be positive, got newton_tol = {self.newton_tol}")
+        if not 0.0 < self.interior_safeguard < 1.0:
+            raise ValidationError(
+                f"interior_safeguard must lie in (0, 1), got {self.interior_safeguard}")
         if self.newton_max_iter < 0:
             raise ValidationError(
                 f"newton_max_iter must be >= 0, got {self.newton_max_iter}"
@@ -124,11 +125,12 @@ class Problem:
 
 
 class _SchemeFns:
-    """Nodal nonlinearity split into an implicit part N and an explicit part
-    E.  Each evaluation returns lumped terms of one state or of an (N+1, n)
-    stack of states in one pass: one domain check or one Yosida resolvent
-    per potential, whose bulk values also serve the trace when both sides
-    share it."""
+    """The run's potential, beta_hat or under Yosida its Moreau envelope,
+    plus pi_hat, and its split into an implicit part N and an explicit part
+    E (pi_hat under convex splitting).  Each evaluation returns lumped terms
+    of one state or of an (N+1, n) stack of states in one pass: one domain
+    check or one Yosida resolvent per potential, whose bulk values also
+    serve the trace when both sides share it."""
 
     def __init__(self, pair: PotentialPair, opts: SolverOptions):
         self.pair = pair
@@ -136,13 +138,13 @@ class _SchemeFns:
         self.split = opts.scheme == "convex-splitting"
 
     def _implicit(self, spec, r, orders=(1, 2)):
-        """Orders 1 (N) and 2 (lambda) of one potential's implicit part."""
+        """Orders 0 to 2 of one potential's implicit part (1: N, 2: lambda)."""
         if not self.eps:
             return spec.derivatives(r, orders, convex=self.split)
         parts = yosida_derivatives(spec, self.eps, r)
-        if not self.split:
-            parts = (parts[0] + spec.pi(r), parts[1] + spec.dpi(r))
-        return tuple(parts[k - 1] for k in orders)
+        if self.split:
+            return tuple(parts[k] for k in orders)
+        return tuple(parts[k] + spec.perturbation[k](r) for k in orders)
 
     def _lumped(self, ops, side, phi):
         bulk = side(self.pair.bulk, phi)
@@ -168,6 +170,13 @@ class _SchemeFns:
         linearized step."""
         lam, = self._lumped(ops, lambda spec, r: self._implicit(spec, r, (2,)), phi)
         return lam, self.explicit(ops, phi)[1]
+
+    def potential(self, ops, phi):
+        """Lumped values of the run's potential, whatever the split."""
+        def whole(spec, r):
+            value, = self._implicit(spec, r, (0,))
+            return (value + spec.perturbation[0](r),) if self.split else (value,)
+        return self._lumped(ops, whole, phi)[0]
 
 
 def jacobian_coefficients(physics, dt):
@@ -530,12 +539,13 @@ def exact_mean(m0: float, gamma: float, omega_slabs, grid: TimeGrid, t: float) -
     return float(value)
 
 
-def energy(ops, pair: PotentialPair, phi):
+def energy(problem: Problem, phi):
     """Free energy of a conforming state given by its bulk values, one row
-    or each row of a stack: gradient seminorm plus lumped potential terms."""
-    tr = phi[..., ops.mesh.trace_map]
-    potential = ops.integral(pair.bulk.F(phi), pair.boundary.F(tr))
-    return 0.5 * row_inner(ops.K_total, phi, phi) + potential
+    or each row of a stack: gradient seminorm plus the lumped integral of
+    the run's potential, Yosida-regularized when the run is."""
+    ops = problem.ops
+    potential = _SchemeFns(problem.pair, problem.opts).potential(ops, phi)
+    return 0.5 * row_inner(ops.K_total, phi, phi) + potential.sum(axis=-1)
 
 
 @dataclass

@@ -23,7 +23,7 @@ def write_series_csv(path, problem, traj: StateTrajectory, controls) -> str:
     ops, grid, phi = problem.ops, problem.grid, traj.phi
     omega = ops.mean(controls.u, controls.uG)
     means = ops.mean(phi, phi[:, traj.mesh.trace_map])
-    energies = energy(ops, problem.pair, phi)
+    energies = energy(problem, phi)
     times = grid.times()
     exact = [exact_mean(means[0], problem.physics.gamma, omega, grid, t) for t in times]
     iters = np.concatenate([[0], traj.newton_iters])

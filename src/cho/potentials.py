@@ -1,8 +1,9 @@
 """Double-well potential library.
 
-Every potential is stored as the split F = beta_hat + pi_hat into a
+Every potential is stored as its split F = beta_hat + pi_hat alone: a
 convex part (beta_hat, with monotone derivative beta) and a smooth
-concave perturbation (pi_hat, derivative pi).  Shipped kinds:
+concave perturbation (pi_hat, derivative pi), each through order 3; F
+and its derivatives are their sums.  Shipped kinds:
 
 * ``regular``      F(r) = (r^2 - 1)^2 / 4 on all of R,
 * ``logarithmic``  F(r) = (1+r)ln(1+r) + (1-r)ln(1-r) - c1 r^2 on (-1, 1),
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import PotentialDomainError, SolverError, ValidationError
 
@@ -25,7 +25,7 @@ _UNIT = (-1.0, 1.0)
 
 
 class PotentialSpec:
-    """One double-well potential with derivatives through order 3.
+    """One double-well potential F = beta_hat + pi_hat.
 
     Parameters
     ----------
@@ -33,23 +33,19 @@ class PotentialSpec:
         'regular', 'logarithmic' or 'custom'.
     domain : tuple
         Open interval D on which F is finite.
-    derivs : sequence of callables
-        Vectorized evaluators for F, F', F'', F'''.
-    beta_fns : (beta_hat, beta, beta')
-        Convex-part evaluators.
-    pi_fns : (pi, pi')
-        Perturbation-part evaluators.
-    c1 : float or None
-        Concavity constant of the logarithmic kind.
+    convex : 4 callables
+        Vectorized evaluators of beta_hat, beta, beta' and beta''.
+    perturbation : 4 callables
+        Vectorized evaluators of pi_hat, pi, pi' and pi'', smooth on all
+        of R.
     """
 
-    def __init__(self, kind, domain, derivs, beta_fns, pi_fns, c1=None):
+    def __init__(self, kind, domain, convex, perturbation):
         self.kind = kind
         self.domain = domain
-        self.c1 = c1
-        self._derivs = derivs
-        self._beta_hat, self._beta, self._dbeta = beta_fns
-        self._pi, self._dpi = pi_fns
+        self.convex = tuple(convex)
+        self.perturbation = tuple(perturbation)
+        self._beta, self._dbeta = self.convex[1:3]
         self.bounded = math.isfinite(domain[0]) or math.isfinite(domain[1])
 
     def check_domain(self, r):
@@ -69,73 +65,59 @@ class PotentialSpec:
         """Value of the order-th derivative of F, domain-checked."""
         if order not in (0, 1, 2, 3):
             raise ValueError(f"order must be 0..3, got {order}")
-        self.check_domain(r)
-        return self._derivs[order](np.asarray(r, dtype=float))
+        return self.derivatives(r, (order,))[0]
 
     def derivatives(self, r, orders=(1, 2), convex: bool = False):
-        """Derivatives of the given orders of F, or of beta_hat when
+        """Derivatives of the given orders of F, or of beta_hat alone when
         ``convex`` (orders 1 and 2 give beta and beta'), at r after one
         domain check."""
         self.check_domain(r)
         r = np.asarray(r, dtype=float)
-        fns = (self._beta_hat, self._beta, self._dbeta) if convex else self._derivs
-        return tuple(fns[k](r) for k in orders)
+        if convex:
+            return tuple(self.convex[k](r) for k in orders)
+        return tuple(self.convex[k](r) + self.perturbation[k](r) for k in orders)
 
     def beta_hat(self, r):
-        self.check_domain(r)
-        return self._beta_hat(np.asarray(r, dtype=float))
+        return self.derivatives(r, (0,), convex=True)[0]
 
     def beta(self, r):
-        self.check_domain(r)
-        return self._beta(np.asarray(r, dtype=float))
+        return self.derivatives(r, (1,), convex=True)[0]
 
     def dbeta(self, r):
-        self.check_domain(r)
-        return self._dbeta(np.asarray(r, dtype=float))
+        return self.derivatives(r, (2,), convex=True)[0]
 
     def pi(self, r):
-        return self._pi(np.asarray(r, dtype=float))
+        return self.perturbation[1](np.asarray(r, dtype=float))
 
     def dpi(self, r):
-        return self._dpi(np.asarray(r, dtype=float))
+        return self.perturbation[2](np.asarray(r, dtype=float))
 
 
 def regular_potential() -> PotentialSpec:
     """Classical quartic double well, beta_hat = r^4/4, pi_hat = 1/4 - r^2/2."""
     # Products, not np.power, which calls libm pow per element: about 50
     # times slower on a large array.
-    derivs = (
-        lambda r: 0.25 * (r * r - 1.0) ** 2,
-        lambda r: (r * r - 1.0) * r,
-        lambda r: 3.0 * r * r - 1.0,
-        lambda r: 6.0 * r,
-    )
-    beta_fns = (lambda r: 0.25 * (r * r) ** 2, lambda r: r * r * r, lambda r: 3.0 * r * r)
-    pi_fns = (lambda r: -r, lambda r: -np.ones_like(r))
-    return PotentialSpec("regular", _UNBOUNDED, derivs, beta_fns, pi_fns)
+    convex = (lambda r: 0.25 * (r * r) ** 2, lambda r: r * r * r,
+              lambda r: 3.0 * r * r, lambda r: 6.0 * r)
+    perturbation = (lambda r: 0.25 - 0.5 * (r * r), lambda r: -r,
+                    lambda r: np.full_like(r, -1.0), np.zeros_like)
+    return PotentialSpec("regular", _UNBOUNDED, convex, perturbation)
 
 
 def logarithmic_potential(c1: float = 2.0) -> PotentialSpec:
-    """Logarithmic double well on (-1, 1); nonconvex for c1 > 1."""
+    """Logarithmic double well on (-1, 1); nonconvex for c1 > 1.  Evaluated
+    strictly inside (-1, 1), where (1 +- r) log1p(+-r) is exact to round-off."""
     if not c1 > 1.0:
         raise ValidationError(f"logarithmic potential needs c1 > 1, got {c1}")
-
-    def f0(r):
-        return xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r) - c1 * r * r
-
-    derivs = (
-        f0,
-        lambda r: np.log1p(r) - np.log1p(-r) - 2.0 * c1 * r,
-        lambda r: 2.0 / (1.0 - r * r) - 2.0 * c1,
-        lambda r: 4.0 * r / (1.0 - r * r) ** 2,
-    )
-    beta_fns = (
-        lambda r: xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r),
+    convex = (
+        lambda r: (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r),
         lambda r: np.log1p(r) - np.log1p(-r),
         lambda r: 2.0 / (1.0 - r * r),
+        lambda r: 4.0 * r / (1.0 - r * r) ** 2,
     )
-    pi_fns = (lambda r: -2.0 * c1 * r, lambda r: np.full_like(r, -2.0 * c1))
-    return PotentialSpec("logarithmic", _UNIT, derivs, beta_fns, pi_fns, c1=c1)
+    perturbation = (lambda r: -c1 * (r * r), lambda r: -2.0 * c1 * r,
+                    lambda r: np.full_like(r, -2.0 * c1), np.zeros_like)
+    return PotentialSpec("logarithmic", _UNIT, convex, perturbation)
 
 
 def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
@@ -154,15 +136,8 @@ def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
     sample = np.linspace(-10.0, 10.0, 2001)
     if np.any(np.diff(beta(sample)) < -1e-12):
         raise ValidationError("beta = beta_hat' must be nondecreasing")
-
-    bh_d = [bh.deriv(k) if k else bh for k in range(4)]
-    ph_d = [ph.deriv(k) if k else ph for k in range(4)]
-    derivs = tuple(
-        (lambda b, p: (lambda r: b(r) + p(r)))(bh_d[k], ph_d[k]) for k in range(4)
-    )
-    beta_fns = (bh, beta, beta.deriv())
-    pi_fns = (ph.deriv(), ph.deriv(2))
-    return PotentialSpec("custom", _UNBOUNDED, derivs, beta_fns, pi_fns)
+    return PotentialSpec("custom", _UNBOUNDED, [bh.deriv(k) for k in range(4)],
+                         [ph.deriv(k) for k in range(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -230,29 +205,30 @@ def resolvent(spec: PotentialSpec, eps: float, r):
 
 
 def yosida_derivatives(spec: PotentialSpec, eps: float, r):
-    """beta_eps(r) = (r - J)/eps and its derivative beta'(J)/(1 + eps beta'(J))
-    <= 1/eps, from one resolvent J = J_eps(r)."""
+    """Orders 0 to 2 of the Moreau envelope of beta_hat from one resolvent
+    J = J_eps(r): the envelope |r - J|^2/(2 eps) + beta_hat(J), its
+    derivative beta_eps(r) = (r - J)/eps and beta_eps'(r) =
+    beta'(J)/(1 + eps beta'(J)) <= 1/eps."""
     r = np.asarray(r, dtype=float)
     J = resolvent(spec, eps, r)
+    d = r - J
     dB = spec._dbeta(J)
-    return (r - J) / eps, dB / (1.0 + eps * dB)
+    return d * d / (2.0 * eps) + spec.convex[0](J), d / eps, dB / (1.0 + eps * dB)
 
 
 def yosida_beta(spec: PotentialSpec, eps: float, r):
     """Yosida approximation beta_eps(r) = (r - J_eps(r)) / eps."""
-    return yosida_derivatives(spec, eps, r)[0]
+    return yosida_derivatives(spec, eps, r)[1]
 
 
 def yosida_dbeta(spec: PotentialSpec, eps: float, r):
     """Derivative of beta_eps; see ``yosida_derivatives``."""
-    return yosida_derivatives(spec, eps, r)[1]
+    return yosida_derivatives(spec, eps, r)[2]
 
 
 def yosida_hat(spec: PotentialSpec, eps: float, r):
     """Moreau envelope of beta_hat: |r - J|^2/(2 eps) + beta_hat(J)."""
-    r = np.asarray(r, dtype=float)
-    J = np.asarray(resolvent(spec, eps, r))
-    return (r - J) ** 2 / (2.0 * eps) + spec._beta_hat(J)
+    return yosida_derivatives(spec, eps, r)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -184,7 +184,7 @@ def check_energy_decay(ctx):
     rng = np.random.default_rng(0)
     phi0 = PairField.from_bulk(mesh, rng.uniform(-0.8, 0.8, mesh.n_bulk))
     traj = solve(problem, phi0, ControlPair.zeros(mesh, problem.grid))
-    worst = float(np.diff(energy(problem.ops, pair, traj.phi)).max())
+    worst = float(np.diff(energy(problem, traj.phi)).max())
     return worst <= 1e-12, (
         f"worst energy increment {worst:.2e} over {problem.grid.N} steps (<= 1e-12)"
     )

@@ -27,7 +27,7 @@ from cho.forward import (
     traj_norm_L2H,
 )
 from cho.mesh import build_interval, build_rectangle
-from cho.potentials import PotentialPair, regular_potential
+from cho.potentials import PotentialPair, logarithmic_potential, regular_potential
 from cho.sensitivity import linearized_solve
 from cho.spaces import PairField
 
@@ -138,15 +138,19 @@ class TestContinuousForm:
         adj = adjoint_continuous_form(problem, base, CostSpec(alphas=(0,) * 6))
         assert np.abs(adj.p).max() == 0.0
 
-    def test_agreement_under_refinement(self):
-        # Both adjoint variants discretize the same continuous system, so
-        # their distance contracts under simultaneous dt and h refinement.
+    @pytest.mark.parametrize("spec,eps", [(regular_potential(), 0.0),
+                                          (logarithmic_potential(2.0), 1e-2)],
+                             ids=["regular", "logarithmic-yosida"])
+    def test_agreement_under_refinement(self, spec, eps):
+        # Both adjoint variants discretize the same continuous system, with
+        # the run's potential, Yosida-regularized or not, so their distance
+        # contracts at first order under simultaneous dt and h refinement.
         gaps = []
         for scale in (1, 2, 4):
             mesh = build_interval(10 * scale, 1.0)
             problem = Problem.create(
-                mesh, PotentialPair.same(regular_potential()),
-                SolverOptions(newton_tol=1e-12), Physics(1.0, 1.0),
+                mesh, PotentialPair.same(spec),
+                SolverOptions(newton_tol=1e-12, eps_yosida=eps), Physics(1.0, 1.0),
                 TimeGrid(T=0.4, N=8 * scale),
             )
             phi0 = cosine_ic(mesh, 0.25)
@@ -155,7 +159,7 @@ class TestContinuousForm:
             one = adjoint_solve(problem, base, TRACKING)
             two = adjoint_continuous_form(problem, base, TRACKING)
             gaps.append(traj_norm_L2H(problem.ops, problem.grid, one.p - two.p))
-        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[0] >= 1.6 * gaps[1] and gaps[1] >= 1.6 * gaps[2], gaps
 
     def test_deterministic(self, setup):
         problem, phi0, u, base = setup
@@ -216,17 +220,16 @@ def test_invariants_on_random_rectangles(nx, ny, tau, gamma, seed):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 6), st.integers(2, 6), st.floats(0.3, 3.0), st.floats(0.3, 3.0),
        st.floats(0.1, 5.0), st.floats(0.05, 2.0), st.integers(1, 40),
-       st.integers(0, 2**32 - 1))
-def test_energy_decay_on_random_rectangles(nx, ny, lx, ly, tau, T, N, seed):
+       st.integers(0, 2**32 - 1), st.sampled_from([0.0, 1e-2]))
+def test_energy_decay_on_random_rectangles(nx, ny, lx, ly, tau, T, N, seed, eps):
     # Convex splitting without reaction or sources never raises the free
-    # energy, for every rectangle, viscosity and step, within the bound of
-    # the verify suite.
+    # energy of the run's potential, Yosida-regularized or not, for every
+    # rectangle, viscosity and step, within the bound of the verify suite.
     mesh = build_rectangle(nx, ny, lx, ly)
     pair = PotentialPair.same(regular_potential())
-    problem = Problem.create(mesh, pair,
-                             SolverOptions(scheme="convex-splitting", newton_tol=1e-12),
-                             Physics(tau, 0.0), TimeGrid(T=T, N=N))
+    opts = SolverOptions(scheme="convex-splitting", newton_tol=1e-12, eps_yosida=eps)
+    problem = Problem.create(mesh, pair, opts, Physics(tau, 0.0), TimeGrid(T=T, N=N))
     rng = np.random.default_rng(seed)
     phi0 = PairField.from_bulk(mesh, rng.uniform(-0.8, 0.8, mesh.n_bulk))
     traj = solve(problem, phi0, ControlPair.zeros(mesh, problem.grid))
-    assert np.diff(energy(problem.ops, pair, traj.phi)).max() <= 1e-12
+    assert np.diff(energy(problem, traj.phi)).max() <= 1e-12

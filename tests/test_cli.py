@@ -197,6 +197,18 @@ MALFORMED = {
     "NaN target": (
         lambda d, tmp: d.update(optimization={"targets": {"phiQ": np.nan}}),
         "optimization.targets: phiQ"),
+    "negative random seed": (
+        lambda d, tmp: d.update(initial={"preset": "random-seeded", "seed": -1}),
+        "initial: seed must be nonnegative"),
+    "negative snapshot stride": (
+        lambda d, tmp: d["output"].update(snapshot_stride=-2),
+        "output: snapshot_stride must be nonnegative"),
+    "interior safeguard above 1": (
+        lambda d, tmp: d.update(solver={"interior_safeguard": 1.5}),
+        "solver: interior_safeguard must lie in (0, 1)"),
+    "interior safeguard equal to 1": (
+        lambda d, tmp: d.update(solver={"interior_safeguard": 1.0}),
+        "solver: interior_safeguard must lie in (0, 1)"),
     "removed bb_warm_start key": (
         lambda d, tmp: d.update(optimization={"optimizer": {"bb_warm_start": True}}),
         "optimization.optimizer.bb_warm_start"),
@@ -308,16 +320,35 @@ class TestSimulate:
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
         assert "needs c1 > 1" in capsys.readouterr().err
 
-    def test_potential_domain_error_exits_3(self, tmp_path, monkeypatch, capsys):
-        # The Yosida-regularized run leaves (-1, 1); evaluating the
-        # logarithmic energy of its states is a failure during the run.
+    def test_yosida_run_outside_the_domain_writes_its_energy(self, tmp_path, monkeypatch):
+        # The Yosida-regularized logarithmic run leaves (-1, 1); its energy
+        # column is that of the regularized potential, finite there.
         import copy
 
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["potential"] = {"kind": "logarithmic", "eps_yosida": 0.1}
         data["initial"] = {"preset": "constant", "value": 0.9}
-        data["control"] = {"u": 5.0, "uG": 5.0}
+        data["control"] = {"u": 3.0, "uG": 3.0}
+        data["physics"]["gamma"] = 5.0
+        data["time"]["steps"] = 20
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 0
+        header, rows = read_csv(tmp_path / "out" / "t" / "series_0.csv")
+        assert rows[:, header.index("phi_max (1)")].max() > 1.0
+        assert np.all(np.isfinite(rows[:, header.index("energy (energy)")]))
+
+    def test_potential_domain_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        import copy
+
+        from cho.errors import PotentialDomainError
+
+        def outside(*args, **kwargs):
+            raise PotentialDomainError("argument 1.5 outside the open domain (-1, 1)")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("cho.output.energy", outside)
+        data = copy.deepcopy(MINIMAL)
+        data["potential"] = {"kind": "logarithmic"}
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 3
         assert "outside the open domain" in capsys.readouterr().err
 

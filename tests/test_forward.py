@@ -274,21 +274,21 @@ class TestEnergy:
         traj = solve(problem, PairField.constant(problem.mesh, 0.0),
                      ControlPair.zeros(problem.mesh, problem.grid))
         # F(0) (|Omega| + |Gamma|) = 0.25 * 3.
-        assert np.isclose(energy(problem.ops, problem.pair, traj.phi[0]), 0.75)
+        assert np.isclose(energy(problem, traj.phi[0]), 0.75)
 
     def test_pure_phases_have_zero_energy(self):
         problem = make_problem(n_cells=4)
         for value in (1.0, -1.0):
             phi = solve(problem, PairField.constant(problem.mesh, value),
                         ControlPair.zeros(problem.mesh, problem.grid)).phi[0]
-            assert abs(energy(problem.ops, problem.pair, phi)) < 1e-14
+            assert abs(energy(problem, phi)) < 1e-14
 
     def test_nonnegative_for_regular_potential(self):
         problem = make_problem()
         rng = np.random.default_rng(10)
         for _ in range(5):
             phi = rng.uniform(-2, 2, problem.mesh.n_bulk)
-            assert energy(problem.ops, problem.pair, phi) >= 0.0
+            assert energy(problem, phi) >= 0.0
 
     def test_convex_splitting_decay(self):
         problem = make_problem(n_cells=24, T=0.5, N=60, gamma=0.0,
@@ -297,11 +297,11 @@ class TestEnergy:
         phi0 = PairField.from_bulk(problem.mesh,
                                    rng.uniform(-0.8, 0.8, problem.mesh.n_bulk))
         traj = solve(problem, phi0, ControlPair.zeros(problem.mesh, problem.grid))
-        E = energy(problem.ops, problem.pair, traj.phi)
+        E = energy(problem, traj.phi)
         assert E.shape == (problem.grid.N + 1,)
         assert max(np.diff(E)) <= 1e-12
         # A stack of rows gives each row's energy.
-        rows = [energy(problem.ops, problem.pair, phi) for phi in traj.phi]
+        rows = [energy(problem, phi) for phi in traj.phi]
         assert np.allclose(E, rows, rtol=1e-14, atol=0.0)
 
 

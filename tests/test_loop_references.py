@@ -7,8 +7,9 @@ elementwise and must agree exactly.
 
 The nodal scheme terms are checked the same way: the fused evaluations
 (one pass per state for a term and its derivative, one resolvent per
-side) against the per-order formulas, and the compacted resolvent against
-the full-array safeguarded Newton loop.  The forward step, which iterates
+side) and the energy of the run's potential against the per-order
+formulas, and the compacted resolvent against the full-array safeguarded
+Newton loop.  The forward step, which iterates
 in the block template's permuted ordering, is checked against the
 node-ordered chord Newton loop it replaced, and the regular potential's
 products against its ``np.power`` forms.  The one step matrix, refilled
@@ -57,6 +58,7 @@ from cho.potentials import (
     logarithmic_potential,
     regular_potential,
     resolvent,
+    yosida_hat,
 )
 from cho.sensitivity import linearized_solve
 from cho.spaces import BlockTemplate, CoupledOperators
@@ -134,12 +136,21 @@ def loop_mean(ops, z, z_G):
     return float(ops.lumped_bulk @ z + ops.lumped_gamma @ z_G) / ops.measure
 
 
-def loop_energy(ops, pair, phi):
-    """Free energy of one conforming state, written out."""
+def loop_energy(problem, phi):
+    """Free energy of one conforming state, written out: the potential is
+    F, or under Yosida regularization the Moreau envelope of beta_hat plus
+    pi_hat."""
+    ops, pair, eps = problem.ops, problem.pair, problem.opts.eps_yosida
+
+    def potential(spec, r):
+        if eps:
+            return yosida_hat(spec, eps, r) + spec.perturbation[0](r)
+        return spec.F(r)
+
     tr = phi[ops.mesh.trace_map]
     return (0.5 * float(phi @ (ops.K_total @ phi))
-            + float(ops.lumped_bulk @ pair.bulk.F(phi))
-            + float(ops.lumped_gamma @ pair.boundary.F(tr)))
+            + float(ops.lumped_bulk @ potential(pair.bulk, phi))
+            + float(ops.lumped_gamma @ potential(pair.boundary, tr)))
 
 
 def loop_mean_ode_residual(traj, controls, ops, gamma):
@@ -193,7 +204,7 @@ def loop_series_rows(problem, traj, controls):
             times[n],
             loop_mean(ops, traj.phi[n], traj.phi[n][tm]),
             exact_mean(m0, gamma, omega, grid, times[n]),
-            loop_energy(ops, problem.pair, traj.phi[n]),
+            loop_energy(problem, traj.phi[n]),
             float(traj.phi[n].min()),
             float(traj.phi[n].max()),
             int(traj.newton_iters[n - 1]) if n > 0 else 0,
@@ -437,6 +448,27 @@ def test_fused_nodal_terms(pair, mesh, scheme, eps):
             scale = np.abs(want).max()
             assert np.abs(got - want)[mask].max() <= 1e-14 * scale, which
             assert np.allclose(got, want, rtol=1e-10, atol=0.0), which
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("scheme", ["fully-implicit", "convex-splitting"])
+@pytest.mark.parametrize("mesh", [build_interval(9, 1.0), build_rectangle(4, 3, 1.0, 0.8)],
+                         ids=["interval", "rectangle"])
+@pytest.mark.parametrize("pair", [
+    PotentialPair(bulk=regular_potential(), boundary=logarithmic_potential(2.0)),
+    PotentialPair.same(logarithmic_potential(2.0)),
+], ids=["bulk-boundary", "same"])
+def test_energy_of_the_runs_potential(pair, mesh, scheme, eps):
+    # The energy of a stack of states, whatever the split, against the
+    # written-out sum per state; under Yosida the states leave the
+    # logarithmic domain (-1, 1) and the envelope stays finite there.
+    problem = Problem.create(mesh, pair, SolverOptions(scheme=scheme, eps_yosida=eps),
+                             Physics(1.0, 1.0), TimeGrid(0.1, 4))
+    spread = 1.5 if eps else 0.95
+    stack = np.random.default_rng(9).uniform(-spread, spread, (5, mesh.n_bulk))
+    got = forward.energy(problem, stack)
+    want = np.array([loop_energy(problem, row) for row in stack])
+    assert np.allclose(got, want, rtol=0.0, atol=RTOL * np.abs(want).max())
 
 
 @pytest.mark.parametrize("spec", [regular_potential(), logarithmic_potential(2.0)],

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +69,16 @@ class TestEvaluation:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             REG.F(0.0, order=4)
+
+
+def test_import_leaves_scipy_special_out():
+    # The logarithmic potential is evaluated strictly inside (-1, 1), where
+    # (1 +- r) log1p(+-r) needs no special function; importing the package
+    # must not pay for loading scipy.special.
+    src = str(Path(potentials.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, cho; assert 'scipy.special' not in sys.modules, 'loaded'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("c1", [1.0, 0.5, float("nan")])
