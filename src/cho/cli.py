@@ -5,7 +5,8 @@
     cho verify   -c config.yaml     full invariant suite (or --all-presets)
 
 Exit codes: 0 success, 1 malformed configuration (unknown key, bad type
-or range, unreadable or non-finite CSV) or violated standing assumption,
+or range, a non-finite number other than a box bound or m_prime,
+unreadable or non-finite CSV) or violated standing assumption,
 2 data validation failure (mean-value condition, infeasible box), 3
 solver failure, including a potential evaluated outside its domain.
 """
@@ -15,7 +16,9 @@ import os
 import shutil
 import sys
 
-from .config import PRESETS, load_config, preset_config, save_config
+import yaml
+
+from .config import PRESETS, load_config, preset_config
 from .control import projected_gradient
 from .errors import ConfigError, PotentialDomainError, SolverError, ValidationError
 from .forward import solve
@@ -36,22 +39,26 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
-def _prepare_outdir(cfg, config_path):
+def _prepare_outdir(cfg, args):
+    """The run's output directory with its config.yaml: a verbatim copy of
+    the -c file, or the --preset mapping, which loads back to ``cfg``."""
     outdir = ensure_dir(os.path.join(cfg.output.directory, cfg.run_name))
-    if config_path is not None and os.path.isfile(config_path):
-        shutil.copy(config_path, os.path.join(outdir, "config.yaml"))
+    target = os.path.join(outdir, "config.yaml")
+    if args.config is not None:
+        shutil.copy(args.config, target)
     else:
-        save_config(cfg, os.path.join(outdir, "config.yaml"))
+        with open(target, "w", encoding="utf-8") as fh:
+            yaml.safe_dump(PRESETS[args.preset], fh, sort_keys=False)
     return outdir
 
 
-def cmd_simulate(cfg, config_path) -> int:
+def cmd_simulate(cfg, args) -> int:
     problem = cfg.build_problem()
     mesh, grid = problem.mesh, problem.grid
     phi0 = cfg.build_initial(mesh)
     controls = cfg.build_controls(mesh, grid)
     traj = solve(problem, phi0, controls)
-    outdir = _prepare_outdir(cfg, config_path)
+    outdir = _prepare_outdir(cfg, args)
     series = write_series_csv(
         os.path.join(outdir, "series_0.csv"), problem, traj, controls
     )
@@ -62,10 +69,10 @@ def cmd_simulate(cfg, config_path) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(cfg, config_path) -> int:
+def cmd_optimize(cfg, args) -> int:
     cp, u0, pg_opts = cfg.build_control_problem()
     result = projected_gradient(cp, u0, pg_opts)
-    outdir = _prepare_outdir(cfg, config_path)
+    outdir = _prepare_outdir(cfg, args)
     history = write_history_csv(os.path.join(outdir, "history_0.csv"), result.history)
     write_control_csv(outdir, cp.problem.grid, result.u)
     write_series_csv(
@@ -147,15 +154,15 @@ def main(argv=None) -> int:
         if args.command == "verify" and getattr(args, "all_presets", False):
             return cmd_verify_all()
         if args.config is not None:
-            cfg, path = load_config(args.config), args.config
+            cfg = load_config(args.config)
         elif args.preset is not None:
-            cfg, path = preset_config(args.preset), None
+            cfg = preset_config(args.preset)
         else:
             raise ConfigError("either -c/--config or --preset is required")
         if args.command == "simulate":
-            return cmd_simulate(cfg, path)
+            return cmd_simulate(cfg, args)
         if args.command == "optimize":
-            return cmd_optimize(cfg, path)
+            return cmd_optimize(cfg, args)
         return cmd_verify(cfg, args.config or args.preset)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)

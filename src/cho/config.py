@@ -1,13 +1,13 @@
-"""YAML run configuration: typed sections, presets, serialization.
+"""YAML run configuration: typed sections and presets.
 
 A configuration file is the reproducibility unit: it is copied verbatim
-into the output directory of every run.  Each section builds the types
-that own its defaults and range checks: domain -> IntervalDomain (dim 1)
-or RectangleDomain (dim 2), time -> TimeGrid, physics -> Physics,
-potential -> Potential plus SolverOptions.eps_yosida, solver ->
-SolverOptions, initial -> one of INITIAL_PRESETS, control -> Controls,
-optimization -> CostSpec weights, Targets, BoxBounds arguments and
-OptimizerOptions, output -> Output.
+into the output directory of every run (a preset run gets its mapping in
+PRESETS).  Each section builds the types that own its defaults and range
+checks: domain -> IntervalDomain (dim 1) or RectangleDomain (dim 2),
+time -> TimeGrid, physics -> Physics, potential -> Potential plus
+SolverOptions.eps_yosida, solver -> SolverOptions, initial -> one of
+INITIAL_PRESETS, control -> Controls, optimization -> CostSpec weights,
+Targets, BoxBounds arguments and OptimizerOptions, output -> Output.
 
 ``RunConfig.from_dict`` converts each YAML value to the type of the field
 it sets; an unknown key, a wrongly typed value or a value a constructor
@@ -18,7 +18,7 @@ still raises ValidationError there (exit 2).
 """
 
 import types
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -200,12 +200,6 @@ class Optimization(_Finite):
             optimizer=_build(OptimizerOptions, sub["optimizer"], "optimization.optimizer"),
         )
 
-    def to_dict(self) -> dict:
-        box = dict(self.box)
-        m_prime = {"m_prime": box.pop("M_prime")} if "M_prime" in box else {}
-        return {"alphas": list(self.cost.alphas), "targets": _plain(self.targets),
-                "box": box, **m_prime, "u0": self.u0, "optimizer": _plain(self.optimizer)}
-
 
 @dataclass(frozen=True)
 class Output:
@@ -271,24 +265,6 @@ class RunConfig:
             **optional,
         )
 
-    def to_dict(self) -> dict:
-        """The YAML mapping that ``from_dict`` reads back to equal values."""
-        out = {
-            "run_name": self.run_name,
-            "domain": {"dim": self.domain.dim, **_plain(self.domain)},
-            "time": {"T": self.time.T, "steps": self.time.N},
-            "physics": _plain(self.physics),
-            "potential": {**_plain(self.potential), "eps_yosida": self.solver.eps_yosida},
-            "solver": _plain(self.solver, skip="eps_yosida"),
-            "initial": {"preset": self.initial.preset, **_plain(self.initial)},
-            "output": _plain(self.output),
-        }
-        if self.control is not None:
-            out["control"] = _plain(self.control)
-        if self.optimization is not None:
-            out["optimization"] = self.optimization.to_dict()
-        return out
-
     # -- builders ----------------------------------------------------------
 
     def build_mesh(self):
@@ -305,8 +281,7 @@ class RunConfig:
         on this configuration's mesh."""
         if ops is None:
             ops = assemble(self.build_mesh())
-        return Problem(ops.mesh, ops, self.build_pair(), self.build_options(),
-                       self.physics, self.time)
+        return Problem(ops, self.build_pair(), self.build_options(), self.physics, self.time)
 
     def build_initial(self, mesh) -> PairField:
         return PairField.from_bulk(mesh, self.initial.values(mesh))
@@ -415,12 +390,6 @@ def _pick(section, *keys):
     return {k: section[k] for k in keys if k in section}
 
 
-def _plain(obj, skip=None) -> dict:
-    """Fields of a flat dataclass as YAML values; unset (None) ones omitted."""
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in asdict(obj).items() if v is not None and k != skip}
-
-
 # ---------------------------------------------------------------------------
 # CSV tables
 # ---------------------------------------------------------------------------
@@ -455,11 +424,6 @@ def load_config(path) -> RunConfig:
     except yaml.YAMLError as err:
         raise ConfigError(f"cannot parse config {path}: {err}") from err
     return RunConfig.from_dict(raw or {})
-
-
-def save_config(cfg: RunConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(cfg.to_dict(), fh, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,8 @@ class CostSpec:
         self.alphas = tuple(float(a) for a in self.alphas)
         if len(self.alphas) != 6:
             raise ValidationError(f"expected 6 cost weights, got {len(self.alphas)}")
-        if not all(a >= 0 for a in self.alphas):
-            raise ValidationError("cost weights must be nonnegative")
+        if not all(0 <= a < np.inf for a in self.alphas):
+            raise ValidationError("cost weights must be nonnegative and finite")
         for name in ("phiQ", "phiS", "phiO", "phiG"):
             value = getattr(self, name)
             target = np.asarray(0.0 if value is None else value, dtype=float)
@@ -266,27 +266,24 @@ class ControlProblem:
 
 # Armijo backtracks per iterate before the line search gives up.
 MAX_BACKTRACKS = 60
+# Armijo sufficient-decrease constant, step shrink factor per backtrack,
+# and the first trial step of every line search.
+ARMIJO_C1 = 1e-4
+BACKTRACK = 0.5
+INITIAL_STEP = 1.0
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    """Projected-gradient controls: Armijo constant, step and stopping rule."""
+    """Projected-gradient stopping rule; the line search uses the module
+    constants ``ARMIJO_C1``, ``BACKTRACK`` and ``INITIAL_STEP``."""
 
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
-    initial_step: float = 1.0
     max_iter: int = 200
     tol: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 < self.armijo_c1 < 1.0:
-            raise ValidationError(f"armijo_c1 must lie in (0, 1), got {self.armijo_c1}")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValidationError(f"backtrack must lie in (0, 1), got {self.backtrack}")
-        if not self.initial_step > 0:
-            raise ValidationError(f"initial_step must be positive, got {self.initial_step}")
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValidationError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 0:
             raise ValidationError(f"max_iter must be >= 0, got {self.max_iter}")
 
@@ -347,7 +344,7 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
     for k in range(1, opts.max_iter + 1):
         if vi <= opts.tol:
             break
-        s = opts.initial_step
+        s = INITIAL_STEP
         accepted = False
         newton_total = 0
         for _ in range(MAX_BACKTRACKS + 1):
@@ -355,10 +352,10 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
             descent = control_inner(g, trial.plus(u, -1.0), ops, dt)
             traj_t, J_t = evaluate(trial)
             newton_total += int(traj_t.newton_iters.sum())
-            if J_t <= J + opts.armijo_c1 * descent:
+            if J_t <= J + ARMIJO_C1 * descent:
                 accepted = True
                 break
-            s *= opts.backtrack
+            s *= BACKTRACK
         if not accepted:
             gnorm = control_norm(g, ops, dt)
             raise SolverError(

@@ -39,8 +39,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError(f"step count must be >= 1, got {self.N}")
-        if not self.T > 0:
-            raise ValidationError(f"final time T must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValidationError(f"final time T must be positive and finite, got {self.T}")
 
     @property
     def dt(self) -> float:
@@ -58,35 +58,27 @@ class Physics:
     gamma: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
-        if not self.gamma >= 0:
-            raise ValidationError(f"gamma must be nonnegative, got {self.gamma}")
+        if not 0 < self.tau < math.inf:
+            raise ValidationError(f"tau must be positive and finite, got {self.tau}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValidationError(f"gamma must be nonnegative and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Newton and scheme controls for one forward solve."""
+    """Scheme, Newton tolerance and Yosida parameter of one forward solve;
+    see ``NEWTON_MAX_ITER`` and ``INTERIOR_SAFEGUARD`` for the rest."""
 
     scheme: str = "fully-implicit"
     newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     eps_yosida: float = 0.0
-    interior_safeguard: float = 1e-8
 
     def __post_init__(self):
         if self.scheme not in ("fully-implicit", "convex-splitting"):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
-        if not self.newton_tol > 0:
+        if not 0 < self.newton_tol < math.inf:
             raise ValidationError(
-                f"tolerances must be positive, got newton_tol = {self.newton_tol}")
-        if not 0.0 < self.interior_safeguard < 1.0:
-            raise ValidationError(
-                f"interior_safeguard must lie in (0, 1), got {self.interior_safeguard}")
-        if self.newton_max_iter < 0:
-            raise ValidationError(
-                f"newton_max_iter must be >= 0, got {self.newton_max_iter}"
-            )
+                f"tolerances must be positive and finite, got newton_tol = {self.newton_tol}")
         if self.eps_yosida and not 0.0 < self.eps_yosida < 1.0:
             raise ValidationError(
                 f"eps_yosida must be 0 or inside (0, 1), got {self.eps_yosida}"
@@ -109,7 +101,6 @@ class StateTrajectory:
 class Problem:
     """Everything a solve needs except initial datum and controls."""
 
-    mesh: BulkSurfaceMesh
     ops: CoupledOperators
     pair: PotentialPair
     opts: SolverOptions
@@ -118,7 +109,11 @@ class Problem:
 
     @classmethod
     def create(cls, mesh, pair, opts, physics, grid) -> "Problem":
-        return cls(mesh, assemble(mesh), pair, opts, physics, grid)
+        return cls(assemble(mesh), pair, opts, physics, grid)
+
+    @property
+    def mesh(self) -> BulkSurfaceMesh:
+        return self.ops.mesh
 
     def with_options(self, **changes) -> "Problem":
         return replace(self, opts=replace(self.opts, **changes))
@@ -208,6 +203,10 @@ ROUNDOFF = 1e-14
 # Chord Newton rebuilds the factor at the current state when one
 # iteration leaves more than this fraction of the previous residual.
 CHORD_RHO = 0.2
+# Newton iterations per step before the step fails.
+NEWTON_MAX_ITER = 50
+# Iterates of a bounded potential stay inside (-1 + s, 1 - s) for this s.
+INTERIOR_SAFEGUARD = 1e-8
 # The mass solve for the initial chemical potential: preconditioned by the
 # lumped mass, CG contracts at a rate independent of the mesh, and reaches
 # this relative residual in about 30 iterations.
@@ -261,16 +260,21 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     with the exact refilled matrix.  The factor, taken at an earlier
     diagonal, is rebuilt here when it was built for other coefficients or
     when a sweep stalls (``STALL_RATIO``) short of the round-off level
-    (``ROUNDOFF``).  A singular matrix, a non-finite ``lam`` or a stall on
-    a factor of this very matrix raises ``SolverError`` carrying ``step``.
+    (``ROUNDOFF``).  A non-finite ``rhs`` or ``lam``, a singular matrix or
+    a stall on a factor of this very matrix raises ``SolverError`` carrying
+    ``step``.
     """
-    fresh = _refactor_if_needed(ops, a, b, lam, step)
     template = ops.block_template
+    r = rhs[template.order]
+    rnorm = _norm(r)
+    if not math.isfinite(rnorm):
+        rows = np.flatnonzero(~np.isfinite(rhs))[:3]
+        raise SolverError(f"{_where(step)}: right-hand side of norm {rnorm}, "
+                          f"non-finite at rows {rows}", step=step)
+    fresh = _refactor_if_needed(ops, a, b, lam, step)
     A = template.fill(a, b, lam)
     if trans == "T":
         A = template.transposed
-    r = rhs[template.order]
-    rnorm = _norm(r)
     target = REFINE_RTOL * rnorm
     y, res, norm = np.zeros_like(r), r, rnorm
     while not norm <= target:
@@ -337,7 +341,7 @@ class _ChordNewton:
         # Inverse lumped weights of the mass-weighted residual norm.
         self.winv = np.tile(1.0 / ops.lumped_total, 2)[self.order]
         self.mask = _interior_mask(ops, problem.pair, problem.opts)
-        self.limit = 1.0 - problem.opts.interior_safeguard
+        self.limit = 1.0 - INTERIOR_SAFEGUARD
         self.dt, self.tau_rate = dt, physics.tau / dt
 
     def step(self, phi_n, mu_n, source):
@@ -353,7 +357,7 @@ class _ChordNewton:
         c = np.concatenate([c1, c2])[self.order]
         y = np.concatenate([phi_n, mu_n])[self.order]
         prev = np.inf
-        for it in range(opts.newton_max_iter + 1):
+        for it in range(NEWTON_MAX_ITER + 1):
             phi = y[phi_at]
             nodal, lam = self.fns.implicit(ops, phi)
             r = template.fill(self.a, self.b) @ y
@@ -362,9 +366,9 @@ class _ChordNewton:
             res = math.sqrt(r @ (r * winv))
             if res <= opts.newton_tol:
                 return phi, y[mu_at], it
-            if it == opts.newton_max_iter:
+            if it == NEWTON_MAX_ITER:
                 raise SolverError(
-                    f"Newton did not converge in {opts.newton_max_iter} iterations "
+                    f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                     f"(last residual {res:.3e})",
                     residual=res,
                 )
@@ -579,15 +583,16 @@ def separation_check(traj: StateTrajectory, r0) -> SeparationReport:
 def yosida_continuation(problem: Problem, phi0: PairField, controls, eps_list):
     """Re-solve with beta replaced by its Yosida approximation for each eps.
 
-    eps_list must be strictly decreasing inside (0, 1).  Returns the
-    trajectories keyed by eps and a table of discrete L2-in-time distances
-    to the run at the smallest eps (one row per larger eps).
+    eps_list must be strictly decreasing inside [0, 1); eps = 0 is the
+    unregularized run.  Returns the trajectories keyed by eps and a table
+    of discrete L2-in-time distances to the run at the smallest eps (one
+    row per larger eps).
     """
     eps_list = [float(e) for e in eps_list]
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ValidationError("eps list must be strictly decreasing")
-    if any(not 0.0 < e < 1.0 for e in eps_list):
-        raise ValidationError("every eps must lie in (0, 1)")
+    if any(not 0.0 <= e < 1.0 for e in eps_list):
+        raise ValidationError("every eps must lie in [0, 1)")
     trajectories = {}
     for eps in eps_list:
         trajectories[eps] = solve(problem.with_options(eps_yosida=eps), phi0, controls)

@@ -71,8 +71,8 @@ def check_interval(n_cells: int, length: float):
     """Raise ValueError unless ``build_interval`` accepts these arguments."""
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    if not length > 0:
-        raise ValueError(f"length must be positive, got {length}")
+    if not 0 < length < np.inf:
+        raise ValueError(f"length must be positive and finite, got {length}")
 
 
 def build_interval(n_cells: int, length: float) -> BulkSurfaceMesh:
@@ -101,8 +101,8 @@ def check_rectangle(nx: int, ny: int, Lx: float, Ly: float):
     """Raise ValueError unless ``build_rectangle`` accepts these arguments."""
     if nx < 1 or ny < 1:
         raise ValueError(f"nx, ny must be >= 1, got ({nx}, {ny})")
-    if not (Lx > 0 and Ly > 0):
-        raise ValueError(f"side lengths must be positive, got ({Lx}, {Ly})")
+    if not (0 < Lx < np.inf and 0 < Ly < np.inf):
+        raise ValueError(f"side lengths must be positive and finite, got ({Lx}, {Ly})")
 
 
 def build_rectangle(nx: int, ny: int, Lx: float, Ly: float) -> BulkSurfaceMesh:

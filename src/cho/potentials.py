@@ -37,7 +37,7 @@ class PotentialSpec:
         Vectorized evaluators of beta_hat, beta, beta' and beta''.
     perturbation : 4 callables
         Vectorized evaluators of pi_hat, pi, pi' and pi'', smooth on all
-        of R.
+        of R; a constant derivative may return a scalar.
     """
 
     def __init__(self, kind, domain, convex, perturbation):
@@ -90,7 +90,7 @@ class PotentialSpec:
         return self.perturbation[1](np.asarray(r, dtype=float))
 
     def dpi(self, r):
-        return self.perturbation[2](np.asarray(r, dtype=float))
+        return np.broadcast_to(self.perturbation[2](np.asarray(r, dtype=float)), np.shape(r))
 
 
 def regular_potential() -> PotentialSpec:
@@ -100,15 +100,15 @@ def regular_potential() -> PotentialSpec:
     convex = (lambda r: 0.25 * (r * r) ** 2, lambda r: r * r * r,
               lambda r: 3.0 * r * r, lambda r: 6.0 * r)
     perturbation = (lambda r: 0.25 - 0.5 * (r * r), lambda r: -r,
-                    lambda r: np.full_like(r, -1.0), np.zeros_like)
+                    lambda r: -1.0, lambda r: 0.0)
     return PotentialSpec("regular", _UNBOUNDED, convex, perturbation)
 
 
 def logarithmic_potential(c1: float = 2.0) -> PotentialSpec:
     """Logarithmic double well on (-1, 1); nonconvex for c1 > 1.  Evaluated
     strictly inside (-1, 1), where (1 +- r) log1p(+-r) is exact to round-off."""
-    if not c1 > 1.0:
-        raise ValidationError(f"logarithmic potential needs c1 > 1, got {c1}")
+    if not 1.0 < c1 < math.inf:
+        raise ValidationError(f"logarithmic potential needs c1 > 1 and finite, got {c1}")
     convex = (
         lambda r: (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r),
         lambda r: np.log1p(r) - np.log1p(-r),
@@ -116,7 +116,7 @@ def logarithmic_potential(c1: float = 2.0) -> PotentialSpec:
         lambda r: 4.0 * r / (1.0 - r * r) ** 2,
     )
     perturbation = (lambda r: -c1 * (r * r), lambda r: -2.0 * c1 * r,
-                    lambda r: np.full_like(r, -2.0 * c1), np.zeros_like)
+                    lambda r: -2.0 * c1, lambda r: 0.0)
     return PotentialSpec("logarithmic", _UNIT, convex, perturbation)
 
 
@@ -128,6 +128,8 @@ def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
     """
     bh = np.polynomial.Polynomial(np.asarray(beta_hat_coeffs, dtype=float))
     ph = np.polynomial.Polynomial(np.asarray(pi_hat_coeffs, dtype=float))
+    if not (np.all(np.isfinite(bh.coef)) and np.all(np.isfinite(ph.coef))):
+        raise ValidationError("custom potential coefficients must be finite")
     if abs(bh(0.0)) > 1e-14:
         raise ValidationError("beta_hat must satisfy beta_hat(0) = 0")
     beta = bh.deriv()

@@ -33,7 +33,7 @@ from .forward import (
     mean_ode_residual,
     separation_check,
     solve,
-    traj_norm_L2H,
+    yosida_continuation,
 )
 from .potentials import (
     PotentialPair,
@@ -83,8 +83,8 @@ class CheckContext:
     def problem(self, T, N, pair=None, physics=Physics(1.0, 1.0), **solver) -> Problem:
         """A problem on the check operators; the pair defaults to the
         configured one and ``solver`` holds ``SolverOptions`` fields."""
-        return Problem(self.mesh, self.ops, pair or self.cfg.build_pair(),
-                       SolverOptions(**solver), physics, TimeGrid(T=T, N=N))
+        return Problem(self.ops, pair or self.cfg.build_pair(), SolverOptions(**solver),
+                       physics, TimeGrid(T=T, N=N))
 
 
 def _check(name):
@@ -242,11 +242,8 @@ def check_yosida(ctx):
     problem = ctx.problem(0.5, 20, PotentialPair.same(regular_potential()))
     phi0 = _tanh_ic(ctx.mesh, 0.4)
     controls = ControlPair.constant(ctx.mesh, problem.grid, 0.1, 0.05)
-    reference = solve(problem, phi0, controls)
-    errors = []
-    for eps in (1e-1, 1e-2, 1e-3):
-        traj = solve(problem.with_options(eps_yosida=eps), phi0, controls)
-        errors.append(traj_norm_L2H(problem.ops, problem.grid, traj.phi - reference.phi))
+    _, table = yosida_continuation(problem, phi0, controls, (1e-1, 1e-2, 1e-3, 0.0))
+    errors = [error for _, error in table]
     ok = errors[0] > errors[1] > errors[2] and errors[2] <= 1e-3
     return ok, "errors " + " > ".join(f"{e:.2e}" for e in errors) + " , last <= 1e-3"
 

@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from cho.cli import main
-from cho.config import PRESETS, RunConfig, load_config, preset_config, save_config
+from cho.config import PRESETS, RunConfig, load_config, preset_config
 from cho.errors import ConfigError
 
 MINIMAL = {
@@ -38,13 +38,6 @@ def read_csv(path):
 
 
 class TestConfig:
-    def test_round_trip_semantically_identical(self, tmp_path):
-        cfg = preset_config("default")
-        path = tmp_path / "rt.yaml"
-        save_config(cfg, path)
-        again = load_config(path)
-        assert again.to_dict() == cfg.to_dict()
-
     def test_defaults_filled(self):
         cfg = RunConfig.from_dict(MINIMAL)
         assert cfg.solver.scheme == "fully-implicit"
@@ -88,10 +81,10 @@ class TestConfig:
 
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_every_preset_round_trips_to_equal_values(self, tmp_path, name):
-        cfg = preset_config(name)
-        save_config(cfg, tmp_path / "rt.yaml")
-        assert load_config(tmp_path / "rt.yaml") == cfg
+    def test_preset_run_writes_its_preset(self, tmp_path, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--preset", name]) == 0
+        assert load_config(tmp_path / "out" / name / "config.yaml") == preset_config(name)
 
     def test_exponent_without_dot_loads_as_float(self, tmp_path):
         # PyYAML reads 1e-6 (no dot) as the string '1e-6'.
@@ -142,13 +135,20 @@ MALFORMED = {
     "null section": (lambda d, tmp: d.update(optimization=None), "optimization"),
     "tolerance not a number": (
         lambda d, tmp: d.update(solver={"newton_tol": "abc"}), "solver.newton_tol"),
-    "negative Newton budget": (
-        lambda d, tmp: d.update(solver={"newton_max_iter": -1}), "newton_max_iter"),
+    "removed newton_max_iter key": (
+        lambda d, tmp: d.update(solver={"newton_max_iter": -1}),
+        "unknown key solver.newton_max_iter"),
     "nonpositive tolerance": (
         lambda d, tmp: d.update(solver={"newton_tol": 0.0}), "tolerances"),
-    "negative initial step": (
+    "removed initial_step key": (
         lambda d, tmp: d.update(optimization={"optimizer": {"initial_step": -1}}),
-        "initial_step"),
+        "unknown key optimization.optimizer.initial_step"),
+    "removed armijo_c1 key": (
+        lambda d, tmp: d.update(optimization={"optimizer": {"armijo_c1": 1e-4}}),
+        "unknown key optimization.optimizer.armijo_c1"),
+    "removed backtrack key": (
+        lambda d, tmp: d.update(optimization={"optimizer": {"backtrack": 0.5}}),
+        "unknown key optimization.optimizer.backtrack"),
     "unknown solver key": (
         lambda d, tmp: d.update(solver={"newton_tl": 1e-3}), "solver.newton_tl"),
     "unknown initial key": (
@@ -203,12 +203,32 @@ MALFORMED = {
     "negative snapshot stride": (
         lambda d, tmp: d["output"].update(snapshot_stride=-2),
         "output: snapshot_stride must be nonnegative"),
-    "interior safeguard above 1": (
+    "removed interior_safeguard key": (
         lambda d, tmp: d.update(solver={"interior_safeguard": 1.5}),
-        "solver: interior_safeguard must lie in (0, 1)"),
-    "interior safeguard equal to 1": (
-        lambda d, tmp: d.update(solver={"interior_safeguard": 1.0}),
-        "solver: interior_safeguard must lie in (0, 1)"),
+        "unknown key solver.interior_safeguard"),
+    "removed interior_safeguard key at its old default": (
+        lambda d, tmp: d.update(solver={"interior_safeguard": 1e-8}),
+        "unknown key solver.interior_safeguard"),
+    "infinite final time": (
+        lambda d, tmp: d["time"].update(T=np.inf), "time: final time T"),
+    "infinite tau": (lambda d, tmp: d["physics"].update(tau=np.inf), "physics: tau"),
+    "infinite gamma": (lambda d, tmp: d["physics"].update(gamma=np.inf), "physics: gamma"),
+    "infinite interval length": (
+        lambda d, tmp: d["domain"].update(length=np.inf), "domain: length"),
+    "infinite rectangle side": (
+        lambda d, tmp: d.update(domain={"dim": 2, "nx": 3, "ny": 3, "lx": 1.0, "ly": np.inf}),
+        "domain: side lengths"),
+    "infinite Newton tolerance": (
+        lambda d, tmp: d.update(solver={"newton_tol": np.inf}), "newton_tol = inf"),
+    "infinite optimizer tolerance": (
+        lambda d, tmp: d.update(optimization={"optimizer": {"tol": np.inf}}),
+        "optimization.optimizer: tol"),
+    "infinite cost weight": (
+        lambda d, tmp: d.update(optimization={"alphas": [np.inf, 0, 1, 0, 0.5, 0.5]}),
+        "optimization: cost weights"),
+    "NaN cost weight": (
+        lambda d, tmp: d.update(optimization={"alphas": [1, 0, 1, 0, np.nan, 0.5]}),
+        "optimization: cost weights"),
     "removed bb_warm_start key": (
         lambda d, tmp: d.update(optimization={"optimizer": {"bb_warm_start": True}}),
         "optimization.optimizer.bb_warm_start"),
@@ -247,7 +267,7 @@ class TestSimulate:
         path = write_yaml(tmp_path, MINIMAL)
         assert main(["simulate", "-c", path]) == 0
         outdir = tmp_path / "out" / "t"
-        assert (outdir / "config.yaml").exists()
+        assert (outdir / "config.yaml").read_bytes() == Path(path).read_bytes()
         header, rows = read_csv(outdir / "series_0.csv")
         assert header[0].startswith("t")
         assert len(rows) == 5
@@ -311,14 +331,29 @@ class TestSimulate:
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
         assert "initial datum must be strictly interior" in capsys.readouterr().err
 
-    def test_nan_c1_exits_2_like_c1_below_1(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("c1", [float("nan"), float("inf")])
+    def test_non_finite_c1_exits_2_like_c1_below_1(self, tmp_path, monkeypatch, capsys, c1):
         import copy
 
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
-        data["potential"] = {"kind": "logarithmic", "c1": float("nan")}
+        data["potential"] = {"kind": "logarithmic", "c1": c1}
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
         assert "needs c1 > 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("beta_hat,pi_hat", [
+        ([0, 0, 0, 0, float("inf")], [0.25, 0, -0.5]),
+        ([0, 0, 0, 0, 0.25], [float("nan"), 0, -0.5]),
+    ])
+    def test_non_finite_custom_coefficients_exit_2(self, tmp_path, monkeypatch, capsys,
+                                                   beta_hat, pi_hat):
+        import copy
+
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(MINIMAL)
+        data["potential"] = {"kind": "custom", "beta_hat": beta_hat, "pi_hat": pi_hat}
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
+        assert "coefficients must be finite" in capsys.readouterr().err
 
     def test_yosida_run_outside_the_domain_writes_its_energy(self, tmp_path, monkeypatch):
         # The Yosida-regularized logarithmic run leaves (-1, 1); its energy
@@ -405,10 +440,8 @@ class TestOptimize:
 
     def test_tracking_history_monotone(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cfg = preset_config("coarse")
-        path = tmp_path / "coarse.yaml"
-        save_config(cfg, path)
-        assert main(["optimize", "-c", str(path)]) == 0
+        path = write_yaml(tmp_path, PRESETS["coarse"], "coarse.yaml")
+        assert main(["optimize", "-c", path]) == 0
         _, rows = read_csv(tmp_path / "out" / "coarse" / "history_0.csv")
         J = rows[:, 1]
         assert np.all(np.diff(J) <= 1e-15)

@@ -247,9 +247,7 @@ class TestProjectedGradient:
 
 class TestOptimizerOptions:
     @pytest.mark.parametrize("kwargs", [
-        {"armijo_c1": 0.0}, {"armijo_c1": 1.0}, {"backtrack": 0.0}, {"backtrack": 1.0},
-        {"initial_step": 0.0}, {"initial_step": -1.0}, {"initial_step": float("nan")},
-        {"tol": 0.0}, {"tol": float("nan")}, {"max_iter": -1},
+        {"tol": 0.0}, {"tol": float("nan")}, {"tol": float("inf")}, {"max_iter": -1},
     ])
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValidationError, match=next(iter(kwargs))):

@@ -64,17 +64,25 @@ class TestStep:
             w = ops.lumped_total
             assert np.sqrt(r1 @ (r1 / w) + r2 @ (r2 / w)) <= problem.opts.newton_tol
 
-    def test_nonconvergence_reports_residual(self):
-        problem = make_problem(newton_max_iter=0)
+    def test_nonconvergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(forward, "NEWTON_MAX_ITER", 0)
+        problem = make_problem()
         mesh, grid = problem.mesh, problem.grid
         with pytest.raises(SolverError) as err:
             solve(problem, cosine_ic(mesh, 0.4), ControlPair.zeros(mesh, grid))
         assert err.value.residual is not None
         assert err.value.step == 1
 
-    def test_negative_newton_budget_rejected(self):
-        with pytest.raises(ValidationError, match="newton_max_iter"):
-            SolverOptions(newton_max_iter=-1)
+    def test_non_finite_right_hand_side_raises_at_its_step(self):
+        problem = make_problem()
+        ops = problem.ops
+        a, b = forward.jacobian_coefficients(problem.physics, problem.grid.dt)
+        rhs = np.ones(2 * ops.mesh.n_bulk)
+        rhs[3] = np.inf
+        with pytest.raises(SolverError, match="linear solve at step 4") as err:
+            forward.solve_block_system(ops, a, b, rhs, np.ones(ops.mesh.n_bulk), step=4)
+        assert err.value.step == 4
+        assert "non-finite at rows [3]" in str(err.value)
 
 
 class TestInitialMu:
@@ -115,6 +123,7 @@ class TestInitialMu:
 
 
 NAN = float("nan")
+INF = float("inf")
 
 
 @pytest.mark.parametrize("build,fragment", [
@@ -122,8 +131,11 @@ NAN = float("nan")
     (lambda: Physics(tau=NAN, gamma=1.0), "tau"),
     (lambda: Physics(tau=1.0, gamma=NAN), "gamma"),
     (lambda: SolverOptions(newton_tol=NAN), "newton_tol"),
-    (lambda: SolverOptions(interior_safeguard=NAN), "interior_safeguard"),
     (lambda: SolverOptions(eps_yosida=NAN), "eps_yosida"),
+    (lambda: TimeGrid(T=INF, N=4), "final time T"),
+    (lambda: Physics(tau=INF, gamma=1.0), "tau"),
+    (lambda: Physics(tau=1.0, gamma=INF), "gamma"),
+    (lambda: SolverOptions(newton_tol=INF), "newton_tol"),
 ])
 def test_nan_parameters_rejected(build, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -360,6 +372,17 @@ class TestYosidaContinuation:
         trajectories, _ = yosida_continuation(problem, phi0, controls,
                                               eps_list=(1e-1, 1e-2))
         assert all(np.all(np.isfinite(t.phi)) for t in trajectories.values())
+
+    def test_zero_eps_is_the_unregularized_reference(self):
+        problem = make_problem(T=0.3, N=6)
+        phi0 = cosine_ic(problem.mesh, 0.4)
+        controls = ControlPair.constant(problem.mesh, problem.grid, 0.1)
+        trajectories, table = yosida_continuation(problem, phi0, controls,
+                                                  eps_list=(1e-1, 1e-2, 0.0))
+        reference = solve(problem, phi0, controls)
+        assert np.array_equal(trajectories[0.0].phi, reference.phi)
+        assert [eps for eps, _ in table] == [1e-1, 1e-2]
+        assert table[0][1] > table[1][1] > 0
 
     def test_rejects_nondecreasing_list(self):
         problem = make_problem(N=2)

@@ -522,7 +522,7 @@ def loop_step(ops, fns, opts, physics, dt, phi_n, mu_n, u, ug):
     Mbar, Kbar = ops.M_total, ops.K_total
     gamma, tau = physics.gamma, physics.tau
     mask = forward._interior_mask(ops, fns.pair, opts)
-    limit = 1.0 - opts.interior_safeguard
+    limit = 1.0 - forward.INTERIOR_SAFEGUARD
     w = ops.lumped_total
     template = ops.block_template
     Mphi_n = Mbar @ phi_n
@@ -531,7 +531,7 @@ def loop_step(ops, fns, opts, physics, dt, phi_n, mu_n, u, ug):
     a, b = forward.jacobian_coefficients(physics, dt)
     X = np.column_stack([phi_n, mu_n])
     prev = np.inf
-    for it in range(opts.newton_max_iter + 1):
+    for it in range(forward.NEWTON_MAX_ITER + 1):
         phi = X[:, 0]
         m, k = Mbar @ X, Kbar @ X
         nodal, lam = fns.implicit(ops, phi)
@@ -540,7 +540,7 @@ def loop_step(ops, fns, opts, physics, dt, phi_n, mu_n, u, ug):
         res = float(np.sqrt(r1 @ (r1 / w) + r2 @ (r2 / w)))
         if res <= opts.newton_tol:
             return phi, X[:, 1], it
-        assert it < opts.newton_max_iter
+        assert it < forward.NEWTON_MAX_ITER
         forward._refactor_if_needed(ops, a, b, lam, None, res > forward.CHORD_RHO * prev)
         rhs = -np.concatenate([r1, r2])
         dX = template.lu.solve(rhs[template.order])[template.inverse].reshape(2, -1)
