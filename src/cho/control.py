@@ -334,38 +334,29 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
         return traj, J
 
     traj, J = evaluate(u)
-    adj = adjoint_solve(problem, traj, cp.cost)
-    g = reduced_gradient(problem, u, adj, cp.cost)
-    vi = vi_residual(u, g, box, ops, dt)
-    newton_total = int(traj.newton_iters.sum())
-    history = [IterateRecord(0, J, vi, 0.0, newton_total,
-                             validate_Uad(u, box, grid, ops).passed)]
-
-    for k in range(1, opts.max_iter + 1):
-        if vi <= opts.tol:
+    s, newton_total, history = 0.0, int(traj.newton_iters.sum()), []
+    for k in range(opts.max_iter + 1):
+        adj = adjoint_solve(problem, traj, cp.cost)
+        g = reduced_gradient(problem, u, adj, cp.cost)
+        vi = vi_residual(u, g, box, ops, dt)
+        history.append(IterateRecord(k, J, vi, s, newton_total,
+                                     validate_Uad(u, box, grid, ops).passed))
+        if vi <= opts.tol or k == opts.max_iter:
             break
-        s = INITIAL_STEP
-        accepted = False
-        newton_total = 0
+        s, newton_total = INITIAL_STEP, 0
         for _ in range(MAX_BACKTRACKS + 1):
             trial = project_box(u.plus(g, -s), box)
             descent = control_inner(g, trial.plus(u, -1.0), ops, dt)
             traj_t, J_t = evaluate(trial)
             newton_total += int(traj_t.newton_iters.sum())
             if J_t <= J + ARMIJO_C1 * descent:
-                accepted = True
                 break
             s *= BACKTRACK
-        if not accepted:
+        else:
             gnorm = control_norm(g, ops, dt)
             raise SolverError(
                 f"line search failed after {MAX_BACKTRACKS} backtracks "
                 f"(gradient norm {gnorm:.3e})"
             )
         u, traj, J = trial, traj_t, J_t
-        adj = adjoint_solve(problem, traj, cp.cost)
-        g = reduced_gradient(problem, u, adj, cp.cost)
-        vi = vi_residual(u, g, box, ops, dt)
-        history.append(IterateRecord(k, J, vi, s, newton_total,
-                                     validate_Uad(u, box, grid, ops).passed))
     return OptimizeResult(u, traj, adj, g, history, converged=vi <= opts.tol)

@@ -252,21 +252,19 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     ``REFINE_RTOL`` and return its two halves.
 
     The matrix A = [[a11 M + b11 K, a12 M + b12 K], [a21 M + b21 K +
-    diag(lam), a22 M + b22 K]] is the block template's one step matrix,
-    stored symmetrically permuted; a call with the coefficients it holds
-    refills only diag(lam).  The system is solved with A (trans="N") or its
-    transpose (trans="T") by iterative refinement: each sweep corrects the
-    solution with the template's live factor and recomputes the residual
-    with the exact refilled matrix.  The factor, taken at an earlier
-    diagonal, is rebuilt here when it was built for other coefficients or
-    when a sweep stalls (``STALL_RATIO``) short of the round-off level
-    (``ROUNDOFF``).  A non-finite ``rhs`` or ``lam``, a singular matrix or
-    a stall on a factor of this very matrix raises ``SolverError`` carrying
-    ``step``.
+    diag(lam), a22 M + b22 K]] is the block template's one step matrix; a
+    call with the coefficients it holds refills only diag(lam).  The system
+    is solved with A (trans="N") or its transpose (trans="T") by iterative
+    refinement: each sweep corrects the solution with the template's live
+    factor and recomputes the residual with the exact refilled matrix.
+    The factor, taken at an earlier diagonal, is rebuilt here when it was
+    built for other coefficients or when a sweep stalls (``STALL_RATIO``)
+    short of the round-off level (``ROUNDOFF``).  A non-finite ``rhs`` or
+    ``lam``, a singular matrix or a stall on a factor of this very matrix
+    raises ``SolverError`` carrying ``step``.
     """
     template = ops.block_template
-    r = rhs[template.order]
-    rnorm = _norm(r)
+    rnorm = _norm(rhs)
     if not math.isfinite(rnorm):
         rows = np.flatnonzero(~np.isfinite(rhs))[:3]
         raise SolverError(f"{_where(step)}: right-hand side of norm {rnorm}, "
@@ -276,10 +274,10 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     if trans == "T":
         A = template.transposed
     target = REFINE_RTOL * rnorm
-    y, res, norm = np.zeros_like(r), r, rnorm
+    y, res, norm = np.zeros_like(rhs), rhs, rnorm
     while not norm <= target:
         y_new = y + template.lu.solve(res, trans=trans)
-        res_new = r - A @ y_new
+        res_new = rhs - A @ y_new
         norm_new = _norm(res_new)
         if norm_new <= max(STALL_RATIO * norm, target):
             y, res, norm = y_new, res_new, norm_new
@@ -297,14 +295,14 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
                 step=step,
             )
         fresh = _refactor_if_needed(ops, a, b, lam, step, refresh=True)
-        y, res, norm = np.zeros_like(r), r, rnorm
-    x = y[template.inverse]
+        y, res, norm = np.zeros_like(rhs), rhs, rnorm
     n = ops.mesh.n_bulk
-    return x[:n], x[n:]
+    return y[:n], y[n:]
 
 
 def _interior_mask(ops, pair, opts):
-    """Nodes whose iterates must stay inside (-1, 1); None when unconstrained."""
+    """Nodes whose initial datum and iterates must stay inside (-1, 1), the
+    domain of every bounded potential; None when unconstrained."""
     if opts.eps_yosida:
         return None
     mask = np.zeros(ops.mesh.n_bulk, dtype=bool)
@@ -318,28 +316,22 @@ def _interior_mask(ops, pair, opts):
 
 
 class _ChordNewton:
-    """Chord Newton for the steps of one solve, in the block template's
-    permuted ordering.
+    """Chord Newton for the steps of one solve on the block template.
 
-    The iterate is y = [phi; mu][order], so the step residual is one
-    product with the template's step matrix refilled without diag(lam),
-    plus N(phi) added at the mu rows, and a correction is one solve with
-    the template's live factor, no permutes.  The residual is exact; the
-    factor is reused across iterations and steps, and rebuilt at the
-    current state when an iteration leaves more than ``CHORD_RHO`` of the
-    previous residual.
+    The iterate is y = [phi; mu], so the step residual is one product with
+    the template's step matrix refilled without diag(lam), plus N(phi)
+    added at the mu rows, and a correction is one solve with the
+    template's live factor.  The residual is exact; the factor is reused
+    across iterations and steps, and rebuilt at the current state when an
+    iteration leaves more than ``CHORD_RHO`` of the previous residual.
     """
 
     def __init__(self, problem: Problem, fns: _SchemeFns):
         ops, physics, dt = problem.ops, problem.physics, problem.grid.dt
-        template = ops.block_template
-        n = ops.mesh.n_bulk
         self.ops, self.fns, self.opts = ops, fns, problem.opts
         self.a, self.b = jacobian_coefficients(physics, dt)
-        self.order = template.order
-        self.phi_at, self.mu_at = template.inverse[:n], template.inverse[n:]
         # Inverse lumped weights of the mass-weighted residual norm.
-        self.winv = np.tile(1.0 / ops.lumped_total, 2)[self.order]
+        self.winv = np.tile(1.0 / ops.lumped_total, 2)
         self.mask = _interior_mask(ops, problem.pair, problem.opts)
         self.limit = 1.0 - INTERIOR_SAFEGUARD
         self.dt, self.tau_rate = dt, physics.tau / dt
@@ -348,24 +340,24 @@ class _ChordNewton:
         """Solve one implicit step from (phi_n, mu_n) with the source term
         gamma (M_bulk u + M_surf u_gamma); returns (phi, mu, iterations)."""
         ops, opts, template = self.ops, self.opts, self.ops.block_template
-        phi_at, mu_at, winv = self.phi_at, self.mu_at, self.winv
+        n, winv = ops.mesh.n_bulk, self.winv
         # R1 = (1/dt + gamma) M phi + K mu - c1 and R2 = (tau/dt) M phi + K phi
         # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
         Mphi_n = ops.M_total @ phi_n
         c1 = Mphi_n / self.dt + source
         c2 = self.tau_rate * Mphi_n - self.fns.explicit(ops, phi_n)[0]
-        c = np.concatenate([c1, c2])[self.order]
-        y = np.concatenate([phi_n, mu_n])[self.order]
+        c = np.concatenate([c1, c2])
+        y = np.concatenate([phi_n, mu_n])
         prev = np.inf
         for it in range(NEWTON_MAX_ITER + 1):
-            phi = y[phi_at]
+            phi = y[:n]
             nodal, lam = self.fns.implicit(ops, phi)
             r = template.fill(self.a, self.b) @ y
-            r[mu_at] += nodal
+            r[n:] += nodal
             r -= c
             res = math.sqrt(r @ (r * winv))
             if res <= opts.newton_tol:
-                return phi, y[mu_at], it
+                return phi, y[n:], it
             if it == NEWTON_MAX_ITER:
                 raise SolverError(
                     f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
@@ -381,7 +373,7 @@ class _ChordNewton:
             except SolverError as err:
                 raise SolverError(f"Newton iteration {it + 1}: {err}", residual=res) from err
             prev = res
-            y += self._damping(phi, dy[phi_at]) * dy
+            y += self._damping(phi, dy[:n]) * dy
         raise AssertionError("unreachable")
 
     def _damping(self, phi, dphi):
@@ -476,9 +468,9 @@ def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:
         raise ValidationError("initial datum must be a conforming pair")
     u, ug = slab_arrays(controls, mesh, grid)
 
-    if problem.pair.bounded and not problem.opts.eps_yosida:
-        lo, hi = problem.pair.boundary.domain
-        if np.any(phi0.bulk <= lo) or np.any(phi0.bulk >= hi):
+    mask = _interior_mask(ops, problem.pair, problem.opts)
+    if mask is not None:
+        if np.any(np.abs(phi0.bulk[mask]) >= 1.0):
             raise ValidationError("initial datum must be strictly interior")
         require_mean_value(problem, phi0,
                            max(np.abs(u).max(initial=0.0), np.abs(ug).max(initial=0.0)))

@@ -144,16 +144,9 @@ class BlockTemplate:
     coefficient set; per slot the template keeps its M value, its K value
     and its block, plus the slots of the lower-left diagonal in node order.
 
-    The stored matrix is the block matrix A symmetrically permuted,
-    ``matrix = A[order][:, order]``.  ``order`` is the fill-reducing
-    column ordering (minimum degree on the pattern of A^T + A, then the
-    postorder of the column elimination tree) that a per-call
-    ``splu(A, permc_spec="MMD_AT_PLUS_A")`` would compute.  Both steps see
-    only the pattern, so they are computed once here, from a factorization
-    of the identity stored on that pattern, and every step factorization
-    takes the stored matrix in its natural order.  ``inverse`` maps the
-    permuted unknowns back: if y solves ``matrix @ y = r[order]``, then
-    x = y[inverse] solves A x = r.
+    The matrix is stored in node order, and every step factorization
+    orders it afresh: ``splu`` with ``permc_spec="MMD_AT_PLUS_A"`` takes a
+    minimum-degree ordering of the pattern of A^T + A.
 
     The template holds one coefficient set ``coeffs`` = (a, b) for its
     matrix and its one live factor ``lu``, if any.  Only the diagonal of
@@ -167,31 +160,25 @@ class BlockTemplate:
     def __init__(self, M, K):
         n = M.shape[0]
         S = abs(M) + abs(K) + sp.identity(n, format="csr")
-        A = sp.bmat([[S, S], [S, S]], format="csc")
-        rows, cols = _slots(A)
-        A.data = (rows == cols).astype(float)
-        # A copy: perm_c is a view that would keep the whole factor alive.
-        self.inverse = spla.splu(A, permc_spec="MMD_AT_PLUS_A").perm_c.astype(np.intp)
-        self.order = np.argsort(self.inverse)
-        self.matrix = A[self.order][:, self.order]
+        self.matrix = sp.bmat([[S, S], [S, S]], format="csc")
         self.matrix.sort_indices()
         # matrix.T as a CSR matrix over the same arrays: refilled with it.
         self.transposed = sp.csr_matrix(
             (self.matrix.data, self.matrix.indices, self.matrix.indptr),
             shape=self.matrix.shape,
         )
-        rows, cols = (self.order[i] for i in _slots(self.matrix))
+        rows, cols = _slots(self.matrix)
         self.m = np.asarray(M[rows % n, cols % n]).ravel()
         self.k = np.asarray(K[rows % n, cols % n]).ravel()
         self.block = (2 * (rows >= n) + (cols >= n)).astype(np.int8)
-        diag = np.flatnonzero(rows - n == cols)
-        self.diag = diag[np.argsort(cols[diag])]
+        # Slots run column by column, so these are in node order.
+        self.diag = np.flatnonzero(rows - n == cols)
         self.lu = self.coeffs = self.free = None
 
     def fill(self, a, b, lam=None):
         """Write the blocks a_ij M + b_ij K (+ diag(lam) in block 21) into the
         template, with a and b listed as (11, 12, 21, 22); returns the
-        permuted matrix."""
+        matrix."""
         data, coeffs = self.matrix.data, (tuple(a), tuple(b))
         if coeffs != self.coeffs:
             self.lu, self.coeffs = None, coeffs
@@ -202,11 +189,11 @@ class BlockTemplate:
         return self.matrix
 
     def factor(self, a, b, lam=None):
-        """Fill the template and factor it in its stored order, releasing the
-        previous factor first so that two are never alive at once.  A
-        singular matrix raises ``RuntimeError`` and leaves no factor."""
+        """Fill the template and factor it, releasing the previous factor
+        first so that two are never alive at once.  A singular matrix raises
+        ``RuntimeError`` and leaves no factor."""
         self.lu = None
-        self.lu = spla.splu(self.fill(a, b, lam), permc_spec="NATURAL")
+        self.lu = spla.splu(self.fill(a, b, lam), permc_spec="MMD_AT_PLUS_A")
 
 
 def _slots(A):

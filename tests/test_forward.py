@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -172,6 +174,22 @@ class TestSolve:
         with pytest.raises(ValidationError, match="interior"):
             solve(problem, PairField.constant(mesh, 1.0),
                   ControlPair.zeros(mesh, grid))
+
+    def test_interior_precondition_reads_only_the_constrained_nodes(self):
+        # A regular bulk and a logarithmic boundary potential constrain the
+        # trace alone: a bulk peak of 1.2 is admissible, a trace node at 1
+        # is not.
+        problem = make_problem(n_cells=8)
+        problem = replace(problem, pair=PotentialPair(
+            bulk=regular_potential(), boundary=logarithmic_potential(2.0)))
+        mesh, grid = problem.mesh, problem.grid
+        values = 0.2 + np.sin(np.pi * mesh.bulk_nodes[:, 0])
+        traj = solve(problem, PairField.from_bulk(mesh, values), ControlPair.zeros(mesh, grid))
+        assert traj.phi[0].max() > 1.0
+        assert np.abs(traj.phi[:, mesh.trace_map]).max() < 1.0
+        values[mesh.trace_map[0]] = 1.0
+        with pytest.raises(ValidationError, match="interior"):
+            solve(problem, PairField.from_bulk(mesh, values), ControlPair.zeros(mesh, grid))
 
     def test_determinism(self, generic_run):
         problem, phi0, controls, traj = generic_run

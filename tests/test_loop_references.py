@@ -9,9 +9,9 @@ The nodal scheme terms are checked the same way: the fused evaluations
 (one pass per state for a term and its derivative, one resolvent per
 side) and the energy of the run's potential against the per-order
 formulas, and the compacted resolvent against the full-array safeguarded
-Newton loop.  The forward step, which iterates
-in the block template's permuted ordering, is checked against the
-node-ordered chord Newton loop it replaced, and the regular potential's
+Newton loop.  The forward step, one product with
+the block template per residual, is checked against the node-ordered
+chord Newton loop of two products per residual it replaced, and the regular potential's
 products against its ``np.power`` forms.  The one step matrix, refilled
 on its lambda diagonal alone while the coefficients hold, is checked
 against the template fill that rewrote every entry on each call and the
@@ -518,13 +518,12 @@ def test_regular_potential_is_pow_free():
 
 def loop_step(ops, fns, opts, physics, dt, phi_n, mu_n, u, ug):
     """One implicit step in node order, two sparse products per residual:
-    the chord Newton loop the permuted-order step replaced."""
+    the chord Newton loop the one-product step replaced."""
     Mbar, Kbar = ops.M_total, ops.K_total
     gamma, tau = physics.gamma, physics.tau
     mask = forward._interior_mask(ops, fns.pair, opts)
     limit = 1.0 - forward.INTERIOR_SAFEGUARD
     w = ops.lumped_total
-    template = ops.block_template
     Mphi_n = Mbar @ phi_n
     c1 = Mphi_n / dt + gamma * ops.mass(u, ug)
     c2 = (tau / dt) * Mphi_n - fns.explicit(ops, phi_n)[0]
@@ -543,7 +542,7 @@ def loop_step(ops, fns, opts, physics, dt, phi_n, mu_n, u, ug):
         assert it < forward.NEWTON_MAX_ITER
         forward._refactor_if_needed(ops, a, b, lam, None, res > forward.CHORD_RHO * prev)
         rhs = -np.concatenate([r1, r2])
-        dX = template.lu.solve(rhs[template.order])[template.inverse].reshape(2, -1)
+        dX = ops.block_template.lu.solve(rhs).reshape(2, -1)
         prev = res
         dphi, alpha = dX[0], 1.0
         if mask is not None:
@@ -640,7 +639,7 @@ def copy_fill(template, a, b, lam=None):
 def full_factor(template, a, b, lam=None):
     """The factorization that recorded its coefficients with its factor."""
     template.lu = template.coeffs = None
-    template.lu = spla.splu(full_fill(template, a, b, lam), permc_spec="NATURAL")
+    template.lu = spla.splu(full_fill(template, a, b, lam), permc_spec="MMD_AT_PLUS_A")
     template.coeffs = (tuple(a), tuple(b))
 
 

@@ -97,15 +97,15 @@ class TestTaylorTest:
     def test_quadratic_orders_for_smooth_potential(self, base_setup):
         problem, phi0, u, base = base_setup
         h = unit_direction(problem, 5).scaled(0.3)
-        result = taylor_test(problem, phi0, u, h, scales=(0.5, 0.25, 0.125, 0.0625))
+        result, = taylor_test(problem, phi0, u, [h], scales=(0.5, 0.25, 0.125, 0.0625))
         assert not result.exact
         assert result.min_order() >= 1.9
 
     def test_zero_direction_zero_remainder(self, base_setup):
         problem, phi0, u, base = base_setup
-        result = taylor_test(problem, phi0, u,
-                             ControlPair.zeros(problem.mesh, problem.grid),
-                             scales=(0.5, 0.25))
+        result, = taylor_test(problem, phi0, u,
+                              [ControlPair.zeros(problem.mesh, problem.grid)],
+                              scales=(0.5, 0.25))
         assert all(r == 0.0 for r in result.remainders)
 
     def test_affine_state_map_reported_exact(self):
@@ -125,6 +125,6 @@ class TestTaylorTest:
         phi0 = cosine_ic(mesh, 0.3)
         u = ControlPair.constant(mesh, problem.grid, 0.1)
         h = unit_direction(problem, 6)
-        result = taylor_test(problem, phi0, u, h, scales=(1.0, 0.5, 0.25))
+        result, = taylor_test(problem, phi0, u, [h], scales=(1.0, 0.5, 0.25))
         assert result.exact
         assert result.orders == []

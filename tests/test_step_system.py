@@ -4,8 +4,7 @@ linearized and adjoint solvers.
 The reference block matrices below are the per-call assemblies the solvers
 used before the fixed template: the step Jacobian, the adjoint backward
 matrix and the terminal adjoint matrix.  The template stores its matrix
-symmetrically permuted by a fill-reducing ordering; ``unpermuted`` undoes
-that before comparing entries.
+in node order, so its entries compare with them directly.
 
 The template is the one step matrix of every solve: a refill with the
 coefficients it holds rewrites only the diagonal lambda of block 21.  It
@@ -92,10 +91,6 @@ def system(request):
     return ops, lam, rng
 
 
-def unpermuted(template, A):
-    return A[template.inverse][:, template.inverse]
-
-
 def assert_same_entries(A, B):
     assert A.shape == B.shape
     assert abs(A - B).max() <= 1e-14 * abs(B).max()
@@ -109,28 +104,26 @@ class TestTemplate:
     def test_jacobian_matches_reference(self, system):
         ops, lam, _ = system
         a, b = jacobian_coefficients(PHYSICS, DT)
-        J = unpermuted(ops.block_template, ops.block_template.fill(a, b, lam))
+        J = ops.block_template.fill(a, b, lam)
         assert_same_entries(J, jacobian_reference(ops, PHYSICS, DT, lam))
 
     def test_backward_matrix_is_scaled_jacobian_transpose(self, system):
         ops, lam, _ = system
         n = ops.mesh.n_bulk
         template = ops.block_template
-        J = unpermuted(template, template.fill(*jacobian_coefficients(PHYSICS, DT), lam))
+        J = template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
         scale = sp.diags(np.concatenate([np.full(n, DT), np.ones(n)]))
         assert_same_entries(scale @ J.T, backward_reference(ops, PHYSICS, DT, lam))
 
     def test_terminal_matches_reference(self, system):
         ops, _, _ = system
-        B = unpermuted(ops.block_template, ops.block_template.fill(*TERMINAL))
+        B = ops.block_template.fill(*TERMINAL)
         assert_same_entries(B, terminal_reference(ops, PHYSICS.tau))
 
     def test_pattern_is_fixed_across_refills(self, system):
         ops, lam, _ = system
         template = ops.block_template
         indptr, indices = template.matrix.indptr.copy(), template.matrix.indices.copy()
-        assert np.array_equal(np.sort(template.order), np.arange(2 * ops.mesh.n_bulk))
-        assert np.array_equal(template.order[template.inverse], np.arange(2 * ops.mesh.n_bulk))
         template.fill(*TERMINAL)
         template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
         assert ops.block_template is template
@@ -151,7 +144,7 @@ class TestTemplate:
             assert np.array_equal(A.data[off], before[off])
             reference = jacobian_reference(
                 ops, PHYSICS, DT, np.zeros_like(lam) if new_lam is None else new_lam)
-            assert_same_entries(unpermuted(template, A), reference)
+            assert_same_entries(A, reference)
 
     def test_coefficient_change_releases_the_factor(self, system):
         ops, lam, _ = system
@@ -161,7 +154,7 @@ class TestTemplate:
         B = template.fill(*TERMINAL)
         assert template.lu is None
         assert template.coeffs == TERMINAL
-        assert_same_entries(unpermuted(template, B), terminal_reference(ops, PHYSICS.tau))
+        assert_same_entries(B, terminal_reference(ops, PHYSICS.tau))
 
     def test_transposed_view_follows_refills(self, system):
         ops, lam, _ = system
@@ -201,20 +194,6 @@ class TestSolveAgainstReference:
         assert relative_error(x, ref) <= 1e-12
 
 
-@pytest.mark.parametrize("trans", ["N", "T"])
-def test_stored_ordering_matches_per_call_ordering(system, trans):
-    ops, lam, rng = system
-    template = ops.block_template
-    P = template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
-    A = unpermuted(template, P).tocsc()
-    stored = spla.splu(P, permc_spec="NATURAL")
-    per_call = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-    assert stored.L.nnz + stored.U.nnz <= per_call.L.nnz + per_call.U.nnz
-    rhs = rng.standard_normal(2 * ops.mesh.n_bulk)
-    x = stored.solve(rhs[template.order], trans=trans)[template.inverse]
-    assert relative_error(x, per_call.solve(rhs, trans=trans)) <= 1e-12
-
-
 @pytest.fixture
 def run():
     problem = make_problem()
@@ -230,17 +209,14 @@ def run():
 class FactorLog:
     def __init__(self):
         self.live = []
-        self.orderings = []
-
-    @property
-    def step_factors(self):
-        return self.orderings.count("NATURAL")
+        self.step_factors = 0
 
 
 @pytest.fixture
 def factor_log(monkeypatch):
-    """Wraps ``splu``: records each ordering asked for, and fails when a
-    factor is still alive while the next one is built."""
+    """Wraps ``splu``: counts the step factorizations, each ordered by
+    minimum degree on A^T + A, and fails when a factor is still alive while
+    the next one is built."""
     log = FactorLog()
     splu = spla.splu
 
@@ -257,8 +233,8 @@ def factor_log(monkeypatch):
 
     def counting_splu(*args, permc_spec, **kwargs):
         assert not log.live, "a factor was alive while the next one was built"
-        assert permc_spec in ("MMD_AT_PLUS_A", "NATURAL")
-        log.orderings.append(permc_spec)
+        assert permc_spec == "MMD_AT_PLUS_A"
+        log.step_factors += 1
         return Factor(splu(*args, permc_spec=permc_spec, **kwargs))
 
     monkeypatch.setattr(spla, "splu", counting_splu)
@@ -280,14 +256,6 @@ def test_one_template_and_at_most_one_live_factor(monkeypatch, factor_log):
     # The template's own factor, and no other.
     assert len(factor_log.live) == 1
     assert problem.ops.block_template.lu is not None
-    # One ordering for the template, first; every step factorization after
-    # it reuses that ordering.
-    orderings = factor_log.orderings
-    assert orderings[0] == "MMD_AT_PLUS_A"
-    assert orderings.count("MMD_AT_PLUS_A") == 1
-    assert len(orderings) > 1
-    # The stored permutation is a copy, not a view keeping the factor alive.
-    assert problem.ops.block_template.inverse.base is None
 
 
 def test_factorization_budget(factor_log):
@@ -458,7 +426,7 @@ class TestHistoryIndependence:
            st.floats(-1.0, 2.0), st.integers(0, 2**32 - 1))
     def test_refined_solve_matches_direct_solve(self, mesh, trans, log_dt, log_scale, seed):
         # Factor at one diagonal, solve at another: the refined solution is
-        # the direct solution of the un-permuted matrix, to within the
+        # the direct solution of the matrix, to within the
         # forward error a relative residual of 1e-13 allows.
         ops = assemble(mesh)
         rng = np.random.default_rng(seed)
@@ -560,14 +528,11 @@ def _fresh_template(monkeypatch, ops):
 
 
 def singular_factor(monkeypatch, ops):
-    """Every step factorization fails; the template's ordering does not."""
+    """Every step factorization fails."""
     _fresh_template(monkeypatch, ops)
-    splu = spla.splu
 
     def raising(*args, **kwargs):
-        if kwargs.get("permc_spec") == "NATURAL":
-            raise RuntimeError("Factor is exactly singular")
-        return splu(*args, **kwargs)
+        raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(spla, "splu", raising)
 
@@ -578,10 +543,8 @@ def stalled_refinement(monkeypatch, ops):
     _fresh_template(monkeypatch, ops)
     splu = spla.splu
 
-    def scaled(A, permc_spec, **kwargs):
-        if permc_spec == "NATURAL":
-            A = 10.0 * A
-        return splu(A, permc_spec=permc_spec, **kwargs)
+    def scaled(A, **kwargs):
+        return splu(10.0 * A, **kwargs)
 
     monkeypatch.setattr(spla, "splu", scaled)
 

@@ -59,3 +59,17 @@ def test_context_caps_the_check_mesh_and_builds_problems_on_it(domain, n_bulk):
     assert problem.mesh is ctx.mesh and problem.ops is ctx.ops
     assert (problem.grid.T, problem.grid.N, problem.opts.newton_tol) == (0.4, 10, 1e-12)
     assert (problem.physics.tau, problem.physics.gamma) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("name", ["rectangle", "default"])
+def test_suite_results_equal_each_check_run_alone(name):
+    # Each check starts without a live factor, so the checks before it in
+    # the suite do not move its numbers.
+    cfg = preset_config(name)
+    suite = verify.run_suite(cfg)
+    alone = [check(verify.CheckContext.build(cfg)) for check in verify.ALL_CHECKS]
+    for one, result in zip(alone, suite):
+        assert (one.passed, one.detail) == (result.passed, result.detail), one.name
+    taylor = NAMES.index("taylor")
+    assert ([r.remainders for r in alone[taylor].extra]
+            == [r.remainders for r in suite[taylor].extra])
