@@ -233,6 +233,29 @@ class TestProjectedGradient:
         assert np.array_equal(result.gradient.u, g.u)
         assert np.array_equal(result.gradient.uG, g.uG)
 
+    def test_budget_records_each_iterate_once(self):
+        # max_iter steps record max_iter + 1 iterates; the last record is
+        # the evaluation the result carries.  The first solve starts, as the
+        # optimizer's did, without a live factor.
+        cp = self.make_control_problem(
+            (1.0, 0.5, 1.0, 0.5, 0.4, 0.4),
+            targets={"phiQ": 0.25, "phiS": 0.25, "phiO": 0.25, "phiG": 0.25},
+        )
+        problem = cp.problem
+        u0 = ControlPair.constant(problem.mesh, problem.grid, 0.9)
+        result = projected_gradient(cp, u0, OptimizerOptions(tol=1e-12, max_iter=3))
+        assert not result.converged
+        assert [h.iteration for h in result.history] == [0, 1, 2, 3]
+        assert result.history[0].step == 0.0
+        assert all(h.step > 0.0 for h in result.history[1:])
+        problem.ops.block_template.lu = None
+        first = solve(problem, cp.phi0, project_box(u0, BOX))
+        assert result.history[0].newton_total == int(first.newton_iters.sum())
+        last = result.history[-1]
+        assert last.J == cost(cp.cost, result.trajectory, result.u, problem.ops)
+        assert last.vi_residual == vi_residual(result.u, result.gradient, BOX,
+                                               problem.ops, problem.grid.dt)
+
     def test_mz_guard_for_bounded_potentials(self):
         problem = make_problem(kind="logarithmic", gamma=1.0)
         cp = ControlProblem(

@@ -5,6 +5,7 @@ from cho.control import ControlPair, control_norm, random_direction
 from cho.errors import ValidationError
 from cho.forward import solve, traj_norm_Y
 from cho.potentials import PotentialPair, custom_potential
+from cho import sensitivity
 from cho.sensitivity import linearized_solve, taylor_test
 
 from conftest import cosine_ic, make_problem
@@ -107,6 +108,29 @@ class TestTaylorTest:
                               [ControlPair.zeros(problem.mesh, problem.grid)],
                               scales=(0.5, 0.25))
         assert all(r == 0.0 for r in result.remainders)
+
+    def test_directions_share_one_base_solve(self, base_setup, monkeypatch):
+        # One call solves at u once and at u + s h per direction and scale;
+        # each result equals that direction's call alone.
+        problem, phi0, u, base = base_setup
+        directions = [unit_direction(problem, 7).scaled(0.3),
+                      unit_direction(problem, 8).scaled(0.3)]
+        scales = (0.5, 0.25)
+        alone = [taylor_test(problem, phi0, u, [h], scales=scales)[0] for h in directions]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(sensitivity, "solve", counted)
+        together = taylor_test(problem, phi0, u, directions, scales=scales)
+        assert len(calls) == 1 + len(directions) * len(scales)
+        assert len(together) == len(directions)
+        for one, result in zip(alone, together):
+            assert result.scales == one.scales
+            assert result.remainders == one.remainders
+            assert result.exact == one.exact
 
     def test_affine_state_map_reported_exact(self):
         # F'' constant (quadratic potential): the state map is affine in the
