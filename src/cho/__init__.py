@@ -51,6 +51,6 @@ from .potentials import (
     yosida_hat,
 )
 from .sensitivity import LinearizedTrajectory, linearized_solve, taylor_test
-from .spaces import CoupledOperators, PairField, assemble, mean
+from .spaces import CoupledOperators, PairField, assemble
 
 __version__ = "0.1.0"

@@ -44,6 +44,7 @@ from .forward import (
     jacobian_coefficients,
     solve_block_system,
 )
+from .spaces import ControlPair
 
 
 class AdjointTrajectory:
@@ -55,15 +56,17 @@ class AdjointTrajectory:
         self.q = q
 
 
-def _sweep_backward(problem: Problem, base: StateTrajectory, cost, step_terms):
+def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, lag):
     """Terminal pair, then backward steps m = N..1.
 
-    The terminal pair solves M(p + tau q) = zeta3 and K p = M q.  Each
-    backward step solves J^T (p, q) = (rhs1, 0) with the step Jacobian J,
-    where ``step_terms(Z1, m, p_m, q_m)`` returns J's diagonal weights and
-    rhs1, given the running sources Z1 of ``CostSpec.sources``.
+    The terminal pair solves M(p + tau q) = zeta3 and K p = M q.  Backward
+    step m solves J^T (p, q) = (rhs1, 0) with the step Jacobian J of
+    diagonal lam[k] and rhs1 = Z1[k] + M (p_m + tau q_m) / dt - dexp[k] q_m,
+    where k = m - lag, Z1 are the running sources of ``CostSpec.sources``
+    and the dexp term enters below the terminal step only.
     """
     ops, grid = problem.ops, problem.grid
+    tau, dt = problem.physics.tau, grid.dt
     Z1, zeta3 = cost.sources(ops, base.phi)
     n = problem.mesh.n_bulk
     p = np.zeros((grid.N + 1, n))
@@ -71,31 +74,25 @@ def _sweep_backward(problem: Problem, base: StateTrajectory, cost, step_terms):
     zero = np.zeros(n)
 
     p[grid.N], q[grid.N] = solve_block_system(
-        ops, (1.0, problem.physics.tau, 0.0, -1.0), (0.0, 0.0, 1.0, 0.0),
+        ops, (1.0, tau, 0.0, -1.0), (0.0, 0.0, 1.0, 0.0),
         np.concatenate([zeta3, zero]), step=grid.N,
     )
-    a, b = jacobian_coefficients(problem.physics, grid.dt)
+    a, b = jacobian_coefficients(problem.physics, dt)
     for m in range(grid.N, 0, -1):
-        lam, rhs1 = step_terms(Z1, m, p[m], q[m])
+        k = m - lag
+        rhs1 = Z1[k] + ops.M_total @ (p[m] + tau * q[m]) / dt
+        if m < grid.N:
+            rhs1 -= dexp[k] * q[m]
         p[m - 1], q[m - 1] = solve_block_system(
-            ops, a, b, np.concatenate([rhs1, zero]), lam=lam, trans="T", step=m
+            ops, a, b, np.concatenate([rhs1, zero]), lam=lam[k], trans="T", step=m
         )
     return AdjointTrajectory(base, p, q)
 
 
 def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:
     """Exact transpose of the discrete linearized dynamics against the cost."""
-    ops, N, tau, dt = problem.ops, problem.grid.N, problem.physics.tau, problem.grid.dt
-    fns = _SchemeFns(problem.pair, problem.opts)
-    lam, dexp = fns.jacobian(ops, base.phi)
-
-    def step_terms(Z1, m, pm, qm):
-        rhs1 = Z1[m] + ops.M_total @ (pm + tau * qm) / dt
-        if m < N:
-            rhs1 -= dexp[m] * qm
-        return lam[m], rhs1
-
-    return _sweep_backward(problem, base, cost, step_terms)
+    lam, dexp = _SchemeFns(problem.pair, problem.opts).jacobian(problem.ops, base.phi)
+    return _sweep_backward(problem, base, cost, lam, dexp, lag=0)
 
 
 def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:
@@ -108,20 +105,13 @@ def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> Ad
     whatever the time-stepping split: the sum of both terms of
     ``_SchemeFns.jacobian``, evaluated once over the stack.
     """
-    ops, tau, dt = problem.ops, problem.physics.tau, problem.grid.dt
-    lam, dexp = _SchemeFns(problem.pair, problem.opts).jacobian(ops, base.phi[:-1])
+    lam, dexp = _SchemeFns(problem.pair, problem.opts).jacobian(problem.ops, base.phi[:-1])
     lam = lam + dexp
-
-    def step_terms(Z1, m, pm, qm):
-        return lam[m - 1], Z1[m - 1] + ops.M_total @ (pm + tau * qm) / dt
-
-    return _sweep_backward(problem, base, cost, step_terms)
+    return _sweep_backward(problem, base, cost, lam, np.broadcast_to(0.0, lam.shape), lag=1)
 
 
 def reduced_gradient(problem: Problem, u, adj: AdjointTrajectory, cost):
     """Gradient densities (gamma p + a5 u, gamma p_Gamma + a6 u_Gamma) per slab."""
-    from .control import ControlPair
-
     gamma = problem.physics.gamma
     a5, a6 = cost.alphas[4], cost.alphas[5]
     p = adj.p[:problem.grid.N]

@@ -14,48 +14,7 @@ import numpy as np
 from .adjoint import AdjointTrajectory, adjoint_solve, reduced_gradient
 from .errors import SolverError, ValidationError
 from .forward import Problem, StateTrajectory, require_mean_value, solve
-from .spaces import PairField, row_inner
-
-
-class ControlPair:
-    """Bulk and boundary control slabs: u (N, n_bulk), uG (N, n_boundary)."""
-
-    def __init__(self, u, uG):
-        self.u = np.asarray(u, dtype=float)
-        self.uG = np.asarray(uG, dtype=float)
-        if self.u.ndim != 2 or self.uG.ndim != 2 or self.u.shape[0] != self.uG.shape[0]:
-            raise ValidationError(
-                f"control slabs must be 2D with a common slab count, got "
-                f"{self.u.shape} and {self.uG.shape}"
-            )
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.uG))):
-            raise ValidationError("control values must be finite")
-
-    @classmethod
-    def zeros(cls, mesh, grid) -> "ControlPair":
-        return cls(
-            np.zeros((grid.N, mesh.n_bulk)), np.zeros((grid.N, mesh.n_boundary))
-        )
-
-    @classmethod
-    def constant(cls, mesh, grid, value, boundary_value=None) -> "ControlPair":
-        if boundary_value is None:
-            boundary_value = value
-        return cls(
-            np.full((grid.N, mesh.n_bulk), float(value)),
-            np.full((grid.N, mesh.n_boundary), float(boundary_value)),
-        )
-
-    def plus(self, other: "ControlPair", scale: float = 1.0) -> "ControlPair":
-        return ControlPair(self.u + scale * other.u, self.uG + scale * other.uG)
-
-    def scaled(self, s: float) -> "ControlPair":
-        return ControlPair(s * self.u, s * self.uG)
-
-    def sup_norm(self) -> float:
-        return float(
-            max(np.abs(self.u).max(initial=0.0), np.abs(self.uG).max(initial=0.0))
-        )
+from .spaces import ControlPair, PairField, row_inner
 
 
 def control_inner(a: ControlPair, b: ControlPair, ops, dt: float) -> float:

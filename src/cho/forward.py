@@ -26,7 +26,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 from .mesh import BulkSurfaceMesh
 from .potentials import PotentialPair, check_mz, yosida_derivatives
-from .spaces import CoupledOperators, PairField, assemble, mean, row_inner
+from .spaces import ControlPair, CoupledOperators, PairField, assemble, row_inner
 
 
 @dataclass(frozen=True)
@@ -437,43 +437,32 @@ def require_mean_value(problem: Problem, phi0: PairField, M: float, what="") -> 
     regularization fails the mean-value condition for the mean of phi0
     and sources bounded by M."""
     if problem.pair.bounded and not problem.opts.eps_yosida:
-        mz = check_mz(problem.pair, mean(phi0, problem.ops), M, problem.physics.gamma)
+        m0 = float(problem.ops.mean(phi0.bulk, phi0.boundary))
+        mz = check_mz(problem.pair, m0, M, problem.physics.gamma)
         if not mz.passed:
             raise ValidationError(f"mean-value condition fails{what}: {mz.message}")
 
 
-def slab_arrays(pair, mesh, grid, what="control"):
-    """Float slab arrays (u, uG) of a control-shaped pair; raises
-    ``ValidationError`` unless shaped (N, n_bulk) and (N, n_boundary)."""
-    u, ug = (np.asarray(z, dtype=float) for z in (pair.u, pair.uG))
-    if u.shape != (grid.N, mesh.n_bulk) or ug.shape != (grid.N, mesh.n_boundary):
-        raise ValidationError(
-            f"{what} slabs have shapes {u.shape}/{ug.shape}, expected "
-            f"({grid.N}, {mesh.n_bulk})/({grid.N}, {mesh.n_boundary})"
-        )
-    return u, ug
-
-
-def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:
+def solve(problem: Problem, phi0: PairField, controls: ControlPair) -> StateTrajectory:
     """March the state system over the whole grid.
 
-    ``controls`` carries slab arrays ``u`` of shape (N, n_bulk) and ``uG``
-    of shape (N, n_boundary); slab n acts on the step t_n -> t_{n+1}.
-    Validates the mean-value condition before starting when the potential
-    domain is bounded.
+    ``controls`` is a ``ControlPair`` with slabs ``u`` of shape
+    (N, n_bulk) and ``uG`` of shape (N, n_boundary); slab n acts on the
+    step t_n -> t_{n+1}.  Validates the mean-value condition before
+    starting when the potential domain is bounded.
     """
     mesh, ops, grid = problem.mesh, problem.ops, problem.grid
-    phi0.check_shapes(mesh)
-    if not phi0.conforming:
-        raise ValidationError("initial datum must be a conforming pair")
-    u, ug = slab_arrays(controls, mesh, grid)
+    if phi0.bulk.shape != (mesh.n_bulk,):
+        raise ValidationError(
+            f"initial datum has shape {phi0.bulk.shape}, mesh has {mesh.n_bulk} nodes"
+        )
+    controls.check(mesh, grid)
 
-    mask = _interior_mask(ops, problem.pair, problem.opts)
-    if mask is not None:
-        if np.any(np.abs(phi0.bulk[mask]) >= 1.0):
+    chord = _ChordNewton(problem, _SchemeFns(problem.pair, problem.opts))
+    if chord.mask is not None:
+        if np.any(np.abs(phi0.bulk[chord.mask]) >= 1.0):
             raise ValidationError("initial datum must be strictly interior")
-        require_mean_value(problem, phi0,
-                           max(np.abs(u).max(initial=0.0), np.abs(ug).max(initial=0.0)))
+        require_mean_value(problem, phi0, controls.sup_norm())
 
     n = mesh.n_bulk
     phi = np.empty((grid.N + 1, n))
@@ -482,8 +471,7 @@ def solve(problem: Problem, phi0: PairField, controls) -> StateTrajectory:
     phi[0] = phi0.bulk
     mu[0] = initial_mu(problem, phi[0])
 
-    chord = _ChordNewton(problem, _SchemeFns(problem.pair, problem.opts))
-    sources = problem.physics.gamma * ops.mass(u, ug)
+    sources = problem.physics.gamma * ops.mass(controls.u, controls.uG)
     for k in range(grid.N):
         try:
             phi[k + 1], mu[k + 1], iters[k] = chord.step(phi[k], mu[k], sources[k])

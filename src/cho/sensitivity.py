@@ -18,12 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control import control_norm
 from .forward import (
     Problem,
     StateTrajectory,
     _SchemeFns,
     jacobian_coefficients,
-    slab_arrays,
     solve,
     solve_block_system,
     traj_norm_Y,
@@ -42,8 +42,8 @@ class LinearizedTrajectory:
 def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTrajectory:
     """Solve the linearized system for the direction h = (h, h_Gamma).
 
-    ``h`` carries slab arrays like a control pair and is checked like
-    one.  The initial sensitivity vanishes because the initial state
+    ``h`` is a ``ControlPair``, checked against the problem's mesh and
+    grid.  The initial sensitivity vanishes because the initial state
     does not depend on the control.
     """
     ops, grid, physics = problem.ops, problem.grid, problem.physics
@@ -51,13 +51,13 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
     dt = grid.dt
     n = problem.mesh.n_bulk
 
-    hu, hg = slab_arrays(h, problem.mesh, grid, "direction")
+    h.check(problem.mesh, grid, "direction")
     psi = np.zeros((grid.N + 1, n))
     eta = np.zeros((grid.N + 1, n))
 
     a, b = jacobian_coefficients(physics, dt)
     lam, dexp = fns.jacobian(ops, base.phi)
-    sources = physics.gamma * ops.mass(hu, hg)
+    sources = physics.gamma * ops.mass(h.u, h.uG)
     for k in range(grid.N):
         Mpsi = ops.M_total @ psi[k]
         rhs1 = (1.0 / dt) * Mpsi + sources[k]
@@ -118,8 +118,6 @@ def continuous_dependence(problem: Problem, phi0, u, h, scales=(1.0, 0.5, 0.25))
     First-order Lipschitz behavior of the state map makes the ratio
     nearly scale-independent.
     """
-    from .control import control_norm
-
     base = solve(problem, phi0, u)
     ops, grid = problem.ops, problem.grid
     hnorm = control_norm(h, ops, grid.dt)

@@ -1,20 +1,22 @@
 """Discrete paired bulk/boundary fields and the coupled FEM operators.
 
-A pair (z, z_Gamma) with independent components discretizes the product
-space of square-integrable bulk and boundary functions; a conforming
-pair, whose boundary component is the trace of the bulk one, discretizes
-the subspace with matching traces.  One degree of freedom per bulk node;
-boundary values of conforming pairs are read through the trace map, so
-the trace constraint is structural rather than penalized.
+Two kinds of pair discretize two spaces.  A pair (z, z_Gamma) with
+independent components discretizes the product space of square-integrable
+bulk and boundary functions: the control slabs of ``ControlPair`` and the
+rows taken by ``CoupledOperators``.  A ``PairField`` discretizes the
+subspace with matching traces: it is built from its bulk values alone, so
+its boundary component is their trace by construction.  One degree of
+freedom per bulk node; the trace constraint is structural rather than
+penalized.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .errors import ValidationError
 from .mesh import (
     BulkSurfaceMesh,
     boundary_segment_lengths,
@@ -23,37 +25,79 @@ from .mesh import (
 )
 
 
-@dataclass
 class PairField:
-    """Bulk nodal values paired with boundary nodal values.
+    """Bulk nodal values paired with their trace on the boundary nodes.
 
-    ``conforming`` means boundary == bulk[trace_map] exactly.
-    """
+    Both parts are read-only copies, so the pair stays conforming whatever
+    happens to the array it was built from."""
 
-    bulk: np.ndarray
-    boundary: np.ndarray
-    conforming: bool = False
+    def __init__(self, mesh: BulkSurfaceMesh, bulk_values):
+        self.bulk = np.array(bulk_values, dtype=float)
+        if self.bulk.shape != (mesh.n_bulk,):
+            raise ValidationError(
+                f"bulk field has shape {self.bulk.shape}, mesh has {mesh.n_bulk} nodes"
+            )
+        self.boundary = trace(mesh, self.bulk)
+        self.bulk.flags.writeable = self.boundary.flags.writeable = False
 
     @classmethod
     def from_bulk(cls, mesh: BulkSurfaceMesh, bulk_values) -> "PairField":
-        """Conforming pair whose boundary part is the trace of the bulk part."""
-        bulk_values = np.asarray(bulk_values, dtype=float)
-        return cls(bulk_values, trace(mesh, bulk_values), conforming=True)
+        return cls(mesh, bulk_values)
 
     @classmethod
     def constant(cls, mesh: BulkSurfaceMesh, value: float) -> "PairField":
-        return cls.from_bulk(mesh, np.full(mesh.n_bulk, float(value)))
+        return cls(mesh, np.full(mesh.n_bulk, float(value)))
 
-    def check_shapes(self, mesh: BulkSurfaceMesh):
-        if self.bulk.shape != (mesh.n_bulk,):
-            raise ValueError(
-                f"bulk field has shape {self.bulk.shape}, mesh has {mesh.n_bulk} nodes"
+
+class ControlPair:
+    """Bulk and boundary control slabs: u (N, n_bulk), uG (N, n_boundary)."""
+
+    def __init__(self, u, uG):
+        self.u = np.asarray(u, dtype=float)
+        self.uG = np.asarray(uG, dtype=float)
+        if self.u.ndim != 2 or self.uG.ndim != 2 or self.u.shape[0] != self.uG.shape[0]:
+            raise ValidationError(
+                f"control slabs must be 2D with a common slab count, got "
+                f"{self.u.shape} and {self.uG.shape}"
             )
-        if self.boundary.shape != (mesh.n_boundary,):
-            raise ValueError(
-                f"boundary field has shape {self.boundary.shape}, "
-                f"mesh has {mesh.n_boundary} boundary nodes"
+        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.uG))):
+            raise ValidationError("control values must be finite")
+
+    @classmethod
+    def zeros(cls, mesh, grid) -> "ControlPair":
+        return cls(
+            np.zeros((grid.N, mesh.n_bulk)), np.zeros((grid.N, mesh.n_boundary))
+        )
+
+    @classmethod
+    def constant(cls, mesh, grid, value, boundary_value=None) -> "ControlPair":
+        if boundary_value is None:
+            boundary_value = value
+        return cls(
+            np.full((grid.N, mesh.n_bulk), float(value)),
+            np.full((grid.N, mesh.n_boundary), float(boundary_value)),
+        )
+
+    def check(self, mesh, grid, what="control"):
+        """Raise ``ValidationError`` unless the slabs are shaped
+        (N, n_bulk) and (N, n_boundary) for this mesh and grid."""
+        u, ug = self.u, self.uG
+        if u.shape != (grid.N, mesh.n_bulk) or ug.shape != (grid.N, mesh.n_boundary):
+            raise ValidationError(
+                f"{what} slabs have shapes {u.shape}/{ug.shape}, expected "
+                f"({grid.N}, {mesh.n_bulk})/({grid.N}, {mesh.n_boundary})"
             )
+
+    def plus(self, other: "ControlPair", scale: float = 1.0) -> "ControlPair":
+        return ControlPair(self.u + scale * other.u, self.uG + scale * other.uG)
+
+    def scaled(self, s: float) -> "ControlPair":
+        return ControlPair(s * self.u, s * self.uG)
+
+    def sup_norm(self) -> float:
+        return float(
+            max(np.abs(self.u).max(initial=0.0), np.abs(self.uG).max(initial=0.0))
+        )
 
 
 class CoupledOperators:
@@ -253,12 +297,6 @@ def _accumulate(local, connectivity, n):
     rows = np.repeat(connectivity, nloc, axis=1).ravel()
     cols = np.tile(connectivity, (1, nloc)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-
-
-def mean(field: PairField, ops: CoupledOperators) -> float:
-    """Extended mean value of a pair: see ``CoupledOperators.mean``."""
-    field.check_shapes(ops.mesh)
-    return float(ops.mean(field.bulk, field.boundary))
 
 
 def row_inner(M, A, B):

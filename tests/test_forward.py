@@ -22,9 +22,9 @@ from cho.forward import (
     solve,
     yosida_continuation,
 )
-from cho.mesh import build_rectangle
+from cho.mesh import build_interval, build_rectangle
 from cho.potentials import PotentialPair, logarithmic_potential, regular_potential
-from cho.spaces import PairField, mean
+from cho.spaces import PairField
 
 from conftest import cosine_ic, make_problem
 
@@ -204,6 +204,13 @@ class TestSolve:
         with pytest.raises(ValidationError):
             solve(problem, PairField.constant(mesh, 0.0), bad)
 
+    def test_initial_datum_of_another_mesh_rejected(self):
+        problem = make_problem()
+        other = build_interval(problem.mesh.n_bulk, 1.0)
+        with pytest.raises(ValidationError, match="initial datum has shape"):
+            solve(problem, PairField.constant(other, 0.0),
+                  ControlPair.zeros(problem.mesh, problem.grid))
+
     def test_2d_smoke(self):
         from cho.forward import Problem
 
@@ -235,11 +242,10 @@ class TestMeanDynamics:
         mesh, grid = problem.mesh, problem.grid
         # Mean-free initial datum, zero controls: m_n = 0 for all n.
         phi0 = cosine_ic(mesh, 0.2)
-        m0 = mean(phi0, problem.ops)
+        m0 = problem.ops.mean(phi0.bulk, phi0.boundary)
         phi0 = PairField.from_bulk(mesh, phi0.bulk - m0)
         traj = solve(problem, phi0, ControlPair.zeros(mesh, grid))
-        means = [mean(PairField.from_bulk(mesh, traj.phi[n]), problem.ops)
-                 for n in range(grid.N + 1)]
+        means = problem.ops.mean(traj.phi, traj.phi[:, mesh.trace_map])
         assert np.abs(means).max() < 1e-10
 
     def test_constant_source_geometric_approach(self):
@@ -251,8 +257,7 @@ class TestMeanDynamics:
         traj = solve(problem, PairField.constant(mesh, 0.1),
                      ControlPair.constant(mesh, grid, c))
         q = 1.0 / (1.0 + gamma * grid.dt)
-        m = np.array([mean(PairField.from_bulk(mesh, traj.phi[n]), problem.ops)
-                      for n in range(grid.N + 1)])
+        m = problem.ops.mean(traj.phi, traj.phi[:, mesh.trace_map])
         expected = c + (0.1 - c) * q ** np.arange(grid.N + 1)
         assert np.allclose(m, expected, atol=1e-10)
 

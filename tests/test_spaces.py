@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cho
+from cho.config import preset_config
+from cho.errors import ValidationError
 from cho.mesh import build_interval, build_rectangle
-from cho.spaces import PairField, assemble, mean
+from cho.spaces import ControlPair, PairField, assemble
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +143,7 @@ class TestCouplingMaps:
                                rtol=1e-14, atol=1e-15)
             assert np.allclose(ops.mass(z[r], tr), ops.M_total @ z[r],
                                rtol=1e-13, atol=1e-14)
-            assert np.isclose(ops.mean(z, z_G)[r], mean(PairField(z[r], z_G[r]), ops),
+            assert np.isclose(ops.mean(z, z_G)[r], ops.mean(z[r], z_G[r]),
                               rtol=1e-14, atol=1e-15)
 
     @settings(max_examples=30, deadline=None)
@@ -162,17 +165,47 @@ class TestCouplingMaps:
                               ops.mass(z[r], z_G[r]) @ w[r], rtol=1e-13, atol=1e-14)
 
 
+class TestPairs:
+    @pytest.mark.parametrize("preset", ["default", "rectangle"])
+    def test_boundary_is_the_trace_of_the_bulk(self, preset):
+        cfg = preset_config(preset)
+        mesh = cfg.build_mesh()
+        v = np.random.default_rng(0).uniform(-0.5, 0.5, mesh.n_bulk)
+        for pair in (PairField(mesh, v), PairField.from_bulk(mesh, v),
+                     PairField.constant(mesh, 0.25), cfg.build_initial(mesh)):
+            assert pair.bulk.dtype == float
+            assert np.array_equal(pair.boundary, pair.bulk[mesh.trace_map])
+
+    def test_pair_stays_conforming_when_its_source_changes(self, interval_ops):
+        mesh, _ = interval_ops
+        values = np.zeros(mesh.n_bulk)
+        pair = PairField(mesh, values)
+        values[mesh.trace_map] = 5.0
+        assert np.all(pair.bulk == 0.0) and np.all(pair.boundary == 0.0)
+        with pytest.raises(ValueError):
+            pair.boundary[0] = 5.0
+
+    @pytest.mark.parametrize("values", [np.zeros(18), np.zeros((1, 17))])
+    def test_wrong_bulk_shape_rejected(self, interval_ops, values):
+        mesh, _ = interval_ops
+        with pytest.raises(ValidationError, match="bulk field has shape"):
+            PairField.from_bulk(mesh, values)
+
+    def test_one_control_pair_type(self):
+        assert ControlPair is cho.control.ControlPair is cho.ControlPair
+
+
 class TestMean:
     def test_constant_pair(self, interval_ops):
         mesh, ops = interval_ops
-        assert np.isclose(mean(PairField.constant(mesh, 1.0), ops), 1.0)
+        one = PairField.constant(mesh, 1.0)
+        assert np.isclose(ops.mean(one.bulk, one.boundary), 1.0)
 
     def test_boundary_only_field(self):
         # z = 0 in the bulk, 1 on the boundary: (0 + 2) / (1 + 2).
         mesh = build_interval(4, 1.0)
         ops = assemble(mesh)
-        field = PairField(np.zeros(5), np.ones(2))
-        assert np.isclose(mean(field, ops), 2.0 / 3.0)
+        assert np.isclose(ops.mean(np.zeros(5), np.ones(2)), 2.0 / 3.0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -182,14 +215,14 @@ class TestMean:
         ops = assemble(mesh)
         rng = np.random.default_rng(seed)
         field = PairField.from_bulk(mesh, rng.uniform(-5, 5, mesh.n_bulk))
-        m = mean(field, ops)
+        m = ops.mean(field.bulk, field.boundary)
         shifted = PairField.from_bulk(mesh, field.bulk - m)
-        assert abs(mean(shifted, ops) * ops.measure) < 1e-10
+        assert abs(ops.mean(shifted.bulk, shifted.boundary) * ops.measure) < 1e-10
 
     def test_size_mismatch(self, interval_ops):
-        mesh, ops = interval_ops
-        with pytest.raises(ValueError):
-            mean(PairField(np.zeros(3), np.zeros(2)), ops)
+        mesh, _ = interval_ops
+        with pytest.raises(ValidationError, match="mesh has 17 nodes"):
+            PairField(mesh, np.zeros(3))
 
 
 def norm_H_sq(ops, v):
@@ -228,7 +261,7 @@ class TestNorms:
             for v in fields:
                 f = PairField.from_bulk(mesh, v)
                 semi = float(v @ (ops.K_total @ v))
-                out.append(norm_H_sq(ops, v) / (semi + mean(f, ops) ** 2))
+                out.append(norm_H_sq(ops, v) / (semi + ops.mean(f.bulk, f.boundary) ** 2))
             return np.array(out)
 
         fitted = ratios(0).max()
