@@ -225,17 +225,21 @@ class ControlProblem:
 
 # Armijo backtracks per iterate before the line search gives up.
 MAX_BACKTRACKS = 60
-# Armijo sufficient-decrease constant, step shrink factor per backtrack,
-# and the first trial step of every line search.
+# Armijo sufficient-decrease constant and step shrink factor per backtrack.
 ARMIJO_C1 = 1e-4
 BACKTRACK = 0.5
+# First trial step of the first line search, and of any line search whose
+# spectral step is undefined; the interval the spectral step is clipped to.
 INITIAL_STEP = 1.0
+STEP_MIN = 1e-3
+STEP_MAX = 1e3
 
 
 @dataclass(frozen=True)
 class OptimizerOptions:
     """Projected-gradient stopping rule; the line search uses the module
-    constants ``ARMIJO_C1``, ``BACKTRACK`` and ``INITIAL_STEP``."""
+    constants ``ARMIJO_C1``, ``BACKTRACK``, ``INITIAL_STEP``, ``STEP_MIN``
+    and ``STEP_MAX`` (see ``projected_gradient``)."""
 
     max_iter: int = 200
     tol: float = 1e-6
@@ -273,10 +277,16 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
                        opts: OptimizerOptions = None) -> OptimizeResult:
     """Minimize the tracking cost over the box by projected gradient descent.
 
-    Iterates u_{k+1} = P(u_k - s_k g_k) with Armijo backtracking on the
-    true discrete cost; terminates when the projection residual drops
-    below tol.  The H1-in-time budget is reported per iterate but not
-    enforced (no closed-form projection onto box and ball jointly).
+    Iterates u_{k+1} = P(u_k - s_k g_k) with monotone Armijo backtracking
+    on the true discrete cost; terminates when the projection residual
+    drops below tol.  Each line search after the first starts at the
+    spectral step <du, du> / <du, dg> of Barzilai and Borwein (1988) for the
+    last move du = u_k - u_{k-1}, dg = g_k - g_{k-1}, clipped to
+    [STEP_MIN, STEP_MAX]; the first one, and any with <du, dg> <= 0,
+    starts at INITIAL_STEP.  This is the monotone spectral projected
+    gradient method of Birgin, Martinez and Raydan (2000).  The H1-in-time
+    budget is reported per iterate but not enforced (no closed-form
+    projection onto box and ball jointly).
     """
     opts = opts or OptimizerOptions()
     problem, box = cp.problem, cp.box
@@ -303,6 +313,12 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
         if vi <= opts.tol or k == opts.max_iter:
             break
         s, newton_total = INITIAL_STEP, 0
+        if k > 0:
+            du, dg = u.plus(u_prev, -1.0), g.plus(g_prev, -1.0)
+            curvature = control_inner(du, dg, ops, dt)
+            if curvature > 0:
+                s = min(max(control_inner(du, du, ops, dt) / curvature, STEP_MIN), STEP_MAX)
+        first_step = s
         for _ in range(MAX_BACKTRACKS + 1):
             trial = project_box(u.plus(g, -s), box)
             descent = control_inner(g, trial.plus(u, -1.0), ops, dt)
@@ -314,8 +330,10 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
         else:
             gnorm = control_norm(g, ops, dt)
             raise SolverError(
-                f"line search failed after {MAX_BACKTRACKS} backtracks "
-                f"(gradient norm {gnorm:.3e})"
+                f"line search failed at optimizer iteration {k}: no Armijo "
+                f"decrease after {MAX_BACKTRACKS} backtracks from step "
+                f"{first_step:.3e} (gradient norm {gnorm:.3e})"
             )
+        u_prev, g_prev = u, g
         u, traj, J = trial, traj_t, J_t
     return OptimizeResult(u, traj, adj, g, history, converged=vi <= opts.tol)

@@ -50,11 +50,14 @@ class PairField:
 
 
 class ControlPair:
-    """Bulk and boundary control slabs: u (N, n_bulk), uG (N, n_boundary)."""
+    """Bulk and boundary control slabs: u (N, n_bulk), uG (N, n_boundary).
+
+    Both slabs are read-only copies, so they stay finite whatever happens
+    to the arrays they were built from."""
 
     def __init__(self, u, uG):
-        self.u = np.asarray(u, dtype=float)
-        self.uG = np.asarray(uG, dtype=float)
+        self.u = np.array(u, dtype=float)
+        self.uG = np.array(uG, dtype=float)
         if self.u.ndim != 2 or self.uG.ndim != 2 or self.u.shape[0] != self.uG.shape[0]:
             raise ValidationError(
                 f"control slabs must be 2D with a common slab count, got "
@@ -62,6 +65,7 @@ class ControlPair:
             )
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.uG))):
             raise ValidationError("control values must be finite")
+        self.u.flags.writeable = self.uG.flags.writeable = False
 
     @classmethod
     def zeros(cls, mesh, grid) -> "ControlPair":

@@ -473,6 +473,22 @@ class TestOptimize:
         }
         assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 2
 
+    def test_line_search_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        import copy
+
+        from cho import control
+
+        # A cost that rises on every call fails every Armijo test.
+        calls = iter(range(1000))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(control, "cost", lambda *args: float(next(calls)))
+        monkeypatch.setattr(control, "MAX_BACKTRACKS", 3)
+        data = copy.deepcopy(MINIMAL)
+        data["optimization"] = {"alphas": [1, 0, 0, 0, 1, 1], "targets": {"phiQ": 0.1}}
+        assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 3
+        assert "line search failed at optimizer iteration 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "t" / "history_0.csv").exists()
+
 
 class TestVerify:
     def test_verify_coarse_preset_passes(self, tmp_path, monkeypatch, capsys):

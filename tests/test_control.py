@@ -1,10 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cho import control
 from cho.adjoint import adjoint_solve, reduced_gradient
+from cho.config import preset_config
 from cho.control import (
+    BACKTRACK,
+    INITIAL_STEP,
+    STEP_MAX,
     BoxBounds,
     ControlPair,
     ControlProblem,
@@ -18,7 +25,7 @@ from cho.control import (
     validate_Uad,
     vi_residual,
 )
-from cho.errors import ValidationError
+from cho.errors import SolverError, ValidationError
 from cho.forward import solve
 from cho.spaces import PairField
 
@@ -255,6 +262,81 @@ class TestProjectedGradient:
         assert last.J == cost(cp.cost, result.trajectory, result.u, problem.ops)
         assert last.vi_residual == vi_residual(result.u, result.gradient, BOX,
                                                problem.ops, problem.grid.dt)
+
+    @pytest.mark.parametrize("curvature, start", [
+        (-1.0, INITIAL_STEP),   # <du, dg> < 0: no spectral step
+        (1e-6, STEP_MAX),       # spectral step 1e6, clipped
+    ], ids=["fallback", "clip"])
+    def test_second_line_search_start(self, monkeypatch, curvature, start):
+        # The second gradient is the first plus curvature * du, so the
+        # spectral step of the second line search is 1 / curvature.  Its
+        # accepted step is its first trial step times a power of BACKTRACK.
+        real, seen = control.reduced_gradient, []
+
+        def gradient(problem, u, adj, cost_spec):
+            g = real(problem, u, adj, cost_spec)
+            if len(seen) == 1:
+                (u0, g0), = seen
+                g = g0.plus(u.plus(u0, -1.0), curvature)
+            seen.append((u, g))
+            return g
+
+        monkeypatch.setattr(control, "reduced_gradient", gradient)
+        cp = self.make_control_problem(
+            (1.0, 0.5, 1.0, 0.5, 0.4, 0.4),
+            targets={"phiQ": 0.25, "phiS": 0.25, "phiO": 0.25, "phiG": 0.25},
+        )
+        u0 = ControlPair.constant(cp.problem.mesh, cp.problem.grid, 0.9)
+        result = projected_gradient(cp, u0, OptimizerOptions(tol=1e-12, max_iter=2))
+        step = result.history[2].step
+        backtracks = round(np.log(step / start) / np.log(BACKTRACK))
+        assert backtracks >= 0
+        assert step == start * BACKTRACK**backtracks
+
+    @pytest.mark.parametrize("preset, fixed_start_iterations, fixed_start_J", [
+        ("default", 15, 0.12697647954178),
+        ("logarithmic", 14, 0.02615307139089),
+        ("rectangle", 12, 0.01747877137157),
+        ("coarse", 12, 0.00099410880499),
+    ])
+    def test_spectral_step_on_the_presets(self, preset, fixed_start_iterations,
+                                          fixed_start_J):
+        # Fewer iterations than line searches that all start at INITIAL_STEP
+        # take, monotone J, and the minimum those reach.
+        cp, u0, opts = preset_config(preset).build_control_problem()
+        result = projected_gradient(cp, u0, opts)
+        history = result.history
+        J = [h.J for h in history]
+        assert result.converged
+        assert len(history) - 1 < fixed_start_iterations
+        assert all(b <= a for a, b in zip(J, J[1:]))
+        assert np.isclose(J[-1], fixed_start_J, rtol=1e-9, atol=0.0)
+        assert any(h.step != INITIAL_STEP for h in history[1:])
+
+    def test_line_search_failure_names_iteration_and_first_step(self, monkeypatch):
+        # The true cost accepts the first step; from then on a cost that
+        # rises on every call fails every Armijo test of the second line
+        # search, which starts at its spectral step.
+        real, calls = control.cost, iter(range(1000))
+
+        def cost_fn(*args):
+            n = next(calls)
+            return real(*args) if n < 2 else 1e3 + n
+
+        monkeypatch.setattr(control, "cost", cost_fn)
+        monkeypatch.setattr(control, "MAX_BACKTRACKS", 3)
+        cp = self.make_control_problem((1.0, 0.0, 1.0, 0.0, 0.5, 0.5),
+                                       targets={"phiQ": 0.2, "phiO": 0.2})
+        u0 = ControlPair.zeros(cp.problem.mesh, cp.problem.grid)
+        with pytest.raises(SolverError) as failure:
+            projected_gradient(cp, u0)
+        assert next(calls) == 2 + 4
+        message = re.fullmatch(
+            r"line search failed at optimizer iteration 1: no Armijo decrease "
+            r"after 3 backtracks from step (\S+) \(gradient norm \S+\)",
+            str(failure.value),
+        )
+        assert message and float(message.group(1)) not in (INITIAL_STEP, STEP_MAX)
 
     def test_mz_guard_for_bounded_potentials(self):
         problem = make_problem(kind="logarithmic", gamma=1.0)

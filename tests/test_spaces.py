@@ -191,6 +191,17 @@ class TestPairs:
         with pytest.raises(ValidationError, match="bulk field has shape"):
             PairField.from_bulk(mesh, values)
 
+    def test_control_pair_keeps_its_values_when_its_source_changes(self, interval_ops):
+        # A NaN written after construction would escape the finiteness check.
+        mesh, _ = interval_ops
+        u, uG = np.zeros((3, mesh.n_bulk)), np.zeros((3, mesh.n_boundary))
+        pair = ControlPair(u, uG)
+        u[0, 0] = uG[0, 0] = np.nan
+        assert np.all(pair.u == 0.0) and np.all(pair.uG == 0.0)
+        for part in (pair.u, pair.uG):
+            with pytest.raises(ValueError):
+                part[0, 0] = np.nan
+
     def test_one_control_pair_type(self):
         assert ControlPair is cho.control.ControlPair is cho.ControlPair
 
