@@ -37,13 +37,7 @@ Jacobian at the last state, which then serves every backward step.
 
 import numpy as np
 
-from .forward import (
-    Problem,
-    StateTrajectory,
-    _SchemeFns,
-    jacobian_coefficients,
-    solve_block_system,
-)
+from .forward import Problem, StateTrajectory, solve_block_system
 from .spaces import ControlPair
 
 
@@ -77,7 +71,7 @@ def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, la
         ops, (1.0, tau, 0.0, -1.0), (0.0, 0.0, 1.0, 0.0),
         np.concatenate([zeta3, zero]), step=grid.N,
     )
-    a, b = jacobian_coefficients(problem.physics, dt)
+    a, b = problem.jacobian_coefficients
     for m in range(grid.N, 0, -1):
         k = m - lag
         rhs1 = Z1[k] + ops.M_total @ (p[m] + tau * q[m]) / dt
@@ -91,7 +85,7 @@ def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, la
 
 def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:
     """Exact transpose of the discrete linearized dynamics against the cost."""
-    lam, dexp = _SchemeFns(problem.pair, problem.opts).jacobian(problem.ops, base.phi)
+    lam, dexp = problem.jacobian(base.phi)
     return _sweep_backward(problem, base, cost, lam, dexp, lag=0)
 
 
@@ -103,9 +97,9 @@ def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> Ad
     independent consistency target.  The coefficient is the second
     derivative of the run's potential, Yosida-regularized when the run is,
     whatever the time-stepping split: the sum of both terms of
-    ``_SchemeFns.jacobian``, evaluated once over the stack.
+    ``Problem.jacobian``, evaluated once over the stack.
     """
-    lam, dexp = _SchemeFns(problem.pair, problem.opts).jacobian(problem.ops, base.phi[:-1])
+    lam, dexp = problem.jacobian(base.phi[:-1])
     lam = lam + dexp
     return _sweep_backward(problem, base, cost, lam, np.broadcast_to(0.0, lam.shape), lag=1)
 

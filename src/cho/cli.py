@@ -39,13 +39,24 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
+def _outdir(cfg):
+    """The run's output directory, created when missing."""
+    path = os.path.join(cfg.output.directory, cfg.run_name)
+    try:
+        return ensure_dir(path)
+    except OSError as err:
+        raise ConfigError(f"output.directory: cannot create {path}: {err.strerror}") from err
+
+
 def _prepare_outdir(cfg, args):
     """The run's output directory with its config.yaml: a verbatim copy of
-    the -c file, or the --preset mapping, which loads back to ``cfg``."""
-    outdir = ensure_dir(os.path.join(cfg.output.directory, cfg.run_name))
+    the -c file, unless it is that file, or the --preset mapping, which
+    loads back to ``cfg``."""
+    outdir = _outdir(cfg)
     target = os.path.join(outdir, "config.yaml")
     if args.config is not None:
-        shutil.copy(args.config, target)
+        if not (os.path.exists(target) and os.path.samefile(args.config, target)):
+            shutil.copy(args.config, target)
     else:
         with open(target, "w", encoding="utf-8") as fh:
             yaml.safe_dump(PRESETS[args.preset], fh, sort_keys=False)
@@ -100,7 +111,7 @@ def cmd_verify(cfg, label) -> int:
     print(f"verification suite [{label}]")
     for res in results:
         print("  " + res.line())
-    outdir = ensure_dir(os.path.join(cfg.output.directory, cfg.run_name))
+    outdir = _outdir(cfg)
     for res in results:
         if res.name == "taylor" and res.extra:
             for k, taylor in enumerate(res.extra):

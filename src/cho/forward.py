@@ -20,6 +20,7 @@ so every converged run satisfies the mean dynamics to solver tolerance.
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +100,15 @@ class StateTrajectory:
 
 @dataclass(frozen=True)
 class Problem:
-    """Everything a solve needs except initial datum and controls."""
+    """Everything a solve needs except initial datum and controls, and the
+    terms of the discrete step that these fix.
+
+    The run's potential is beta_hat, or under Yosida its Moreau envelope,
+    plus pi_hat; it splits into an implicit part N and an explicit part E
+    (pi_hat under convex splitting).  Each evaluation returns lumped terms
+    of one state or of an (N+1, n) stack of states in one pass: one domain
+    check or one Yosida resolvent per potential, whose bulk values also
+    serve the trace when both sides share it."""
 
     ops: CoupledOperators
     pair: PotentialPair
@@ -118,69 +127,76 @@ class Problem:
     def with_options(self, **changes) -> "Problem":
         return replace(self, opts=replace(self.opts, **changes))
 
+    @cached_property
+    def jacobian_coefficients(self):
+        """Block coefficients (a, b) of the step Jacobian
 
-class _SchemeFns:
-    """The run's potential, beta_hat or under Yosida its Moreau envelope,
-    plus pi_hat, and its split into an implicit part N and an explicit part
-    E (pi_hat under convex splitting).  Each evaluation returns lumped terms
-    of one state or of an (N+1, n) stack of states in one pass: one domain
-    check or one Yosida resolvent per potential, whose bulk values also
-    serve the trace when both sides share it."""
+            J = [[(1/dt + gamma) M, K], [(tau/dt) M + K + diag(lam), -M]]
 
-    def __init__(self, pair: PotentialPair, opts: SolverOptions):
-        self.pair = pair
-        self.eps = opts.eps_yosida
-        self.split = opts.scheme == "convex-splitting"
+        in the form taken by ``solve_block_system``."""
+        dt, physics = self.grid.dt, self.physics
+        return (1.0 / dt + physics.gamma, 0.0, physics.tau / dt, -1.0), (0.0, 1.0, 1.0, 0.0)
+
+    @cached_property
+    def interior(self):
+        """Read-only mask of the nodes whose initial datum and iterates must
+        stay inside (-1, 1), the domain of every bounded potential; None
+        when unconstrained.  D(beta_Gamma) lies in D(beta), so a bounded
+        bulk potential bounds the boundary one, and a bounded boundary
+        potential the trace."""
+        if self.opts.eps_yosida or not self.pair.bounded:
+            return None
+        mask = np.full(self.ops.mesh.n_bulk, self.pair.bulk.bounded)
+        mask[self.ops.mesh.trace_map] = True
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def _split(self):
+        return self.opts.scheme == "convex-splitting"
 
     def _implicit(self, spec, r, orders=(1, 2)):
         """Orders 0 to 2 of one potential's implicit part (1: N, 2: lambda)."""
-        if not self.eps:
-            return spec.derivatives(r, orders, convex=self.split)
-        parts = yosida_derivatives(spec, self.eps, r)
-        if self.split:
+        eps = self.opts.eps_yosida
+        if not eps:
+            return spec.derivatives(r, orders, convex=self._split)
+        parts = yosida_derivatives(spec, eps, r)
+        if self._split:
             return tuple(parts[k] for k in orders)
         return tuple(parts[k] + spec.perturbation[k](r) for k in orders)
 
-    def _lumped(self, ops, side, phi):
-        bulk = side(self.pair.bulk, phi)
-        if self.pair.boundary is self.pair.bulk:
+    def _lumped(self, side, phi):
+        ops, pair = self.ops, self.pair
+        bulk = side(pair.bulk, phi)
+        if pair.boundary is pair.bulk:
             # A conforming pair: the coupling is one multiply by lumped_total.
             return tuple(ops.lumped_total * z for z in bulk)
-        gamma = side(self.pair.boundary, phi[..., ops.mesh.trace_map])
+        gamma = side(pair.boundary, phi[..., ops.mesh.trace_map])
         return tuple(ops.lumped(z, z_G) for z, z_G in zip(bulk, gamma))
 
-    def implicit(self, ops, phi):
+    def implicit(self, phi):
         """(N(phi), lambda(phi)) with lambda = N'."""
-        return self._lumped(ops, self._implicit, phi)
+        return self._lumped(self._implicit, phi)
 
-    def explicit(self, ops, phi):
+    def explicit(self, phi):
         """(E(phi), E'(phi)); read-only zeros without convex splitting."""
-        if not self.split:
+        if not self._split:
             zero = np.broadcast_to(0.0, np.shape(phi))
             return zero, zero
-        return self._lumped(ops, lambda spec, r: (spec.pi(r), spec.dpi(r)), phi)
+        return self._lumped(lambda spec, r: (spec.pi(r), spec.dpi(r)), phi)
 
-    def jacobian(self, ops, phi):
+    def jacobian(self, phi):
         """(lambda(phi), E'(phi)), the state-dependent terms of the
         linearized step."""
-        lam, = self._lumped(ops, lambda spec, r: self._implicit(spec, r, (2,)), phi)
-        return lam, self.explicit(ops, phi)[1]
+        lam, = self._lumped(lambda spec, r: self._implicit(spec, r, (2,)), phi)
+        return lam, self.explicit(phi)[1]
 
-    def potential(self, ops, phi):
+    def potential(self, phi):
         """Lumped values of the run's potential, whatever the split."""
         def whole(spec, r):
             value, = self._implicit(spec, r, (0,))
-            return (value + spec.perturbation[0](r),) if self.split else (value,)
-        return self._lumped(ops, whole, phi)[0]
-
-
-def jacobian_coefficients(physics, dt):
-    """Block coefficients (a, b) of the step Jacobian
-
-        J = [[(1/dt + gamma) M, K], [(tau/dt) M + K + diag(lam), -M]]
-
-    in the form taken by ``solve_block_system``."""
-    return (1.0 / dt + physics.gamma, 0.0, physics.tau / dt, -1.0), (0.0, 1.0, 1.0, 0.0)
+            return (value + spec.perturbation[0](r),) if self._split else (value,)
+        return self._lumped(whole, phi)[0]
 
 
 # Module constants of the step solves.  Every step system is the block
@@ -300,101 +316,77 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     return y[:n], y[n:]
 
 
-def _interior_mask(ops, pair, opts):
-    """Nodes whose initial datum and iterates must stay inside (-1, 1), the
-    domain of every bounded potential; None when unconstrained."""
-    if opts.eps_yosida:
-        return None
-    mask = np.zeros(ops.mesh.n_bulk, dtype=bool)
-    if pair.bulk.bounded:
-        mask[:] = True
-    elif pair.boundary.bounded:
-        mask[ops.mesh.trace_map] = True
-    else:
-        return None
-    return mask
-
-
-class _ChordNewton:
-    """Chord Newton for the steps of one solve on the block template.
+def _chord_step(problem, winv, phi_n, mu_n, source):
+    """Solve one implicit step from (phi_n, mu_n) with the source term
+    gamma (M_bulk u + M_surf u_gamma) by chord Newton on the block
+    template; returns (phi, mu, iterations).
 
     The iterate is y = [phi; mu], so the step residual is one product with
     the template's step matrix refilled without diag(lam), plus N(phi)
-    added at the mu rows, and a correction is one solve with the
-    template's live factor.  The residual is exact; the factor is reused
-    across iterations and steps, and rebuilt at the current state when an
-    iteration leaves more than ``CHORD_RHO`` of the previous residual.
+    added at the mu rows, and its norm is weighted by the inverse lumped
+    weights ``winv``.  A correction is one solve with the template's live
+    factor.  The residual is exact; the factor is reused across iterations
+    and steps, and rebuilt at the current state when an iteration leaves
+    more than ``CHORD_RHO`` of the previous residual.
     """
-
-    def __init__(self, problem: Problem, fns: _SchemeFns):
-        ops, physics, dt = problem.ops, problem.physics, problem.grid.dt
-        self.ops, self.fns, self.opts = ops, fns, problem.opts
-        self.a, self.b = jacobian_coefficients(physics, dt)
-        # Inverse lumped weights of the mass-weighted residual norm.
-        self.winv = np.tile(1.0 / ops.lumped_total, 2)
-        self.mask = _interior_mask(ops, problem.pair, problem.opts)
-        self.limit = 1.0 - INTERIOR_SAFEGUARD
-        self.dt, self.tau_rate = dt, physics.tau / dt
-
-    def step(self, phi_n, mu_n, source):
-        """Solve one implicit step from (phi_n, mu_n) with the source term
-        gamma (M_bulk u + M_surf u_gamma); returns (phi, mu, iterations)."""
-        ops, opts, template = self.ops, self.opts, self.ops.block_template
-        n, winv = ops.mesh.n_bulk, self.winv
-        # R1 = (1/dt + gamma) M phi + K mu - c1 and R2 = (tau/dt) M phi + K phi
-        # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
-        Mphi_n = ops.M_total @ phi_n
-        c1 = Mphi_n / self.dt + source
-        c2 = self.tau_rate * Mphi_n - self.fns.explicit(ops, phi_n)[0]
-        c = np.concatenate([c1, c2])
-        y = np.concatenate([phi_n, mu_n])
-        prev = np.inf
-        for it in range(NEWTON_MAX_ITER + 1):
-            phi = y[:n]
-            nodal, lam = self.fns.implicit(ops, phi)
-            r = template.fill(self.a, self.b) @ y
-            r[n:] += nodal
-            r -= c
-            res = math.sqrt(r @ (r * winv))
-            if res <= opts.newton_tol:
-                return phi, y[n:], it
-            if it == NEWTON_MAX_ITER:
-                raise SolverError(
-                    f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-                    f"(last residual {res:.3e})",
-                    residual=res,
-                )
-            try:
-                _refactor_if_needed(ops, self.a, self.b, lam, None,
-                                    refresh=res > CHORD_RHO * prev)
-                dy = template.lu.solve(-r)
-                if not np.isfinite(dy).all():
-                    raise SolverError(f"{_where(None)} returned non-finite values")
-            except SolverError as err:
-                raise SolverError(f"Newton iteration {it + 1}: {err}", residual=res) from err
-            prev = res
-            y += self._damping(phi, dy[:n]) * dy
-        raise AssertionError("unreachable")
-
-    def _damping(self, phi, dphi):
-        """Largest step fraction, up to 1, that keeps the constrained nodes
-        inside the safeguarded domain; raises when the iterate is pinned."""
-        if self.mask is None:
-            return 1.0
-        moving = self.mask & (dphi != 0.0)
-        if not moving.any():
-            return 1.0
-        bound = np.where(dphi[moving] > 0, self.limit, -self.limit)
-        frac = (bound - phi[moving]) / dphi[moving]
-        amax = float(frac.min())
-        alpha = 0.995 * amax if amax < 1.0 else 1.0
-        if alpha <= 1e-12:
-            node = int(np.flatnonzero(moving)[int(np.argmin(frac))])
+    ops, template = problem.ops, problem.ops.block_template
+    a, b = problem.jacobian_coefficients
+    n, dt, tol = ops.mesh.n_bulk, problem.grid.dt, problem.opts.newton_tol
+    # R1 = (1/dt + gamma) M phi + K mu - c1 and R2 = (tau/dt) M phi + K phi
+    # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
+    Mphi_n = ops.M_total @ phi_n
+    c1 = Mphi_n / dt + source
+    c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
+    c = np.concatenate([c1, c2])
+    y = np.concatenate([phi_n, mu_n])
+    prev = np.inf
+    for it in range(NEWTON_MAX_ITER + 1):
+        phi = y[:n]
+        nodal, lam = problem.implicit(phi)
+        r = template.fill(a, b) @ y
+        r[n:] += nodal
+        r -= c
+        res = math.sqrt(r @ (r * winv))
+        if res <= tol:
+            return phi, y[n:], it
+        if it == NEWTON_MAX_ITER:
             raise SolverError(
-                f"iterate pinned at the potential domain boundary "
-                f"at node {node} (phi = {phi[node]:.6f})"
+                f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
+                f"(last residual {res:.3e})",
+                residual=res,
             )
-        return alpha
+        try:
+            _refactor_if_needed(ops, a, b, lam, None, refresh=res > CHORD_RHO * prev)
+            dy = template.lu.solve(-r)
+            if not np.isfinite(dy).all():
+                raise SolverError(f"{_where(None)} returned non-finite values")
+        except SolverError as err:
+            raise SolverError(f"Newton iteration {it + 1}: {err}", residual=res) from err
+        prev = res
+        y += _damping(problem.interior, phi, dy[:n]) * dy
+    raise AssertionError("unreachable")
+
+
+def _damping(mask, phi, dphi):
+    """Largest step fraction, up to 1, that keeps the nodes of ``mask``
+    inside the safeguarded domain; raises when the iterate is pinned."""
+    if mask is None:
+        return 1.0
+    moving = mask & (dphi != 0.0)
+    if not moving.any():
+        return 1.0
+    limit = 1.0 - INTERIOR_SAFEGUARD
+    bound = np.where(dphi[moving] > 0, limit, -limit)
+    frac = (bound - phi[moving]) / dphi[moving]
+    amax = float(frac.min())
+    alpha = 0.995 * amax if amax < 1.0 else 1.0
+    if alpha <= 1e-12:
+        node = int(np.flatnonzero(moving)[int(np.argmin(frac))])
+        raise SolverError(
+            f"iterate pinned at the potential domain boundary "
+            f"at node {node} (phi = {phi[node]:.6f})"
+        )
+    return alpha
 
 
 def _mass_solve(ops, rhs):
@@ -422,8 +414,7 @@ def _mass_solve(ops, rhs):
 def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
     """Chemical potential at t = 0 from the second equation (no dynamics)."""
     ops = problem.ops
-    fns = _SchemeFns(problem.pair, problem.opts)
-    rhs = ops.K_total @ phi0 + fns.implicit(ops, phi0)[0] + fns.explicit(ops, phi0)[0]
+    rhs = ops.K_total @ phi0 + problem.implicit(phi0)[0] + problem.explicit(phi0)[0]
     mu0 = _mass_solve(ops, rhs)
     if mu0 is None or not np.all(np.isfinite(mu0)):
         raise SolverError(
@@ -433,10 +424,10 @@ def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
 
 
 def require_mean_value(problem: Problem, phi0: PairField, M: float, what="") -> None:
-    """Raise ValidationError when a bounded potential without Yosida
-    regularization fails the mean-value condition for the mean of phi0
-    and sources bounded by M."""
-    if problem.pair.bounded and not problem.opts.eps_yosida:
+    """Raise ValidationError when a constrained run (``Problem.interior``:
+    a bounded potential without Yosida regularization) fails the
+    mean-value condition for the mean of phi0 and sources bounded by M."""
+    if problem.interior is not None:
         m0 = float(problem.ops.mean(phi0.bulk, phi0.boundary))
         mz = check_mz(problem.pair, m0, M, problem.physics.gamma)
         if not mz.passed:
@@ -458,9 +449,8 @@ def solve(problem: Problem, phi0: PairField, controls: ControlPair) -> StateTraj
         )
     controls.check(mesh, grid)
 
-    chord = _ChordNewton(problem, _SchemeFns(problem.pair, problem.opts))
-    if chord.mask is not None:
-        if np.any(np.abs(phi0.bulk[chord.mask]) >= 1.0):
+    if problem.interior is not None:
+        if np.any(np.abs(phi0.bulk[problem.interior]) >= 1.0):
             raise ValidationError("initial datum must be strictly interior")
         require_mean_value(problem, phi0, controls.sup_norm())
 
@@ -472,9 +462,12 @@ def solve(problem: Problem, phi0: PairField, controls: ControlPair) -> StateTraj
     mu[0] = initial_mu(problem, phi[0])
 
     sources = problem.physics.gamma * ops.mass(controls.u, controls.uG)
+    # Inverse lumped weights of the mass-weighted residual norm.
+    winv = np.tile(1.0 / ops.lumped_total, 2)
     for k in range(grid.N):
         try:
-            phi[k + 1], mu[k + 1], iters[k] = chord.step(phi[k], mu[k], sources[k])
+            phi[k + 1], mu[k + 1], iters[k] = _chord_step(
+                problem, winv, phi[k], mu[k], sources[k])
         except SolverError as err:
             raise SolverError(
                 f"step {k + 1}/{grid.N} failed: {err}",
@@ -527,9 +520,8 @@ def energy(problem: Problem, phi):
     """Free energy of a conforming state given by its bulk values, one row
     or each row of a stack: gradient seminorm plus the lumped integral of
     the run's potential, Yosida-regularized when the run is."""
-    ops = problem.ops
-    potential = _SchemeFns(problem.pair, problem.opts).potential(ops, phi)
-    return 0.5 * row_inner(ops.K_total, phi, phi) + potential.sum(axis=-1)
+    potential = problem.potential(phi).sum(axis=-1)
+    return 0.5 * row_inner(problem.ops.K_total, phi, phi) + potential
 
 
 @dataclass

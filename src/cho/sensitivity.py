@@ -19,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import control_norm
-from .forward import (
-    Problem,
-    StateTrajectory,
-    _SchemeFns,
-    jacobian_coefficients,
-    solve,
-    solve_block_system,
-    traj_norm_Y,
-)
+from .forward import Problem, StateTrajectory, solve, solve_block_system, traj_norm_Y
 
 
 class LinearizedTrajectory:
@@ -47,7 +39,6 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
     does not depend on the control.
     """
     ops, grid, physics = problem.ops, problem.grid, problem.physics
-    fns = _SchemeFns(problem.pair, problem.opts)
     dt = grid.dt
     n = problem.mesh.n_bulk
 
@@ -55,8 +46,8 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
     psi = np.zeros((grid.N + 1, n))
     eta = np.zeros((grid.N + 1, n))
 
-    a, b = jacobian_coefficients(physics, dt)
-    lam, dexp = fns.jacobian(ops, base.phi)
+    a, b = problem.jacobian_coefficients
+    lam, dexp = problem.jacobian(base.phi)
     sources = physics.gamma * ops.mass(h.u, h.uG)
     for k in range(grid.N):
         Mpsi = ops.M_total @ psi[k]

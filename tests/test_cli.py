@@ -273,6 +273,32 @@ class TestSimulate:
         assert len(rows) == 5
         assert (outdir / "state_0.csv").exists()
 
+    def test_rerun_from_its_own_config(self, tmp_path, monkeypatch):
+        # The copy of config.yaml is skipped when -c names that very file.
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--preset", "coarse"]) == 0
+        outdir = tmp_path / "out" / "coarse"
+        config = (outdir / "config.yaml").read_bytes()
+        series = (outdir / "series_0.csv").read_bytes()
+        (outdir / "series_0.csv").unlink()
+        assert main(["simulate", "-c", "out/coarse/config.yaml"]) == 0
+        assert (outdir / "config.yaml").read_bytes() == config
+        assert (outdir / "series_0.csv").read_bytes() == series
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_output_directory_that_is_a_file_exits_1(self, tmp_path, monkeypatch, capsys,
+                                                     command):
+        import copy
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "taken").write_text("")
+        data = copy.deepcopy(MINIMAL)
+        data["output"]["directory"] = "taken"
+        assert main([command, "-c", write_yaml(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output.directory: cannot create ")
+        assert "Traceback" not in err
+
     def test_series_mean_satisfies_discrete_dynamics(self, tmp_path, monkeypatch):
         # (m_{n+1} - m_n)/dt + gamma m_{n+1} = gamma omega to solver accuracy.
         monkeypatch.chdir(tmp_path)

@@ -14,10 +14,10 @@ from cho.forward import (
     StateTrajectory,
     TimeGrid,
     energy,
-    _SchemeFns,
     exact_mean,
     initial_mu,
     mean_ode_residual,
+    require_mean_value,
     separation_check,
     solve,
     yosida_continuation,
@@ -27,6 +27,12 @@ from cho.potentials import PotentialPair, logarithmic_potential, regular_potenti
 from cho.spaces import PairField
 
 from conftest import cosine_ic, make_problem
+
+
+def mixed_problem(**opts):
+    """A regular bulk and a logarithmic boundary potential on 8 cells."""
+    return replace(make_problem(n_cells=8, **opts), pair=PotentialPair(
+        bulk=regular_potential(), boundary=logarithmic_potential(2.0)))
 
 
 class TestStep:
@@ -53,7 +59,6 @@ class TestStep:
         # Recompute the step residuals at the stored states, in node order,
         # and take their mass-weighted norm here rather than the solver's.
         ops, dt = problem.ops, problem.grid.dt
-        fns = forward._SchemeFns(problem.pair, problem.opts)
         gamma, tau = problem.physics.gamma, problem.physics.tau
         for k in range(problem.grid.N):
             u, ug = controls.u[k], controls.uG[k]
@@ -61,7 +66,7 @@ class TestStep:
             phi_n, phi, mu = traj.phi[k], traj.phi[k + 1], traj.mu[k + 1]
             r1 = ops.M_total @ ((phi - phi_n) / dt + gamma * phi) + ops.K_total @ mu - source
             r2 = ((tau / dt) * (ops.M_total @ (phi - phi_n)) + ops.K_total @ phi
-                  + fns.implicit(ops, phi)[0] + fns.explicit(ops, phi_n)[0]
+                  + problem.implicit(phi)[0] + problem.explicit(phi_n)[0]
                   - ops.M_total @ mu)
             w = ops.lumped_total
             assert np.sqrt(r1 @ (r1 / w) + r2 @ (r2 / w)) <= problem.opts.newton_tol
@@ -78,7 +83,7 @@ class TestStep:
     def test_non_finite_right_hand_side_raises_at_its_step(self):
         problem = make_problem()
         ops = problem.ops
-        a, b = forward.jacobian_coefficients(problem.physics, problem.grid.dt)
+        a, b = problem.jacobian_coefficients
         rhs = np.ones(2 * ops.mesh.n_bulk)
         rhs[3] = np.inf
         with pytest.raises(SolverError, match="linear solve at step 4") as err:
@@ -100,15 +105,14 @@ class TestInitialMu:
             )
         ops = problem.ops
         phi0 = 0.6 * np.sin(np.arange(ops.mesh.n_bulk))
-        fns = forward._SchemeFns(problem.pair, problem.opts)
-        rhs = ops.K_total @ phi0 + fns.implicit(ops, phi0)[0]
+        rhs = ops.K_total @ phi0 + problem.implicit(phi0)[0]
         direct = spla.spsolve(ops.M_total.tocsc(), rhs)
         mu0 = initial_mu(problem, phi0)
         assert np.linalg.norm(mu0 - direct) <= 1e-13 * np.linalg.norm(direct)
 
     def test_non_finite_potential_fails_at_step_0(self, monkeypatch):
-        implicit = _SchemeFns._implicit
-        monkeypatch.setattr(_SchemeFns, "_implicit", lambda self, spec, r, orders=(1, 2): tuple(
+        implicit = Problem._implicit
+        monkeypatch.setattr(Problem, "_implicit", lambda self, spec, r, orders=(1, 2): tuple(
             np.full_like(z, np.nan) if k == 1 else z
             for k, z in zip(orders, implicit(self, spec, r, orders))))
         problem = make_problem()
@@ -179,17 +183,36 @@ class TestSolve:
         # A regular bulk and a logarithmic boundary potential constrain the
         # trace alone: a bulk peak of 1.2 is admissible, a trace node at 1
         # is not.
-        problem = make_problem(n_cells=8)
-        problem = replace(problem, pair=PotentialPair(
-            bulk=regular_potential(), boundary=logarithmic_potential(2.0)))
+        problem = mixed_problem()
         mesh, grid = problem.mesh, problem.grid
+        assert np.array_equal(np.flatnonzero(problem.interior), np.sort(mesh.trace_map))
         values = 0.2 + np.sin(np.pi * mesh.bulk_nodes[:, 0])
         traj = solve(problem, PairField.from_bulk(mesh, values), ControlPair.zeros(mesh, grid))
         assert traj.phi[0].max() > 1.0
         assert np.abs(traj.phi[:, mesh.trace_map]).max() < 1.0
         values[mesh.trace_map[0]] = 1.0
-        with pytest.raises(ValidationError, match="interior"):
+        with pytest.raises(ValidationError, match="initial datum must be strictly interior"):
             solve(problem, PairField.from_bulk(mesh, values), ControlPair.zeros(mesh, grid))
+
+    def test_yosida_run_is_unconstrained(self):
+        # Under Yosida neither the interior precondition nor the mean-value
+        # condition applies: a trace node at 1.2 and a mean of 1.2 pass.
+        problem = mixed_problem(eps_yosida=1e-2)
+        mesh, grid = problem.mesh, problem.grid
+        assert problem.interior is None
+        outside = PairField.constant(mesh, 1.2)
+        require_mean_value(problem, outside, 0.0)
+        with pytest.raises(ValidationError, match="mean-value condition fails: "):
+            require_mean_value(mixed_problem(), outside, 0.0)
+        values = np.zeros(mesh.n_bulk)
+        values[mesh.trace_map[0]] = 1.2
+        solve(problem, PairField.from_bulk(mesh, values), ControlPair.zeros(mesh, grid))
+
+    def test_one_logarithmic_potential_constrains_every_node(self):
+        problem = make_problem(n_cells=8, kind="logarithmic")
+        assert problem.interior.shape == (problem.mesh.n_bulk,)
+        assert problem.interior.all()
+        assert make_problem(n_cells=8).interior is None
 
     def test_determinism(self, generic_run):
         problem, phi0, controls, traj = generic_run

@@ -42,7 +42,6 @@ from cho.forward import (
     Problem,
     SolverOptions,
     TimeGrid,
-    _SchemeFns,
     exact_mean,
     mean_ode_residual,
     solve,
@@ -434,7 +433,7 @@ def test_fused_nodal_terms(pair, mesh, scheme, eps):
     # potential the trace reuses the bulk values.
     problem = Problem.create(mesh, pair, SolverOptions(scheme=scheme, eps_yosida=eps),
                              Physics(1.0, 1.0), TimeGrid(0.1, 4))
-    ops, fns = problem.ops, _SchemeFns(pair, problem.opts)
+    ops = problem.ops
     # With eps > 0 the states leave the logarithmic domain (-1, 1).
     spread = 1.5 if eps else 0.95
     stack = np.random.default_rng(8).uniform(-spread, spread, (5, mesh.n_bulk))
@@ -443,7 +442,7 @@ def test_fused_nodal_terms(pair, mesh, scheme, eps):
     exact = np.array([mask for _, mask in rows])
     assert exact.mean() > 0.9
     for phi, ref, mask in ((stack, expected, exact), (stack[2], expected[:, 2], exact[2])):
-        got_terms = fns.implicit(ops, phi) + fns.explicit(ops, phi) + fns.jacobian(ops, phi)
+        got_terms = problem.implicit(phi) + problem.explicit(phi) + problem.jacobian(phi)
         for which, (got, want) in enumerate(zip(got_terms, [*ref, ref[1], ref[3]])):
             scale = np.abs(want).max()
             assert np.abs(got - want)[mask].max() <= 1e-14 * scale, which
@@ -516,24 +515,25 @@ def test_regular_potential_is_pow_free():
 # The chord Newton step against its node-ordered form
 # ---------------------------------------------------------------------------
 
-def loop_step(ops, fns, opts, physics, dt, phi_n, mu_n, u, ug):
+def loop_step(problem, phi_n, mu_n, u, ug):
     """One implicit step in node order, two sparse products per residual:
     the chord Newton loop the one-product step replaced."""
+    ops, opts, dt = problem.ops, problem.opts, problem.grid.dt
     Mbar, Kbar = ops.M_total, ops.K_total
-    gamma, tau = physics.gamma, physics.tau
-    mask = forward._interior_mask(ops, fns.pair, opts)
+    gamma, tau = problem.physics.gamma, problem.physics.tau
+    mask = problem.interior
     limit = 1.0 - forward.INTERIOR_SAFEGUARD
     w = ops.lumped_total
     Mphi_n = Mbar @ phi_n
     c1 = Mphi_n / dt + gamma * ops.mass(u, ug)
-    c2 = (tau / dt) * Mphi_n - fns.explicit(ops, phi_n)[0]
-    a, b = forward.jacobian_coefficients(physics, dt)
+    c2 = (tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
+    a, b = problem.jacobian_coefficients
     X = np.column_stack([phi_n, mu_n])
     prev = np.inf
     for it in range(forward.NEWTON_MAX_ITER + 1):
         phi = X[:, 0]
         m, k = Mbar @ X, Kbar @ X
-        nodal, lam = fns.implicit(ops, phi)
+        nodal, lam = problem.implicit(phi)
         r1 = a[0] * m[:, 0] + k[:, 1] - c1
         r2 = a[2] * m[:, 0] + k[:, 0] - m[:, 1] + nodal - c2
         res = float(np.sqrt(r1 @ (r1 / w) + r2 @ (r2 / w)))
@@ -559,13 +559,11 @@ def loop_step(ops, fns, opts, physics, dt, phi_n, mu_n, u, ug):
 def loop_solve(problem, phi0, controls):
     """The forward solve, step by step with ``loop_step``."""
     grid = problem.grid
-    fns = _SchemeFns(problem.pair, problem.opts)
     phi = [phi0.bulk]
     mu = [forward.initial_mu(problem, phi0.bulk)]
     iters = []
     for k in range(grid.N):
-        p, m, it = loop_step(problem.ops, fns, problem.opts, problem.physics, grid.dt,
-                             phi[k], mu[k], controls.u[k], controls.uG[k])
+        p, m, it = loop_step(problem, phi[k], mu[k], controls.u[k], controls.uG[k])
         phi.append(p)
         mu.append(m)
         iters.append(it)

@@ -35,8 +35,6 @@ from cho.forward import (
     Problem,
     SolverOptions,
     TimeGrid,
-    _SchemeFns,
-    jacobian_coefficients,
     mean_ode_residual,
     solve,
     solve_block_system,
@@ -57,6 +55,13 @@ from test_cli import MINIMAL, write_yaml
 PHYSICS = Physics(tau=0.7, gamma=1.3)
 DT = 0.05
 TERMINAL = (1.0, PHYSICS.tau, 0.0, -1.0), (0.0, 0.0, 1.0, 0.0)
+
+
+def step_coefficients(ops, physics=PHYSICS, dt=DT):
+    """(a, b) of the step Jacobian of a problem on ``ops`` with these
+    physics and one step of length dt."""
+    return Problem(ops, PotentialPair.same(regular_potential()), SolverOptions(),
+                   physics, TimeGrid(dt, 1)).jacobian_coefficients
 
 
 def jacobian_reference(ops, physics, dt, lam):
@@ -103,7 +108,7 @@ def relative_error(x, y):
 class TestTemplate:
     def test_jacobian_matches_reference(self, system):
         ops, lam, _ = system
-        a, b = jacobian_coefficients(PHYSICS, DT)
+        a, b = step_coefficients(ops)
         J = ops.block_template.fill(a, b, lam)
         assert_same_entries(J, jacobian_reference(ops, PHYSICS, DT, lam))
 
@@ -111,7 +116,7 @@ class TestTemplate:
         ops, lam, _ = system
         n = ops.mesh.n_bulk
         template = ops.block_template
-        J = template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
+        J = template.fill(*step_coefficients(ops), lam)
         scale = sp.diags(np.concatenate([np.full(n, DT), np.ones(n)]))
         assert_same_entries(scale @ J.T, backward_reference(ops, PHYSICS, DT, lam))
 
@@ -125,7 +130,7 @@ class TestTemplate:
         template = ops.block_template
         indptr, indices = template.matrix.indptr.copy(), template.matrix.indices.copy()
         template.fill(*TERMINAL)
-        template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
+        template.fill(*step_coefficients(ops), lam)
         assert ops.block_template is template
         assert np.array_equal(template.matrix.indptr, indptr)
         assert np.array_equal(template.matrix.indices, indices)
@@ -133,7 +138,7 @@ class TestTemplate:
     def test_lambda_refill_touches_only_the_diagonal(self, system):
         ops, lam, _ = system
         template = ops.block_template
-        a, b = jacobian_coefficients(PHYSICS, DT)
+        a, b = step_coefficients(ops)
         template.factor(a, b, lam)
         lu, before = template.lu, template.matrix.data.copy()
         for new_lam in (2.0 * lam, None):
@@ -149,7 +154,7 @@ class TestTemplate:
     def test_coefficient_change_releases_the_factor(self, system):
         ops, lam, _ = system
         template = ops.block_template
-        template.factor(*jacobian_coefficients(PHYSICS, DT), lam)
+        template.factor(*step_coefficients(ops), lam)
         assert template.lu is not None
         B = template.fill(*TERMINAL)
         assert template.lu is None
@@ -160,7 +165,7 @@ class TestTemplate:
         ops, lam, _ = system
         template = ops.block_template
         assert np.shares_memory(template.transposed.data, template.matrix.data)
-        template.fill(*jacobian_coefficients(PHYSICS, DT), lam)
+        template.fill(*step_coefficients(ops), lam)
         assert abs(template.transposed - template.matrix.T).max() == 0.0
 
 
@@ -169,7 +174,7 @@ class TestSolveAgainstReference:
         ops, lam, rng = system
         rhs = rng.standard_normal(2 * ops.mesh.n_bulk)
         x = np.concatenate(
-            solve_block_system(ops, *jacobian_coefficients(PHYSICS, DT), rhs, lam=lam)
+            solve_block_system(ops, *step_coefficients(ops), rhs, lam=lam)
         )
         ref = spla.spsolve(jacobian_reference(ops, PHYSICS, DT, lam), rhs)
         assert relative_error(x, ref) <= 1e-12
@@ -179,7 +184,7 @@ class TestSolveAgainstReference:
         rhs1 = rng.standard_normal(ops.mesh.n_bulk)
         zero = np.zeros_like(rhs1)
         x = np.concatenate(solve_block_system(
-            ops, *jacobian_coefficients(PHYSICS, DT), np.concatenate([rhs1 / DT, zero]),
+            ops, *step_coefficients(ops), np.concatenate([rhs1 / DT, zero]),
             lam=lam, trans="T",
         ))
         ref = spla.spsolve(backward_reference(ops, PHYSICS, DT, lam),
@@ -356,8 +361,8 @@ def test_one_product_and_one_triangular_solve_per_iterate(monkeypatch):
 class EvaluationLog:
     def __init__(self, monkeypatch):
         self.counts = {}
-        for cls, name in ((_SchemeFns, "implicit"), (_SchemeFns, "explicit"),
-                          (_SchemeFns, "jacobian"), (_SchemeFns, "_implicit"),
+        for cls, name in ((Problem, "implicit"), (Problem, "explicit"),
+                          (Problem, "jacobian"), (Problem, "_implicit"),
                           (PotentialSpec, "check_domain"), (potentials, "resolvent")):
             monkeypatch.setattr(cls, name, self._counting(getattr(cls, name), name))
         self.take()
@@ -433,7 +438,7 @@ class TestHistoryIndependence:
         n = mesh.n_bulk
         physics = Physics(tau=rng.uniform(0.1, 5.0), gamma=rng.uniform(0.0, 5.0))
         dt = 10.0 ** log_dt
-        a, b = jacobian_coefficients(physics, dt)
+        a, b = step_coefficients(ops, physics, dt)
         lam_bar = ops.lumped_total * rng.uniform(-1.0, 2.0, n) * 10.0 ** log_scale
         lam = ops.lumped_total * rng.uniform(-1.0, 2.0, n)
         ops.block_template.factor(a, b, lam_bar)
@@ -450,7 +455,7 @@ class TestHistoryIndependence:
         # A factor taken far from the current diagonal stalls the
         # refinement; the solve rebuilds it once and still matches.
         ops, lam, rng = system
-        a, b = jacobian_coefficients(PHYSICS, DT)
+        a, b = step_coefficients(ops)
         ops.block_template.factor(a, b, lam + 1e3 * ops.lumped_total)
         rhs = rng.standard_normal(2 * ops.mesh.n_bulk)
         x = np.concatenate(solve_block_system(ops, a, b, rhs, lam=lam, trans=trans))
@@ -475,7 +480,7 @@ class TestHistoryIndependence:
             A = A.T
         _, sv, vt = np.linalg.svd(A)
         x = np.concatenate(solve_block_system(
-            ops, *jacobian_coefficients(PHYSICS, dt), A @ vt[-1], lam=lam, trans=trans,
+            ops, *step_coefficients(ops, PHYSICS, dt), A @ vt[-1], lam=lam, trans=trans,
         ))
         assert relative_error(x, vt[-1]) <= 1e-13 * sv[0] / sv[-1]
 
@@ -511,13 +516,13 @@ def test_chord_refactors_and_converges(case, factor_log, monkeypatch):
 
 
 def nan_second_derivative(monkeypatch, ops):
-    implicit = _SchemeFns._implicit
+    implicit = Problem._implicit
 
     def patched(self, spec, r, orders=(1, 2)):
         return tuple(np.full_like(z, np.nan) if k == 2 else z
                      for k, z in zip(orders, implicit(self, spec, r, orders)))
 
-    monkeypatch.setattr(_SchemeFns, "_implicit", patched)
+    monkeypatch.setattr(Problem, "_implicit", patched)
 
 
 def _fresh_template(monkeypatch, ops):
