@@ -26,38 +26,80 @@ rows with the sensitivity.
 No backward matrix is assembled.  The backward step matrix equals
 diag(dt I, I) J^T with J the forward step Jacobian, so both solvers
 solve J^T (p, q) = (rhs / dt, 0) on the block template's one step
-matrix with ``trans="T"``; the terminal pair uses the same matrix with
-the coefficients of [[M, tau M], [K, -M]].  A sweep rewrites every entry
-twice, for the terminal pair and for the step Jacobian, and each
-backward step refills only the diagonal lambda.  The solve refines on
-the template's one live factor to a relative residual of 1e-13, so a
-sweep factors twice: once for the terminal pair and once for the step
-Jacobian at the last state, which then serves every backward step.
+matrix with ``trans="T"``, and each backward step refills only the
+diagonal lambda.  The first backward step reads M(p_N + tau q_N) =
+zeta3 from the terminal condition itself, so the sweep never solves
+the terminal pair: the gradient reads the slabs p[:N] alone.  The pair,
+which only diagnostics read, is solved on the first read of
+``AdjointTrajectory.p`` or ``.q``: (M + tau K) p_N = zeta3 by one
+sparse factorization of that SPD matrix, then M q_N = K p_N by the mass
+solve.  The step solves refine on the template's one live factor to a
+relative residual of 1e-13.  A sweep releases the factor it finds, so
+step N rebuilds it at the last state, and that one factorization
+serves every backward step.
 """
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
-from .forward import Problem, StateTrajectory, solve_block_system
+from .errors import SolverError
+from .forward import Problem, StateTrajectory, mass_solve, solve_block_system
 from .spaces import ControlPair
 
 
 class AdjointTrajectory:
-    """Dual states (p, q) on the time grid, bulk-indexed and conforming."""
+    """Dual states (p, q) on the time grid, bulk-indexed and conforming.
 
-    def __init__(self, base: StateTrajectory, p, q):
+    The sweep fills the slabs n < N; the terminal row N is solved on the
+    first read of ``p``, ``q`` or ``terminal()``."""
+
+    def __init__(self, base: StateTrajectory, problem: Problem, zeta3, p, q):
         self.base = base
-        self.p = p              # (N+1, n_bulk)
-        self.q = q
+        self._problem, self._zeta3 = problem, zeta3
+        self._p, self._q = p, q     # (N+1, n_bulk) each
+
+    @property
+    def p(self):
+        self.terminal()
+        return self._p
+
+    @property
+    def q(self):
+        self.terminal()
+        return self._q
+
+    def terminal(self):
+        """The terminal pair (p_N, q_N), solved on the first call from
+        M(p + tau q) = zeta3 and K p = M q as (M + tau K) p = zeta3, then
+        M q = K p.  A singular matrix or a failed mass solve raises
+        ``SolverError`` at step N."""
+        N = self._problem.grid.N
+        if self._zeta3 is not None:
+            ops, tau = self._problem.ops, self._problem.physics.tau
+            try:
+                lu = spla.splu((ops.M_total + tau * ops.K_total).tocsc(),
+                               permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as err:
+                raise SolverError(f"terminal adjoint pair: {err}", step=N) from err
+            p = lu.solve(self._zeta3)
+            q = mass_solve(ops, ops.K_total @ p)
+            if q is None:
+                raise SolverError("terminal adjoint pair: the mass solve did not converge",
+                                  step=N)
+            self._p[N], self._q[N], self._zeta3 = p, q, None
+        return self._p[N], self._q[N]
 
 
 def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, lag):
-    """Terminal pair, then backward steps m = N..1.
+    """Backward steps m = N..1, without the terminal pair.
 
-    The terminal pair solves M(p + tau q) = zeta3 and K p = M q.  Backward
-    step m solves J^T (p, q) = (rhs1, 0) with the step Jacobian J of
-    diagonal lam[k] and rhs1 = Z1[k] + M (p_m + tau q_m) / dt - dexp[k] q_m,
-    where k = m - lag, Z1 are the running sources of ``CostSpec.sources``
-    and the dexp term enters below the terminal step only.
+    Backward step m solves J^T (p, q) = (rhs1, 0) with the step Jacobian
+    J of diagonal lam[k] and rhs1 = Z1[k] + M (p_m + tau q_m) / dt -
+    dexp[k] q_m, where k = m - lag and Z1 are the running sources of
+    ``CostSpec.sources``.  At m = N the terminal condition gives M (p_N +
+    tau q_N) = zeta3, and the dexp term, which enters below the terminal
+    step only, drops.  The sweep releases the live factor first, so step
+    N rebuilds it at lam[N - lag].
     """
     ops, grid = problem.ops, problem.grid
     tau, dt = problem.physics.tau, grid.dt
@@ -67,20 +109,18 @@ def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, la
     q = np.zeros((grid.N + 1, n))
     zero = np.zeros(n)
 
-    p[grid.N], q[grid.N] = solve_block_system(
-        ops, (1.0, tau, 0.0, -1.0), (0.0, 0.0, 1.0, 0.0),
-        np.concatenate([zeta3, zero]), step=grid.N,
-    )
+    ops.block_template.lu = None
     a, b = problem.jacobian_coefficients
     for m in range(grid.N, 0, -1):
         k = m - lag
-        rhs1 = Z1[k] + ops.M_total @ (p[m] + tau * q[m]) / dt
-        if m < grid.N:
-            rhs1 -= dexp[k] * q[m]
+        if m == grid.N:
+            rhs1 = Z1[k] + zeta3 / dt
+        else:
+            rhs1 = Z1[k] + ops.M_total @ (p[m] + tau * q[m]) / dt - dexp[k] * q[m]
         p[m - 1], q[m - 1] = solve_block_system(
             ops, a, b, np.concatenate([rhs1, zero]), lam=lam[k], trans="T", step=m
         )
-    return AdjointTrajectory(base, p, q)
+    return AdjointTrajectory(base, problem, zeta3, p, q)
 
 
 def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:
@@ -108,5 +148,5 @@ def reduced_gradient(problem: Problem, u, adj: AdjointTrajectory, cost):
     """Gradient densities (gamma p + a5 u, gamma p_Gamma + a6 u_Gamma) per slab."""
     gamma = problem.physics.gamma
     a5, a6 = cost.alphas[4], cost.alphas[5]
-    p = adj.p[:problem.grid.N]
+    p = adj._p[:problem.grid.N]
     return ControlPair(gamma * p + a5 * u.u, gamma * p[:, problem.mesh.trace_map] + a6 * u.uG)

@@ -12,6 +12,7 @@ solver failure, including a potential evaluated outside its domain.
 """
 
 import argparse
+import errno
 import os
 import shutil
 import sys
@@ -40,19 +41,32 @@ EXIT_SOLVER = 3
 
 
 def _outdir(cfg):
-    """The run's output directory, created when missing."""
+    """The run's output directory, not created yet.  Raises ``ConfigError``
+    when the nearest existing path on the way to it is not a directory,
+    so that a run reports it before any work."""
     path = os.path.join(cfg.output.directory, cfg.run_name)
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(
+            f"output.directory: cannot create {path}: {os.strerror(errno.ENOTDIR)}")
+    return path
+
+
+def _create(outdir):
+    """Create the output directory once the run has succeeded."""
     try:
-        return ensure_dir(path)
+        ensure_dir(outdir)
     except OSError as err:
-        raise ConfigError(f"output.directory: cannot create {path}: {err.strerror}") from err
+        raise ConfigError(f"output.directory: cannot create {outdir}: {err.strerror}") from err
 
 
-def _prepare_outdir(cfg, args):
-    """The run's output directory with its config.yaml: a verbatim copy of
-    the -c file, unless it is that file, or the --preset mapping, which
-    loads back to ``cfg``."""
-    outdir = _outdir(cfg)
+def _prepare_outdir(outdir, cfg, args):
+    """Create the run's output directory with its config.yaml: a verbatim
+    copy of the -c file, unless it is that file, or the --preset mapping,
+    which loads back to ``cfg``."""
+    _create(outdir)
     target = os.path.join(outdir, "config.yaml")
     if args.config is not None:
         if not (os.path.exists(target) and os.path.samefile(args.config, target)):
@@ -60,16 +74,16 @@ def _prepare_outdir(cfg, args):
     else:
         with open(target, "w", encoding="utf-8") as fh:
             yaml.safe_dump(PRESETS[args.preset], fh, sort_keys=False)
-    return outdir
 
 
 def cmd_simulate(cfg, args) -> int:
+    outdir = _outdir(cfg)
     problem = cfg.build_problem()
     mesh, grid = problem.mesh, problem.grid
     phi0 = cfg.build_initial(mesh)
     controls = cfg.build_controls(mesh, grid)
     traj = solve(problem, phi0, controls)
-    outdir = _prepare_outdir(cfg, args)
+    _prepare_outdir(outdir, cfg, args)
     series = write_series_csv(
         os.path.join(outdir, "series_0.csv"), problem, traj, controls
     )
@@ -81,9 +95,13 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def cmd_optimize(cfg, args) -> int:
+    outdir = _outdir(cfg)
     cp, u0, pg_opts = cfg.build_control_problem()
     result = projected_gradient(cp, u0, pg_opts)
-    outdir = _prepare_outdir(cfg, args)
+    # Solve the terminal adjoint pair, which adjoint_norms_0.csv reports,
+    # before anything is written.
+    result.adjoint.terminal()
+    _prepare_outdir(outdir, cfg, args)
     history = write_history_csv(os.path.join(outdir, "history_0.csv"), result.history)
     write_control_csv(outdir, cp.problem.grid, result.u)
     write_series_csv(
@@ -107,11 +125,12 @@ def cmd_optimize(cfg, args) -> int:
 
 
 def cmd_verify(cfg, label) -> int:
+    outdir = _outdir(cfg)
     results = run_suite(cfg)
     print(f"verification suite [{label}]")
     for res in results:
         print("  " + res.line())
-    outdir = _outdir(cfg)
+    _create(outdir)
     for res in results:
         if res.name == "taylor" and res.extra:
             for k, taylor in enumerate(res.extra):

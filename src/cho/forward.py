@@ -389,7 +389,7 @@ def _damping(mask, phi, dphi):
     return alpha
 
 
-def _mass_solve(ops, rhs):
+def mass_solve(ops, rhs):
     """M_total x = rhs by conjugate gradients preconditioned by the lumped
     mass, to ``MASS_RTOL`` in the preconditioned norm; None when that fails."""
     M, d = ops.M_total, ops.lumped_total
@@ -415,7 +415,7 @@ def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
     """Chemical potential at t = 0 from the second equation (no dynamics)."""
     ops = problem.ops
     rhs = ops.K_total @ phi0 + problem.implicit(phi0)[0] + problem.explicit(phi0)[0]
-    mu0 = _mass_solve(ops, rhs)
+    mu0 = mass_solve(ops, rhs)
     if mu0 is None or not np.all(np.isfinite(mu0)):
         raise SolverError(
             "initial chemical potential: the mass solve did not converge", step=0

@@ -182,7 +182,9 @@ class CoupledOperators:
 class BlockTemplate:
     """The one CSC step matrix of every step system, refilled in place.
 
-    Every block system of the time stepper has the form
+    It holds step Jacobians only: the forward and linearized steps solve
+    with one and the adjoint steps with its transpose, and the adjoint's
+    terminal pair is solved apart.  The matrix has the form
 
         [[a11 M + b11 K,           a12 M + b12 K],
          [a21 M + b21 K + diag(l), a22 M + b22 K]]

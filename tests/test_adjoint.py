@@ -1,5 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,6 +11,8 @@ from cho.adjoint import (
     adjoint_solve,
     reduced_gradient,
 )
+from cho.cli import main
+from cho.config import RunConfig
 from cho.control import (
     ControlPair,
     CostSpec,
@@ -16,7 +21,9 @@ from cho.control import (
     cost_directional,
     random_direction,
 )
+from cho.errors import SolverError
 from cho.forward import (
+    ROUNDOFF,
     Physics,
     Problem,
     SolverOptions,
@@ -32,6 +39,7 @@ from cho.sensitivity import linearized_solve
 from cho.spaces import PairField
 
 from conftest import cosine_ic, make_problem
+from test_cli import MINIMAL, write_yaml
 
 TRACKING = CostSpec(alphas=(1.0, 0.5, 0.8, 0.3, 0.2, 0.1),
                     phiQ=0.2, phiS=0.1, phiO=-0.1, phiG=0.0)
@@ -46,6 +54,34 @@ def setup():
     return problem, phi0, u, base
 
 
+@pytest.fixture(scope="module", params=[
+    ("interval", "fully-implicit"), ("interval", "convex-splitting"),
+    ("rectangle", "fully-implicit"), ("rectangle", "convex-splitting"),
+], ids="-".join)
+def terminal_run(request):
+    """A converged run on a 12-cell interval or an 8x8 rectangle."""
+    kind, scheme = request.param
+    mesh = build_interval(12, 1.0) if kind == "interval" else build_rectangle(8, 8, 1.0, 1.0)
+    problem = Problem.create(mesh, PotentialPair.same(regular_potential()),
+                             SolverOptions(scheme=scheme, newton_tol=1e-12),
+                             Physics(1.0, 1.0), TimeGrid(T=0.4, N=8))
+    u = ControlPair.constant(mesh, problem.grid, 0.1, 0.05)
+    return problem, u, solve(problem, cosine_ic(mesh, 0.25), u)
+
+
+def terminal_backward_errors(problem, zeta3, adj):
+    """Normwise backward errors of the terminal pair in M(p + tau q) = zeta3
+    and K p = M q, with Frobenius norms of the blocks."""
+    ops, tau, N = problem.ops, problem.physics.tau, problem.grid.N
+    p, q = adj.p[N], adj.q[N]
+    norm_M, norm_K = spla.norm(ops.M_total), spla.norm(ops.K_total)
+    norm = np.linalg.norm
+    first = norm(ops.M_total @ (p + tau * q) - zeta3) / (
+        norm_M * (norm(p) + tau * norm(q)) + norm(zeta3))
+    second = norm(ops.K_total @ p - ops.M_total @ q) / (norm_K * norm(p) + norm_M * norm(q))
+    return first, second
+
+
 class TestAdjointSolve:
     def test_zero_cost_gives_zero_adjoint(self, setup):
         problem, phi0, u, base = setup
@@ -53,24 +89,40 @@ class TestAdjointSolve:
         assert np.abs(adj.p).max() == 0.0
         assert np.abs(adj.q).max() == 0.0
 
-    def test_terminal_identity(self, setup):
+    def test_terminal_identity(self, terminal_run):
         # With only the bulk terminal weight active, the mass-weighted
         # combination p + tau q at the last node equals the terminal misfit.
-        problem, phi0, u, base = setup
+        problem, u, base = terminal_run
         spec = CostSpec(alphas=(0, 0, 0.7, 0, 0, 0), phiO=0.3)
         adj = adjoint_solve(problem, base, spec)
         N = problem.grid.N
         lhs = problem.ops.M_total @ (adj.p[N] + problem.physics.tau * adj.q[N])
         rhs = 0.7 * (problem.ops.M_bulk @ (base.phi[N] - 0.3))
         assert np.abs(lhs - rhs).max() < 1e-13
+        assert terminal_backward_errors(problem, rhs, adj)[0] <= ROUNDOFF
 
-    def test_second_adjoint_relation(self, setup):
-        # K p = M q holds at every time node.
-        problem, phi0, u, base = setup
+    def test_second_adjoint_relation(self, terminal_run):
+        # K p = M q holds at every time node, at round-off on the terminal
+        # pair.
+        problem, u, base = terminal_run
         adj = adjoint_solve(problem, base, TRACKING)
         for n in range(problem.grid.N + 1):
             gap = problem.ops.K_total @ adj.p[n] - problem.ops.M_total @ adj.q[n]
             assert np.abs(gap).max() < 1e-12
+        zeta3 = TRACKING.sources(problem.ops, base.phi)[1]
+        assert terminal_backward_errors(problem, zeta3, adj)[1] <= ROUNDOFF
+
+    def test_terminal_pair_matches_dense_solve(self, terminal_run):
+        # The pair solves the 2n system [[M, tau M], [K, -M]] (p, q) = (zeta3, 0).
+        problem, u, base = terminal_run
+        adj = adjoint_solve(problem, base, TRACKING)
+        M, K = problem.ops.M_total.toarray(), problem.ops.K_total.toarray()
+        tau, N = problem.physics.tau, problem.grid.N
+        zeta3 = TRACKING.sources(problem.ops, base.phi)[1]
+        x = np.linalg.solve(np.block([[M, tau * M], [K, -M]]),
+                            np.concatenate([zeta3, np.zeros_like(zeta3)]))
+        pair = np.concatenate([adj.p[N], adj.q[N]])
+        assert np.abs(pair - x).max() <= 1e-12 * np.abs(x).max()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_exact_discrete_duality(self, setup, seed):
@@ -130,6 +182,65 @@ class TestAdjointSolve:
         adj = adjoint_solve(problem, base, spec)
         assert np.abs(adj.p).max() < 1e-12
         assert np.abs(adj.q).max() < 1e-12
+
+
+class SpyFactorizations:
+    """Wraps ``splu``: records the order of each matrix it factors, and
+    raises "exactly singular" on the orders in ``singular``."""
+
+    def __init__(self, monkeypatch, singular=()):
+        self.orders, self.singular = [], singular
+        splu = spla.splu
+
+        def spy(A, **kwargs):
+            self.orders.append(A.shape[0])
+            if A.shape[0] in self.singular:
+                raise RuntimeError("Factor is exactly singular")
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+
+
+class TestTerminalPairOnRead:
+    @pytest.mark.parametrize("form", [adjoint_solve, adjoint_continuous_form])
+    def test_gradient_path_never_solves_the_pair(self, terminal_run, monkeypatch, form):
+        # The sweep factors the step Jacobian once; the gradient reads the
+        # slabs alone.  The first read of the pair factors M + tau K once.
+        problem, u, base = terminal_run
+        n = problem.mesh.n_bulk
+        spy = SpyFactorizations(monkeypatch)
+        adj = form(problem, base, TRACKING)
+        reduced_gradient(problem, u, adj, TRACKING)
+        assert spy.orders == [2 * n]
+        p_N = adj.p[problem.grid.N]
+        assert spy.orders == [2 * n, n]
+        p_T, q_T = adj.terminal()
+        assert np.array_equal(adj.p[-1], p_T) and np.array_equal(p_N, p_T)
+        assert np.array_equal(adj.q[-1], q_T)
+        assert spy.orders == [2 * n, n]
+
+    def test_singular_pair_raises_at_the_last_step(self, setup, monkeypatch):
+        problem, phi0, u, base = setup
+        SpyFactorizations(monkeypatch, singular=(problem.mesh.n_bulk,))
+        adj = adjoint_solve(problem, base, TRACKING)
+        reduced_gradient(problem, u, adj, TRACKING)
+        for read in (lambda: adj.p, lambda: adj.q):
+            with pytest.raises(SolverError, match="terminal adjoint pair: .* singular") as err:
+                read()
+            assert err.value.step == problem.grid.N
+
+    def test_optimize_exits_3_on_a_singular_pair(self, tmp_path, monkeypatch, capsys):
+        # cho optimize reads the pair for adjoint_norms_0.csv, before it
+        # creates its output directory.
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(MINIMAL)
+        data["optimization"] = {"alphas": [1, 0, 1, 0, 1, 1], "targets": {"phiQ": 0.1}}
+        n = RunConfig.from_dict(data).build_problem().mesh.n_bulk
+        spy = SpyFactorizations(monkeypatch, singular=(n,))
+        assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 3
+        assert "terminal adjoint pair" in capsys.readouterr().err
+        assert spy.orders[-1] == n and spy.orders.count(n) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestContinuousForm:

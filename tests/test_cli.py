@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from cho import cli
 from cho.cli import main
 from cho.config import PRESETS, RunConfig, load_config, preset_config
 from cho.errors import ConfigError
@@ -285,11 +286,18 @@ class TestSimulate:
         assert (outdir / "config.yaml").read_bytes() == config
         assert (outdir / "series_0.csv").read_bytes() == series
 
-    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
     def test_output_directory_that_is_a_file_exits_1(self, tmp_path, monkeypatch, capsys,
                                                      command):
+        # Reported before the work: the solver, the optimizer and the suite
+        # are never called.
         import copy
 
+        def never(*args, **kwargs):
+            raise AssertionError("the run started before its output directory was checked")
+
+        for name in ("solve", "projected_gradient", "run_suite"):
+            monkeypatch.setattr(cli, name, never)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("")
         data = copy.deepcopy(MINIMAL)

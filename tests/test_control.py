@@ -224,8 +224,9 @@ class TestProjectedGradient:
 
     def test_result_carries_the_last_adjoint_and_gradient(self):
         # They equal a fresh solve at the returned control bit for bit: the
-        # fresh backward sweep factors the terminal pair and the Jacobian
-        # at the last state, as the optimizer's last sweep did.
+        # fresh backward sweep factors the Jacobian at the last state, as
+        # the optimizer's last sweep did, and the terminal pair is solved
+        # from the same data on read.
         cp = self.make_control_problem(
             (1.0, 0.5, 1.0, 0.5, 0.4, 0.4),
             targets={"phiQ": 0.25, "phiS": 0.25, "phiO": 0.25, "phiG": 0.25},

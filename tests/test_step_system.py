@@ -3,8 +3,10 @@ linearized and adjoint solvers.
 
 The reference block matrices below are the per-call assemblies the solvers
 used before the fixed template: the step Jacobian, the adjoint backward
-matrix and the terminal adjoint matrix.  The template stores its matrix
-in node order, so its entries compare with them directly.
+matrix and the terminal adjoint matrix.  The adjoint now solves its
+terminal pair apart, but the template takes any coefficient set, and the
+terminal one serves as a second set.  The template stores its matrix in
+node order, so its entries compare with them directly.
 
 The template is the one step matrix of every solve: a refill with the
 coefficients it holds rewrites only the diagonal lambda of block 21.  It
@@ -265,8 +267,8 @@ def test_one_template_and_at_most_one_live_factor(monkeypatch, factor_log):
 
 def test_factorization_budget(factor_log):
     # Forward, linearized and adjoint on an 8x8 rectangle: one factor for
-    # the forward run, which the linearized solve reuses, and two for the
-    # adjoint (the terminal pair, then the step Jacobian).
+    # the forward run, which the linearized solve reuses, and one for the
+    # adjoint, the step Jacobian at the last state.
     mesh = build_rectangle(8, 8, 1.0, 1.0)
     grid = TimeGrid(T=0.4, N=8)
     problem = Problem.create(mesh, PotentialPair.same(regular_potential()),
@@ -277,7 +279,7 @@ def test_factorization_budget(factor_log):
     base = solve(problem, phi0, u)
     linearized_solve(problem, base, random_direction(mesh, grid, rng).scaled(0.1))
     adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
-    assert factor_log.step_factors <= 4
+    assert factor_log.step_factors <= 3
 
 
 class CountedReads(np.ndarray):
@@ -292,10 +294,10 @@ class CountedReads(np.ndarray):
 @pytest.mark.parametrize("N", [8, 16])
 def test_full_refills_only_on_new_coefficients(N):
     # Forward, linearized and adjoint on an 8x8 rectangle.  Only a refill
-    # that rewrites every entry reads the per-slot M values: one for the
-    # forward run's Jacobian coefficients, which the linearized solve keeps,
-    # and two for the adjoint (the terminal pair, then the Jacobian again).
-    # Every other refill rewrites the diagonal lambda alone, whatever N.
+    # that rewrites every entry reads the per-slot M values: one, for the
+    # forward run's Jacobian coefficients, which the linearized and adjoint
+    # solves keep.  Every other refill rewrites the diagonal lambda alone,
+    # whatever N.
     mesh = build_rectangle(8, 8, 1.0, 1.0)
     grid = TimeGrid(T=0.4, N=N)
     problem = Problem.create(mesh, PotentialPair.same(regular_potential()),
@@ -308,7 +310,7 @@ def test_full_refills_only_on_new_coefficients(N):
     base = solve(problem, phi0, ControlPair.constant(mesh, grid, 0.1, 0.05))
     linearized_solve(problem, base, random_direction(mesh, grid, rng).scaled(0.1))
     adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
-    assert len(template.m.reads) == 3
+    assert len(template.m.reads) == 1
 
 
 def test_one_product_and_one_triangular_solve_per_iterate(monkeypatch):
