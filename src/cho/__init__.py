@@ -42,7 +42,6 @@ from .mesh import BulkSurfaceMesh, build_interval, build_rectangle, trace
 from .potentials import (
     PotentialPair,
     PotentialSpec,
-    check_mz,
     custom_potential,
     logarithmic_potential,
     regular_potential,

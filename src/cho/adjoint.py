@@ -53,8 +53,7 @@ class AdjointTrajectory:
     The sweep fills the slabs n < N; the terminal row N is solved on the
     first read of ``p``, ``q`` or ``terminal()``."""
 
-    def __init__(self, base: StateTrajectory, problem: Problem, zeta3, p, q):
-        self.base = base
+    def __init__(self, problem: Problem, zeta3, p, q):
         self._problem, self._zeta3 = problem, zeta3
         self._p, self._q = p, q     # (N+1, n_bulk) each
 
@@ -120,7 +119,7 @@ def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, la
         p[m - 1], q[m - 1] = solve_block_system(
             ops, a, b, np.concatenate([rhs1, zero]), lam=lam[k], trans="T", step=m
         )
-    return AdjointTrajectory(base, problem, zeta3, p, q)
+    return AdjointTrajectory(problem, zeta3, p, q)
 
 
 def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:

@@ -4,11 +4,12 @@
     cho optimize -c config.yaml     projected gradient descent run
     cho verify   -c config.yaml     full invariant suite (or --all-presets)
 
-Exit codes: 0 success, 1 malformed configuration (unknown key, bad type
-or range, a non-finite number other than a box bound or m_prime,
-unreadable or non-finite CSV) or violated standing assumption,
-2 data validation failure (mean-value condition, infeasible box), 3
-solver failure, including a potential evaluated outside its domain.
+Exit codes: 0 success, 1 malformed command line or configuration
+(unknown key, bad type or range, a non-finite number other than a box
+bound or m_prime, unreadable or non-finite CSV) or violated standing
+assumption, 2 data validation failure (mean-value condition, infeasible
+box), 3 solver failure, including a potential evaluated outside its
+domain.
 """
 
 import argparse
@@ -24,7 +25,6 @@ from .control import projected_gradient
 from .errors import ConfigError, PotentialDomainError, SolverError, ValidationError
 from .forward import solve
 from .output import (
-    ensure_dir,
     write_adjoint_norms_csv,
     write_control_csv,
     write_history_csv,
@@ -57,7 +57,7 @@ def _outdir(cfg):
 def _create(outdir):
     """Create the output directory once the run has succeeded."""
     try:
-        ensure_dir(outdir)
+        os.makedirs(outdir, exist_ok=True)
     except OSError as err:
         raise ConfigError(f"output.directory: cannot create {outdir}: {err.strerror}") from err
 
@@ -154,8 +154,17 @@ def cmd_verify_all() -> int:
     return worst
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line exits 1, as a malformed configuration does,
+    not argparse's 2, the code of a data validation failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cho",
         description="Bulk-surface phase-field simulation and optimal control",
     )
@@ -166,12 +175,13 @@ def build_parser():
         ("verify", "run the invariant verification suite"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("-c", "--config", help="path to a YAML configuration")
-        p.add_argument(
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("-c", "--config", help="path to a YAML configuration")
+        source.add_argument(
             "--preset", choices=sorted(PRESETS), help="use a shipped preset instead"
         )
         if name == "verify":
-            p.add_argument(
+            source.add_argument(
                 "--all-presets", action="store_true",
                 help="run the suite over every shipped preset",
             )

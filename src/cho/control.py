@@ -89,7 +89,6 @@ class UadReport:
     h1_ok: bool
     h1_norm_u: float
     h1_norm_uG: float
-    message: str = ""
 
     @property
     def passed(self) -> bool:
@@ -111,14 +110,7 @@ def validate_Uad(pair: ControlPair, box: BoxBounds, grid, ops) -> UadReport:
     h1u = float(np.sqrt(dt * row_inner(ops.M_bulk, du, du).sum()))
     h1g = float(np.sqrt(dt * row_inner(ops.M_gamma, dg, dg).sum()))
     h1_ok = h1u <= box.M_prime and h1g <= box.M_prime
-    parts = []
-    if not box_ok:
-        parts.append("box constraint violated")
-    if not h1_ok:
-        parts.append(
-            f"time-derivative budget exceeded: {max(h1u, h1g):.3e} > {box.M_prime:g}"
-        )
-    return UadReport(box_ok, h1_ok, h1u, h1g, "; ".join(parts))
+    return UadReport(box_ok, h1_ok, h1u, h1g)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SolverError, ValidationError
 from .mesh import BulkSurfaceMesh
-from .potentials import PotentialPair, check_mz, yosida_derivatives
+from .potentials import PotentialPair, yosida_derivatives
 from .spaces import ControlPair, CoupledOperators, PairField, assemble, row_inner
 
 
@@ -426,12 +426,26 @@ def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
 def require_mean_value(problem: Problem, phi0: PairField, M: float, what="") -> None:
     """Raise ValidationError when a constrained run (``Problem.interior``:
     a bounded potential without Yosida regularization) fails the
-    mean-value condition for the mean of phi0 and sources bounded by M."""
-    if problem.interior is not None:
-        m0 = float(problem.ops.mean(phi0.bulk, phi0.boundary))
-        mz = check_mz(problem.pair, m0, M, problem.physics.gamma)
-        if not mz.passed:
-            raise ValidationError(f"mean-value condition fails{what}: {mz.message}")
+    mean-value condition for the mean m0 of phi0 and sources bounded by
+    M: [-m0^- - rho, m0^+ + rho] must lie inside int D(beta_Gamma), with
+    rho = M / gamma (at gamma = 0, rho = 0 if M = 0 and inf otherwise)."""
+    if problem.interior is None:
+        return
+    m0 = float(problem.ops.mean(phi0.bulk, phi0.boundary))
+    gamma = problem.physics.gamma
+    if gamma > 0.0:
+        rho = M / gamma
+    else:
+        rho = 0.0 if M == 0.0 else math.inf
+    lo = -max(-m0, 0.0) - rho
+    hi = max(m0, 0.0) + rho
+    dlo, dhi = problem.pair.boundary.domain
+    if lo <= dlo or hi >= dhi:
+        side, end = ("lower", lo) if lo <= dlo else ("upper", hi)
+        raise ValidationError(
+            f"mean-value condition fails{what}: {side} endpoint {end:g} "
+            f"not inside int D = ({dlo:g}, {dhi:g})"
+        )
 
 
 def solve(problem: Problem, phi0: PairField, controls: ControlPair) -> StateTrajectory:

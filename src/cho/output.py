@@ -13,11 +13,6 @@ from .forward import StateTrajectory, energy, exact_mean
 from .spaces import row_inner
 
 
-def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def write_series_csv(path, problem, traj: StateTrajectory, controls) -> str:
     """Per-step time series: mean vs closed form, energy, range, iterations."""
     ops, grid, phi = problem.ops, problem.grid, traj.phi

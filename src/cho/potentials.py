@@ -77,9 +77,6 @@ class PotentialSpec:
             return tuple(self.convex[k](r) for k in orders)
         return tuple(self.convex[k](r) + self.perturbation[k](r) for k in orders)
 
-    def beta_hat(self, r):
-        return self.derivatives(r, (0,), convex=True)[0]
-
     def beta(self, r):
         return self.derivatives(r, (1,), convex=True)[0]
 
@@ -237,22 +234,13 @@ def yosida_hat(spec: PotentialSpec, eps: float, r):
 # Structural validators
 # ---------------------------------------------------------------------------
 
-COMPAT_GRID = 1000
-
-
 @dataclass
 class PotentialPair:
-    """Bulk and boundary potentials with the domination check.
-
-    Construction verifies D(beta_boundary) is contained in D(beta_bulk)
-    and records the sampled constant C* with
-    |beta(r)| <= C* (|beta_Gamma(r)| + 1) on a 1000-point grid of the
-    interior of D(beta_Gamma).
-    """
+    """Bulk and boundary potentials; construction verifies that
+    D(beta_boundary) is contained in D(beta_bulk)."""
 
     bulk: PotentialSpec
     boundary: PotentialSpec
-    compat_constant: float = 0.0
 
     def __post_init__(self):
         blo, bhi = self.boundary.domain
@@ -262,13 +250,6 @@ class PotentialPair:
                 "boundary potential domain must be contained in the bulk one: "
                 f"({blo:g}, {bhi:g}) vs ({lo:g}, {hi:g})"
             )
-        if math.isinf(blo):
-            grid = np.linspace(-10.0, 10.0, COMPAT_GRID)
-        else:
-            pad = 1e-6 * (bhi - blo)
-            grid = np.linspace(blo + pad, bhi - pad, COMPAT_GRID)
-        ratio = np.abs(self.bulk.beta(grid)) / (np.abs(self.boundary.beta(grid)) + 1.0)
-        self.compat_constant = float(np.max(ratio))
 
     @property
     def bounded(self) -> bool:
@@ -278,44 +259,6 @@ class PotentialPair:
     def same(cls, spec: PotentialSpec) -> "PotentialPair":
         """Use one potential for both bulk and boundary."""
         return cls(spec, spec)
-
-
-@dataclass
-class MeanValueCheck:
-    """Outcome of the mean-value condition."""
-
-    passed: bool
-    rho: float
-    lo: float
-    hi: float
-    message: str = ""
-
-
-def check_mz(pair: PotentialPair, m0: float, M: float, gamma: float) -> MeanValueCheck:
-    """Mean-value condition: [-m0^- - rho, m0^+ + rho] inside int D(beta_Gamma).
-
-    rho = M / gamma.  Always passes when the boundary domain is all of R.
-    """
-    if gamma > 0.0:
-        rho = M / gamma
-    else:
-        rho = 0.0 if M == 0.0 else math.inf
-    lo = -max(-m0, 0.0) - rho
-    hi = max(m0, 0.0) + rho
-    if not pair.bounded:
-        return MeanValueCheck(True, rho, lo, hi)
-    dlo, dhi = pair.boundary.domain
-    if lo <= dlo:
-        return MeanValueCheck(
-            False, rho, lo, hi,
-            f"lower endpoint {lo:g} not inside int D = ({dlo:g}, {dhi:g})",
-        )
-    if hi >= dhi:
-        return MeanValueCheck(
-            False, rho, lo, hi,
-            f"upper endpoint {hi:g} not inside int D = ({dlo:g}, {dhi:g})",
-        )
-    return MeanValueCheck(True, rho, lo, hi)
 
 
 SEPARATION_GRID = 8193

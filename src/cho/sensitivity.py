@@ -25,8 +25,7 @@ from .forward import Problem, StateTrajectory, solve, solve_block_system, traj_n
 class LinearizedTrajectory:
     """Sensitivities (psi, eta) of (phi, mu) along a control direction."""
 
-    def __init__(self, base: StateTrajectory, psi, eta):
-        self.base = base
+    def __init__(self, psi, eta):
         self.psi = psi          # (N+1, n_bulk), psi[0] = 0
         self.eta = eta
 
@@ -56,7 +55,7 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
         psi[k + 1], eta[k + 1] = solve_block_system(
             ops, a, b, np.concatenate([rhs1, rhs2]), lam=lam[k + 1], step=k + 1
         )
-    return LinearizedTrajectory(base, psi, eta)
+    return LinearizedTrajectory(psi, eta)
 
 
 @dataclass

@@ -10,6 +10,7 @@ from cho import cli
 from cho.cli import main
 from cho.config import PRESETS, RunConfig, load_config, preset_config
 from cho.errors import ConfigError
+from cho.verify import CheckResult
 
 MINIMAL = {
     "run_name": "t",
@@ -531,6 +532,56 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 11
         assert "[FAIL]" not in out
+
+    @pytest.mark.parametrize("failing", [None, "rectangle"])
+    def test_all_presets_summary(self, tmp_path, monkeypatch, capsys, failing):
+        # Canned suites: each preset runs once, and one failing check fails
+        # its preset's row and the whole run.
+        runs = []
+
+        def canned_suite(cfg):
+            runs.append(cfg.run_name)
+            return [CheckResult("mean-ode", True, "canned"),
+                    CheckResult("taylor", cfg.run_name != failing, "canned")]
+
+        monkeypatch.setattr(cli, "run_suite", canned_suite)
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--all-presets"]) == (0 if failing is None else 2)
+        assert sorted(runs) == sorted(PRESETS)
+        summary = capsys.readouterr().out.split("\nsummary\n")[1].splitlines()
+        assert summary == [f"  {name:<14} {'FAILED' if name == failing else 'ok'}"
+                           for name in PRESETS]
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--bogus"],
+        ["frobnicate"],
+        ["simulate", "--preset", "nosuch"],
+        ["simulate", "-c", "cfg.yaml", "--preset", "coarse"],
+        ["optimize", "--preset", "coarse", "-c", "cfg.yaml"],
+        ["verify", "-c", "cfg.yaml", "--preset", "coarse"],
+        ["verify", "--all-presets", "-c", "cfg.yaml"],
+        ["verify", "--preset", "coarse", "--all-presets"],
+    ])
+    def test_usage_errors_exit_1(self, argv, monkeypatch, capsys):
+        # Exit 1 like a malformed configuration, not argparse's 2, which
+        # is the code of a data validation failure.  No configuration is
+        # ever loaded.
+        monkeypatch.setattr(cli, "load_config", None)
+        monkeypatch.setattr(cli, "preset_config", None)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cho")
+        assert "error: " in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--all-presets" in capsys.readouterr().out
 
 
 def test_csv_headers_carry_units(tmp_path, monkeypatch):

@@ -144,7 +144,6 @@ class TestValidateUad:
         problem = make_problem(N=4)
         report = validate_Uad(make_pair(problem, 2.0), BOX, problem.grid, problem.ops)
         assert not report.box_ok
-        assert "box" in report.message
 
 
 class TestViResidual:
@@ -233,7 +232,6 @@ class TestProjectedGradient:
         )
         u0 = ControlPair.constant(cp.problem.mesh, cp.problem.grid, 0.9)
         result = projected_gradient(cp, u0, OptimizerOptions(tol=1e-6, max_iter=60))
-        assert result.adjoint.base is result.trajectory
         adj = adjoint_solve(cp.problem, result.trajectory, cp.cost)
         g = reduced_gradient(cp.problem, result.u, adj, cp.cost)
         assert np.array_equal(result.adjoint.p, adj.p)

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from cho import potentials
 from cho.errors import PotentialDomainError, SolverError, ValidationError
+from cho.forward import require_mean_value
 from cho.potentials import (
-    MeanValueCheck,
     PotentialPair,
-    check_mz,
     custom_potential,
     logarithmic_potential,
     regular_potential,
@@ -23,6 +22,8 @@ from cho.potentials import (
     yosida_dbeta,
     yosida_hat,
 )
+from cho.spaces import PairField
+from conftest import make_problem
 
 REG = regular_potential()
 LOG = logarithmic_potential(2.0)
@@ -54,7 +55,8 @@ class TestEvaluation:
     def test_split_reassembles_potential(self):
         rs = np.linspace(-0.9, 0.9, 21)
         for spec in (REG, LOG):
-            total = spec.beta_hat(rs) + (spec.F(rs) - spec.beta_hat(rs))
+            beta_hat = spec.derivatives(rs, (0,), convex=True)[0]
+            total = beta_hat + (spec.F(rs) - beta_hat)
             assert np.allclose(total, spec.F(rs), atol=1e-14)
             assert np.allclose(spec.beta(rs) + spec.pi(rs), spec.F(rs, 1), atol=1e-12)
 
@@ -124,7 +126,7 @@ class TestYosida:
         for eps in (0.3, 0.05):
             he = yosida_hat(LOG, eps, rs)
             assert np.all(he >= -1e-14)
-            assert np.all(he <= LOG.beta_hat(rs) + 1e-12)
+            assert np.all(he <= LOG.derivatives(rs, (0,), convex=True)[0] + 1e-12)
 
     def test_defined_outside_singular_domain(self):
         # The regularization extends beyond (-1, 1).
@@ -202,22 +204,32 @@ class TestYosida:
 
 
 class TestMeanValueCondition:
-    def test_logarithmic_pass(self):
-        pair = PotentialPair.same(LOG)
-        res = check_mz(pair, m0=0.0, M=0.5, gamma=1.0)
-        assert isinstance(res, MeanValueCheck)
-        assert res.passed and res.rho == 0.5
-        assert (res.lo, res.hi) == (-0.5, 0.5)
+    """``require_mean_value`` on an 8-cell interval problem, logarithmic
+    unless stated; constant data of value m0 have mean m0."""
 
-    def test_logarithmic_fail_reports_endpoint(self):
-        pair = PotentialPair.same(LOG)
-        res = check_mz(pair, m0=0.6, M=0.5, gamma=1.0)
-        assert not res.passed
-        assert "1.1" in res.message
+    @staticmethod
+    def check(m0, M, gamma=1.0, kind="logarithmic"):
+        problem = make_problem(n_cells=8, gamma=gamma, kind=kind)
+        require_mean_value(problem, PairField.constant(problem.mesh, m0), M)
+
+    def test_logarithmic_pass(self):
+        self.check(m0=0.0, M=0.5)
+
+    @pytest.mark.parametrize("m0,endpoint", [(0.6, "upper endpoint 1.1"),
+                                             (-0.6, "lower endpoint -1.1")])
+    def test_logarithmic_fail_reports_endpoint(self, m0, endpoint):
+        with pytest.raises(ValidationError, match=f"mean-value condition fails: {endpoint} "
+                           r"not inside int D = \(-1, 1\)"):
+            self.check(m0=m0, M=0.5)
+
+    def test_zero_gamma(self):
+        # rho = 0 without sources, rho = inf with any.
+        self.check(m0=0.5, M=0.0, gamma=0.0)
+        with pytest.raises(ValidationError, match="lower endpoint -inf "):
+            self.check(m0=0.0, M=0.1, gamma=0.0)
 
     def test_unbounded_always_passes(self):
-        pair = PotentialPair.same(REG)
-        assert check_mz(pair, m0=100.0, M=50.0, gamma=0.1).passed
+        self.check(m0=100.0, M=50.0, gamma=0.1, kind="regular")
 
 
 class TestSeparationThreshold:
@@ -256,24 +268,9 @@ class TestSeparationThreshold:
 
 
 class TestPotentialPair:
-    def test_same_kind_pairs_record_compat_constant(self):
-        for spec in (REG, LOG):
-            pair = PotentialPair.same(spec)
-            assert np.isfinite(pair.compat_constant)
-            assert pair.compat_constant < 1.0
-
     def test_mixed_kind_allowed_when_domains_nest(self):
-        pair = PotentialPair(bulk=REG, boundary=LOG)
-        assert pair.compat_constant < 2.0
+        assert PotentialPair(bulk=REG, boundary=LOG).bounded
 
     def test_domain_inclusion_enforced(self):
         with pytest.raises(ValidationError, match="contained"):
             PotentialPair(bulk=LOG, boundary=REG)
-
-    def test_compat_inequality_on_grid(self):
-        # |beta(r)| <= C* (|beta_Gamma(r)| + 1) with the recorded constant.
-        pair = PotentialPair.same(LOG)
-        grid = np.linspace(-0.999, 0.999, 1000)
-        lhs = np.abs(pair.bulk.beta(grid))
-        rhs = pair.compat_constant * (np.abs(pair.boundary.beta(grid)) + 1.0)
-        assert np.all(lhs <= rhs + 1e-12)
