@@ -268,8 +268,10 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     ``REFINE_RTOL`` and return its two halves.
 
     The matrix A = [[a11 M + b11 K, a12 M + b12 K], [a21 M + b21 K +
-    diag(lam), a22 M + b22 K]] is the block template's one step matrix; a
-    call with the coefficients it holds refills only diag(lam).  The system
+    diag(lam), a22 M + b22 K]] is the block template's one step matrix,
+    dense with a LAPACK factor up to order ``spaces.DENSE_MAX`` and CSC
+    with a SuperLU factor above; a call with the coefficients it holds
+    refills only diag(lam).  The system
     is solved with A (trans="N") or its transpose (trans="T") by iterative
     refinement: each sweep corrects the solution with the template's live
     factor and recomputes the residual with the exact refilled matrix.
@@ -300,7 +302,7 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
             continue
         if norm_new < norm:
             y, norm = y_new, norm_new
-        if norm <= ROUNDOFF * (_norm(A.data) * _norm(y) + rnorm):
+        if norm <= ROUNDOFF * (template.norm() * _norm(y) + rnorm):
             break
         if fresh:
             if not np.isfinite(norm_new):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cho import spaces
 from cho.control import ControlPair
 from cho.forward import Physics, Problem, SolverOptions, TimeGrid
 from cho.mesh import build_interval
@@ -21,6 +22,14 @@ def make_problem(n_cells=12, length=1.0, T=0.4, N=8, tau=1.0, gamma=1.0,
         Physics(tau=tau, gamma=gamma),
         TimeGrid(T=T, N=N),
     )
+
+
+@pytest.fixture(params=["sparse", "dense"])
+def storage(request, monkeypatch):
+    """Step templates built in the test take the named storage: CSC with
+    SuperLU factors, or dense with LAPACK ones."""
+    monkeypatch.setattr(spaces, "DENSE_MAX", 0 if request.param == "sparse" else 10**6)
+    return request.param
 
 
 def cosine_ic(mesh, amplitude=0.3, waves=1.0):

@@ -36,7 +36,7 @@ from cho.forward import (
 from cho.mesh import build_interval, build_rectangle
 from cho.potentials import PotentialPair, logarithmic_potential, regular_potential
 from cho.sensitivity import linearized_solve
-from cho.spaces import PairField
+from cho.spaces import BlockTemplate, PairField
 
 from conftest import cosine_ic, make_problem
 from test_cli import MINIMAL, write_yaml
@@ -185,29 +185,48 @@ class TestAdjointSolve:
 
 
 class SpyFactorizations:
-    """Wraps ``splu``: records the order of each matrix it factors, and
-    raises "exactly singular" on the orders in ``singular``."""
+    """Wraps ``BlockTemplate.factor`` and ``splu``.  Records the order of
+    each matrix factored, by the step template in either storage or by
+    ``splu`` outside it, in ``orders``, and the order of each ``splu``
+    call, the template's included, in ``superlu``.  ``splu`` raises
+    "exactly singular" on the orders in ``singular``."""
 
     def __init__(self, monkeypatch, singular=()):
-        self.orders, self.singular = [], singular
-        splu = spla.splu
+        self.orders, self.superlu, self.singular = [], [], singular
+        self.in_template = False
+        splu, factor = spla.splu, BlockTemplate.factor
 
         def spy(A, **kwargs):
-            self.orders.append(A.shape[0])
+            self.superlu.append(A.shape[0])
+            if not self.in_template:
+                self.orders.append(A.shape[0])
             if A.shape[0] in self.singular:
                 raise RuntimeError("Factor is exactly singular")
             return splu(A, **kwargs)
 
+        def template_spy(template, a, b, lam=None):
+            self.orders.append(template.matrix.shape[0])
+            self.in_template = True
+            try:
+                factor(template, a, b, lam)
+            finally:
+                self.in_template = False
+
         monkeypatch.setattr(spla, "splu", spy)
+        monkeypatch.setattr(BlockTemplate, "factor", template_spy)
 
 
 class TestTerminalPairOnRead:
     @pytest.mark.parametrize("form", [adjoint_solve, adjoint_continuous_form])
-    def test_gradient_path_never_solves_the_pair(self, terminal_run, monkeypatch, form):
+    def test_gradient_path_never_solves_the_pair(self, terminal_run, monkeypatch, form,
+                                                 storage):
         # The sweep factors the step Jacobian once; the gradient reads the
-        # slabs alone.  The first read of the pair factors M + tau K once.
+        # slabs alone.  The first read of the pair factors M + tau K once,
+        # and that is the only SuperLU factorization of a dense template.
         problem, u, base = terminal_run
         n = problem.mesh.n_bulk
+        # A template in the storage under test, built by the sweep.
+        monkeypatch.delitem(vars(problem.ops), "block_template")
         spy = SpyFactorizations(monkeypatch)
         adj = form(problem, base, TRACKING)
         reduced_gradient(problem, u, adj, TRACKING)
@@ -218,6 +237,7 @@ class TestTerminalPairOnRead:
         assert np.array_equal(adj.p[-1], p_T) and np.array_equal(p_N, p_T)
         assert np.array_equal(adj.q[-1], q_T)
         assert spy.orders == [2 * n, n]
+        assert spy.superlu == ([n] if storage == "dense" else [2 * n, n])
 
     def test_singular_pair_raises_at_the_last_step(self, setup, monkeypatch):
         problem, phi0, u, base = setup

@@ -15,7 +15,8 @@ chord Newton loop of two products per residual it replaced, and the regular pote
 products against its ``np.power`` forms.  The one step matrix, refilled
 on its lambda diagonal alone while the coefficients hold, is checked
 against the template fill that rewrote every entry on each call and the
-lambda-free CSR copy chord Newton held of it.
+lambda-free copy chord Newton held of it, on both storages of the
+template, and the two storages against each other.
 """
 
 import functools
@@ -25,7 +26,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from cho import forward
+from cho import forward, spaces
 from cho.adjoint import adjoint_solve, reduced_gradient
 from cho.control import (
     BoxBounds,
@@ -60,7 +61,7 @@ from cho.potentials import (
     yosida_hat,
 )
 from cho.sensitivity import linearized_solve
-from cho.spaces import BlockTemplate, CoupledOperators
+from cho.spaces import BlockTemplate, CoupledOperators, DenseLU
 
 from conftest import cosine_ic, make_problem
 
@@ -619,25 +620,28 @@ def test_forward_step_matches_the_node_ordered_loop(case, scheme, eps):
 
 def full_fill(template, a, b, lam=None):
     """The template fill that rewrote every entry on each call."""
-    data = template.matrix.data
-    np.multiply(np.take(a, template.block), template.m, out=data)
-    data += np.take(b, template.block) * template.k
+    data = template.data
+    data[template.slots] = np.take(a, template.block) * template.m
+    data[template.slots] += np.take(b, template.block) * template.k
     if lam is not None:
         data[template.diag] += lam
     return template.matrix
 
 
 def copy_fill(template, a, b, lam=None):
-    """``full_fill``, with the lambda-free matrix handed out as the CSR copy
-    chord Newton held of it."""
+    """``full_fill``, with the lambda-free matrix handed out as the copy
+    chord Newton held of it (CSR for the sparse storage)."""
     A = full_fill(template, a, b, lam)
-    return A.tocsr() if lam is None else A
+    if lam is not None:
+        return A
+    return A.copy() if template.dense else A.tocsr()
 
 
 def full_factor(template, a, b, lam=None):
     """The factorization that recorded its coefficients with its factor."""
     template.lu = template.coeffs = None
-    template.lu = spla.splu(full_fill(template, a, b, lam), permc_spec="MMD_AT_PLUS_A")
+    A = full_fill(template, a, b, lam)
+    template.lu = DenseLU(A) if template.dense else spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     template.coeffs = (tuple(a), tuple(b))
 
 
@@ -655,7 +659,7 @@ def round_trip(problem, phi0, controls):
 @pytest.mark.parametrize("eps", [0.0, 1e-2])
 @pytest.mark.parametrize("scheme", ["fully-implicit", "convex-splitting"])
 @pytest.mark.parametrize("name", PRESETS)
-def test_one_step_matrix_matches_full_refills(name, scheme, eps, monkeypatch):
+def test_one_step_matrix_matches_full_refills(name, scheme, eps, monkeypatch, storage):
     # The reference runs on operators of its own, so that both sides start
     # without a factor and take the same refactor decisions.
     problem, phi0, controls = _preset_case(name, scheme, eps)
@@ -664,6 +668,25 @@ def test_one_step_matrix_matches_full_refills(name, scheme, eps, monkeypatch):
     monkeypatch.setattr(BlockTemplate, "factor", full_factor)
     reference = replace(problem, ops=CoupledOperators(problem.mesh))
     ref_iters, ref_fields = round_trip(reference, phi0, controls)
+    assert np.array_equal(iters, ref_iters)
+    for got, want in zip(fields, ref_fields):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("scheme", ["fully-implicit", "convex-splitting"])
+@pytest.mark.parametrize("name", PRESETS)
+def test_dense_and_sparse_storage_agree(name, scheme, eps, monkeypatch):
+    # Each storage on operators of its own, so that both start without a
+    # factor: the same Newton counts, and the fields to round-off.
+    problem, phi0, controls = _preset_case(name, scheme, eps)
+    runs = []
+    for dense_max in (0, 10**6):
+        monkeypatch.setattr(spaces, "DENSE_MAX", dense_max)
+        ops = CoupledOperators(problem.mesh)
+        assert ops.block_template.dense == (dense_max > 0)
+        runs.append(round_trip(replace(problem, ops=ops), phi0, controls))
+    (iters, fields), (ref_iters, ref_fields) = runs
     assert np.array_equal(iters, ref_iters)
     for got, want in zip(fields, ref_fields):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

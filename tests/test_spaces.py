@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -7,7 +10,7 @@ import cho
 from cho.config import preset_config
 from cho.errors import ValidationError
 from cho.mesh import build_interval, build_rectangle
-from cho.spaces import ControlPair, PairField, assemble
+from cho.spaces import DENSE_MAX, ControlPair, PairField, assemble
 
 
 @pytest.fixture(scope="module")
@@ -279,3 +282,28 @@ class TestNorms:
         assert np.all(ratios(1) <= 1.5 * fitted)
         # The constant field realizes |Omega| + |Gamma| exactly.
         assert fitted >= ops.measure - 1e-9
+
+
+class TestTemplateStorage:
+    @pytest.mark.parametrize("mesh", [
+        build_interval(DENSE_MAX // 2 - 1, 1.0), build_interval(DENSE_MAX // 2, 1.0),
+        build_rectangle(8, 8, 1.0, 1.0), build_rectangle(16, 16, 1.0, 1.0),
+    ], ids=["interval-at-crossover", "interval-above", "8x8", "16x16"])
+    def test_storage_follows_the_crossover(self, mesh):
+        template = assemble(mesh).block_template
+        dense = 2 * mesh.n_bulk <= DENSE_MAX
+        assert template.dense == dense
+        assert isinstance(template.matrix, np.ndarray) == dense
+        assert sp.issparse(template.matrix) != dense
+
+    def test_large_template_allocates_no_dense_array(self):
+        # At 64 x 64, 2n = 8450: a dense step matrix would take 571 MB.
+        ops = assemble(build_rectangle(64, 64, 1.0, 1.0))
+        tracemalloc.start()
+        try:
+            template = ops.block_template
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not template.dense and sp.issparse(template.matrix)
+        assert peak < 50e6

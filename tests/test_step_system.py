@@ -16,6 +16,12 @@ solves refine on it.  The tests below check that the results do not
 depend on that history, that a factor is released before the next one is
 built, and that a forward, linearized and adjoint round rewrites every
 entry only when the coefficients change.
+
+Every test here runs on both storages of the template: CSC with SuperLU
+factors and dense with LAPACK ones.  They read the matrix through
+``entries`` and the flat slot storage ``BlockTemplate.data``, and count
+factorizations and solves at ``BlockTemplate.factor`` and the live
+factor's ``solve``.
 """
 
 import copy
@@ -49,7 +55,7 @@ from cho.potentials import (
     regular_potential,
 )
 from cho.sensitivity import linearized_solve
-from cho.spaces import PairField, assemble
+from cho.spaces import BlockTemplate, PairField, assemble
 
 from conftest import cosine_ic, make_problem
 from test_cli import MINIMAL, write_yaml
@@ -88,6 +94,31 @@ def terminal_reference(ops, tau):
     return sp.bmat([[M, tau * M], [K, -M]], format="csc")
 
 
+@pytest.fixture(autouse=True)
+def every_storage(storage):
+    """Every test in this module runs once per template storage."""
+    return storage
+
+
+def entries(A):
+    """The entries of a matrix in either storage, as an ndarray."""
+    return A.toarray() if sp.issparse(A) else np.asarray(A)
+
+
+def values(A):
+    """The array a matrix keeps its entries in."""
+    return A.data if sp.issparse(A) else A
+
+
+def layout(template):
+    """Where the slots live: the CSC index arrays, or the flat positions
+    of the slots in the dense array."""
+    A = template.matrix
+    if sp.issparse(A):
+        return A.indptr.copy(), A.indices.copy()
+    return (template.slots.copy(),)
+
+
 @pytest.fixture(params=["interval", "rectangle"])
 def system(request):
     mesh = (build_interval(12, 1.0) if request.param == "interval"
@@ -99,6 +130,7 @@ def system(request):
 
 
 def assert_same_entries(A, B):
+    A, B = entries(A), entries(B)
     assert A.shape == B.shape
     assert abs(A - B).max() <= 1e-14 * abs(B).max()
 
@@ -130,25 +162,26 @@ class TestTemplate:
     def test_pattern_is_fixed_across_refills(self, system):
         ops, lam, _ = system
         template = ops.block_template
-        indptr, indices = template.matrix.indptr.copy(), template.matrix.indices.copy()
+        matrix, before = template.matrix, layout(template)
         template.fill(*TERMINAL)
         template.fill(*step_coefficients(ops), lam)
-        assert ops.block_template is template
-        assert np.array_equal(template.matrix.indptr, indptr)
-        assert np.array_equal(template.matrix.indices, indices)
+        assert ops.block_template is template and template.matrix is matrix
+        assert all(np.array_equal(x, y) for x, y in zip(layout(template), before))
+        # No entry outside the slots is ever written.
+        assert np.count_nonzero(entries(matrix)) <= template.block.size
 
     def test_lambda_refill_touches_only_the_diagonal(self, system):
         ops, lam, _ = system
         template = ops.block_template
         a, b = step_coefficients(ops)
         template.factor(a, b, lam)
-        lu, before = template.lu, template.matrix.data.copy()
+        lu, before = template.lu, template.data.copy()
         for new_lam in (2.0 * lam, None):
             A = template.fill(a, b, new_lam)
             assert template.lu is lu
-            off = np.ones(A.nnz, dtype=bool)
+            off = np.ones(template.data.size, dtype=bool)
             off[template.diag] = False
-            assert np.array_equal(A.data[off], before[off])
+            assert np.array_equal(template.data[off], before[off])
             reference = jacobian_reference(
                 ops, PHYSICS, DT, np.zeros_like(lam) if new_lam is None else new_lam)
             assert_same_entries(A, reference)
@@ -163,12 +196,28 @@ class TestTemplate:
         assert template.coeffs == TERMINAL
         assert_same_entries(B, terminal_reference(ops, PHYSICS.tau))
 
+    def test_factorization_by_storage(self, system, storage, monkeypatch):
+        # A sparse template is factored by SuperLU, ordered by minimum
+        # degree on A^T + A; a dense one never calls SuperLU.
+        ops, lam, _ = system
+        orderings = []
+        splu = spla.splu
+
+        def spy(A, *, permc_spec, **kwargs):
+            orderings.append(permc_spec)
+            return splu(A, permc_spec=permc_spec, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        ops.block_template.factor(*step_coefficients(ops), lam)
+        assert orderings == (["MMD_AT_PLUS_A"] if storage == "sparse" else [])
+
     def test_transposed_view_follows_refills(self, system):
         ops, lam, _ = system
         template = ops.block_template
-        assert np.shares_memory(template.transposed.data, template.matrix.data)
+        assert np.shares_memory(values(template.transposed), values(template.matrix))
+        assert np.shares_memory(template.data, values(template.matrix))
         template.fill(*step_coefficients(ops), lam)
-        assert abs(template.transposed - template.matrix.T).max() == 0.0
+        assert abs(entries(template.transposed) - entries(template.matrix).T).max() == 0.0
 
 
 class TestSolveAgainstReference:
@@ -217,34 +266,38 @@ class FactorLog:
     def __init__(self):
         self.live = []
         self.step_factors = 0
+        self.solves = 0
 
 
 @pytest.fixture
 def factor_log(monkeypatch):
-    """Wraps ``splu``: counts the step factorizations, each ordered by
-    minimum degree on A^T + A, and fails when a factor is still alive while
-    the next one is built."""
+    """Wraps ``BlockTemplate.factor``: counts the step factorizations and
+    the solves with each live factor, and fails when a factor is still
+    alive once the template has built the next one."""
     log = FactorLog()
-    splu = spla.splu
+    factor = BlockTemplate.factor
 
     class Factor:
         def __init__(self, lu):
             self.lu = lu
             log.live.append(1)
 
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
+        def solve(self, *args, **kwargs):
+            log.solves += 1
+            return self.lu.solve(*args, **kwargs)
 
         def __del__(self):
             log.live.pop()
 
-    def counting_splu(*args, permc_spec, **kwargs):
+    def counting_factor(template, a, b, lam=None):
+        # Only the template's own factor, if any, may be alive here.
+        assert len(log.live) <= int(template.lu is not None)
+        factor(template, a, b, lam)
         assert not log.live, "a factor was alive while the next one was built"
-        assert permc_spec == "MMD_AT_PLUS_A"
         log.step_factors += 1
-        return Factor(splu(*args, permc_spec=permc_spec, **kwargs))
+        template.lu = Factor(template.lu)
 
-    monkeypatch.setattr(spla, "splu", counting_splu)
+    monkeypatch.setattr(BlockTemplate, "factor", counting_factor)
     return log
 
 
@@ -313,11 +366,21 @@ def test_full_refills_only_on_new_coefficients(N):
     assert len(template.m.reads) == 1
 
 
-def test_one_product_and_one_triangular_solve_per_iterate(monkeypatch):
+class CountedProducts(np.ndarray):
+    """A dense step matrix that records each product taken with it."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products.append(self)
+        inputs = tuple(x.view(np.ndarray) if x is self else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_one_product_and_one_triangular_solve_per_iterate(monkeypatch, factor_log):
     # A forward solve on an 8x8 rectangle: each residual is one product
-    # with the 2n x 2n step matrix and each chord correction one SuperLU
-    # solve.  M_total and K_total act once per step, on the old state, and
-    # otherwise only in the initial chemical potential.
+    # with the 2n x 2n step matrix and each chord correction one solve
+    # with the live factor.  M_total and K_total act once per step, on the
+    # old state, and otherwise only in the initial chemical potential.
     mesh = build_rectangle(8, 8, 1.0, 1.0)
     grid = TimeGrid(T=0.4, N=8)
     problem = Problem.create(mesh, PotentialPair.same(logarithmic_potential(2.0)),
@@ -327,24 +390,14 @@ def test_one_product_and_one_triangular_solve_per_iterate(monkeypatch):
     phi0 = PairField.from_bulk(mesh, rng.uniform(-0.4, 0.4, mesh.n_bulk))
     u = ControlPair.constant(mesh, grid, 0.1, 0.05)
 
-    products, solves = [], []
+    products = []
     for cls in (sp.csr_matrix, sp.csc_matrix):
         monkeypatch.setattr(cls, "__matmul__", lambda A, x, matmul=cls.__matmul__:
                             products.append(A) or matmul(A, x))
-    splu = spla.splu
-
-    class Factor:
-        def __init__(self, lu):
-            self.lu = lu
-
-        def solve(self, *args, **kwargs):
-            solves.append(1)
-            return self.lu.solve(*args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self.lu, name)
-
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: Factor(splu(*a, **k)))
+    template = ops.block_template
+    if not sp.issparse(template.matrix):
+        template.matrix = template.matrix.view(CountedProducts)
+        template.matrix.products = products
 
     def operator_products():
         return sum(A is ops.M_total or A is ops.K_total for A in products)
@@ -354,7 +407,7 @@ def test_one_product_and_one_triangular_solve_per_iterate(monkeypatch):
     products.clear()
     traj = solve(problem, phi0, u)
     assert traj.newton_iters.sum() > grid.N
-    assert len(solves) == traj.newton_iters.sum()
+    assert factor_log.solves == traj.newton_iters.sum()
     assert operator_products() == initial + grid.N
     step = sum(A.shape == (2 * mesh.n_bulk,) * 2 for A in products)
     assert step == (traj.newton_iters + 1).sum()
@@ -473,18 +526,60 @@ class TestHistoryIndependence:
         # attainable relative residual near eps * cond(A), about 1e-12
         # here, above 1e-13.  The refinement stalls there on a fresh
         # factor, and the solve accepts it as round-off instead of raising.
-        ops = assemble(build_interval(12, 1.0))
-        rng = np.random.default_rng(7)
-        lam = -30.0 * ops.lumped_total * rng.uniform(-1.0, 2.0, ops.mesh.n_bulk)
-        dt = 100.0
-        A = jacobian_reference(ops, PHYSICS, dt, lam).toarray()
-        if trans == "T":
-            A = A.T
-        _, sv, vt = np.linalg.svd(A)
-        x = np.concatenate(solve_block_system(
-            ops, *step_coefficients(ops, PHYSICS, dt), A @ vt[-1], lam=lam, trans=trans,
-        ))
-        assert relative_error(x, vt[-1]) <= 1e-13 * sv[0] / sv[-1]
+        x, v, cond = floor_solve(trans)
+        assert relative_error(x, v) <= 1e-13 * cond
+
+
+def floor_solve(trans):
+    """A solve with a right-hand side along the smallest singular direction
+    v of a 12-cell interval's step matrix: (x, v, cond(A))."""
+    ops = assemble(build_interval(12, 1.0))
+    rng = np.random.default_rng(7)
+    lam = -30.0 * ops.lumped_total * rng.uniform(-1.0, 2.0, ops.mesh.n_bulk)
+    dt = 100.0
+    A = jacobian_reference(ops, PHYSICS, dt, lam).toarray()
+    if trans == "T":
+        A = A.T
+    _, sv, vt = np.linalg.svd(A)
+    x = np.concatenate(solve_block_system(
+        ops, *step_coefficients(ops, PHYSICS, dt), A @ vt[-1], lam=lam, trans=trans,
+    ))
+    return x, vt[-1], sv[0] / sv[-1]
+
+
+@pytest.fixture
+def norm_reads(monkeypatch):
+    """Counts the reads of the template's Frobenius norm, which only the
+    round-off test of a stalled refinement makes."""
+    reads = []
+    norm = BlockTemplate.norm
+    monkeypatch.setattr(BlockTemplate, "norm", lambda self: reads.append(1) or norm(self))
+    return reads
+
+
+class TestRoundOffTest:
+    def test_norm_is_the_frobenius_norm(self, system):
+        ops, lam, _ = system
+        template = ops.block_template
+        A = template.fill(*step_coefficients(ops), lam)
+        assert template.norm() == pytest.approx(np.linalg.norm(entries(A)), rel=1e-14)
+        assert template.norm() == pytest.approx(
+            spla.norm(jacobian_reference(ops, PHYSICS, DT, lam)), rel=1e-14)
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_stall_at_the_floor_is_accepted(self, trans, norm_reads):
+        x, v, cond = floor_solve(trans)
+        assert norm_reads
+        assert relative_error(x, v) <= 1e-13 * cond
+
+    def test_stall_above_the_floor_raises(self, run, monkeypatch, norm_reads):
+        problem, _, u, base, _ = run
+        stalled_refinement(monkeypatch, problem.ops)
+        with pytest.raises(SolverError, match="refinement stalled") as err:
+            linearized_solve(problem, base, u)
+        assert err.value.step == 1
+        assert norm_reads
+
 
 
 def _spinodal(scheme):
@@ -534,26 +629,48 @@ def _fresh_template(monkeypatch, ops):
         monkeypatch.delitem(vars(ops), "block_template", raising=False)
 
 
+def last_column(template):
+    """The stored entries of the template's last column, writable."""
+    A = template.matrix
+    return A.data[A.indptr[-2]:] if sp.issparse(A) else A[:, -1]
+
+
 def singular_factor(monkeypatch, ops):
-    """Every step factorization fails."""
+    """Every step factorization meets a zero last column, which no refill
+    of the diagonal lambda touches: SuperLU and LAPACK each find an exactly
+    zero pivot."""
     _fresh_template(monkeypatch, ops)
+    factor = BlockTemplate.factor
 
-    def raising(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
+    def singular(template, a, b, lam=None):
+        template.fill(a, b, lam)
+        last_column(template)[:] = 0.0
+        factor(template, a, b, lam)
 
-    monkeypatch.setattr(spla, "splu", raising)
+    monkeypatch.setattr(BlockTemplate, "factor", singular)
+
+
+class ScaledFactor:
+    """Solves as a factor of 10 A does, given a factor of A."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, rhs, trans="N"):
+        return self.lu.solve(rhs, trans=trans) / 10.0
 
 
 def stalled_refinement(monkeypatch, ops):
     """Every step factor is a factor of 10 A: each sweep leaves 90 % of the
     residual, on a fresh factor too."""
     _fresh_template(monkeypatch, ops)
-    splu = spla.splu
+    factor = BlockTemplate.factor
 
-    def scaled(A, **kwargs):
-        return splu(10.0 * A, **kwargs)
+    def scaled(template, a, b, lam=None):
+        factor(template, a, b, lam)
+        template.lu = ScaledFactor(template.lu)
 
-    monkeypatch.setattr(spla, "splu", scaled)
+    monkeypatch.setattr(BlockTemplate, "factor", scaled)
 
 
 FAULTS = [nan_second_derivative, singular_factor]
