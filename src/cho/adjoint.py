@@ -32,18 +32,18 @@ zeta3 from the terminal condition itself, so the sweep never solves
 the terminal pair: the gradient reads the slabs p[:N] alone.  The pair,
 which only diagnostics read, is solved on the first read of
 ``AdjointTrajectory.p`` or ``.q``: (M + tau K) p_N = zeta3 by one
-sparse factorization of that SPD matrix, then M q_N = K p_N by the mass
-solve.  The step solves refine on the template's one live factor to a
-relative residual of 1e-13.  A sweep releases the factor it finds, so
-step N rebuilds it at the last state, and that one factorization
-serves every backward step.
+sparse factorization of that SPD matrix, then M q_N = K p_N with the
+cached ``CoupledOperators.mass_factor``.  The step solves refine on the
+template's one live factor to a relative residual of 1e-13.  A sweep
+releases the factor it finds, so step N rebuilds it at the last state,
+and that one factorization serves every backward step.
 """
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import SolverError
-from .forward import Problem, StateTrajectory, mass_solve, solve_block_system
+from .forward import Problem, StateTrajectory, solve_block_system
 from .spaces import ControlPair
 
 
@@ -70,7 +70,7 @@ class AdjointTrajectory:
     def terminal(self):
         """The terminal pair (p_N, q_N), solved on the first call from
         M(p + tau q) = zeta3 and K p = M q as (M + tau K) p = zeta3, then
-        M q = K p.  A singular matrix or a failed mass solve raises
+        M q = K p with the mass factor.  A singular M + tau K raises
         ``SolverError`` at step N."""
         N = self._problem.grid.N
         if self._zeta3 is not None:
@@ -81,11 +81,8 @@ class AdjointTrajectory:
             except RuntimeError as err:
                 raise SolverError(f"terminal adjoint pair: {err}", step=N) from err
             p = lu.solve(self._zeta3)
-            q = mass_solve(ops, ops.K_total @ p)
-            if q is None:
-                raise SolverError("terminal adjoint pair: the mass solve did not converge",
-                                  step=N)
-            self._p[N], self._q[N], self._zeta3 = p, q, None
+            self._p[N], self._q[N] = p, ops.mass_factor.solve(ops.K_total @ p)
+            self._zeta3 = None
         return self._p[N], self._q[N]
 
 

@@ -6,10 +6,11 @@
 
 Exit codes: 0 success, 1 malformed command line or configuration
 (unknown key, bad type or range, a non-finite number other than a box
-bound or m_prime, unreadable or non-finite CSV) or violated standing
-assumption, 2 data validation failure (mean-value condition, infeasible
-box), 3 solver failure, including a potential evaluated outside its
-domain.
+bound or m_prime, unreadable or non-finite CSV, a size that does not fit
+in memory) or violated standing assumption, 2 data validation failure
+(mean-value condition, infeasible box), 3 solver failure, including a
+potential evaluated outside its domain.  Memory that runs out while the
+results are written leaves the output directory partly written.
 """
 
 import argparse
@@ -206,6 +207,10 @@ def main(argv=None) -> int:
         return cmd_verify(cfg, args.config or args.preset)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as err:
+        print(f"configuration error: the run does not fit in memory ({err})",
+              file=sys.stderr)
         return EXIT_CONFIG
     except ValidationError as err:
         print(f"validation error: {err}", file=sys.stderr)

@@ -42,6 +42,8 @@ class TimeGrid:
             raise ValidationError(f"step count must be >= 1, got {self.N}")
         if not 0 < self.T < math.inf:
             raise ValidationError(f"final time T must be positive and finite, got {self.T}")
+        if 1.0 / self.dt == math.inf:
+            raise ValidationError(f"time step T/N = {self.dt:g} has no finite reciprocal")
 
     @property
     def dt(self) -> float:
@@ -223,11 +225,6 @@ CHORD_RHO = 0.2
 NEWTON_MAX_ITER = 50
 # Iterates of a bounded potential stay inside (-1 + s, 1 - s) for this s.
 INTERIOR_SAFEGUARD = 1e-8
-# The mass solve for the initial chemical potential: preconditioned by the
-# lumped mass, CG contracts at a rate independent of the mesh, and reaches
-# this relative residual in about 30 iterations.
-MASS_RTOL = 1e-14
-MASS_MAXITER = 100
 
 
 def _norm(v):
@@ -318,6 +315,9 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     return y[:n], y[n:]
 
 
+# An overflow in a step (dt near the smallest double) shows as a
+# non-finite residual or correction, which ends the step naming its cause.
+@np.errstate(over="ignore", invalid="ignore")
 def _chord_step(problem, winv, phi_n, mu_n, source):
     """Solve one implicit step from (phi_n, mu_n) with the source term
     gamma (M_bulk u + M_surf u_gamma) by chord Newton on the block
@@ -349,6 +349,9 @@ def _chord_step(problem, winv, phi_n, mu_n, source):
         r[n:] += nodal
         r -= c
         res = math.sqrt(r @ (r * winv))
+        if not math.isfinite(res):
+            raise SolverError(f"Newton iteration {it}: non-finite step residual ({res})",
+                              residual=res)
         if res <= tol:
             return phi, y[n:], it
         if it == NEWTON_MAX_ITER:
@@ -391,37 +394,20 @@ def _damping(mask, phi, dphi):
     return alpha
 
 
-def mass_solve(ops, rhs):
-    """M_total x = rhs by conjugate gradients preconditioned by the lumped
-    mass, to ``MASS_RTOL`` in the preconditioned norm; None when that fails."""
-    M, d = ops.M_total, ops.lumped_total
-    x = rhs / d
-    r = rhs - M @ x
-    z = r / d
-    p, rz = z, r @ z
-    target = MASS_RTOL**2 * (rhs @ (rhs / d))
-    for _ in range(MASS_MAXITER):
-        if rz <= target:
-            return x
-        q = M @ p
-        alpha = rz / (p @ q)
-        x = x + alpha * p
-        r = r - alpha * q
-        z = r / d
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-    return None
-
-
 def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
-    """Chemical potential at t = 0 from the second equation (no dynamics)."""
+    """Chemical potential at t = 0 from the second equation (no dynamics):
+    M mu0 = K phi0 + N(phi0) + E(phi0), one solve with the mass factor.  A
+    non-finite right-hand side or mu0 raises ``SolverError`` at step 0."""
     ops = problem.ops
     rhs = ops.K_total @ phi0 + problem.implicit(phi0)[0] + problem.explicit(phi0)[0]
-    mu0 = mass_solve(ops, rhs)
-    if mu0 is None or not np.all(np.isfinite(mu0)):
-        raise SolverError(
-            "initial chemical potential: the mass solve did not converge", step=0
-        )
+    if not np.all(np.isfinite(rhs)):
+        node = int(np.flatnonzero(~np.isfinite(rhs))[0])
+        raise SolverError(f"initial chemical potential: non-finite right-hand side "
+                          f"at node {node} ({rhs[node]})", step=0)
+    mu0 = ops.mass_factor.solve(rhs)
+    if not np.all(np.isfinite(mu0)):
+        raise SolverError("initial chemical potential: the mass solve returned "
+                          "non-finite values", step=0)
     return mu0
 
 

@@ -179,6 +179,12 @@ class CoupledOperators:
         factor, built on first use."""
         return BlockTemplate(self.M_total, self.K_total)
 
+    @cached_property
+    def mass_factor(self):
+        """SuperLU factor of ``M_total``, built on first use and kept: every
+        solve with the coupled mass matrix goes through it."""
+        return spla.splu(self.M_total.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
 
 # Step matrices of order 2n <= DENSE_MAX are stored dense and factored by
 # LAPACK: at 2n = 66-162, on one core, a BLAS product and a getrs solve take

@@ -92,8 +92,9 @@ def _check(name):
     detail) or (passed, detail, extra); the check returns them as a
     CheckResult called ``name``, and ``run_suite`` reports an aborted
     check under the same ``check.name``, which a ``functools.wraps``
-    wrapper of the check keeps.  A check starts without a live factor, so
-    its numbers do not depend on the checks run before it."""
+    wrapper of the check keeps.  A check starts without a live step
+    factor, so its numbers do not depend on the checks run before it; the
+    mass factor is exact, and checks share it."""
     def register(body):
         @functools.wraps(body)
         def check(ctx: CheckContext) -> CheckResult:

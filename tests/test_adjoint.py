@@ -6,13 +6,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cho import verify
 from cho.adjoint import (
     adjoint_continuous_form,
     adjoint_solve,
     reduced_gradient,
 )
 from cho.cli import main
-from cho.config import RunConfig
+from cho.config import RunConfig, preset_config
 from cho.control import (
     ControlPair,
     CostSpec,
@@ -184,15 +185,25 @@ class TestAdjointSolve:
         assert np.abs(adj.q).max() < 1e-12
 
 
+def same_matrix(A, B):
+    return A.shape == B.shape and abs(A - B).max() == 0.0
+
+
+def pair_matrix(problem):
+    """M + tau K, the matrix of the terminal adjoint pair."""
+    return problem.ops.M_total + problem.physics.tau * problem.ops.K_total
+
+
 class SpyFactorizations:
     """Wraps ``BlockTemplate.factor`` and ``splu``.  Records the order of
     each matrix factored, by the step template in either storage or by
-    ``splu`` outside it, in ``orders``, and the order of each ``splu``
-    call, the template's included, in ``superlu``.  ``splu`` raises
-    "exactly singular" on the orders in ``singular``."""
+    ``splu`` outside it, in ``orders``, each matrix ``splu`` factors outside
+    the template in ``matrices``, and the order of each ``splu`` call, the
+    template's included, in ``superlu``.  ``splu`` raises "exactly
+    singular" on a matrix equal to ``singular``."""
 
-    def __init__(self, monkeypatch, singular=()):
-        self.orders, self.superlu, self.singular = [], [], singular
+    def __init__(self, monkeypatch, singular=None):
+        self.orders, self.matrices, self.superlu = [], [], []
         self.in_template = False
         splu, factor = spla.splu, BlockTemplate.factor
 
@@ -200,7 +211,8 @@ class SpyFactorizations:
             self.superlu.append(A.shape[0])
             if not self.in_template:
                 self.orders.append(A.shape[0])
-            if A.shape[0] in self.singular:
+                self.matrices.append(A.copy())
+            if singular is not None and same_matrix(A, singular):
                 raise RuntimeError("Factor is exactly singular")
             return splu(A, **kwargs)
 
@@ -214,6 +226,10 @@ class SpyFactorizations:
 
         monkeypatch.setattr(spla, "splu", spy)
         monkeypatch.setattr(BlockTemplate, "factor", template_spy)
+
+    def count(self, M):
+        """Factorizations of matrices equal to ``M`` outside the template."""
+        return sum(same_matrix(A, M) for A in self.matrices)
 
 
 class TestTerminalPairOnRead:
@@ -241,7 +257,7 @@ class TestTerminalPairOnRead:
 
     def test_singular_pair_raises_at_the_last_step(self, setup, monkeypatch):
         problem, phi0, u, base = setup
-        SpyFactorizations(monkeypatch, singular=(problem.mesh.n_bulk,))
+        SpyFactorizations(monkeypatch, singular=pair_matrix(problem))
         adj = adjoint_solve(problem, base, TRACKING)
         reduced_gradient(problem, u, adj, TRACKING)
         for read in (lambda: adj.p, lambda: adj.q):
@@ -255,12 +271,34 @@ class TestTerminalPairOnRead:
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["optimization"] = {"alphas": [1, 0, 1, 0, 1, 1], "targets": {"phiQ": 0.1}}
-        n = RunConfig.from_dict(data).build_problem().mesh.n_bulk
-        spy = SpyFactorizations(monkeypatch, singular=(n,))
+        pair = pair_matrix(RunConfig.from_dict(data).build_problem())
+        spy = SpyFactorizations(monkeypatch, singular=pair)
         assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 3
         assert "terminal adjoint pair" in capsys.readouterr().err
-        assert spy.orders[-1] == n and spy.orders.count(n) == 1
+        assert spy.count(pair) == 1 and same_matrix(spy.matrices[-1], pair)
         assert not (tmp_path / "out").exists()
+
+
+class TestMassFactor:
+    def test_one_factorization_per_operator_set(self, monkeypatch):
+        # Two forward runs and the terminal pair solve with one factor of
+        # M_total.
+        problem = make_problem(newton_tol=1e-12)
+        spy = SpyFactorizations(monkeypatch)
+        phi0 = cosine_ic(problem.mesh, 0.25)
+        u = ControlPair.constant(problem.mesh, problem.grid, 0.1, 0.05)
+        solve(problem, phi0, u)
+        base = solve(problem, phi0, u)
+        adjoint_solve(problem, base, TRACKING).terminal()
+        assert spy.count(problem.ops.M_total) == 1
+        assert spy.count(pair_matrix(problem)) == 1
+
+    def test_a_verify_check_releases_the_step_factor_alone(self, monkeypatch):
+        ctx = verify.CheckContext.build(preset_config("coarse"))
+        spy = SpyFactorizations(monkeypatch)
+        for _ in range(2):
+            assert verify.check_mean_ode(ctx).passed
+        assert spy.count(ctx.ops.M_total) == 1
 
 
 class TestContinuousForm:

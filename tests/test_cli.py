@@ -1,10 +1,16 @@
+import contextlib
+import copy
 import csv
+import io
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cho import cli
 from cho.cli import main
@@ -54,24 +60,18 @@ class TestConfig:
         (lambda d: d.update(potential={"kind": "mystery"}), "kind"),
     ])
     def test_assumption_violations_are_config_errors(self, mutate, fragment):
-        import copy
-
         data = copy.deepcopy(MINIMAL)
         mutate(data)
         with pytest.raises(ConfigError):
             RunConfig.from_dict(data)
 
     def test_negative_alpha_rejected(self):
-        import copy
-
         data = copy.deepcopy(MINIMAL)
         data["optimization"] = {"alphas": [1, 1, 1, 1, 1, -2]}
         with pytest.raises(ConfigError):
             RunConfig.from_dict(data)
 
     def test_csv_initial_condition(self, tmp_path):
-        import copy
-
         field = np.linspace(-0.3, 0.3, 9)
         csv_path = tmp_path / "ic.csv"
         np.savetxt(csv_path, field[None, :], delimiter=",")
@@ -97,8 +97,6 @@ class TestConfig:
         assert load_config(path).solver.newton_tol == 1e-6
 
     def test_eps_yosida_inside_unit_interval_loads(self):
-        import copy
-
         data = copy.deepcopy(MINIMAL)
         data["potential"]["eps_yosida"] = 0.5
         assert RunConfig.from_dict(data).solver.eps_yosida == 0.5
@@ -240,8 +238,6 @@ MALFORMED = {
 class TestMalformedConfig:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_exits_1_naming_the_key(self, tmp_path, monkeypatch, capsys, case):
-        import copy
-
         monkeypatch.chdir(tmp_path)
         mutate, fragment = MALFORMED[case]
         data = copy.deepcopy(MINIMAL)
@@ -252,8 +248,6 @@ class TestMalformedConfig:
         assert fragment in err
 
     def test_non_finite_target_csv_exits_1(self, tmp_path, monkeypatch, capsys):
-        import copy
-
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["optimization"] = {
@@ -292,7 +286,6 @@ class TestSimulate:
                                                      command):
         # Reported before the work: the solver, the optimizer and the suite
         # are never called.
-        import copy
 
         def never(*args, **kwargs):
             raise AssertionError("the run started before its output directory was checked")
@@ -320,15 +313,11 @@ class TestSimulate:
         assert np.abs(residual).max() <= 1e-9
 
     def test_tau_zero_exits_1(self, tmp_path):
-        import copy
-
         data = copy.deepcopy(MINIMAL)
         data["physics"]["tau"] = 0.0
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 1
 
     def test_mean_value_violation_exits_2(self, tmp_path, monkeypatch, capsys):
-        import copy
-
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["potential"] = {"kind": "logarithmic"}
@@ -339,8 +328,6 @@ class TestSimulate:
             "validation error: mean-value condition fails: ")
 
     def test_mean_value_violation_for_the_box_exits_2(self, tmp_path, monkeypatch, capsys):
-        import copy
-
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["potential"] = {"kind": "logarithmic"}
@@ -356,7 +343,6 @@ class TestSimulate:
     @pytest.mark.parametrize("touch", [1.0, -1.0])
     def test_initial_datum_touching_the_domain_boundary_exits_2(
             self, tmp_path, monkeypatch, capsys, touch):
-        import copy
 
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
@@ -368,8 +354,6 @@ class TestSimulate:
 
     @pytest.mark.parametrize("c1", [float("nan"), float("inf")])
     def test_non_finite_c1_exits_2_like_c1_below_1(self, tmp_path, monkeypatch, capsys, c1):
-        import copy
-
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["potential"] = {"kind": "logarithmic", "c1": c1}
@@ -382,7 +366,6 @@ class TestSimulate:
     ])
     def test_non_finite_custom_coefficients_exit_2(self, tmp_path, monkeypatch, capsys,
                                                    beta_hat, pi_hat):
-        import copy
 
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
@@ -393,7 +376,6 @@ class TestSimulate:
     def test_yosida_run_outside_the_domain_writes_its_energy(self, tmp_path, monkeypatch):
         # The Yosida-regularized logarithmic run leaves (-1, 1); its energy
         # column is that of the regularized potential, finite there.
-        import copy
 
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
@@ -408,8 +390,6 @@ class TestSimulate:
         assert np.all(np.isfinite(rows[:, header.index("energy (energy)")]))
 
     def test_potential_domain_error_exits_3(self, tmp_path, monkeypatch, capsys):
-        import copy
-
         from cho.errors import PotentialDomainError
 
         def outside(*args, **kwargs):
@@ -423,8 +403,6 @@ class TestSimulate:
         assert "outside the open domain" in capsys.readouterr().err
 
     def test_resolvent_cap_exits_3(self, tmp_path, monkeypatch, capsys):
-        import copy
-
         from cho import potentials
 
         monkeypatch.chdir(tmp_path)
@@ -443,8 +421,6 @@ class TestSimulate:
         assert main(["simulate", "-c", "/nonexistent/x.yaml"]) == 1
 
     def test_2d_writes_vtk(self, tmp_path, monkeypatch):
-        import copy
-
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["domain"] = {"dim": 2, "nx": 3, "ny": 3, "lx": 1.0, "ly": 1.0}
@@ -458,8 +434,6 @@ class TestSimulate:
 
 class TestOptimize:
     def test_zero_weight_cost_returns_immediately(self, tmp_path, monkeypatch):
-        import copy
-
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["optimization"] = {
@@ -483,8 +457,6 @@ class TestOptimize:
         assert (tmp_path / "out" / "coarse" / "control_u_0.csv").exists()
 
     def test_infinite_box_and_budget_run(self, tmp_path, monkeypatch):
-        import copy
-
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["optimization"] = {
@@ -496,8 +468,6 @@ class TestOptimize:
         assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 0
 
     def test_infeasible_box_exits_2(self, tmp_path, monkeypatch):
-        import copy
-
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
         data["optimization"] = {
@@ -509,8 +479,6 @@ class TestOptimize:
         assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 2
 
     def test_line_search_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        import copy
-
         from cho import control
 
         # A cost that rises on every call fails every Armijo test.
@@ -591,3 +559,68 @@ def test_csv_headers_carry_units(tmp_path, monkeypatch):
         with open(tmp_path / "out" / "t" / name) as fh:
             header = fh.readline()
         assert "(" in header and ")" in header
+
+
+def _leaves(node, path=()):
+    """Paths of the leaves of a nested mapping, through lists too."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+
+
+# The replacement values of the configuration fuzz.  10**12 goes to size
+# keys alone: numpy refuses such an allocation at once, where a size it
+# could allocate would really be allocated.
+FUZZ_VALUES = (0, 1, -1, 2, 3, 0.5, -0.5, 1e-12, 1e-300, 0.999, -0.999, float("nan"),
+               float("inf"), True, None, "x", [], {}, [1, 2])
+SIZE_KEYS = (("domain", "cells"), ("time", "steps"))
+COARSE_LEAVES = list(_leaves(PRESETS["coarse"]))
+MUTATIONS = st.sampled_from(COARSE_LEAVES).flatmap(lambda path: st.tuples(
+    st.just(path),
+    st.sampled_from(FUZZ_VALUES + ((10**12,) if path in SIZE_KEYS else ()))))
+
+
+def _run_captured(argv):
+    """(exit code, stderr) of ``main(argv)``; an escaping exception fails."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize("command,preset,key", [
+        ("optimize", "rectangle", ("domain", "ny")),
+        ("simulate", "coarse", ("time", "steps")),
+    ])
+    def test_a_size_that_does_not_fit_exits_1(self, tmp_path, monkeypatch, command,
+                                              preset, key):
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(PRESETS[preset])
+        data[key[0]][key[1]] = 10**12
+        code, err = _run_captured([command, "-c", write_yaml(tmp_path, data)])
+        assert code == 1
+        assert err.startswith("configuration error: ") and "does not fit in memory" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(command=st.sampled_from(["simulate", "optimize"]),
+           mutations=st.lists(MUTATIONS, min_size=1, max_size=2, unique_by=lambda m: m[0]))
+    @example(command="simulate", mutations=[(("time", "T"), 1e-300)])
+    @example(command="optimize", mutations=[(("time", "T"), 1e-300)])
+    def test_mutated_configurations_end_with_an_exit_code(self, command, mutations):
+        data = copy.deepcopy(PRESETS["coarse"])
+        for path, value in mutations:
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.chdir(tmp)
+            code, err = _run_captured([command, "-c", write_yaml(Path(tmp), data)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err

@@ -119,13 +119,7 @@ class TestInitialMu:
         with pytest.raises(SolverError, match="initial chemical potential") as err:
             solve(problem, cosine_ic(problem.mesh), ControlPair.zeros(problem.mesh, problem.grid))
         assert err.value.step == 0
-
-    def test_nonconvergence_fails_at_step_0(self, monkeypatch):
-        monkeypatch.setattr(forward, "MASS_MAXITER", 1)
-        problem = make_problem()
-        with pytest.raises(SolverError, match="initial chemical potential") as err:
-            initial_mu(problem, cosine_ic(problem.mesh).bulk)
-        assert err.value.step == 0
+        assert "non-finite right-hand side at node 0 (nan)" in str(err.value)
 
 
 NAN = float("nan")
@@ -142,6 +136,7 @@ INF = float("inf")
     (lambda: Physics(tau=INF, gamma=1.0), "tau"),
     (lambda: Physics(tau=1.0, gamma=INF), "gamma"),
     (lambda: SolverOptions(newton_tol=INF), "newton_tol"),
+    (lambda: TimeGrid(T=1e-308, N=8), "no finite reciprocal"),
 ])
 def test_nan_parameters_rejected(build, fragment):
     with pytest.raises(ValidationError, match=fragment):
@@ -213,6 +208,13 @@ class TestSolve:
         assert problem.interior.shape == (problem.mesh.n_bulk,)
         assert problem.interior.all()
         assert make_problem(n_cells=8).interior is None
+
+    def test_overflowing_residual_fails_at_once(self):
+        # dt = 1.25e-301: the first residual overflows its weighted norm.
+        problem = make_problem(n_cells=8, T=1e-300, N=8)
+        with pytest.raises(SolverError, match="Newton iteration 0: non-finite step residual") as err:
+            solve(problem, cosine_ic(problem.mesh), ControlPair.zeros(problem.mesh, problem.grid))
+        assert err.value.step == 1
 
     def test_determinism(self, generic_run):
         problem, phi0, controls, traj = generic_run
