@@ -183,7 +183,9 @@ class Problem:
     def explicit(self, phi):
         """(E(phi), E'(phi)); read-only zeros without convex splitting."""
         if not self._split:
-            zero = np.broadcast_to(0.0, np.shape(phi))
+            # Allocated: np.broadcast_to costs five times as much at desk scale.
+            zero = np.zeros(np.shape(phi))
+            zero.flags.writeable = False
             return zero, zero
         return self._lumped(lambda spec, r: (spec.pi(r), spec.dpi(r)), phi)
 
@@ -218,8 +220,16 @@ STALL_RATIO = 0.5
 # solution with a large ||x|| / ||r|| cannot reach REFINE_RTOL in double
 # precision, however fresh the factor.
 ROUNDOFF = 1e-14
-# Chord Newton rebuilds the factor at the current state when one
-# iteration leaves more than this fraction of the previous residual.
+# Chord Newton also stops a column when a correction on a fresh factor
+# fails to reduce a residual within NEWTON_ROUNDOFF * (|| |A| |y| ||_w +
+# || c ||_w), the round-off floor of evaluating the step residual
+# A y + N(phi) - c.  newton_tol bounds the residual absolutely, and the
+# floor grows as the mesh is refined: on intervals of 256 to 2048 cells
+# and a 128 x 128 rectangle, the stalled residuals stay below 0.15 eps
+# times that sum.
+NEWTON_ROUNDOFF = 4 * np.finfo(float).eps
+# Chord Newton rebuilds the factor at the state of the first column that
+# one iteration leaves more than this fraction of its previous residual.
 CHORD_RHO = 0.2
 # Newton iterations per step before the step fails.
 NEWTON_MAX_ITER = 50
@@ -235,21 +245,21 @@ def _where(step):
     return "linear solve" if step is None else f"linear solve at step {step}"
 
 
+def _nonfinite(v):
+    """Index tuple of the first non-finite entry of ``v``, or None."""
+    if np.isfinite(v).all():
+        return None
+    return tuple(int(i) for i in np.argwhere(~np.isfinite(v))[0])
+
+
 def _refactor_if_needed(ops, a, b, lam, step, refresh=False):
     """Make the template's live factor serve the coefficients (a, b); returns
     whether it was rebuilt, at ``lam``, by this call.  It is rebuilt when
     there is none, when it was built for other coefficients, or on
-    ``refresh``.  A non-finite ``lam`` raises ``SolverError`` first, naming
-    its first node, since a reused factor would never see it.  Callers read
-    the factor from ``template.lu`` and keep no reference to it, so that
-    the old factor is released before a new one is built."""
-    if lam is not None and not np.all(np.isfinite(lam)):
-        node = int(np.flatnonzero(~np.isfinite(lam))[0])
-        raise SolverError(
-            f"{_where(step)}: non-finite Jacobian diagonal at node {node} "
-            f"({lam[node]})",
-            step=step,
-        )
+    ``refresh``.  Callers check ``lam`` for non-finite values first, since
+    a reused factor would never see them; they read the factor from
+    ``template.lu`` and keep no reference to it, so that the old factor is
+    released before a new one is built."""
     template = ops.block_template
     if not refresh and template.lu is not None and template.coeffs == (tuple(a), tuple(b)):
         return False
@@ -284,6 +294,9 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
         rows = np.flatnonzero(~np.isfinite(rhs))[:3]
         raise SolverError(f"{_where(step)}: right-hand side of norm {rnorm}, "
                           f"non-finite at rows {rows}", step=step)
+    if lam is not None and (node := _nonfinite(lam)) is not None:
+        raise SolverError(f"{_where(step)}: non-finite Jacobian diagonal at node "
+                          f"{node[0]} ({lam[node]})", step=step)
     fresh = _refactor_if_needed(ops, a, b, lam, step)
     A = template.fill(a, b, lam)
     if trans == "T":
@@ -318,80 +331,142 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
 # An overflow in a step (dt near the smallest double) shows as a
 # non-finite residual or correction, which ends the step naming its cause.
 @np.errstate(over="ignore", invalid="ignore")
-def _chord_step(problem, winv, phi_n, mu_n, source):
-    """Solve one implicit step from (phi_n, mu_n) with the source term
-    gamma (M_bulk u + M_surf u_gamma) by chord Newton on the block
-    template; returns (phi, mu, iterations).
+def _chord_step(problem, winv, phi_n, mu_n, sources):
+    """Solve one implicit step for a stack of states by chord Newton on the
+    block template.
 
-    The iterate is y = [phi; mu], so the step residual is one product with
-    the template's step matrix refilled without diag(lam), plus N(phi)
-    added at the mu rows, and its norm is weighted by the inverse lumped
-    weights ``winv``.  A correction is one solve with the template's live
-    factor.  The residual is exact; the factor is reused across iterations
-    and steps, and rebuilt at the current state when an iteration leaves
-    more than ``CHORD_RHO`` of the previous residual.
+    ``phi_n`` and ``mu_n`` are (K, n) stacks of old states, one row per
+    column, and ``sources`` the stack of gamma (M_bulk u + M_surf u_gamma);
+    returns the (K, n) stacks (phi, mu) and each column's iterations, one
+    count when the columns stop together.
+
+    The iterate is the (K, 2n) stack y of rows [phi, mu].  An iteration
+    makes one product with the template's step matrix, refilled without
+    diag(lam) once per step and after each refactor, adds N(phi) at the mu
+    rows, and weights each column's residual norm by the inverse lumped
+    weights ``winv``.  The columns not yet stopped get their corrections
+    from one solve with the template's live factor; a stopped column
+    leaves the stack.  The residual is exact.  The columns share the
+    factor, which is reused across iterations and steps and rebuilt at
+    most once per iteration, at the state of the first column that the
+    last correction left more than ``CHORD_RHO`` of its residual.
+
+    A column stops when its residual is at most ``newton_tol``, or when a
+    correction on a factor built at its own state fails to reduce a
+    residual already within the round-off floor ``NEWTON_ROUNDOFF`` *
+    (|| |A| |y| ||_w + || c ||_w) of evaluating A y + N(phi) - c; it then
+    keeps the iterate that the correction failed to improve.  A stall
+    above the floor rebuilds the factor as any slow iteration does.  An
+    error in a stack of more than one column names the column.
     """
     ops, template = problem.ops, problem.ops.block_template
     a, b = problem.jacobian_coefficients
     n, dt, tol = ops.mesh.n_bulk, problem.grid.dt, problem.opts.newton_tol
     # R1 = (1/dt + gamma) M phi + K mu - c1 and R2 = (tau/dt) M phi + K phi
     # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
-    Mphi_n = ops.M_total @ phi_n
-    c1 = Mphi_n / dt + source
+    Mphi_n = (ops.M_total @ phi_n.T).T
+    c1 = Mphi_n / dt + sources
     c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
-    c = np.concatenate([c1, c2])
-    y = np.concatenate([phi_n, mu_n])
-    prev = np.inf
+    c = np.concatenate([c1, c2], axis=1)
+    y = np.concatenate([phi_n, mu_n], axis=1)
+    K = len(y)
+    # Columns that stop before the last ones, once one does.
+    out = iters = None
+    # Per row of the stack, as lists: the column it solves and its previous
+    # residual; ``fresh`` is the row the live factor was just built at.
+    cols, prev, fresh = list(range(K)), [math.inf] * K, None
+
+    def fail(row, message, residual=None):
+        where = f"column {cols[row]}: " if K > 1 else ""
+        return SolverError(where + message, residual=residual)
+
+    A = template.fill(a, b)
     for it in range(NEWTON_MAX_ITER + 1):
-        phi = y[:n]
-        nodal, lam = problem.implicit(phi)
-        r = template.fill(a, b) @ y
-        r[n:] += nodal
+        nodal, lam = problem.implicit(y[:, :n])
+        r = (A @ y.T).T
+        r[:, n:] += nodal
         r -= c
-        res = math.sqrt(r @ (r * winv))
-        if not math.isfinite(res):
-            raise SolverError(f"Newton iteration {it}: non-finite step residual ({res})",
-                              residual=res)
-        if res <= tol:
-            return phi, y[n:], it
+        # One dot per column: (k, 1, 2n) @ (k, 2n, 1).
+        res = [math.sqrt(v) for v in ((r * winv)[:, None] @ r[:, :, None]).ravel().tolist()]
+        # Finite residuals are roots of doubles, below 1.4e154, so their sum
+        # is finite exactly when each of them is.
+        if not math.isfinite(sum(res)):
+            row = next(j for j, v in enumerate(res) if not math.isfinite(v))
+            raise fail(row, f"Newton iteration {it}: non-finite step residual ({res[row]})",
+                       res[row])
+        floored = None
+        if fresh is not None and tol < res[fresh] >= prev[fresh]:
+            floor = NEWTON_ROUNDOFF * (_wnorm(abs(A) @ np.abs(kept), winv)
+                                       + _wnorm(c[fresh], winv))
+            if prev[fresh] <= floor:
+                y[fresh], floored = kept, fresh
+        fresh = None
+        if min(res) <= tol or floored is not None:
+            done = [j for j, v in enumerate(res) if v <= tol or j == floored]
+            if len(done) == K:
+                return y[:, :n], y[:, n:], it     # every column stops at once
+            if out is None:
+                out, iters = np.empty((K, 2 * n)), np.zeros(K, dtype=int)
+            out[[cols[j] for j in done]] = y[done]
+            iters[[cols[j] for j in done]] = it
+            if len(done) == len(res):
+                return out[:, :n], out[:, n:], iters
+            keep = [j for j in range(len(res)) if j not in done]
+            y, c, r, lam = y[keep], c[keep], r[keep], lam[keep]
+            res, prev, cols = ([v[j] for j in keep] for v in (res, prev, cols))
         if it == NEWTON_MAX_ITER:
-            raise SolverError(
-                f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-                f"(last residual {res:.3e})",
-                residual=res,
-            )
-        try:
-            _refactor_if_needed(ops, a, b, lam, None, refresh=res > CHORD_RHO * prev)
-            dy = template.lu.solve(-r)
-            if not np.isfinite(dy).all():
-                raise SolverError(f"{_where(None)} returned non-finite values")
-        except SolverError as err:
-            raise SolverError(f"Newton iteration {it + 1}: {err}", residual=res) from err
+            raise fail(0, f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
+                       f"(last residual {res[0]:.3e})", res[0])
+        if (bad := _nonfinite(lam)) is not None:
+            raise fail(bad[0], f"Newton iteration {it + 1}: {_where(None)}: non-finite "
+                       f"Jacobian diagonal at node {bad[1]} ({lam[bad]})", res[bad[0]])
+        # The first row the factor left more than CHORD_RHO of its residual.
+        for slow, (v, p) in enumerate(zip(res, prev)):
+            if v > CHORD_RHO * p:
+                break
+        else:
+            slow = None
+        if slow is not None or template.lu is None:
+            row = slow or 0
+            try:
+                _refactor_if_needed(ops, a, b, lam[row], None, refresh=True)
+            except SolverError as err:
+                raise fail(row, f"Newton iteration {it + 1}: {err}", res[row]) from err
+            fresh, kept, A = row, y[row].copy(), template.fill(a, b)
+        dy = template.lu.solve(-r.T).T
+        if (bad := _nonfinite(dy)) is not None:
+            raise fail(bad[0], f"Newton iteration {it + 1}: {_where(None)} returned "
+                       "non-finite values", res[bad[0]])
         prev = res
-        y += _damping(problem.interior, phi, dy[:n]) * dy
+        if problem.interior is not None:
+            for row, alpha in enumerate(_damping(problem.interior, y[:, :n], dy[:, :n], fail)):
+                if alpha < 1.0:
+                    dy[row] *= alpha
+        y += dy
     raise AssertionError("unreachable")
 
 
-def _damping(mask, phi, dphi):
-    """Largest step fraction, up to 1, that keeps the nodes of ``mask``
-    inside the safeguarded domain; raises when the iterate is pinned."""
-    if mask is None:
-        return 1.0
+def _wnorm(v, winv):
+    return math.sqrt(v @ (v * winv[0]))
+
+
+def _damping(mask, phi, dphi, fail):
+    """Largest step fraction of each row, up to 1, that keeps the nodes of
+    ``mask`` inside the safeguarded domain, as a list; raises
+    ``fail(row, ...)`` when a row's iterate is pinned."""
     moving = mask & (dphi != 0.0)
     if not moving.any():
-        return 1.0
+        return [1.0] * len(phi)
     limit = 1.0 - INTERIOR_SAFEGUARD
-    bound = np.where(dphi[moving] > 0, limit, -limit)
-    frac = (bound - phi[moving]) / dphi[moving]
-    amax = float(frac.min())
-    alpha = 0.995 * amax if amax < 1.0 else 1.0
-    if alpha <= 1e-12:
-        node = int(np.flatnonzero(moving)[int(np.argmin(frac))])
-        raise SolverError(
-            f"iterate pinned at the potential domain boundary "
-            f"at node {node} (phi = {phi[node]:.6f})"
-        )
-    return alpha
+    frac = np.full(phi.shape, np.inf)
+    np.divide(np.where(dphi > 0, limit, -limit) - phi, dphi, out=frac, where=moving)
+    alphas = [0.995 * a if a < 1.0 else 1.0 for a in frac.min(axis=1).tolist()]
+    for row, alpha in enumerate(alphas):
+        if alpha <= 1e-12:
+            node = int(frac[row].argmin())
+            raise fail(row, f"iterate pinned at the potential domain boundary "
+                       f"at node {node} (phi = {phi[row, node]:.6f})")
+    return alphas
 
 
 def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
@@ -436,47 +511,68 @@ def require_mean_value(problem: Problem, phi0: PairField, M: float, what="") -> 
         )
 
 
-def solve(problem: Problem, phi0: PairField, controls: ControlPair) -> StateTrajectory:
-    """March the state system over the whole grid.
+def solve_many(problem: Problem, phi0: PairField, controls) -> list:
+    """March the state system over the whole grid from ``phi0`` under each
+    ``ControlPair`` of the list ``controls``; returns one trajectory per
+    control, in order.
 
-    ``controls`` is a ``ControlPair`` with slabs ``u`` of shape
-    (N, n_bulk) and ``uG`` of shape (N, n_boundary); slab n acts on the
-    step t_n -> t_{n+1}.  Validates the mean-value condition before
-    starting when the potential domain is bounded.
+    Each control has slabs ``u`` of shape (N, n_bulk) and ``uG`` of shape
+    (N, n_boundary); slab n acts on the step t_n -> t_{n+1}.  Each is
+    validated as ``solve`` validates its one control, the mean-value
+    condition included when the potential domain is bounded.  The states
+    march together, one column per control: every step is one chord Newton
+    on their stack, which shares the template's live factor.  A column
+    therefore agrees with a separate ``solve`` to within the Newton
+    tolerance, not bitwise.  A failure names its step, and its column when
+    there are several.
     """
     mesh, ops, grid = problem.mesh, problem.ops, problem.grid
     if phi0.bulk.shape != (mesh.n_bulk,):
         raise ValidationError(
             f"initial datum has shape {phi0.bulk.shape}, mesh has {mesh.n_bulk} nodes"
         )
-    controls.check(mesh, grid)
-
+    K, n = len(controls), mesh.n_bulk
+    for j, u in enumerate(controls):
+        u.check(mesh, grid, f"column {j} control" if K > 1 else "control")
     if problem.interior is not None:
         if np.any(np.abs(phi0.bulk[problem.interior]) >= 1.0):
             raise ValidationError("initial datum must be strictly interior")
-        require_mean_value(problem, phi0, controls.sup_norm())
+        for j, u in enumerate(controls):
+            require_mean_value(problem, phi0, u.sup_norm(), f" in column {j}" if K > 1 else "")
+    if not controls:
+        return []
 
-    n = mesh.n_bulk
-    phi = np.empty((grid.N + 1, n))
-    mu = np.empty((grid.N + 1, n))
-    iters = np.zeros(grid.N, dtype=int)
-    phi[0] = phi0.bulk
-    mu[0] = initial_mu(problem, phi[0])
+    phi = np.empty((K, grid.N + 1, n))
+    mu = np.empty((K, grid.N + 1, n))
+    iters = np.zeros((K, grid.N), dtype=int)
+    phi[:, 0] = phi0.bulk
+    mu[:, 0] = initial_mu(problem, phi0.bulk)
 
-    sources = problem.physics.gamma * ops.mass(controls.u, controls.uG)
+    # Slab k of every column: (N, K, n).
+    sources = problem.physics.gamma * np.stack([ops.mass(u.u, u.uG) for u in controls], axis=1)
     # Inverse lumped weights of the mass-weighted residual norm.
-    winv = np.tile(1.0 / ops.lumped_total, 2)
+    winv = np.tile(1.0 / ops.lumped_total, (1, 2))
     for k in range(grid.N):
         try:
-            phi[k + 1], mu[k + 1], iters[k] = _chord_step(
-                problem, winv, phi[k], mu[k], sources[k])
+            phi[:, k + 1], mu[:, k + 1], iters[:, k] = _chord_step(
+                problem, winv, phi[:, k], mu[:, k], sources[k])
         except SolverError as err:
             raise SolverError(
                 f"step {k + 1}/{grid.N} failed: {err}",
                 step=k + 1,
                 residual=err.residual,
             ) from err
-    return StateTrajectory(mesh, grid, phi, mu, iters)
+    return [StateTrajectory(mesh, grid, phi[j], mu[j], iters[j]) for j in range(K)]
+
+
+def solve(problem: Problem, phi0: PairField, controls: ControlPair) -> StateTrajectory:
+    """March the state system over the whole grid under one ``ControlPair``
+    with slabs ``u`` of shape (N, n_bulk) and ``uG`` of shape (N,
+    n_boundary); slab n acts on the step t_n -> t_{n+1}.  Validates the
+    mean-value condition before starting when the potential domain is
+    bounded.  It is ``solve_many`` on one control.
+    """
+    return solve_many(problem, phi0, [controls])[0]
 
 
 # ---------------------------------------------------------------------------

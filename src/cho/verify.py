@@ -10,6 +10,14 @@ with a regular potential and no reaction).
 A suite run assembles its check mesh and operators once, in a
 ``CheckContext``; every check builds its problems from it, so they share
 one block template.  Each check starts without a live factor.
+
+A check that solves one problem under many controls draws them all
+first, in a fixed order, and solves them in one stacked ``solve_many``:
+the ten random controls of ``mean-bound``, the perturbed controls of
+``continuous-dependence`` and ``taylor``, and the central-difference
+controls of ``adjoint-duality`` and ``optimality``.  Their columns share
+one chord Newton, so a number can move at round-off against separate
+solves, well inside every bound.
 """
 
 import functools
@@ -33,6 +41,7 @@ from .forward import (
     mean_ode_residual,
     separation_check,
     solve,
+    solve_many,
     yosida_continuation,
 )
 from .potentials import (
@@ -195,7 +204,8 @@ def check_energy_decay(ctx):
 
 @_check("mean-bound")
 def check_mean_bound(ctx):
-    """Discrete mean stays inside the reaction-limited interval."""
+    """Discrete mean stays inside the reaction-limited interval, over ten
+    random controls solved in one stack."""
     mesh, cfg = ctx.mesh, ctx.cfg
     gamma = min(cfg.physics.gamma, 1.0)
     problem = ctx.problem(cfg.time.T, min(cfg.time.N, 50),
@@ -205,13 +215,13 @@ def check_mean_bound(ctx):
     hi = max(m0, 0.0) + M / gamma + 1e-9
     phi0 = PairField.constant(mesh, m0)
     rng = np.random.default_rng(42)
+    controls = [
+        ControlPair(rng.uniform(-M, M, (problem.grid.N, mesh.n_bulk)),
+                    rng.uniform(-M, M, (problem.grid.N, mesh.n_boundary)))
+        for _ in range(10)
+    ]
     worst = 0.0
-    for _ in range(10):
-        controls = ControlPair(
-            rng.uniform(-M, M, (problem.grid.N, mesh.n_bulk)),
-            rng.uniform(-M, M, (problem.grid.N, mesh.n_boundary)),
-        )
-        traj = solve(problem, phi0, controls)
+    for traj in solve_many(problem, phi0, controls):
         means = problem.ops.mean(traj.phi, traj.phi[:, mesh.trace_map])
         worst = max(worst, float((lo - means).max()), float((means - hi).max()))
     return worst <= 0.0, (
@@ -286,28 +296,29 @@ def check_taylor(ctx):
 def _gradient_checks(problem, phi0, u, cost_spec, seeds):
     """Worst duality gap and central-FD gradient error over random
     directions, and whether they meet the bounds gap <= 1e-10 and FD
-    error <= 1e-6."""
+    error <= 1e-6.  The four FD controls of every direction are solved
+    in one stack."""
     ops, grid = problem.ops, problem.grid
     base = solve(problem, phi0, u)
     adj = adj_mod.adjoint_solve(problem, base, cost_spec)
     g = adj_mod.reduced_gradient(problem, u, adj, cost_spec)
 
-    def J_of(uc):
-        traj = solve(problem, phi0, uc)
-        return ctl_mod.cost(cost_spec, traj, uc, ops)
-
-    duality_gaps, fd_errors = [], []
-    for seed in seeds:
-        h = _direction(problem, seed, 0.1)
+    duality_gaps, dJ_adjs = [], []
+    directions = [_direction(problem, seed, 0.1) for seed in seeds]
+    for h in directions:
         lin = sen_mod.linearized_solve(problem, base, h)
         dJ_lin = ctl_mod.cost_directional(cost_spec, problem, base, lin.psi, u, h)
-        dJ_adj = control_inner(g, h, ops, grid.dt)
-        duality_gaps.append(abs(dJ_adj - dJ_lin) / max(1.0, abs(dJ_lin)))
-        d = 1e-2
-        fd = (
-            8.0 * (J_of(u.plus(h, d)) - J_of(u.plus(h, -d)))
-            - (J_of(u.plus(h, 2 * d)) - J_of(u.plus(h, -2 * d)))
-        ) / (12.0 * d)
+        dJ_adjs.append(control_inner(g, h, ops, grid.dt))
+        duality_gaps.append(abs(dJ_adjs[-1] - dJ_lin) / max(1.0, abs(dJ_lin)))
+
+    # Central differences of J along each direction, from one stacked solve.
+    d, fd_errors = 1e-2, []
+    controls = [u.plus(h, s * d) for h in directions for s in (1, -1, 2, -2)]
+    J = [ctl_mod.cost(cost_spec, traj, uc, ops)
+         for traj, uc in zip(solve_many(problem, phi0, controls), controls)]
+    for k, dJ_adj in enumerate(dJ_adjs):
+        Jp, Jm, J2p, J2m = J[4 * k:4 * k + 4]
+        fd = (8.0 * (Jp - Jm) - (J2p - J2m)) / (12.0 * d)
         fd_errors.append(abs(dJ_adj - fd) / max(abs(fd), 1e-14))
     gap, fd = max(duality_gaps), max(fd_errors)
     return gap <= 1e-10 and fd <= 1e-6, gap, fd

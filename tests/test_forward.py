@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from cho import forward
-from cho.control import ControlPair
+from cho.control import ControlPair, random_direction
 from cho.errors import SolverError, ValidationError
 from cho.forward import (
     Physics,
@@ -24,7 +24,7 @@ from cho.forward import (
 )
 from cho.mesh import build_interval, build_rectangle
 from cho.potentials import PotentialPair, logarithmic_potential, regular_potential
-from cho.spaces import PairField
+from cho.spaces import CoupledOperators, PairField
 
 from conftest import cosine_ic, make_problem
 
@@ -453,3 +453,201 @@ class TestContinuousDependence:
         ratios = continuous_dependence(problem, phi0, u, h, scales=(1.0, 0.5, 0.25))
         assert max(ratios) / min(ratios) < 1.2
         assert all(np.isfinite(r) and r > 0 for r in ratios)
+
+
+# ---------------------------------------------------------------------------
+# Stacked solves: many controls, one chord Newton
+# ---------------------------------------------------------------------------
+
+def _stack_case(mesh, kind="regular", base=0.05, far=3.0, amplitude=0.6, waves=1.0,
+                T=0.4, N=8, newton_tol=1e-10):
+    """A problem on ``mesh``, a cosine datum, and controls around the
+    constant ``base`` (the last of them ``base`` itself), then the constant
+    ``far`` when given, whose column takes more iterations than the rest."""
+    problem = Problem.create(mesh, PotentialPair.same(
+        regular_potential() if kind == "regular" else logarithmic_potential(2.0)),
+        SolverOptions(newton_tol=newton_tol), Physics(1.0, 1.0), TimeGrid(T=T, N=N))
+    rng = np.random.default_rng(1)
+    grid = problem.grid
+    controls = [ControlPair.constant(mesh, grid, base).plus(random_direction(mesh, grid, rng), s)
+                for s in (0.03, 0.01, -0.02, 0.005, 0.0)]
+    if far is not None:
+        controls.append(ControlPair.constant(mesh, grid, far))
+    return problem, cosine_ic(mesh, amplitude, waves), controls
+
+
+STACKS = {
+    "dense-8x8": lambda: _stack_case(build_rectangle(8, 8, 1.0, 1.0)),
+    "csc-interval-128": lambda: _stack_case(build_interval(128, 1.0)),
+    # Near the ends of the logarithmic domain: the interior damping cuts
+    # the first correction of every column, each by its own fraction.  A
+    # column and its separate solve reach the tolerance along different
+    # factors, so they agree to about newton_tol (1.04e-11 of scale at the
+    # default 1e-10); the tighter tolerance puts that below the bound.
+    "logarithmic-damped": lambda: _stack_case(build_interval(24, 1.0), "logarithmic", 0.0,
+                                              None, amplitude=0.999, waves=2.0, T=1.0, N=4,
+                                              newton_tol=1e-12),
+}
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize("case", STACKS.values(), ids=STACKS.keys())
+    def test_columns_match_separate_solves(self, case, monkeypatch):
+        problem, phi0, controls = case()
+        alphas = []
+        damping = forward._damping
+
+        def recorded(*args):
+            alphas.append(damping(*args))
+            return alphas[-1]
+
+        monkeypatch.setattr(forward, "_damping", recorded)
+        stack = forward.solve_many(problem, phi0, controls)
+        assert len(stack) == len(controls)
+        for traj, u in zip(stack, controls):
+            ref = solve(replace(problem, ops=CoupledOperators(problem.mesh)), phi0, u)
+            for got, want in ((traj.phi, ref.phi), (traj.mu, ref.mu)):
+                assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+        # Columns leave the stack at different iterations.
+        iters = np.array([traj.newton_iters for traj in stack])
+        assert (iters != iters[0]).any()
+        if problem.interior is not None:
+            assert any(len(a) == len(controls) and max(a) < 1.0 and min(a) < max(a)
+                       for a in alphas)
+        assert problem.ops.block_template.dense == (problem.mesh.n_bulk <= 100)
+
+    def test_a_one_column_stack_is_solve(self, generic_run):
+        problem, phi0, controls, traj = generic_run
+        one, = forward.solve_many(problem, phi0, [controls])
+        again = solve(problem, phi0, controls)
+        assert np.array_equal(one.phi, again.phi) and np.array_equal(one.mu, again.mu)
+        assert forward.solve_many(problem, phi0, []) == []
+
+    def test_failing_column_names_step_and_column(self, monkeypatch):
+        problem, phi0, controls = _stack_case(build_interval(12, 1.0))
+        implicit = Problem.implicit
+
+        def poisoned(self, phi):
+            nodal, lam = implicit(self, phi)
+            if np.ndim(phi) == 2 and len(phi) == len(controls):
+                nodal = nodal.copy()
+                nodal[3, 5] = np.nan
+            return nodal, lam
+
+        monkeypatch.setattr(Problem, "implicit", poisoned)
+        with pytest.raises(SolverError, match=r"^step 1/8 failed: column 3: Newton "
+                           r"iteration 0: non-finite step residual \(nan\)") as err:
+            forward.solve_many(problem, phi0, controls)
+        assert err.value.step == 1
+
+    def test_column_failing_after_others_left_is_named(self, monkeypatch):
+        # Column 0 starts at its steady state and leaves at iteration 0;
+        # column 1 then exhausts the iteration budget, which names it and
+        # not the row it occupies in the shrunken stack.
+        monkeypatch.setattr(forward, "NEWTON_MAX_ITER", 1)
+        problem = make_problem()
+        mesh, grid = problem.mesh, problem.grid
+        zero = ControlPair.zeros(mesh, grid)
+        with pytest.raises(SolverError, match=r"^step 1/8 failed: column 1: Newton did "
+                           r"not converge in 1 iterations") as err:
+            forward.solve_many(problem, PairField.constant(mesh, 0.0),
+                               [zero, ControlPair.constant(mesh, grid, 0.5)])
+        assert err.value.step == 1 and err.value.residual > problem.opts.newton_tol
+
+    def test_columns_are_validated_by_name(self):
+        problem = make_problem(n_cells=8, kind="logarithmic")
+        mesh, grid = problem.mesh, problem.grid
+        phi0 = PairField.constant(mesh, 0.1)
+        ok = ControlPair.zeros(mesh, grid)
+        short = ControlPair(np.zeros((3, mesh.n_bulk)), np.zeros((3, mesh.n_boundary)))
+        with pytest.raises(ValidationError, match="^column 1 control slabs have shapes"):
+            forward.solve_many(problem, phi0, [ok, short])
+        with pytest.raises(ValidationError, match="^mean-value condition fails in column 2: "):
+            forward.solve_many(problem, phi0, [ok, ok, ControlPair.constant(mesh, grid, 5.0)])
+
+    def test_a_failing_stack_exits_3(self, tmp_path, monkeypatch, capsys):
+        # The command line maps a stack's SolverError as it maps one run's.
+        from cho import cli
+        from test_cli import MINIMAL, write_yaml
+
+        implicit = Problem.implicit
+
+        def poisoned(self, phi):
+            nodal, lam = implicit(self, phi)
+            if np.ndim(phi) == 2 and len(phi) == 2:
+                nodal = nodal.copy()
+                nodal[1] = np.inf
+            return nodal, lam
+
+        monkeypatch.setattr(Problem, "implicit", poisoned)
+        monkeypatch.setattr(cli, "solve", lambda problem, phi0, u: forward.solve_many(
+            problem, phi0, [u, u.scaled(0.5)])[0])
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "-c", write_yaml(tmp_path, dict(MINIMAL))]) == 3
+        err = capsys.readouterr().err
+        assert "solver error: step 1/4 failed: column 1: Newton iteration 0" in err
+        assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# Newton's round-off floor
+# ---------------------------------------------------------------------------
+
+def _fine_interval_config(tmp_path, cells, newton_tol):
+    """An interval run whose step residual reaches its round-off floor
+    above ``newton_tol``: datum 0.4 cos(pi x), T = 0.1, N = 10, controls
+    0.1 and 0.05."""
+    from test_cli import write_yaml
+
+    x = np.linspace(0.0, 1.0, cells + 1)
+    datum = tmp_path / "datum.csv"
+    np.savetxt(datum, [0.4 * np.cos(np.pi * x)], delimiter=",")
+    return write_yaml(tmp_path, {
+        "run_name": "floor",
+        "domain": {"dim": 1, "cells": cells, "length": 1.0},
+        "time": {"T": 0.1, "steps": 10},
+        "physics": {"tau": 1.0, "gamma": 1.0},
+        "potential": {"kind": "regular"},
+        "solver": {"newton_tol": newton_tol},
+        "initial": {"preset": "csv", "path": str(datum)},
+        "control": {"u": 0.1, "uG": 0.05},
+        "output": {"directory": str(tmp_path / "out"), "snapshot_stride": 10},
+    })
+
+
+class TestRoundoffFloor:
+    @pytest.mark.parametrize("cells, newton_tol", [(256, 1e-12), (2048, 1e-10)])
+    def test_fine_intervals_stop_at_the_floor(self, cells, newton_tol, tmp_path, monkeypatch):
+        # Both failed at step 1 after 50 iterations, with last residuals
+        # 2.172e-12 and 1.355e-10, before Newton stopped at the floor.
+        from cho import cli
+        from cho.config import load_config
+
+        path = _fine_interval_config(tmp_path, cells, newton_tol)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["simulate", "-c", path]) == 0
+        cfg = load_config(path)
+        problem = cfg.build_problem()
+        mesh = problem.mesh
+        controls = cfg.build_controls(mesh, problem.grid)
+        traj = solve(problem, cfg.build_initial(mesh), controls)
+        assert traj.newton_iters.max() < forward.NEWTON_MAX_ITER
+        resid = mean_ode_residual(traj, controls, problem.ops, problem.physics.gamma)
+        assert np.abs(resid).max() <= 1e-9
+
+    def test_a_stall_above_the_floor_still_raises(self, monkeypatch):
+        # A Jacobian diagonal 1e4 lumped masses too large: every correction
+        # is a small fraction of a Newton step, and the residual stalls far
+        # above its floor.
+        problem = make_problem(newton_tol=1e-12)
+        implicit = Problem.implicit
+
+        def wrong_diagonal(self, phi):
+            nodal, lam = implicit(self, phi)
+            return nodal, lam + 1e4 * self.ops.lumped_total
+
+        monkeypatch.setattr(Problem, "implicit", wrong_diagonal)
+        with pytest.raises(SolverError, match="Newton did not converge") as err:
+            solve(problem, cosine_ic(problem.mesh, 0.4),
+                  ControlPair.constant(problem.mesh, problem.grid, 0.1, 0.05))
+        assert err.value.step == 1 and err.value.residual > 1e-6

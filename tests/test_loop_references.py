@@ -11,8 +11,10 @@ side) and the energy of the run's potential against the per-order
 formulas, and the compacted resolvent against the full-array safeguarded
 Newton loop.  The forward step, one product with
 the block template per residual, is checked against the node-ordered
-chord Newton loop of two products per residual it replaced, and the regular potential's
-products against its ``np.power`` forms.  The one step matrix, refilled
+chord Newton loop of two products per residual it replaced, and its
+stack of one column bitwise against the one-state loop the stacked step
+replaced; the regular potential's products against its ``np.power``
+forms.  The one step matrix, refilled
 on its lambda diagonal alone while the coefficients hold, is checked
 against the template fill that rewrote every entry on each call and the
 lambda-free copy chord Newton held of it, on both storages of the
@@ -20,6 +22,7 @@ template, and the two storages against each other.
 """
 
 import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -612,6 +615,88 @@ def test_forward_step_matches_the_node_ordered_loop(case, scheme, eps):
     assert iters.sum() > 0
     for got, want in ((traj.phi, phi), (traj.mu, mu)):
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+# ---------------------------------------------------------------------------
+# The stacked chord Newton step at one column against the one-state loop
+# ---------------------------------------------------------------------------
+
+def single_step(problem, winv, phi_n, mu_n, source):
+    """One implicit step for one state: the chord Newton loop on 1-D
+    iterates that the stacked step replaced, which refilled the step matrix
+    at every iteration and checked the diagonal with the factor."""
+    ops, template = problem.ops, problem.ops.block_template
+    a, b = problem.jacobian_coefficients
+    n, dt, tol = ops.mesh.n_bulk, problem.grid.dt, problem.opts.newton_tol
+    Mphi_n = ops.M_total @ phi_n
+    c1 = Mphi_n / dt + source
+    c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
+    c = np.concatenate([c1, c2])
+    y = np.concatenate([phi_n, mu_n])
+    prev = np.inf
+    for it in range(forward.NEWTON_MAX_ITER + 1):
+        phi = y[:n]
+        nodal, lam = problem.implicit(phi)
+        r = template.fill(a, b) @ y
+        r[n:] += nodal
+        r -= c
+        res = math.sqrt(r @ (r * winv))
+        assert math.isfinite(res)
+        if res <= tol:
+            return phi, y[n:], it
+        assert it < forward.NEWTON_MAX_ITER and np.isfinite(lam).all()
+        forward._refactor_if_needed(ops, a, b, lam, None, refresh=res > forward.CHORD_RHO * prev)
+        dy = template.lu.solve(-r)
+        assert np.isfinite(dy).all()
+        prev = res
+        y += single_damping(problem.interior, phi, dy[:n]) * dy
+    raise AssertionError("unreachable")
+
+
+def single_damping(mask, phi, dphi):
+    """The step fraction of one state, as the one-state loop took it."""
+    if mask is None:
+        return 1.0
+    moving = mask & (dphi != 0.0)
+    if not moving.any():
+        return 1.0
+    limit = 1.0 - forward.INTERIOR_SAFEGUARD
+    bound = np.where(dphi[moving] > 0, limit, -limit)
+    amax = float(((bound - phi[moving]) / dphi[moving]).min())
+    alpha = 0.995 * amax if amax < 1.0 else 1.0
+    assert alpha > 1e-12
+    return alpha
+
+
+def single_solve(problem, phi0, controls):
+    """The forward solve, step by step with ``single_step``."""
+    ops, grid = problem.ops, problem.grid
+    winv = np.tile(1.0 / ops.lumped_total, 2)
+    sources = problem.physics.gamma * ops.mass(controls.u, controls.uG)
+    phi = [phi0.bulk]
+    mu = [forward.initial_mu(problem, phi0.bulk)]
+    iters = []
+    for k in range(grid.N):
+        p, m, it = single_step(problem, winv, phi[k], mu[k], sources[k])
+        phi.append(p)
+        mu.append(m)
+        iters.append(it)
+    return np.array(phi), np.array(mu), np.array(iters)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+@pytest.mark.parametrize("scheme", ["fully-implicit", "convex-splitting"])
+@pytest.mark.parametrize("case", STEP_CASES.values(), ids=STEP_CASES.keys())
+def test_one_column_stack_is_the_one_state_loop(case, scheme, eps):
+    # Bitwise: each side on operators of its own, so that both start
+    # without a factor and take the same refactor decisions.
+    problem, phi0, controls = case(scheme, eps)
+    traj = solve(problem, phi0, controls)
+    phi, mu, iters = single_solve(replace(problem, ops=CoupledOperators(problem.mesh)),
+                                  phi0, controls)
+    assert np.array_equal(traj.newton_iters, iters)
+    assert np.array_equal(traj.phi, phi)
+    assert np.array_equal(traj.mu, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from cho.control import ControlPair, control_norm, random_direction
 from cho.errors import ValidationError
-from cho.forward import solve, traj_norm_Y
+from cho.forward import solve, solve_many, traj_norm_Y
 from cho.potentials import PotentialPair, custom_potential
 from cho import sensitivity
 from cho.sensitivity import linearized_solve, taylor_test
@@ -103,15 +103,19 @@ class TestTaylorTest:
         assert result.min_order() >= 1.9
 
     def test_zero_direction_zero_remainder(self, base_setup):
+        # The perturbed states are columns of a stacked solve, which
+        # reproduces the base state to round-off, not bitwise.
         problem, phi0, u, base = base_setup
         result, = taylor_test(problem, phi0, u,
                               [ControlPair.zeros(problem.mesh, problem.grid)],
                               scales=(0.5, 0.25))
-        assert all(r == 0.0 for r in result.remainders)
+        scale = traj_norm_Y(problem.ops, problem.grid, base.phi)
+        assert all(r <= 1e-14 * scale for r in result.remainders)
+        assert result.exact and result.orders == []
 
     def test_directions_share_one_base_solve(self, base_setup, monkeypatch):
-        # One call solves at u once and at u + s h per direction and scale;
-        # each result equals that direction's call alone.
+        # One call solves at u once and at every u + s h in one stacked
+        # solve; each result equals that direction's call alone.
         problem, phi0, u, base = base_setup
         directions = [unit_direction(problem, 7).scaled(0.3),
                       unit_direction(problem, 8).scaled(0.3)]
@@ -119,13 +123,16 @@ class TestTaylorTest:
         alone = [taylor_test(problem, phi0, u, [h], scales=scales)[0] for h in directions]
         calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return solve(*args)
+        def counted(name, fn):
+            def call(problem, phi0, controls):
+                calls.append((name, len(controls) if name == "solve_many" else 1))
+                return fn(problem, phi0, controls)
+            return call
 
-        monkeypatch.setattr(sensitivity, "solve", counted)
+        monkeypatch.setattr(sensitivity, "solve", counted("solve", solve))
+        monkeypatch.setattr(sensitivity, "solve_many", counted("solve_many", solve_many))
         together = taylor_test(problem, phi0, u, directions, scales=scales)
-        assert len(calls) == 1 + len(directions) * len(scales)
+        assert calls == [("solve", 1), ("solve_many", len(directions) * len(scales))]
         assert len(together) == len(directions)
         for one, result in zip(alone, together):
             assert result.scales == one.scales
