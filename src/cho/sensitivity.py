@@ -14,8 +14,9 @@ residual of 1e-13, and raises ``SolverError`` on a singular matrix, a
 non-finite solution or a refinement that stalls on a fresh factor.
 
 The Taylor and continuous-dependence tests solve the state system at one
-base control and at many perturbed ones.  The base is one ``solve``; the
-perturbed controls march together in one stacked ``solve_many``.
+base control and at many perturbed ones.  The base and the perturbed
+controls march together in one stacked ``solve_many``, the base as its
+first column.
 Linearized solves take one direction at a time.
 """
 
@@ -27,7 +28,6 @@ from .control import control_norm
 from .forward import (
     Problem,
     StateTrajectory,
-    solve,
     solve_block_system,
     solve_many,
     traj_norm_Y,
@@ -86,8 +86,8 @@ class TaylorResult:
 def taylor_test(problem: Problem, phi0, u, directions,
                 scales=(1.0, 0.5, 0.25, 0.125)) -> list:
     """Measure || S(u + s h) - S(u) - s psi_h || across shrinking scales
-    for each direction h, from one solve at u and one stacked solve at
-    every u + s h; returns one ``TaylorResult`` per direction.
+    for each direction h, from one stacked solve at u and at every
+    u + s h; returns one ``TaylorResult`` per direction.
 
     The remainder is taken in the discrete H1-in-time / L-infinity-energy
     norm; observed orders log2(rho(s)/rho(s/2)) should approach 2 for a
@@ -95,14 +95,14 @@ def taylor_test(problem: Problem, phi0, u, directions,
     round-off (state map affine in the control) the result is flagged
     ``exact`` and no orders are reported.
     """
-    base = solve(problem, phi0, u)
+    base, *perturbed = solve_many(problem, phi0, [u] + [u.plus(h, s) for h in directions
+                                                          for s in scales])
+    perturbed = iter(perturbed)
     ops, grid = problem.ops, problem.grid
     scale_ref = traj_norm_Y(ops, grid, base.phi) + 1.0
-    psis = [linearized_solve(problem, base, h).psi for h in directions]
-    perturbed = iter(solve_many(problem, phi0, [u.plus(h, s) for h in directions
-                                                 for s in scales]))
     results = []
-    for psi in psis:
+    for h in directions:
+        psi = linearized_solve(problem, base, h).psi
         remainders = [traj_norm_Y(ops, grid, next(perturbed).phi - base.phi - s * psi)
                       for s in scales]
         exact = max(remainders) <= 1e-12 * scale_ref
@@ -116,14 +116,13 @@ def taylor_test(problem: Problem, phi0, u, directions,
 
 def continuous_dependence(problem: Problem, phi0, u, h, scales=(1.0, 0.5, 0.25)):
     """Ratios ||S(u + s h) - S(u)||_Y / ||s h|| across scales, from one
-    solve at u and one stacked solve at every u + s h.
+    stacked solve at u and at every u + s h.
 
     First-order Lipschitz behavior of the state map makes the ratio
     nearly scale-independent.
     """
-    base = solve(problem, phi0, u)
+    base, *perturbed = solve_many(problem, phi0, [u] + [u.plus(h, s) for s in scales])
     ops, grid = problem.ops, problem.grid
     hnorm = control_norm(h, ops, grid.dt)
-    perturbed = solve_many(problem, phi0, [u.plus(h, s) for s in scales])
     return [traj_norm_Y(ops, grid, traj.phi - base.phi) / (abs(s) * hnorm)
             for traj, s in zip(perturbed, scales)]

@@ -14,10 +14,11 @@ one block template.  Each check starts without a live factor.
 A check that solves one problem under many controls draws them all
 first, in a fixed order, and solves them in one stacked ``solve_many``:
 the ten random controls of ``mean-bound``, the perturbed controls of
-``continuous-dependence`` and ``taylor``, and the central-difference
-controls of ``adjoint-duality`` and ``optimality``.  Their columns share
-one chord Newton, so a number can move at round-off against separate
-solves, well inside every bound.
+``continuous-dependence`` and ``taylor`` and the central-difference
+controls of ``adjoint-duality`` and ``optimality``, each with its base
+control as the first column.  Their columns share one chord Newton, so a
+number can move at round-off against separate solves, well inside every
+bound.
 """
 
 import functools
@@ -296,26 +297,26 @@ def check_taylor(ctx):
 def _gradient_checks(problem, phi0, u, cost_spec, seeds):
     """Worst duality gap and central-FD gradient error over random
     directions, and whether they meet the bounds gap <= 1e-10 and FD
-    error <= 1e-6.  The four FD controls of every direction are solved
-    in one stack."""
+    error <= 1e-6.  The base and the four FD controls of every direction
+    are solved in one stack."""
     ops, grid = problem.ops, problem.grid
-    base = solve(problem, phi0, u)
+    directions = [_direction(problem, seed, 0.1) for seed in seeds]
+    d = 1e-2
+    controls = [u.plus(h, s * d) for h in directions for s in (1, -1, 2, -2)]
+    base, *perturbed = solve_many(problem, phi0, [u] + controls)
     adj = adj_mod.adjoint_solve(problem, base, cost_spec)
     g = adj_mod.reduced_gradient(problem, u, adj, cost_spec)
 
     duality_gaps, dJ_adjs = [], []
-    directions = [_direction(problem, seed, 0.1) for seed in seeds]
     for h in directions:
         lin = sen_mod.linearized_solve(problem, base, h)
         dJ_lin = ctl_mod.cost_directional(cost_spec, problem, base, lin.psi, u, h)
         dJ_adjs.append(control_inner(g, h, ops, grid.dt))
         duality_gaps.append(abs(dJ_adjs[-1] - dJ_lin) / max(1.0, abs(dJ_lin)))
 
-    # Central differences of J along each direction, from one stacked solve.
-    d, fd_errors = 1e-2, []
-    controls = [u.plus(h, s * d) for h in directions for s in (1, -1, 2, -2)]
-    J = [ctl_mod.cost(cost_spec, traj, uc, ops)
-         for traj, uc in zip(solve_many(problem, phi0, controls), controls)]
+    # Central differences of J along each direction.
+    fd_errors = []
+    J = [ctl_mod.cost(cost_spec, traj, uc, ops) for traj, uc in zip(perturbed, controls)]
     for k, dJ_adj in enumerate(dJ_adjs):
         Jp, Jm, J2p, J2m = J[4 * k:4 * k + 4]
         fd = (8.0 * (Jp - Jm) - (J2p - J2m)) / (12.0 * d)

@@ -52,7 +52,7 @@ from cho.forward import (
     traj_norm_L2H,
     traj_norm_Y,
 )
-from cho.config import PRESETS, preset_config
+from cho.config import PRESETS, RunConfig, preset_config
 from cho.mesh import build_interval, build_rectangle
 from cho.output import write_series_csv
 from cho.potentials import (
@@ -574,8 +574,10 @@ def loop_solve(problem, phi0, controls):
     return np.array(phi), np.array(mu), np.array(iters)
 
 
-def _preset_case(name, scheme, eps, pair=None):
+def _preset_case(name, scheme, eps, pair=None, domain=None):
     cfg = preset_config(name)
+    if domain is not None:
+        cfg = RunConfig.from_dict({**PRESETS[name], "domain": {**PRESETS[name]["domain"], **domain}})
     problem = cfg.build_problem().with_options(scheme=scheme, eps_yosida=eps)
     if pair is not None:
         problem = replace(problem, pair=pair)
@@ -684,9 +686,18 @@ def single_solve(problem, phi0, controls):
     return np.array(phi), np.array(mu), np.array(iters)
 
 
+# Every STEP_CASES mesh stores its step matrix dense; these store it CSC.
+CSC_CASES = {
+    "logarithmic-128-cells": functools.partial(_preset_case, "logarithmic",
+                                               domain={"cells": 128}),
+    "rectangle-16x16": functools.partial(_preset_case, "rectangle", domain={"nx": 16, "ny": 16}),
+}
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-2])
 @pytest.mark.parametrize("scheme", ["fully-implicit", "convex-splitting"])
-@pytest.mark.parametrize("case", STEP_CASES.values(), ids=STEP_CASES.keys())
+@pytest.mark.parametrize("case", [*STEP_CASES.values(), *CSC_CASES.values()],
+                         ids=[*STEP_CASES, *CSC_CASES])
 def test_one_column_stack_is_the_one_state_loop(case, scheme, eps):
     # Bitwise: each side on operators of its own, so that both start
     # without a factor and take the same refactor decisions.
@@ -694,6 +705,7 @@ def test_one_column_stack_is_the_one_state_loop(case, scheme, eps):
     traj = solve(problem, phi0, controls)
     phi, mu, iters = single_solve(replace(problem, ops=CoupledOperators(problem.mesh)),
                                   phi0, controls)
+    assert problem.ops.block_template.dense == (case in STEP_CASES.values())
     assert np.array_equal(traj.newton_iters, iters)
     assert np.array_equal(traj.phi, phi)
     assert np.array_equal(traj.mu, mu)
