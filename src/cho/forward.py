@@ -252,22 +252,16 @@ def _nonfinite(v):
     return tuple(int(i) for i in np.argwhere(~np.isfinite(v))[0])
 
 
-def _refactor_if_needed(ops, a, b, lam, step, refresh=False):
-    """Make the template's live factor serve the coefficients (a, b); returns
-    whether it was rebuilt, at ``lam``, by this call.  It is rebuilt when
-    there is none, when it was built for other coefficients, or on
-    ``refresh``.  Callers check ``lam`` for non-finite values first, since
-    a reused factor would never see them; they read the factor from
-    ``template.lu`` and keep no reference to it, so that the old factor is
-    released before a new one is built."""
-    template = ops.block_template
-    if not refresh and template.lu is not None and template.coeffs == (tuple(a), tuple(b)):
-        return False
+def _factor(template, a, b, lam, step):
+    """Rebuild the template's live factor at ``lam``; a singular matrix
+    raises ``SolverError`` carrying ``step``.  Callers check ``lam`` for
+    non-finite values first, since a reused factor would never see them;
+    they read the factor from ``template.lu`` and keep no reference to it,
+    so that the old factor is released before a new one is built."""
     try:
         template.factor(a, b, lam)
     except RuntimeError as err:
         raise SolverError(f"{_where(step)}: {err}", step=step) from err
-    return True
 
 
 def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
@@ -278,15 +272,15 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     diag(lam), a22 M + b22 K]] is the block template's one step matrix,
     dense with a LAPACK factor up to order ``spaces.DENSE_MAX`` and CSC
     with a SuperLU factor above; a call with the coefficients it holds
-    refills only diag(lam).  The system
-    is solved with A (trans="N") or its transpose (trans="T") by iterative
-    refinement: each sweep corrects the solution with the template's live
+    refills only diag(lam), and one with others releases the live factor.
+    The system is solved with A (trans="N") or A.T (trans="T") by
+    iterative refinement: each sweep corrects the solution with the live
     factor and recomputes the residual with the exact refilled matrix.
-    The factor, taken at an earlier diagonal, is rebuilt here when it was
-    built for other coefficients or when a sweep stalls (``STALL_RATIO``)
-    short of the round-off level (``ROUNDOFF``).  A non-finite ``rhs`` or
-    ``lam``, a singular matrix or a stall on a factor of this very matrix
-    raises ``SolverError`` carrying ``step``.
+    The factor, taken at an earlier diagonal, is built here when there is
+    none or when a sweep stalls (``STALL_RATIO``) short of the round-off
+    level (``ROUNDOFF``).  A non-finite ``rhs`` or ``lam``, a singular
+    matrix or a stall on a factor of this very matrix raises
+    ``SolverError`` carrying ``step``.
     """
     template = ops.block_template
     rnorm = _norm(rhs)
@@ -297,10 +291,11 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     if lam is not None and (node := _nonfinite(lam)) is not None:
         raise SolverError(f"{_where(step)}: non-finite Jacobian diagonal at node "
                           f"{node[0]} ({lam[node]})", step=step)
-    fresh = _refactor_if_needed(ops, a, b, lam, step)
     A = template.fill(a, b, lam)
     if trans == "T":
-        A = template.transposed
+        A = A.T
+    if fresh := template.lu is None:
+        _factor(template, a, b, lam, step)
     target = REFINE_RTOL * rnorm
     y, res, norm = np.zeros_like(rhs), rhs, rnorm
     while not norm <= target:
@@ -322,8 +317,8 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
                 f"{norm / rnorm:.1e}",
                 step=step,
             )
-        fresh = _refactor_if_needed(ops, a, b, lam, step, refresh=True)
-        y, res, norm = np.zeros_like(rhs), rhs, rnorm
+        _factor(template, a, b, lam, step)
+        fresh, y, res, norm = True, np.zeros_like(rhs), rhs, rnorm
     n = ops.mesh.n_bulk
     return y[:n], y[n:]
 
@@ -337,19 +332,20 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
 
     ``phi_n`` and ``mu_n`` are (K, n) stacks of old states, one row per
     column, and ``sources`` the stack of gamma (M_bulk u + M_surf u_gamma);
-    returns the (K, n) stacks (phi, mu) and each column's iterations, one
-    count when the columns stop together.
+    returns the (K, n) stacks (phi, mu) and each column's iterations.
 
-    The iterate is the (K, 2n) stack y of rows [phi, mu].  An iteration
-    makes one product with the template's step matrix, refilled without
-    diag(lam) once per step and after each refactor, adds N(phi) at the mu
-    rows, and weights each column's residual norm by the inverse lumped
-    weights ``winv``.  The columns not yet stopped get their corrections
-    from one solve with the template's live factor; a stopped column
-    leaves the stack.  The residual is exact.  The columns share the
-    factor, which is reused across iterations and steps and rebuilt at
-    most once per iteration, at the state of the first column that the
-    last correction left more than ``CHORD_RHO`` of its residual.
+    The iterate is the (K, 2n) stack y of rows [phi, mu], row j for column
+    j.  An iteration makes one product with the template's step matrix,
+    refilled without diag(lam) once per step and after each refactor, adds
+    N(phi) at the mu rows, weights each column's residual norm by the
+    inverse lumped weights ``winv``, and corrects the running columns by
+    one solve with the template's live factor.  The residual is exact.  A
+    stopped column's row takes no part in the product or the solve: its
+    residual and correction are zero, and its iterate stays as it stopped.
+    The columns share the factor, which is reused across iterations and
+    steps and rebuilt at most once per iteration, at the state of the
+    first running column that the last correction left more than
+    ``CHORD_RHO`` of its residual.
 
     A column stops when its residual is at most ``newton_tol``, or when a
     correction on a factor built at its own state fails to reduce a
@@ -361,7 +357,7 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     """
     ops, template = problem.ops, problem.ops.block_template
     a, b = problem.jacobian_coefficients
-    n, dt, tol = ops.mesh.n_bulk, problem.grid.dt, problem.opts.newton_tol
+    n, dt, tol, K = ops.mesh.n_bulk, problem.grid.dt, problem.opts.newton_tol, len(phi_n)
     # R1 = (1/dt + gamma) M phi + K mu - c1 and R2 = (tau/dt) M phi + K phi
     # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
     Mphi_n = (ops.M_total @ phi_n.T).T
@@ -369,81 +365,83 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
     c = np.concatenate([c1, c2], axis=1)
     y = np.concatenate([phi_n, mu_n], axis=1)
-    K = len(y)
-    # Columns that stop before the last ones, once one does.
-    out = iters = None
-    # Per row of the stack, as lists: the column it solves and its previous
-    # residual; ``fresh`` is the row the live factor was just built at.
-    cols, prev, fresh = list(range(K)), [math.inf] * K, None
+    # Per column, the iteration it stopped at (-1 while it runs) and its
+    # previous residual; the running columns in order; and ``fresh``, the
+    # column the live factor was just built at.
+    iters, prev, run, fresh = [-1] * K, [math.inf] * K, list(range(K)), None
 
-    def fail(row, message, residual=None):
-        where = f"column {cols[row]}: " if K > 1 else ""
-        return SolverError(where + message, residual=residual)
+    def fail(j, message, residual=None):
+        return SolverError((f"column {j}: " if K > 1 else "") + message, residual=residual)
 
     A = template.fill(a, b)
     for it in range(NEWTON_MAX_ITER + 1):
         nodal, lam = problem.implicit(y[:, :n])
-        r = (A @ y.T).T
+        r = (A @ y.T).T if len(run) == K else _running(lambda v: (A @ v.T).T, y, run)
         r[:, n:] += nodal
         r -= c
-        # One dot per column: (k, 1, 2n) @ (k, 2n, 1).
+        if len(run) < K:
+            r[[j for j in range(K) if iters[j] >= 0]] = 0.0
+        # One dot per column: (K, 1, 2n) @ (K, 2n, 1).
         res = [math.sqrt(v) for v in ((r * winv)[:, None] @ r[:, :, None]).ravel().tolist()]
         # Finite residuals are roots of doubles, below 1.4e154, so their sum
         # is finite exactly when each of them is.
         if not math.isfinite(sum(res)):
-            row = next(j for j, v in enumerate(res) if not math.isfinite(v))
-            raise fail(row, f"Newton iteration {it}: non-finite step residual ({res[row]})",
-                       res[row])
-        floored = None
+            j = next(j for j, v in enumerate(res) if not math.isfinite(v))
+            raise fail(j, f"Newton iteration {it}: non-finite step residual ({res[j]})", res[j])
         if fresh is not None and tol < res[fresh] >= prev[fresh]:
             floor = NEWTON_ROUNDOFF * (_wnorm(abs(A) @ np.abs(kept), winv)
                                        + _wnorm(c[fresh], winv))
             if prev[fresh] <= floor:
-                y[fresh], floored = kept, fresh
+                y[fresh], iters[fresh] = kept, it
         fresh = None
-        if min(res) <= tol or floored is not None:
-            done = [j for j, v in enumerate(res) if v <= tol or j == floored]
-            if len(done) == K:
-                return y[:, :n], y[:, n:], it     # every column stops at once
-            if out is None:
-                out, iters = np.empty((K, 2 * n)), np.zeros(K, dtype=int)
-            out[[cols[j] for j in done]] = y[done]
-            iters[[cols[j] for j in done]] = it
-            if len(done) == len(res):
-                return out[:, :n], out[:, n:], iters
-            keep = [j for j in range(len(res)) if j not in done]
-            y, c, r, lam = y[keep], c[keep], r[keep], lam[keep]
-            res, prev, cols = ([v[j] for j in keep] for v in (res, prev, cols))
+        for j in run:
+            if res[j] <= tol:
+                iters[j] = it
+        if it in iters:
+            run = [j for j in run if iters[j] < 0]
+            if not run:
+                return y[:, :n], y[:, n:], iters
         if it == NEWTON_MAX_ITER:
-            raise fail(0, f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
-                       f"(last residual {res[0]:.3e})", res[0])
-        if (bad := _nonfinite(lam)) is not None:
-            raise fail(bad[0], f"Newton iteration {it + 1}: {_where(None)}: non-finite "
-                       f"Jacobian diagonal at node {bad[1]} ({lam[bad]})", res[bad[0]])
-        # The first row the factor left more than CHORD_RHO of its residual.
-        for slow, (v, p) in enumerate(zip(res, prev)):
-            if v > CHORD_RHO * p:
+            raise fail(run[0], f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
+                       f"(last residual {res[run[0]]:.3e})", res[run[0]])
+        if (bad := _nonfinite(lam if len(run) == K else lam[run])) is not None:
+            j, node = run[bad[0]], bad[1]
+            raise fail(j, f"Newton iteration {it + 1}: {_where(None)}: non-finite "
+                       f"Jacobian diagonal at node {node} ({lam[j, node]})", res[j])
+        # The first running column left more than CHORD_RHO of its residual.
+        for slow in run:
+            if res[slow] > CHORD_RHO * prev[slow]:
                 break
         else:
             slow = None
         if slow is not None or template.lu is None:
-            row = slow or 0
+            j = run[0] if slow is None else slow
             try:
-                _refactor_if_needed(ops, a, b, lam[row], None, refresh=True)
+                _factor(template, a, b, lam[j], None)
             except SolverError as err:
-                raise fail(row, f"Newton iteration {it + 1}: {err}", res[row]) from err
-            fresh, kept, A = row, y[row].copy(), template.fill(a, b)
-        dy = template.lu.solve(-r.T).T
+                raise fail(j, f"Newton iteration {it + 1}: {err}", res[j]) from err
+            fresh, kept, A = j, y[j].copy(), template.fill(a, b)
+        dy = (template.lu.solve(-r.T).T if len(run) == K
+              else _running(lambda v: template.lu.solve(-v.T).T, r, run))
         if (bad := _nonfinite(dy)) is not None:
             raise fail(bad[0], f"Newton iteration {it + 1}: {_where(None)} returned "
                        "non-finite values", res[bad[0]])
         prev = res
         if problem.interior is not None:
-            for row, alpha in enumerate(_damping(problem.interior, y[:, :n], dy[:, :n], fail)):
+            for j, alpha in enumerate(_damping(problem.interior, y[:, :n], dy[:, :n], fail)):
                 if alpha < 1.0:
-                    dy[row] *= alpha
+                    dy[j] *= alpha
         y += dy
     raise AssertionError("unreachable")
+
+
+def _running(f, v, run):
+    """``f`` on the rows ``run`` of the stack ``v``, zero on the others.
+    BLAS rounds a product or a solve on a narrower stack differently, so
+    the running rows come out as from a stack of the running columns alone."""
+    out = np.zeros_like(v)
+    out[run] = f(v[run])
+    return out
 
 
 def _wnorm(v, winv):
@@ -521,10 +519,10 @@ def solve_many(problem: Problem, phi0: PairField, controls) -> list:
     validated as ``solve`` validates its one control, the mean-value
     condition included when the potential domain is bounded.  The states
     march together, one column per control: every step is one chord Newton
-    on their stack, which shares the template's live factor.  A column
-    therefore agrees with a separate ``solve`` to within the Newton
-    tolerance, not bitwise.  A failure names its step, and its column when
-    there are several.
+    on their stack, where a stopped column keeps its row, and the stack
+    shares the template's live factor.  A column therefore agrees with a
+    separate ``solve`` to within the Newton tolerance, not bitwise.  A
+    failure names its step, and its column when there are several.
     """
     mesh, ops, grid = problem.mesh, problem.ops, problem.grid
     if phi0.bulk.shape != (mesh.n_bulk,):

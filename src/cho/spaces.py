@@ -215,9 +215,9 @@ class BlockTemplate:
     factorization orders it afresh: ``splu`` with
     ``permc_spec="MMD_AT_PLUS_A"`` takes a minimum-degree ordering of the
     pattern of A^T + A.  Either way ``data`` is the flat array the slots
-    live in, ``fill(...) @ y`` is the product, ``transposed`` is a view of
-    the transpose that follows every refill, and ``lu.solve(rhs, trans)``
-    solves with the factor.
+    live in, ``fill(...) @ y`` is the product, ``fill(...).T @ y`` the
+    product with the transpose, and ``lu.solve(rhs, trans)`` solves with
+    the factor.
 
     The template holds one coefficient set ``coeffs`` = (a, b) for its
     matrix and its one live factor ``lu``, if any.  Only the diagonal of
@@ -242,16 +242,11 @@ class BlockTemplate:
         self.dense = 2 * n <= DENSE_MAX
         if self.dense:
             self.matrix = np.zeros(pattern.shape, order="F")
-            self.transposed = self.matrix.T
             self.data = self.matrix.reshape(-1, order="F")
             self.slots = rows + 2 * n * cols
             self.diag = self.slots[diag]
         else:
             self.matrix = pattern
-            # matrix.T as a CSR matrix over the same arrays: refilled with it.
-            self.transposed = sp.csr_matrix(
-                (pattern.data, pattern.indices, pattern.indptr), shape=pattern.shape
-            )
             self.data, self.slots, self.diag = pattern.data, slice(None), diag
         self.lu = self.coeffs = self.free = None
 

@@ -508,7 +508,7 @@ class TestSolveMany:
             ref = solve(replace(problem, ops=CoupledOperators(problem.mesh)), phi0, u)
             for got, want in ((traj.phi, ref.phi), (traj.mu, ref.mu)):
                 assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
-        # Columns leave the stack at different iterations.
+        # Columns stop at different iterations.
         iters = np.array([traj.newton_iters for traj in stack])
         assert (iters != iters[0]).any()
         if problem.interior is not None:
@@ -541,9 +541,8 @@ class TestSolveMany:
         assert err.value.step == 1
 
     def test_column_failing_after_others_left_is_named(self, monkeypatch):
-        # Column 0 starts at its steady state and leaves at iteration 0;
-        # column 1 then exhausts the iteration budget, which names it and
-        # not the row it occupies in the shrunken stack.
+        # Column 0 starts at its steady state and stops at iteration 0;
+        # column 1 then exhausts the iteration budget, which names it.
         monkeypatch.setattr(forward, "NEWTON_MAX_ITER", 1)
         problem = make_problem()
         mesh, grid = problem.mesh, problem.grid

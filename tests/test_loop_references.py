@@ -64,9 +64,10 @@ from cho.potentials import (
     yosida_hat,
 )
 from cho.sensitivity import linearized_solve
-from cho.spaces import BlockTemplate, CoupledOperators, DenseLU
+from cho.spaces import BlockTemplate, CoupledOperators, DenseLU, PairField
 
 from conftest import cosine_ic, make_problem
+from test_forward import STACKS
 
 RTOL = 1e-12
 SPEC = CostSpec(alphas=(1.0, 0.5, 1.0, 0.5, 0.2, 0.2), phiQ=0.2, phiS=0.1, phiO=0.2, phiG=0.1)
@@ -339,6 +340,27 @@ def test_series_csv(bundle, tmp_path):
         assert np.allclose(got[:, col], expected[:, col], rtol=0.0, atol=RTOL * scale)
 
 
+@pytest.mark.parametrize("gamma, N", [(1.0, 8), (0.3, 500), (40.0, 500)])
+def test_series_exact_mean_is_the_closed_form(gamma, N, tmp_path):
+    # The one-pass recursion against forward.exact_mean at every grid
+    # time, for omega that changes from slab to slab.  Only the initial
+    # state enters the column, so every row of the trajectory holds it.
+    problem = make_problem(n_cells=6, T=0.5, N=N, gamma=gamma)
+    mesh, grid = problem.mesh, problem.grid
+    rng = np.random.default_rng(6)
+    u = ControlPair(rng.uniform(0.2, 0.6, (N, 1)) + np.zeros((N, mesh.n_bulk)),
+                    rng.uniform(0.2, 0.6, (N, mesh.n_boundary)))
+    phi = np.tile(0.3 + 0.1 * np.cos(np.pi * mesh.bulk_nodes[:, 0]), (N + 1, 1))
+    traj = forward.StateTrajectory(mesh, grid, phi, phi, np.zeros(N, dtype=int))
+    got = np.loadtxt(write_series_csv(tmp_path / "series.csv", problem, traj, u),
+                     delimiter=",", skiprows=1)[:, 2]
+    ops = problem.ops
+    omega, m0 = ops.mean(u.u, u.uG), ops.mean(phi[0], phi[0, mesh.trace_map])
+    want = np.array([exact_mean(m0, gamma, omega, grid, t) for t in grid.times()])
+    assert np.abs(np.diff(omega)).min() > 0.0
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # Nodal scheme terms and the Yosida resolvent
 # ---------------------------------------------------------------------------
@@ -519,6 +541,15 @@ def test_regular_potential_is_pow_free():
 # The chord Newton step against its node-ordered form
 # ---------------------------------------------------------------------------
 
+def refactor_if_needed(template, a, b, lam, res, prev):
+    """The one-state loops' rule: rebuild the factor when there is none,
+    when it was built for other coefficients, or when the residual fell
+    by less than ``CHORD_RHO``."""
+    if (template.lu is None or template.coeffs != (tuple(a), tuple(b))
+            or res > forward.CHORD_RHO * prev):
+        template.factor(a, b, lam)
+
+
 def loop_step(problem, phi_n, mu_n, u, ug):
     """One implicit step in node order, two sparse products per residual:
     the chord Newton loop the one-product step replaced."""
@@ -544,7 +575,7 @@ def loop_step(problem, phi_n, mu_n, u, ug):
         if res <= opts.newton_tol:
             return phi, X[:, 1], it
         assert it < forward.NEWTON_MAX_ITER
-        forward._refactor_if_needed(ops, a, b, lam, None, res > forward.CHORD_RHO * prev)
+        refactor_if_needed(ops.block_template, a, b, lam, res, prev)
         rhs = -np.concatenate([r1, r2])
         dX = ops.block_template.lu.solve(rhs).reshape(2, -1)
         prev = res
@@ -647,7 +678,7 @@ def single_step(problem, winv, phi_n, mu_n, source):
         if res <= tol:
             return phi, y[n:], it
         assert it < forward.NEWTON_MAX_ITER and np.isfinite(lam).all()
-        forward._refactor_if_needed(ops, a, b, lam, None, refresh=res > forward.CHORD_RHO * prev)
+        refactor_if_needed(template, a, b, lam, res, prev)
         dy = template.lu.solve(-r)
         assert np.isfinite(dy).all()
         prev = res
@@ -709,6 +740,124 @@ def test_one_column_stack_is_the_one_state_loop(case, scheme, eps):
     assert np.array_equal(traj.newton_iters, iters)
     assert np.array_equal(traj.phi, phi)
     assert np.array_equal(traj.mu, mu)
+
+
+# ---------------------------------------------------------------------------
+# The stacked chord Newton step against the compacting stack it replaced
+# ---------------------------------------------------------------------------
+
+def compacting_step(problem, winv, phi_n, mu_n, sources):
+    """One implicit step for a stack of states: the chord Newton loop that
+    removed a column from its stack when the column stopped, and named
+    the remaining columns through the list ``cols``."""
+    ops, template = problem.ops, problem.ops.block_template
+    a, b = problem.jacobian_coefficients
+    n, dt, tol = ops.mesh.n_bulk, problem.grid.dt, problem.opts.newton_tol
+    Mphi_n = (ops.M_total @ phi_n.T).T
+    c1 = Mphi_n / dt + sources
+    c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
+    c = np.concatenate([c1, c2], axis=1)
+    y = np.concatenate([phi_n, mu_n], axis=1)
+    K = len(y)
+    out, iters = np.empty((K, 2 * n)), np.zeros(K, dtype=int)
+    cols, prev, fresh = list(range(K)), [math.inf] * K, None
+    A = template.fill(a, b)
+    for it in range(forward.NEWTON_MAX_ITER + 1):
+        nodal, lam = problem.implicit(y[:, :n])
+        r = (A @ y.T).T
+        r[:, n:] += nodal
+        r -= c
+        res = [math.sqrt(v) for v in ((r * winv)[:, None] @ r[:, :, None]).ravel().tolist()]
+        assert math.isfinite(sum(res))
+        floored = None
+        if fresh is not None and tol < res[fresh] >= prev[fresh]:
+            floor = forward.NEWTON_ROUNDOFF * (forward._wnorm(abs(A) @ np.abs(kept), winv)
+                                               + forward._wnorm(c[fresh], winv))
+            if prev[fresh] <= floor:
+                y[fresh], floored = kept, fresh
+        fresh = None
+        done = [j for j, v in enumerate(res) if v <= tol or j == floored]
+        out[[cols[j] for j in done]] = y[done]
+        iters[[cols[j] for j in done]] = it
+        if len(done) == len(res):
+            return out[:, :n], out[:, n:], iters
+        keep = [j for j in range(len(res)) if j not in done]
+        y, c, r, lam = y[keep], c[keep], r[keep], lam[keep]
+        res, prev, cols = ([v[j] for j in keep] for v in (res, prev, cols))
+        assert it < forward.NEWTON_MAX_ITER and np.isfinite(lam).all()
+        slow = next((j for j, (v, p) in enumerate(zip(res, prev)) if v > forward.CHORD_RHO * p),
+                    None)
+        if slow is not None or template.lu is None:
+            row = slow or 0
+            template.factor(a, b, lam[row])
+            fresh, kept, A = row, y[row].copy(), template.fill(a, b)
+        dy = template.lu.solve(-r.T).T
+        assert np.isfinite(dy).all()
+        prev = res
+        if problem.interior is not None:
+            for row in range(len(y)):
+                dy[row] *= single_damping(problem.interior, y[row, :n], dy[row, :n])
+        y += dy
+    raise AssertionError("unreachable")
+
+
+def compacting_solve(problem, phi0, controls):
+    """The stacked forward solve, step by step with ``compacting_step``:
+    (K, N + 1, n) fields and (K, N) Newton counts."""
+    ops, grid = problem.ops, problem.grid
+    winv = np.tile(1.0 / ops.lumped_total, (1, 2))
+    sources = problem.physics.gamma * np.stack([ops.mass(u.u, u.uG) for u in controls], axis=1)
+    K = len(controls)
+    phi, mu = [np.tile(phi0.bulk, (K, 1))], [np.tile(forward.initial_mu(problem, phi0.bulk), (K, 1))]
+    iters = []
+    for k in range(grid.N):
+        p, m, it = compacting_step(problem, winv, phi[k], mu[k], sources[k])
+        phi.append(p)
+        mu.append(m)
+        iters.append(it)
+    return (np.stack(phi, axis=1), np.stack(mu, axis=1), np.stack(iters, axis=1))
+
+
+def _csc_stack(case, far):
+    """A CSC case's control, a nearby one, zero and the constant ``far``,
+    whose column takes more iterations than the rest."""
+    problem, phi0, controls = case("fully-implicit", 0.0)
+    mesh, grid = problem.mesh, problem.grid
+    nearby = controls.plus(random_direction(mesh, grid, np.random.default_rng(8)), 0.02)
+    return problem, phi0, [controls, nearby, controls.scaled(0.0),
+                           ControlPair.constant(mesh, grid, far)]
+
+
+def _steady_first_column():
+    """Column 0 rests at its steady state and stops at iteration 0 of every
+    step, before the first factor is built at the next column."""
+    problem = make_problem()
+    mesh, grid = problem.mesh, problem.grid
+    return problem, PairField.constant(mesh, 0.0), [
+        ControlPair.zeros(mesh, grid), ControlPair.constant(mesh, grid, 0.5),
+        ControlPair.constant(mesh, grid, -0.3, 0.2)]
+
+
+STACK_CASES = {**STACKS, **{name: functools.partial(_csc_stack, CSC_CASES[name], far)
+                            for name, far in (("logarithmic-128-cells", 0.4),
+                                              ("rectangle-16x16", 3.0))},
+               "steady-first-column": _steady_first_column}
+
+
+@pytest.mark.parametrize("case", STACK_CASES.values(), ids=STACK_CASES.keys())
+def test_in_place_stack_is_the_compacting_stack(case):
+    # Bitwise: each side on operators of its own, so that both start
+    # without a factor and take the same refactor decisions.
+    problem, phi0, controls = case()
+    stack = forward.solve_many(problem, phi0, controls)
+    phi, mu, iters = compacting_solve(replace(problem, ops=CoupledOperators(problem.mesh)),
+                                      phi0, controls)
+    got = np.array([traj.newton_iters for traj in stack])
+    assert np.array_equal(got, iters)
+    # Columns stop at different iterations.
+    assert (iters != iters[0]).any()
+    assert np.array_equal(np.array([traj.phi for traj in stack]), phi)
+    assert np.array_equal(np.array([traj.mu for traj in stack]), mu)
 
 
 # ---------------------------------------------------------------------------

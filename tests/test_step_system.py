@@ -211,13 +211,10 @@ class TestTemplate:
         ops.block_template.factor(*step_coefficients(ops), lam)
         assert orderings == (["MMD_AT_PLUS_A"] if storage == "sparse" else [])
 
-    def test_transposed_view_follows_refills(self, system):
-        ops, lam, _ = system
+    def test_data_is_the_matrix_storage(self, system):
+        ops, _, _ = system
         template = ops.block_template
-        assert np.shares_memory(values(template.transposed), values(template.matrix))
         assert np.shares_memory(template.data, values(template.matrix))
-        template.fill(*step_coefficients(ops), lam)
-        assert abs(entries(template.transposed) - entries(template.matrix).T).max() == 0.0
 
 
 class TestSolveAgainstReference:
