@@ -341,7 +341,7 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     inverse lumped weights ``winv``, and corrects the running columns by
     one solve with the template's live factor.  The residual is exact.  A
     stopped column's row takes no part in the product or the solve: its
-    residual and correction are zero, and its iterate stays as it stopped.
+    correction is zero, and its iterate stays as it stopped.
     The columns share the factor, which is reused across iterations and
     steps and rebuilt at most once per iteration, at the state of the
     first running column that the last correction left more than
@@ -376,11 +376,9 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     A = template.fill(a, b)
     for it in range(NEWTON_MAX_ITER + 1):
         nodal, lam = problem.implicit(y[:, :n])
-        r = (A @ y.T).T if len(run) == K else _running(lambda v: (A @ v.T).T, y, run)
+        r = _running(lambda v: (A @ v.T).T, y, run)
         r[:, n:] += nodal
         r -= c
-        if len(run) < K:
-            r[[j for j in range(K) if iters[j] >= 0]] = 0.0
         # One dot per column: (K, 1, 2n) @ (K, 2n, 1).
         res = [math.sqrt(v) for v in ((r * winv)[:, None] @ r[:, :, None]).ravel().tolist()]
         # Finite residuals are roots of doubles, below 1.4e154, so their sum
@@ -404,8 +402,8 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
         if it == NEWTON_MAX_ITER:
             raise fail(run[0], f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                        f"(last residual {res[run[0]]:.3e})", res[run[0]])
-        if (bad := _nonfinite(lam if len(run) == K else lam[run])) is not None:
-            j, node = run[bad[0]], bad[1]
+        if (bad := _nonfinite(_running(lambda v: v, lam, run))) is not None:
+            j, node = bad
             raise fail(j, f"Newton iteration {it + 1}: {_where(None)}: non-finite "
                        f"Jacobian diagonal at node {node} ({lam[j, node]})", res[j])
         # The first running column left more than CHORD_RHO of its residual.
@@ -421,8 +419,7 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
             except SolverError as err:
                 raise fail(j, f"Newton iteration {it + 1}: {err}", res[j]) from err
             fresh, kept, A = j, y[j].copy(), template.fill(a, b)
-        dy = (template.lu.solve(-r.T).T if len(run) == K
-              else _running(lambda v: template.lu.solve(-v.T).T, r, run))
+        dy = _running(lambda v: template.lu.solve(-v.T).T, r, run)
         if (bad := _nonfinite(dy)) is not None:
             raise fail(bad[0], f"Newton iteration {it + 1}: {_where(None)} returned "
                        "non-finite values", res[bad[0]])
@@ -436,9 +433,12 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
 
 
 def _running(f, v, run):
-    """``f`` on the rows ``run`` of the stack ``v``, zero on the others.
-    BLAS rounds a product or a solve on a narrower stack differently, so
-    the running rows come out as from a stack of the running columns alone."""
+    """``f`` on the rows ``run`` of the stack ``v``, zero on the others,
+    without copies while every row runs.  BLAS rounds a product or a solve
+    on a narrower stack differently, so the running rows come out as from
+    a stack of the running columns alone."""
+    if len(run) == len(v):
+        return f(v)
     out = np.zeros_like(v)
     out[run] = f(v[run])
     return out

@@ -553,6 +553,27 @@ class TestSolveMany:
                                [zero, ControlPair.constant(mesh, grid, 0.5)])
         assert err.value.step == 1 and err.value.residual > problem.opts.newton_tol
 
+    def test_non_finite_jacobian_names_its_running_column(self, monkeypatch):
+        # lambda is poisoned at node 0 in every column. Column 0 rests at
+        # its steady state and stops at iteration 0, before the check, so
+        # only column 1's lambda is checked, and the error names column 1.
+        implicit = Problem.implicit
+
+        def poisoned(self, phi):
+            nodal, lam = implicit(self, phi)
+            if np.ndim(phi) == 2:
+                lam = lam.copy()
+                lam[:, 0] = np.inf
+            return nodal, lam
+
+        monkeypatch.setattr(Problem, "implicit", poisoned)
+        problem = make_problem()
+        mesh, grid = problem.mesh, problem.grid
+        with pytest.raises(SolverError, match=r"^step 1/8 failed: column 1: Newton iteration "
+                           r"1: linear solve: non-finite Jacobian diagonal at node 0 \(inf\)"):
+            forward.solve_many(problem, PairField.constant(mesh, 0.0),
+                               [ControlPair.zeros(mesh, grid), ControlPair.constant(mesh, grid, 0.5)])
+
     def test_columns_are_validated_by_name(self):
         problem = make_problem(n_cells=8, kind="logarithmic")
         mesh, grid = problem.mesh, problem.grid
