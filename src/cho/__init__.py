@@ -2,7 +2,6 @@
 
 from .adjoint import (
     AdjointTrajectory,
-    adjoint_continuous_form,
     adjoint_solve,
     reduced_gradient,
 )
@@ -46,8 +45,6 @@ from .potentials import (
     logarithmic_potential,
     regular_potential,
     separation_r0,
-    yosida_beta,
-    yosida_hat,
 )
 from .sensitivity import LinearizedTrajectory, linearized_solve, taylor_test
 from .spaces import CoupledOperators, PairField, assemble

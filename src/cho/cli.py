@@ -63,10 +63,10 @@ def _create(outdir):
         raise ConfigError(f"output.directory: cannot create {outdir}: {err.strerror}") from err
 
 
-def _prepare_outdir(outdir, cfg, args):
+def _prepare_outdir(outdir, args):
     """Create the run's output directory with its config.yaml: a verbatim
     copy of the -c file, unless it is that file, or the --preset mapping,
-    which loads back to ``cfg``."""
+    which loads back to the run's configuration."""
     _create(outdir)
     target = os.path.join(outdir, "config.yaml")
     if args.config is not None:
@@ -84,7 +84,7 @@ def cmd_simulate(cfg, args) -> int:
     phi0 = cfg.build_initial(mesh)
     controls = cfg.build_controls(mesh, grid)
     traj = solve(problem, phi0, controls)
-    _prepare_outdir(outdir, cfg, args)
+    _prepare_outdir(outdir, args)
     series = write_series_csv(
         os.path.join(outdir, "series_0.csv"), problem, traj, controls
     )
@@ -102,7 +102,7 @@ def cmd_optimize(cfg, args) -> int:
     # Solve the terminal adjoint pair, which adjoint_norms_0.csv reports,
     # before anything is written.
     result.adjoint.terminal()
-    _prepare_outdir(outdir, cfg, args)
+    _prepare_outdir(outdir, args)
     history = write_history_csv(os.path.join(outdir, "history_0.csv"), result.history)
     write_control_csv(outdir, cp.problem.grid, result.u)
     write_series_csv(

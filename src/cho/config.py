@@ -1,13 +1,14 @@
 """YAML run configuration: typed sections and presets.
 
-A configuration file is the reproducibility unit: it is copied verbatim
-into the output directory of every run (a preset run gets its mapping in
-PRESETS).  Each section builds the types that own its defaults and range
-checks: domain -> IntervalDomain (dim 1) or RectangleDomain (dim 2),
-time -> TimeGrid, physics -> Physics, potential -> Potential plus
-SolverOptions.eps_yosida, solver -> SolverOptions, initial -> one of
-INITIAL_PRESETS, control -> Controls, optimization -> CostSpec weights,
-Targets, BoxBounds arguments and OptimizerOptions, output -> Output.
+A configuration file is the reproducibility unit: ``simulate`` and
+``optimize`` copy it verbatim into the run's output directory (a preset
+run gets its mapping in PRESETS).  Each section builds the types that
+own its defaults and range checks: domain -> IntervalDomain (dim 1) or
+RectangleDomain (dim 2), time -> TimeGrid, physics -> Physics,
+potential -> Potential plus SolverOptions.eps_yosida, solver ->
+SolverOptions, initial -> one of INITIAL_PRESETS, control -> Controls,
+optimization -> CostSpec weights, Targets, BoxBounds arguments and
+OptimizerOptions, output -> Output.
 
 ``RunConfig.from_dict`` converts each YAML value to the type of the field
 it sets; an unknown key, a wrongly typed value or a value a constructor
@@ -18,6 +19,7 @@ still raises ValidationError there (exit 2).
 """
 
 import types
+import warnings
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import ClassVar
 
@@ -399,7 +401,10 @@ def _table(source, n_rows, width, where):
     if not isinstance(source, str):
         return np.full((n_rows, width), source)
     try:
-        arr = np.loadtxt(source, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            # numpy warns on an empty file; its (0, 1) shape fails below.
+            warnings.simplefilter("ignore", UserWarning)
+            arr = np.loadtxt(source, delimiter=",", ndmin=2)
     except OSError as err:
         raise ConfigError(f"{where}: cannot read CSV {source}: {err}") from err
     except ValueError as err:

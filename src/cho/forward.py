@@ -21,6 +21,7 @@ so every converged run satisfies the mean dynamics to solver tolerance.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -588,28 +589,21 @@ def mean_ode_residual(traj: StateTrajectory, controls, ops, gamma) -> np.ndarray
     return np.diff(m) / traj.grid.dt + gamma * m[1:] - gamma * omega
 
 
-def exact_mean(m0: float, gamma: float, omega_slabs, grid: TimeGrid, t: float) -> float:
-    """Closed-form mean m(t) for piecewise-constant omega.
+def exact_mean(m0: float, gamma: float, omega_slabs, grid: TimeGrid) -> np.ndarray:
+    """Closed-form mean m(t_j) at the N + 1 grid times for piecewise-constant
+    omega.
 
-    Solves m' + gamma m = gamma omega exactly:
-    m(t) = m0 e^{-gamma t} + gamma * int_0^t e^{-gamma (t-s)} omega(s) ds,
-    with the integral evaluated slab by slab.
+    Solves m' + gamma m = gamma omega exactly over each slab:
+    m(t_{j+1}) = m(t_j) + (1 - e^{-gamma dt}) (omega_j - m(t_j)), a form in
+    which a rounded e^{-gamma dt} does not compound.
     """
     omega_slabs = np.asarray(omega_slabs, dtype=float)
     if omega_slabs.shape != (grid.N,):
         raise ValueError(f"expected {grid.N} slab values, got {omega_slabs.shape}")
-    if t < 0 or t > grid.T + 1e-12:
-        raise ValueError(f"t = {t} outside [0, {grid.T}]")
-    value = m0 * np.exp(-gamma * t)
-    if gamma == 0.0:
-        return float(value)
-    edges = grid.times()
-    for j in range(grid.N):
-        a, b = edges[j], min(edges[j + 1], t)
-        if b <= a:
-            break
-        value += omega_slabs[j] * (np.exp(-gamma * (t - b)) - np.exp(-gamma * (t - a)))
-    return float(value)
+    gain = -math.expm1(-gamma * grid.dt)
+    return np.fromiter(
+        accumulate(omega_slabs.tolist(), lambda m, w: m + gain * (w - m), initial=m0),
+        float, grid.N + 1)
 
 
 def energy(problem: Problem, phi):

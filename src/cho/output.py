@@ -5,13 +5,11 @@ header row naming every column with its unit; dimensionless columns are
 marked (1).  File naming follows {run-name}/{kind}_{index}.csv.
 """
 
-import math
 import os
-from itertools import accumulate
 
 import numpy as np
 
-from .forward import StateTrajectory, energy
+from .forward import StateTrajectory, energy, exact_mean
 from .spaces import row_inner
 
 
@@ -21,14 +19,9 @@ def write_series_csv(path, problem, traj: StateTrajectory, controls) -> str:
     omega = ops.mean(controls.u, controls.uG)
     means = ops.mean(phi, phi[:, traj.mesh.trace_map])
     energies = energy(problem, phi)
-    times = grid.times()
-    # forward.exact_mean at every t_j in one pass: over a slab of constant
-    # omega_j, m(t_{j+1}) = m(t_j) + (1 - e^{-gamma dt}) (omega_j - m(t_j)),
-    # a form in which a rounded e^{-gamma dt} does not compound.
-    gain = -math.expm1(-problem.physics.gamma * grid.dt)
-    exact = accumulate(omega.tolist(), lambda m, w: m + gain * (w - m), initial=means[0])
+    exact = exact_mean(means[0], problem.physics.gamma, omega, grid)
     iters = np.concatenate([[0], traj.newton_iters])
-    rows = zip(times, means, exact, energies, phi.min(axis=1), phi.max(axis=1), iters)
+    rows = zip(grid.times(), means, exact, energies, phi.min(axis=1), phi.max(axis=1), iters)
     header = (
         "t (time),mean (1),exact_mean (1),energy (energy),"
         "phi_min (1),phi_max (1),newton_iters (1)"

@@ -283,16 +283,12 @@ def separation_r0(pair: PotentialPair, N: float, phi0_sup: float):
     start = max(phi0_sup, 0.0)
     grid = np.linspace(start, 1.0 - 1e-12, SEPARATION_GRID)
 
-    def ok_pointwise(r):
-        return (
-            pair.bulk.F(r, 1) >= N
-            and pair.boundary.F(r, 1) >= N
-            and pair.bulk.F(-r, 1) <= -N
-            and pair.boundary.F(-r, 1) <= -N
-        )
+    def margins(r):
+        """The smaller derivative at r and the larger at -r."""
+        return (np.minimum(pair.bulk.F(r, 1), pair.boundary.F(r, 1)),
+                np.maximum(pair.bulk.F(-r, 1), pair.boundary.F(-r, 1)))
 
-    right = np.minimum(pair.bulk.F(grid, 1), pair.boundary.F(grid, 1))
-    left = np.maximum(pair.bulk.F(-grid, 1), pair.boundary.F(-grid, 1))
+    right, left = margins(grid)
     # Suffix conditions: every grid point at or beyond index k qualifies.
     right_ok = np.minimum.accumulate(right[::-1])[::-1] >= N
     left_ok = np.maximum.accumulate(left[::-1])[::-1] <= -N
@@ -308,7 +304,8 @@ def separation_r0(pair: PotentialPair, N: float, phi0_sup: float):
     a, b = float(grid[k - 1]), float(grid[k])
     for _ in range(60):
         mid = 0.5 * (a + b)
-        if ok_pointwise(mid):
+        right, left = margins(mid)
+        if right >= N and left <= -N:
             b = mid
         else:
             a = mid

@@ -29,7 +29,7 @@ import numpy as np
 from . import adjoint as adj_mod
 from . import control as ctl_mod
 from . import sensitivity as sen_mod
-from .config import RunConfig, preset_config
+from .config import RunConfig, TanhInitial, preset_config
 from .control import ControlPair, control_inner, random_direction
 from .errors import ChoError
 from .forward import (
@@ -118,9 +118,8 @@ def _check(name):
 def _tanh_ic(mesh, amplitude):
     x = mesh.bulk_nodes[:, 0]
     span = x.max() - x.min()
-    return PairField.from_bulk(
-        mesh, amplitude * np.tanh((x - x.min() - 0.5 * span) / (0.15 * span))
-    )
+    initial = TanhInitial(amplitude, x.min() + 0.5 * span, 0.15 * span)
+    return PairField.from_bulk(mesh, initial.values(mesh))
 
 
 def _base_point(problem):
@@ -158,7 +157,7 @@ def check_mean_ode(ctx):
         traj = solve(problem, phi0, controls)
         resid = np.abs(mean_ode_residual(traj, controls, problem.ops, gamma)).max()
         m_T = problem.ops.mean(traj.phi[-1], traj.phi[-1, mesh.trace_map])
-        err = abs(m_T - exact_mean(0.1, gamma, vals, grid, T))
+        err = abs(m_T - exact_mean(0.1, gamma, vals, grid)[-1])
         return resid, err
 
     residuals, errors = zip(*(run(N) for N in (8, 16, 32, 64)))
@@ -176,12 +175,12 @@ def check_constant_data(ctx):
     pair = PotentialPair.same(regular_potential())
     physics = Physics(tau=1.0, gamma=2.0)
     a, b, T = 0.5, 1.0, 1.0
-    exact = a * np.exp(-physics.gamma * T) + b * (1.0 - np.exp(-physics.gamma * T))
 
     def terminal_error(N):
         problem = ctx.problem(T, N, pair, physics)
         traj = solve(problem, PairField.constant(ctx.mesh, a),
                      ControlPair.constant(ctx.mesh, problem.grid, b))
+        exact = exact_mean(a, physics.gamma, [b] * N, problem.grid)[-1]
         return abs(float(traj.phi[-1][0]) - exact)
 
     ratio = terminal_error(16) / terminal_error(32)

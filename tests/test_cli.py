@@ -4,6 +4,7 @@ import csv
 import io
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,10 @@ MALFORMED = {
     "NaN cost weight": (
         lambda d, tmp: d.update(optimization={"alphas": [1, 0, 1, 0, np.nan, 0.5]}),
         "optimization: cost weights"),
+    "control table with a row too many": (
+        lambda d, tmp: d["control"].update(u=_write_csv_table(
+            tmp / "bad.csv", [[0.1] * 9] * 6)),
+        "bad.csv has shape (6, 9), expected (4, 9)"),
     "removed bb_warm_start key": (
         lambda d, tmp: d.update(optimization={"optimizer": {"bb_warm_start": True}}),
         "optimization.optimizer.bb_warm_start"),
@@ -247,6 +252,19 @@ class TestMalformedConfig:
         assert err.startswith("configuration error:")
         assert fragment in err
 
+    def test_empty_csv_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # numpy warns on an empty file; the run reports it as its shape alone.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.csv").write_text("")
+        data = copy.deepcopy(MINIMAL)
+        data["control"]["u"] = "empty.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: control.u: CSV empty.csv has shape (0, 1), "
+            "expected (4, 9)\n")
+
     def test_non_finite_target_csv_exits_1(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)
@@ -255,6 +273,34 @@ class TestMalformedConfig:
         }
         assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 1
         assert "phiO.csv has non-finite values" in capsys.readouterr().err
+
+
+class TestCsvTables:
+    def test_per_slab_and_per_level_tables(self, tmp_path, monkeypatch):
+        # Controls with one row per slab, running targets with one row per
+        # time level (phiQ in its {csv: path} form) and a one-row terminal
+        # target, on 8 cells and 4 steps.
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(5)
+        shapes = {"u": (4, 9), "uG": (4, 2), "phiQ": (5, 9), "phiS": (5, 2), "phiO": (1, 9)}
+        tables = {name: rng.uniform(0.0, 0.2, shape) for name, shape in shapes.items()}
+        paths = {name: _write_csv_table(tmp_path / f"{name}.csv", table)
+                 for name, table in tables.items()}
+        data = copy.deepcopy(MINIMAL)
+        data["control"] = {"u": paths["u"], "uG": paths["uG"]}
+        data["optimization"] = {"targets": {
+            "phiQ": {"csv": paths["phiQ"]}, "phiS": paths["phiS"], "phiO": paths["phiO"]}}
+        cfg = RunConfig.from_dict(data)
+        cp, _, _ = cfg.build_control_problem()
+        controls = cfg.build_controls(cp.problem.mesh, cp.problem.grid)
+        assert np.array_equal(controls.u, tables["u"])
+        assert np.array_equal(controls.uG, tables["uG"])
+        assert np.array_equal(cp.cost.phiQ, tables["phiQ"])
+        assert np.array_equal(cp.cost.phiS, tables["phiS"])
+        assert np.array_equal(cp.cost.phiO, tables["phiO"][0])
+        path = write_yaml(tmp_path, data)
+        assert main(["simulate", "-c", path]) == 0
+        assert main(["optimize", "-c", path]) == 0
 
 
 class TestSimulate:

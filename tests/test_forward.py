@@ -289,15 +289,15 @@ class TestMeanDynamics:
 
 class TestExactMean:
     def test_decay_value_frozen(self):
-        # m0 e^{-gamma t} with omega = 0: 0.5 / e.
+        # m0 e^{-gamma t} with omega = 0: 0.5 / e at t = 1.
         grid = TimeGrid(T=1.0, N=4)
-        got = exact_mean(0.5, 1.0, np.zeros(4), grid, 1.0)
-        assert np.isclose(got, 0.18393972058572117, rtol=1e-14)
+        got = exact_mean(0.5, 1.0, np.zeros(4), grid)
+        assert got.shape == (5,)
+        assert np.isclose(got[-1], 0.18393972058572117, rtol=1e-14)
 
     def test_equilibrium(self):
         grid = TimeGrid(T=2.0, N=8)
-        for t in (0.0, 0.6, 1.3, 2.0):
-            assert np.isclose(exact_mean(0.4, 3.0, np.full(8, 0.4), grid, t), 0.4)
+        assert np.allclose(exact_mean(0.4, 3.0, np.full(8, 0.4), grid), 0.4)
 
     def test_quadrature_against_numerical_integration(self):
         # Independent oracle: numerically integrate the variation-of-
@@ -307,15 +307,17 @@ class TestExactMean:
         grid = TimeGrid(T=1.0, N=5)
         rng = np.random.default_rng(8)
         omega = rng.uniform(-1, 1, 5)
-        gamma, m0, t = 1.7, 0.3, 0.93
+        gamma, m0 = 1.7, 0.3
 
         def omega_fn(s):
             return omega[min(int(s / grid.dt), 4)]
 
-        val, _ = quad(lambda s: np.exp(-gamma * (t - s)) * omega_fn(s), 0, t,
-                      points=grid.times(), limit=200)
-        expected = m0 * np.exp(-gamma * t) + gamma * val
-        assert np.isclose(exact_mean(m0, gamma, omega, grid, t), expected, atol=1e-9)
+        got = exact_mean(m0, gamma, omega, grid)
+        for t, value in zip(grid.times(), got):
+            val, _ = quad(lambda s: np.exp(-gamma * (t - s)) * omega_fn(s), 0, t,
+                          points=grid.times(), limit=200)
+            expected = m0 * np.exp(-gamma * t) + gamma * val
+            assert np.isclose(value, expected, atol=1e-9)
 
     def test_bound_by_reaction_limit(self):
         # |m(t)| <= m0^+ + M/gamma for |omega| <= M (gamma <= 1).
@@ -324,8 +326,11 @@ class TestExactMean:
         M, gamma, m0 = 0.8, 0.9, 0.25
         for _ in range(20):
             omega = rng.uniform(-M, M, 10)
-            t = rng.uniform(0, 2.0)
-            assert abs(exact_mean(m0, gamma, omega, grid, t)) <= m0 + M / gamma + 1e-12
+            assert np.all(np.abs(exact_mean(m0, gamma, omega, grid)) <= m0 + M / gamma + 1e-12)
+
+    def test_slab_count_checked(self):
+        with pytest.raises(ValueError, match="expected 4 slab values"):
+            exact_mean(0.5, 1.0, np.zeros(3), TimeGrid(T=1.0, N=4))
 
 
 class TestEnergy:

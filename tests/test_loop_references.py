@@ -18,7 +18,9 @@ forms.  The one step matrix, refilled
 on its lambda diagonal alone while the coefficients hold, is checked
 against the template fill that rewrote every entry on each call and the
 lambda-free copy chord Newton held of it, on both storages of the
-template, and the two storages against each other.
+template, and the two storages against each other.  The series file's
+closed-form mean, one recurrence step per slab, is checked against the
+slab-by-slab quadrature of the variation-of-constants formula.
 """
 
 import functools
@@ -46,7 +48,6 @@ from cho.forward import (
     Problem,
     SolverOptions,
     TimeGrid,
-    exact_mean,
     mean_ode_residual,
     solve,
     traj_norm_L2H,
@@ -190,6 +191,20 @@ def loop_traj_norm_Y(ops, grid, Z):
     return h1h + np.sqrt(linfv)
 
 
+def loop_exact_mean(m0, gamma, omega_slabs, grid, t):
+    """Closed-form mean m(t) at any t in [0, T]: the variation-of-constants
+    formula m0 e^{-gamma t} + gamma int_0^t e^{-gamma (t-s)} omega(s) ds,
+    integrated slab by slab."""
+    value = m0 * np.exp(-gamma * t)
+    edges = grid.times()
+    for j in range(grid.N):
+        a, b = edges[j], min(edges[j + 1], t)
+        if b <= a:
+            break
+        value += omega_slabs[j] * (np.exp(-gamma * (t - b)) - np.exp(-gamma * (t - a)))
+    return float(value)
+
+
 SERIES_HEADER = ("t (time),mean (1),exact_mean (1),energy (energy),"
                  "phi_min (1),phi_max (1),newton_iters (1)")
 
@@ -207,7 +222,7 @@ def loop_series_rows(problem, traj, controls):
         rows.append((
             times[n],
             loop_mean(ops, traj.phi[n], traj.phi[n][tm]),
-            exact_mean(m0, gamma, omega, grid, times[n]),
+            loop_exact_mean(m0, gamma, omega, grid, times[n]),
             loop_energy(problem, traj.phi[n]),
             float(traj.phi[n].min()),
             float(traj.phi[n].max()),
@@ -342,9 +357,10 @@ def test_series_csv(bundle, tmp_path):
 
 @pytest.mark.parametrize("gamma, N", [(1.0, 8), (0.3, 500), (40.0, 500)])
 def test_series_exact_mean_is_the_closed_form(gamma, N, tmp_path):
-    # The one-pass recursion against forward.exact_mean at every grid
-    # time, for omega that changes from slab to slab.  Only the initial
-    # state enters the column, so every row of the trajectory holds it.
+    # forward.exact_mean's one-slab recurrence against the slab-by-slab
+    # quadrature at every grid time, for omega that changes from slab to
+    # slab.  Only the initial state enters the column, so every row of the
+    # trajectory holds it.
     problem = make_problem(n_cells=6, T=0.5, N=N, gamma=gamma)
     mesh, grid = problem.mesh, problem.grid
     rng = np.random.default_rng(6)
@@ -356,7 +372,7 @@ def test_series_exact_mean_is_the_closed_form(gamma, N, tmp_path):
                      delimiter=",", skiprows=1)[:, 2]
     ops = problem.ops
     omega, m0 = ops.mean(u.u, u.uG), ops.mean(phi[0], phi[0, mesh.trace_map])
-    want = np.array([exact_mean(m0, gamma, omega, grid, t) for t in grid.times()])
+    want = np.array([loop_exact_mean(m0, gamma, omega, grid, t) for t in grid.times()])
     assert np.abs(np.diff(omega)).min() > 0.0
     assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 

@@ -648,29 +648,39 @@ def singular_factor(monkeypatch, ops):
 
 
 class ScaledFactor:
-    """Solves as a factor of 10 A does, given a factor of A."""
+    """Solves as a factor of ``scale`` A does, given a factor of A."""
 
-    def __init__(self, lu):
-        self.lu = lu
+    def __init__(self, lu, scale):
+        self.lu, self.scale = lu, scale
 
     def solve(self, rhs, trans="N"):
-        return self.lu.solve(rhs, trans=trans) / 10.0
+        return self.lu.solve(rhs, trans=trans) / self.scale
 
 
-def stalled_refinement(monkeypatch, ops):
-    """Every step factor is a factor of 10 A: each sweep leaves 90 % of the
-    residual, on a fresh factor too."""
+def scaled_factors(monkeypatch, ops, scale):
+    """Every step factor is a factor of ``scale`` A."""
     _fresh_template(monkeypatch, ops)
     factor = BlockTemplate.factor
 
     def scaled(template, a, b, lam=None):
         factor(template, a, b, lam)
-        template.lu = ScaledFactor(template.lu)
+        template.lu = ScaledFactor(template.lu, scale)
 
     monkeypatch.setattr(BlockTemplate, "factor", scaled)
 
 
-FAULTS = [nan_second_derivative, singular_factor]
+def stalled_refinement(monkeypatch, ops):
+    """Every step factor is a factor of 10 A: each sweep leaves 90 % of the
+    residual, on a fresh factor too."""
+    scaled_factors(monkeypatch, ops, 10.0)
+
+
+def nan_factor(monkeypatch, ops):
+    """Every step factor's solve returns NaN."""
+    scaled_factors(monkeypatch, ops, np.nan)
+
+
+FAULTS = [nan_second_derivative, singular_factor, nan_factor]
 
 
 @pytest.mark.parametrize("fault", FAULTS)
@@ -701,6 +711,22 @@ class TestFaultInjection:
         fault(monkeypatch, None)
         assert main(["simulate", "-c", write_yaml(tmp_path, copy.deepcopy(MINIMAL))]) == 3
         assert "solver error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("solver, message", [
+    (lambda problem, phi0, u, base, cost: solve(problem, phi0, u),
+     "step 1/8 failed: Newton iteration 1: linear solve returned non-finite values"),
+    (lambda problem, phi0, u, base, cost: linearized_solve(problem, base, u),
+     "linear solve at step 1 returned non-finite values"),
+    (lambda problem, phi0, u, base, cost: adjoint_solve(problem, base, cost),
+     "linear solve at step 8 returned non-finite values"),
+], ids=["forward", "linearized", "adjoint"])
+def test_nan_factor_names_the_failed_solve(run, monkeypatch, solver, message):
+    problem = run[0]
+    nan_factor(monkeypatch, problem.ops)
+    with pytest.raises(SolverError) as err:
+        solver(*run)
+    assert str(err.value) == message
 
 
 def test_nan_diagonal_names_node_and_step(run, monkeypatch):
