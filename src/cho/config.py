@@ -397,18 +397,27 @@ def _pick(section, *keys):
 # ---------------------------------------------------------------------------
 
 def _table(source, n_rows, width, where):
-    """A source as an (n_rows, width) array; a one-row CSV is repeated."""
+    """A source as an (n_rows, width) array; a one-row CSV is repeated.
+    A table written by ``output.write_control_csv`` is read without its
+    header and its two time columns."""
     if not isinstance(source, str):
         return np.full((n_rows, width), source)
+    try:
+        with open(source, encoding="utf-8", errors="replace") as fh:
+            timed = fh.readline().startswith("t_start (time),t_end (time),")
+    except OSError:
+        timed = False  # np.loadtxt raises with its own message
     try:
         with warnings.catch_warnings():
             # numpy warns on an empty file; its (0, 1) shape fails below.
             warnings.simplefilter("ignore", UserWarning)
-            arr = np.loadtxt(source, delimiter=",", ndmin=2)
+            arr = np.loadtxt(source, delimiter=",", ndmin=2, skiprows=int(timed))
     except OSError as err:
         raise ConfigError(f"{where}: cannot read CSV {source}: {err}") from err
     except ValueError as err:
         raise ConfigError(f"{where}: cannot parse CSV {source}: {err}") from err
+    if timed:
+        arr = arr[:, 2:]
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{where}: CSV {source} has non-finite values")
     if arr.shape == (1, width):

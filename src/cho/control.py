@@ -40,22 +40,17 @@ def random_direction(mesh, grid, rng) -> ControlPair:
 
 @dataclass
 class BoxBounds:
-    """Pointwise control box plus the H1-in-time budget M'.
+    """Pointwise control box, the same four numbers at every node and
+    slab, plus the H1-in-time budget M'.  A bound may be infinite."""
 
-    Bounds may be scalars or arrays broadcastable to the slab shapes.
-    """
-
-    u_min: float | np.ndarray = -1.0
-    u_max: float | np.ndarray = 1.0
-    uG_min: float | np.ndarray = -1.0
-    uG_max: float | np.ndarray = 1.0
+    u_min: float = -1.0
+    u_max: float = 1.0
+    uG_min: float = -1.0
+    uG_max: float = 1.0
     M_prime: float = 1.0e3
 
     def __post_init__(self):
-        if not (
-            np.all(np.asarray(self.u_min) <= np.asarray(self.u_max))
-            and np.all(np.asarray(self.uG_min) <= np.asarray(self.uG_max))
-        ):
+        if not (self.u_min <= self.u_max and self.uG_min <= self.uG_max):
             raise ValidationError(
                 "infeasible box: lower bound exceeds upper bound or a bound is NaN"
             )
@@ -65,14 +60,7 @@ class BoxBounds:
     @property
     def M(self) -> float:
         """Sup bound of the box, the constant entering the mean-value check."""
-        return float(
-            max(
-                np.max(np.abs(self.u_min)),
-                np.max(np.abs(self.u_max)),
-                np.max(np.abs(self.uG_min)),
-                np.max(np.abs(self.uG_max)),
-            )
-        )
+        return float(max(map(abs, (self.u_min, self.u_max, self.uG_min, self.uG_max))))
 
 
 def project_box(pair: ControlPair, box: BoxBounds) -> ControlPair:
@@ -99,10 +87,10 @@ def validate_Uad(pair: ControlPair, box: BoxBounds, grid, ops) -> UadReport:
     """Report-only admissibility check: box membership and the discrete
     H1-in-time norm of the slab values against M'."""
     box_ok = bool(
-        np.all(pair.u >= np.asarray(box.u_min) - 1e-14)
-        and np.all(pair.u <= np.asarray(box.u_max) + 1e-14)
-        and np.all(pair.uG >= np.asarray(box.uG_min) - 1e-14)
-        and np.all(pair.uG <= np.asarray(box.uG_max) + 1e-14)
+        np.all(pair.u >= box.u_min - 1e-14)
+        and np.all(pair.u <= box.u_max + 1e-14)
+        and np.all(pair.uG >= box.uG_min - 1e-14)
+        and np.all(pair.uG <= box.uG_max + 1e-14)
     )
     dt = grid.dt
     du = np.diff(pair.u, axis=0) / dt

@@ -501,12 +501,11 @@ def require_mean_value(problem: Problem, phi0: PairField, M: float, what="") -> 
         rho = 0.0 if M == 0.0 else math.inf
     lo = -max(-m0, 0.0) - rho
     hi = max(m0, 0.0) + rho
-    dlo, dhi = problem.pair.boundary.domain
-    if lo <= dlo or hi >= dhi:
-        side, end = ("lower", lo) if lo <= dlo else ("upper", hi)
+    if lo <= -1.0 or hi >= 1.0:
+        side, end = ("lower", lo) if lo <= -1.0 else ("upper", hi)
         raise ValidationError(
             f"mean-value condition fails{what}: {side} endpoint {end:g} "
-            f"not inside int D = ({dlo:g}, {dhi:g})"
+            "not inside int D = (-1, 1)"
         )
 
 

@@ -20,9 +20,6 @@ import numpy as np
 
 from .errors import PotentialDomainError, SolverError, ValidationError
 
-_UNBOUNDED = (-math.inf, math.inf)
-_UNIT = (-1.0, 1.0)
-
 
 class PotentialSpec:
     """One double-well potential F = beta_hat + pi_hat.
@@ -31,8 +28,8 @@ class PotentialSpec:
     ----------
     kind : str
         'regular', 'logarithmic' or 'custom'.
-    domain : tuple
-        Open interval D on which F is finite.
+    bounded : bool
+        Whether F is finite on D = (-1, 1) only, not on all of R.
     convex : 4 callables
         Vectorized evaluators of beta_hat, beta, beta' and beta''.
     perturbation : 4 callables
@@ -40,25 +37,23 @@ class PotentialSpec:
         of R; a constant derivative may return a scalar.
     """
 
-    def __init__(self, kind, domain, convex, perturbation):
+    def __init__(self, kind, bounded, convex, perturbation):
         self.kind = kind
-        self.domain = domain
+        self.bounded = bounded
         self.convex = tuple(convex)
         self.perturbation = tuple(perturbation)
         self._beta, self._dbeta = self.convex[1:3]
-        self.bounded = math.isfinite(domain[0]) or math.isfinite(domain[1])
 
     def check_domain(self, r):
-        """Raise unless every value is strictly inside D."""
+        """Raise unless every value is strictly inside D; a NaN passes,
+        for the caller's finiteness check to name."""
         if not self.bounded:
             return
-        r = np.asarray(r)
-        lo, hi = self.domain
-        if np.any(r <= lo) or np.any(r >= hi):
-            bad = r[np.logical_or(r <= lo, r >= hi)]
+        outside = np.abs(r) >= 1.0
+        if outside.any():
             raise PotentialDomainError(
-                f"argument {float(np.ravel(bad)[0]):.6g} outside the open "
-                f"domain ({lo:g}, {hi:g}) of the {self.kind} potential"
+                f"argument {float(np.asarray(r)[outside][0]):.6g} outside the open "
+                f"domain (-1, 1) of the {self.kind} potential"
             )
 
     def F(self, r, order: int = 0):
@@ -98,7 +93,7 @@ def regular_potential() -> PotentialSpec:
               lambda r: 3.0 * r * r, lambda r: 6.0 * r)
     perturbation = (lambda r: 0.25 - 0.5 * (r * r), lambda r: -r,
                     lambda r: -1.0, lambda r: 0.0)
-    return PotentialSpec("regular", _UNBOUNDED, convex, perturbation)
+    return PotentialSpec("regular", False, convex, perturbation)
 
 
 def logarithmic_potential(c1: float = 2.0) -> PotentialSpec:
@@ -114,7 +109,7 @@ def logarithmic_potential(c1: float = 2.0) -> PotentialSpec:
     )
     perturbation = (lambda r: -c1 * (r * r), lambda r: -2.0 * c1 * r,
                     lambda r: -2.0 * c1, lambda r: 0.0)
-    return PotentialSpec("logarithmic", _UNIT, convex, perturbation)
+    return PotentialSpec("logarithmic", True, convex, perturbation)
 
 
 def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
@@ -135,7 +130,7 @@ def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
     sample = np.linspace(-10.0, 10.0, 2001)
     if np.any(np.diff(beta(sample)) < -1e-12):
         raise ValidationError("beta = beta_hat' must be nondecreasing")
-    return PotentialSpec("custom", _UNBOUNDED, [bh.deriv(k) for k in range(4)],
+    return PotentialSpec("custom", False, [bh.deriv(k) for k in range(4)],
                          [ph.deriv(k) for k in range(4)])
 
 
@@ -166,9 +161,8 @@ def resolvent(spec: PotentialSpec, eps: float, r):
     lo = np.minimum(r, 0.0)
     hi = np.maximum(r, 0.0)
     if spec.bounded:
-        a, b = spec.domain
-        lo = np.maximum(lo, np.nextafter(a, 0.0))
-        hi = np.minimum(hi, np.nextafter(b, 0.0))
+        lo = np.maximum(lo, np.nextafter(-1.0, 0.0))
+        hi = np.minimum(hi, np.nextafter(1.0, 0.0))
 
     glo = lo + eps * spec._beta(lo) - r
     ghi = hi + eps * spec._beta(hi) - r
@@ -237,18 +231,17 @@ def yosida_hat(spec: PotentialSpec, eps: float, r):
 @dataclass
 class PotentialPair:
     """Bulk and boundary potentials; construction verifies that
-    D(beta_boundary) is contained in D(beta_bulk)."""
+    D(beta_boundary) is contained in D(beta_bulk): a bounded bulk
+    potential needs a bounded boundary one."""
 
     bulk: PotentialSpec
     boundary: PotentialSpec
 
     def __post_init__(self):
-        blo, bhi = self.boundary.domain
-        lo, hi = self.bulk.domain
-        if blo < lo or bhi > hi:
+        if self.bulk.bounded and not self.boundary.bounded:
             raise ValidationError(
                 "boundary potential domain must be contained in the bulk one: "
-                f"({blo:g}, {bhi:g}) vs ({lo:g}, {hi:g})"
+                "(-inf, inf) vs (-1, 1)"
             )
 
     @property

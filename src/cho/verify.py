@@ -31,7 +31,7 @@ from . import control as ctl_mod
 from . import sensitivity as sen_mod
 from .config import RunConfig, TanhInitial, preset_config
 from .control import ControlPair, control_inner, random_direction
-from .errors import ChoError
+from .errors import ChoError, ConfigError
 from .forward import (
     Physics,
     Problem,
@@ -346,7 +346,7 @@ def check_optimality(ctx):
     ops = ctx.ops if cfg.domain == _check_domain(ctx.cfg.domain) else None
     cp, u0, pg_opts = cfg.build_control_problem(ops)
     problem = cp.problem
-    grid, mesh = problem.grid, problem.mesh
+    grid = problem.grid
 
     # Gradient correctness on the same bundle before optimizing.
     ok, gap, fd = _gradient_checks(
@@ -363,14 +363,16 @@ def check_optimality(ctx):
     vi = result.history[-1].vi_residual
 
     rng = np.random.default_rng(11)
+
+    def draw(lo, hi, star):
+        # Uniform in the box, an infinite end replaced by star -+ 1.
+        return rng.uniform(np.where(np.isinf(lo), star - 1.0, lo),
+                           np.where(np.isinf(hi), star + 1.0, hi))
+
     worst_form = np.inf
     for _ in range(20):
-        other = ControlPair(
-            rng.uniform(np.broadcast_to(cp.box.u_min, (grid.N, mesh.n_bulk)),
-                        np.broadcast_to(cp.box.u_max, (grid.N, mesh.n_bulk))),
-            rng.uniform(np.broadcast_to(cp.box.uG_min, (grid.N, mesh.n_boundary)),
-                        np.broadcast_to(cp.box.uG_max, (grid.N, mesh.n_boundary))),
-        )
+        other = ControlPair(draw(cp.box.u_min, cp.box.u_max, result.u.u),
+                            draw(cp.box.uG_min, cp.box.uG_max, result.u.uG))
         # The first-order form <gamma p + a5 u_*, u - u_*> + boundary analogue.
         worst_form = min(worst_form, control_inner(result.gradient, other.plus(result.u, -1.0),
                                                    problem.ops, grid.dt))
@@ -421,12 +423,15 @@ ALL_CHECKS = (
 
 def run_suite(cfg: RunConfig):
     """Run every check on one CheckContext; a check that raises is
-    recorded as a failure under its name."""
+    recorded as a failure under its name, except a ``ConfigError``: a
+    malformed configuration is the caller's to report."""
     ctx = CheckContext.build(cfg)
     results = []
     for check in ALL_CHECKS:
         try:
             results.append(check(ctx))
+        except ConfigError:
+            raise
         except ChoError as err:
             results.append(CheckResult(check.name, False, f"aborted: {err}"))
     return results

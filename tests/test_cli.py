@@ -302,6 +302,25 @@ class TestCsvTables:
         assert main(["simulate", "-c", path]) == 0
         assert main(["optimize", "-c", path]) == 0
 
+    def test_optimized_control_replays(self, tmp_path, monkeypatch):
+        # The control tables of ``cho optimize`` carry a header and two time
+        # columns; ``cho simulate`` reads them back and retraces the run.
+        monkeypatch.chdir(tmp_path)
+        assert main(["optimize", "--preset", "coarse"]) == 0
+        data = copy.deepcopy(PRESETS["coarse"])
+        data["control"] = {"u": "out/coarse/control_u_0.csv",
+                           "uG": "out/coarse/control_ug_0.csv"}
+        data["output"]["directory"] = "replay"
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 0
+        header, optimized = read_csv(tmp_path / "out" / "coarse" / "series_0.csv")
+        _, replayed = read_csv(tmp_path / "replay" / "coarse" / "series_0.csv")
+        column = {name.split(" ")[0]: k for k, name in enumerate(header)}
+        assert np.allclose(replayed[:, column["mean"]], optimized[:, column["mean"]],
+                           rtol=0.0, atol=1e-12)
+        for name in ("phi_min", "phi_max"):
+            assert np.allclose(replayed[:, column[name]], optimized[:, column[name]],
+                               rtol=0.0, atol=1e-10)
+
 
 class TestSimulate:
     def test_writes_expected_artifacts(self, tmp_path, monkeypatch):
@@ -547,6 +566,28 @@ class TestVerify:
         assert out.count("[PASS]") == 11
         assert "[FAIL]" not in out
 
+    @pytest.mark.parametrize("bound,value", [("u_max", np.inf), ("uG_min", -np.inf)])
+    def test_infinite_box_bound_passes(self, tmp_path, monkeypatch, capsys, bound, value):
+        # The optimality check draws its comparison controls from the box,
+        # an infinite end replaced by the final control -+ 1.
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(PRESETS["coarse"])
+        data["optimization"]["box"][bound] = value
+        assert main(["verify", "-c", write_yaml(tmp_path, data)]) == 0
+        assert capsys.readouterr().out.count("[PASS]") == 11
+
+    def test_malformed_configuration_exits_1(self, tmp_path, monkeypatch, capsys):
+        # An unreadable CSV is a configuration error, not a failed check.
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(PRESETS["coarse"])
+        data["initial"] = {"preset": "csv", "path": "missing.csv"}
+        assert main(["verify", "-c", write_yaml(tmp_path, data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: initial.path: cannot read CSV")
+        assert len(captured.err.splitlines()) == 1
+        assert "[FAIL]" not in captured.out
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("failing", [None, "rectangle"])
     def test_all_presets_summary(self, tmp_path, monkeypatch, capsys, failing):
         # Canned suites: each preset runs once, and one failing check fails
@@ -658,6 +699,9 @@ class TestNoTraceback:
            mutations=st.lists(MUTATIONS, min_size=1, max_size=2, unique_by=lambda m: m[0]))
     @example(command="simulate", mutations=[(("time", "T"), 1e-300)])
     @example(command="optimize", mutations=[(("time", "T"), 1e-300)])
+    @example(command="verify", mutations=[(("optimization", "box", "u_max"), float("inf"))])
+    @example(command="verify",
+             mutations=[(("initial",), {"preset": "csv", "path": "missing.csv"})])
     def test_mutated_configurations_end_with_an_exit_code(self, command, mutations):
         data = copy.deepcopy(PRESETS["coarse"])
         for path, value in mutations:

@@ -112,10 +112,6 @@ class TestProjectBox:
         with pytest.raises(ValidationError, match="NaN"):
             BoxBounds(**{bound: float("nan")})
 
-    def test_nan_bound_array_rejected(self):
-        with pytest.raises(ValidationError, match="NaN"):
-            BoxBounds(u_min=np.array([-1.0, np.nan]))
-
     def test_nan_M_prime_rejected(self):
         with pytest.raises(ValidationError, match="M'"):
             BoxBounds(M_prime=float("nan"))

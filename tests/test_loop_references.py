@@ -390,8 +390,8 @@ def loop_resolvent(spec, eps, r):
     r = np.atleast_1d(np.asarray(r, dtype=float))
     lo, hi = np.minimum(r, 0.0), np.maximum(r, 0.0)
     if spec.bounded:
-        lo = np.maximum(lo, np.nextafter(spec.domain[0], 0.0))
-        hi = np.minimum(hi, np.nextafter(spec.domain[1], 0.0))
+        lo = np.maximum(lo, np.nextafter(-1.0, 0.0))
+        hi = np.minimum(hi, np.nextafter(1.0, 0.0))
 
     def g(J):
         return J + eps * spec._beta(J) - r

@@ -65,6 +65,16 @@ class TestEvaluation:
         with pytest.raises(PotentialDomainError):
             LOG.F(r)
 
+    def test_logarithmic_domain_guard_on_stacks(self):
+        # A (K, n) stack is checked whole; the message names the first
+        # offending value in C order, and a NaN beside one does not hide it.
+        stack = np.array([[0.0] * 5, [0.0, 0.0, 1.0, 0.0, 0.0], [-1.5] + [0.0] * 4])
+        with pytest.raises(PotentialDomainError, match=r"argument 1 outside"):
+            LOG.F(stack)
+        with pytest.raises(PotentialDomainError, match=r"argument 1\.5 outside"):
+            LOG.F(np.array([[0.5, np.nan, 1.5]]))
+        LOG.check_domain(np.full((2, 3), np.nan))  # left to the finiteness checks
+
     def test_regular_defined_everywhere(self):
         assert np.isfinite(REG.F(100.0))
 
