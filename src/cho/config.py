@@ -399,25 +399,30 @@ def _pick(section, *keys):
 def _table(source, n_rows, width, where):
     """A source as an (n_rows, width) array; a one-row CSV is repeated.
     A table written by ``output.write_control_csv`` is read without its
-    header and its two time columns."""
+    header and its two time columns, and a snapshot written by
+    ``output.write_state_csv`` as its phi column, one row."""
     if not isinstance(source, str):
         return np.full((n_rows, width), source)
     try:
         with open(source, encoding="utf-8", errors="replace") as fh:
-            timed = fh.readline().startswith("t_start (time),t_end (time),")
+            header = fh.readline()
     except OSError:
-        timed = False  # np.loadtxt raises with its own message
+        header = ""  # np.loadtxt raises with its own message
+    timed = header.startswith("t_start (time),t_end (time),")
+    state = header.startswith("x (length),phi (1),mu (1)")
     try:
         with warnings.catch_warnings():
             # numpy warns on an empty file; its (0, 1) shape fails below.
             warnings.simplefilter("ignore", UserWarning)
-            arr = np.loadtxt(source, delimiter=",", ndmin=2, skiprows=int(timed))
+            arr = np.loadtxt(source, delimiter=",", ndmin=2, skiprows=int(timed or state))
     except OSError as err:
         raise ConfigError(f"{where}: cannot read CSV {source}: {err}") from err
     except ValueError as err:
         raise ConfigError(f"{where}: cannot parse CSV {source}: {err}") from err
     if timed:
         arr = arr[:, 2:]
+    if state:
+        arr = arr[:, 1:2].T
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{where}: CSV {source} has non-finite values")
     if arr.shape == (1, width):
@@ -432,7 +437,9 @@ def _table(source, n_rows, width, where):
 def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            # libyaml's parser where PyYAML was built with it; both
+            # loaders resolve tags with the same Python resolver.
+            raw = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     except yaml.YAMLError as err:

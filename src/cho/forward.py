@@ -163,10 +163,10 @@ class Problem:
         eps = self.opts.eps_yosida
         if not eps:
             return spec.derivatives(r, orders, convex=self._split)
-        parts = yosida_derivatives(spec, eps, r)
+        parts = yosida_derivatives(spec, eps, r, orders)
         if self._split:
-            return tuple(parts[k] for k in orders)
-        return tuple(parts[k] + spec.perturbation[k](r) for k in orders)
+            return parts
+        return tuple(z + spec.perturbation[k](r) for k, z in zip(orders, parts))
 
     def _lumped(self, side, phi):
         ops, pair = self.ops, self.pair

@@ -35,13 +35,18 @@ class PotentialSpec:
     perturbation : 4 callables
         Vectorized evaluators of pi_hat, pi, pi' and pi'', smooth on all
         of R; a constant derivative may return a scalar.
+    cubic : (b1, b2, b3) or None
+        The coefficients of beta(r) = b1 r + b2 r^2 + b3 r^3 when beta is
+        a polynomial of degree <= 3; the Yosida resolvent then starts
+        from the closed-form root of the cubic (see ``resolvent``).
     """
 
-    def __init__(self, kind, bounded, convex, perturbation):
+    def __init__(self, kind, bounded, convex, perturbation, cubic=None):
         self.kind = kind
         self.bounded = bounded
         self.convex = tuple(convex)
         self.perturbation = tuple(perturbation)
+        self.cubic = cubic
         self._beta, self._dbeta = self.convex[1:3]
 
     def check_domain(self, r):
@@ -93,7 +98,7 @@ def regular_potential() -> PotentialSpec:
               lambda r: 3.0 * r * r, lambda r: 6.0 * r)
     perturbation = (lambda r: 0.25 - 0.5 * (r * r), lambda r: -r,
                     lambda r: -1.0, lambda r: 0.0)
-    return PotentialSpec("regular", False, convex, perturbation)
+    return PotentialSpec("regular", False, convex, perturbation, cubic=(0.0, 0.0, 1.0))
 
 
 def logarithmic_potential(c1: float = 2.0) -> PotentialSpec:
@@ -130,8 +135,10 @@ def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
     sample = np.linspace(-10.0, 10.0, 2001)
     if np.any(np.diff(beta(sample)) < -1e-12):
         raise ValidationError("beta = beta_hat' must be nondecreasing")
+    b = beta.coef
+    cubic = tuple(np.pad(b, (0, 4 - b.size))[1:].tolist()) if b.size <= 4 else None
     return PotentialSpec("custom", False, [bh.deriv(k) for k in range(4)],
-                         [ph.deriv(k) for k in range(4)])
+                         [ph.deriv(k) for k in range(4)], cubic)
 
 
 # ---------------------------------------------------------------------------
@@ -146,18 +153,59 @@ def resolvent(spec: PotentialSpec, eps: float, r):
     """Solve J + eps * beta(J) = r for J, vectorized.
 
     Defined for every real r, also outside D: the solution J always lies
-    strictly inside D.  Safeguarded Newton with a bisection fallback on
-    the nodes not yet converged.  A node stops when a Newton correction
-    below the relative tolerance 1e-12 lands inside its bracket or on one
-    of its ends.  A node still moving after ``RESOLVENT_MAXITER``
-    iterations raises ``SolverError``.
+    strictly inside D.  Safeguarded Newton with a bisection fallback from
+    the bracket [min(r, 0), max(r, 0)] on the nodes not yet converged.  A
+    node stops when a Newton correction below the relative tolerance 1e-12
+    lands inside its bracket or on one of its ends; a node still moving
+    after ``RESOLVENT_MAXITER`` iterations raises ``SolverError``.  A cubic
+    beta with r + eps beta(r) increasing on all of R (``PotentialSpec.cubic``)
+    first takes one Newton correction from its closed-form root; the
+    nodes whose correction meets that stopping rule are done.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     r = np.asarray(r, dtype=float)
     shape = r.shape
     r = r.ravel()
+    # A root that overflows near the largest doubles fails the check
+    # silently; the bracket is finite where r is, so a J inside it is too.
+    with np.errstate(all="ignore"):
+        x = _cubic_root(spec.cubic, eps, r) if spec.cubic else None
+        if x is not None:
+            step = (x + eps * spec._beta(x) - r) / (1.0 + eps * spec._dbeta(x))
+            J = x - step
+            done = ((np.abs(step) <= RESOLVENT_RTOL * np.maximum(1.0, np.abs(x)))
+                    & (J >= np.minimum(r, 0.0)) & (J <= np.maximum(r, 0.0)))
+    if x is None:
+        J = _safeguarded(spec, eps, r)
+    elif not done.all():
+        idx = np.flatnonzero(~done)
+        J[idx] = _safeguarded(spec, eps, r[idx])
+    return J.reshape(shape) if shape else float(J[0])
 
+
+def _cubic_root(cubic, eps, r):
+    """The one real root of J + eps (b1 J + b2 J^2 + b3 J^3) = r, or None
+    unless the left side increases on all of R and is linear or cubic.
+
+    Divided by eps b3 and shifted by J = t - b2/(3 b3), the cubic reads
+    t^3 + p t + q = 0; with p > 0 its root is Cardano's in Viete's
+    hyperbolic form, t = 2 sqrt(p/3) sinh(arsinh(-(q/2)(3/p)^(3/2))/3)."""
+    b1, b2, b3 = cubic
+    if b3 == 0.0:
+        return r / (1.0 + eps * b1) if b2 == 0.0 else None
+    a, c = b2 / b3, (1.0 + eps * b1) / (eps * b3)
+    p = c - a * a / 3.0
+    if not (b3 > 0.0 and p > 0.0):
+        return None
+    # -(q/2)(3/p)^(3/2) = k r - k0 with q = a (2a^2/9 - c)/3 - r/(eps b3).
+    scale = 0.5 * (3.0 / p) ** 1.5
+    k, k0 = scale / (eps * b3), scale * a * (2.0 * a * a / 9.0 - c) / 3.0
+    return 2.0 * math.sqrt(p / 3.0) * np.sinh(np.arcsinh(k * r - k0) / 3.0) - a / 3.0
+
+
+def _safeguarded(spec, eps, r):
+    """The safeguarded Newton loop of ``resolvent`` on a flat array r."""
     lo = np.minimum(r, 0.0)
     hi = np.maximum(r, 0.0)
     if spec.bounded:
@@ -194,34 +242,43 @@ def resolvent(spec: PotentialSpec, eps: float, r):
             f"Yosida resolvent did not converge in {RESOLVENT_MAXITER} iterations "
             f"at {idx.size} nodes (first r = {float(r[0]):.6g})"
         )
-    return J.reshape(shape) if shape else float(J[0])
+    return J
 
 
-def yosida_derivatives(spec: PotentialSpec, eps: float, r):
-    """Orders 0 to 2 of the Moreau envelope of beta_hat from one resolvent
-    J = J_eps(r): the envelope |r - J|^2/(2 eps) + beta_hat(J), its
-    derivative beta_eps(r) = (r - J)/eps and beta_eps'(r) =
-    beta'(J)/(1 + eps beta'(J)) <= 1/eps."""
+def yosida_derivatives(spec: PotentialSpec, eps: float, r, orders=(0, 1, 2)):
+    """The given orders (0 to 2) of the Moreau envelope of beta_hat from
+    one resolvent J = J_eps(r): the envelope |r - J|^2/(2 eps) +
+    beta_hat(J), its derivative beta_eps(r) = (r - J)/eps and beta_eps'(r)
+    = beta'(J)/(1 + eps beta'(J)) <= 1/eps.  Only the orders asked for are
+    evaluated."""
     r = np.asarray(r, dtype=float)
     J = resolvent(spec, eps, r)
     d = r - J
-    dB = spec._dbeta(J)
-    return d * d / (2.0 * eps) + spec.convex[0](J), d / eps, dB / (1.0 + eps * dB)
+
+    def part(k):
+        if k == 0:
+            return d * d / (2.0 * eps) + spec.convex[0](J)
+        if k == 1:
+            return d / eps
+        dB = spec._dbeta(J)
+        return dB / (1.0 + eps * dB)
+
+    return tuple(part(k) for k in orders)
 
 
 def yosida_beta(spec: PotentialSpec, eps: float, r):
     """Yosida approximation beta_eps(r) = (r - J_eps(r)) / eps."""
-    return yosida_derivatives(spec, eps, r)[1]
+    return yosida_derivatives(spec, eps, r, (1,))[0]
 
 
 def yosida_dbeta(spec: PotentialSpec, eps: float, r):
     """Derivative of beta_eps; see ``yosida_derivatives``."""
-    return yosida_derivatives(spec, eps, r)[2]
+    return yosida_derivatives(spec, eps, r, (2,))[0]
 
 
 def yosida_hat(spec: PotentialSpec, eps: float, r):
     """Moreau envelope of beta_hat: |r - J|^2/(2 eps) + beta_hat(J)."""
-    return yosida_derivatives(spec, eps, r)[0]
+    return yosida_derivatives(spec, eps, r, (0,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ with a regular potential and no reaction).
 
 A suite run assembles its check mesh and operators once, in a
 ``CheckContext``; every check builds its problems from it, so they share
-one block template.  Each check starts without a live factor.
+one block template.  Each check starts without a live factor.  The
+context also builds the optimality check's control problem, so a
+missing or malformed CSV of the configuration stops the suite before
+any check runs.
 
 A check that solves one problem under many controls draws them all
 first, in a fixed order, and solves them in one stacked ``solve_many``:
@@ -76,15 +79,23 @@ def _check_domain(dom):
 
 @dataclass(frozen=True)
 class CheckContext:
-    """The configuration and the check operators of one suite run."""
+    """The configuration, the check operators and the optimality check's
+    (ControlProblem, initial control, OptimizerOptions) of one suite run."""
 
     cfg: RunConfig
     ops: CoupledOperators
+    control: tuple
 
     @classmethod
     def build(cls, cfg: RunConfig) -> "CheckContext":
-        """Assemble the operators on the check domain."""
-        return cls(cfg, assemble(_check_domain(cfg.domain).build()))
+        """Assemble the operators on the check domain and build the
+        configured control problem, or the default preset's when the
+        configuration has no optimization section, on those operators when
+        its mesh is the check mesh."""
+        ops = assemble(_check_domain(cfg.domain).build())
+        control_cfg = cfg if cfg.optimization is not None else preset_config("default")
+        shared = ops if control_cfg.domain == _check_domain(cfg.domain) else None
+        return cls(cfg, ops, control_cfg.build_control_problem(shared))
 
     @property
     def mesh(self):
@@ -341,10 +352,7 @@ def check_adjoint(ctx):
 @_check("optimality")
 def check_optimality(ctx):
     """Projected gradient reaches a certified box-stationary point."""
-    cfg = ctx.cfg if ctx.cfg.optimization is not None else preset_config("default")
-    # On the check operators when the configured mesh is the check mesh.
-    ops = ctx.ops if cfg.domain == _check_domain(ctx.cfg.domain) else None
-    cp, u0, pg_opts = cfg.build_control_problem(ops)
+    cp, u0, pg_opts = ctx.control
     problem = cp.problem
     grid = problem.grid
 
@@ -424,7 +432,8 @@ ALL_CHECKS = (
 def run_suite(cfg: RunConfig):
     """Run every check on one CheckContext; a check that raises is
     recorded as a failure under its name, except a ``ConfigError``: a
-    malformed configuration is the caller's to report."""
+    malformed configuration is the caller's to report, and building the
+    context reports most of them before any check runs."""
     ctx = CheckContext.build(cfg)
     results = []
     for check in ALL_CHECKS:

@@ -97,6 +97,18 @@ class TestConfig:
         path.write_text(text)
         assert load_config(path).solver.newton_tol == 1e-6
 
+    def test_libyaml_and_python_loaders_agree(self, tmp_path):
+        # load_config parses with libyaml's CSafeLoader where PyYAML has it;
+        # every preset's dump and the README's minimal example read the same
+        # with the pure-Python SafeLoader.
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"A minimal configuration:\s*```yaml\n(.*?)```", readme, re.S)
+        texts = [yaml.safe_dump(data, sort_keys=False) for data in PRESETS.values()]
+        for k, text in enumerate([*texts, block.group(1)]):
+            path = tmp_path / f"{k}.yaml"
+            path.write_text(text)
+            assert load_config(path) == RunConfig.from_dict(yaml.load(text, yaml.SafeLoader))
+
     def test_eps_yosida_inside_unit_interval_loads(self):
         data = copy.deepcopy(MINIMAL)
         data["potential"]["eps_yosida"] = 0.5
@@ -302,6 +314,27 @@ class TestCsvTables:
         assert main(["simulate", "-c", path]) == 0
         assert main(["optimize", "-c", path]) == 0
 
+    def test_snapshot_reads_back_as_initial(self, tmp_path, monkeypatch, capsys):
+        # A state_{k}.csv snapshot is read as its phi column; .17g round-trips
+        # exactly, so the new run starts from the snapshot's very digits.
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--preset", "default"]) == 0
+        data = copy.deepcopy(PRESETS["default"])
+        data["run_name"] = "readback"
+        data["initial"] = {"preset": "csv", "path": "out/default/state_1.csv"}
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 0
+        snapshot, start = ([line.split(",")[1] for line in path.read_text().splitlines()]
+                           for path in (tmp_path / "out" / "default" / "state_1.csv",
+                                        tmp_path / "out" / "readback" / "state_0.csv"))
+        assert start == snapshot and len(start) == 34
+        # A snapshot of another mesh has the wrong shape.
+        data["domain"]["cells"] = 16
+        capsys.readouterr()
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 1
+        assert capsys.readouterr().err == (
+            "configuration error: initial.path: CSV out/default/state_1.csv has shape "
+            "(1, 33), expected (1, 17)\n")
+
     def test_optimized_control_replays(self, tmp_path, monkeypatch):
         # The control tables of ``cho optimize`` carry a header and two time
         # columns; ``cho simulate`` reads them back and retraces the run.
@@ -477,10 +510,11 @@ class TestSimulate:
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 3
         assert "Yosida resolvent did not converge" in capsys.readouterr().err
 
-    def test_malformed_yaml_exits_1(self, tmp_path):
+    def test_malformed_yaml_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("{{{nope")
         assert main(["simulate", "-c", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot parse config {path}")
 
     def test_missing_file_exits_1(self):
         assert main(["simulate", "-c", "/nonexistent/x.yaml"]) == 1
@@ -577,16 +611,36 @@ class TestVerify:
         assert capsys.readouterr().out.count("[PASS]") == 11
 
     def test_malformed_configuration_exits_1(self, tmp_path, monkeypatch, capsys):
-        # An unreadable CSV is a configuration error, not a failed check.
+        # An unreadable CSV is a configuration error, not a failed check,
+        # and it is reported before any check solves anything.
+        solves = []
+
+        def spy(*args, **kwargs):
+            solves.append(args)
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr("cho.forward.solve_many", spy)
+        monkeypatch.setattr("cho.verify.solve_many", spy)
+        monkeypatch.chdir(tmp_path)
+        for preset in ("coarse", "rectangle"):
+            data = copy.deepcopy(PRESETS[preset])
+            data["initial"] = {"preset": "csv", "path": "missing.csv"}
+            assert main(["verify", "-c", write_yaml(tmp_path, data)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("configuration error: initial.path: cannot read CSV")
+            assert len(captured.err.splitlines()) == 1
+            assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
+        assert solves == []
+        assert not (tmp_path / "out").exists()
+
+    def test_infeasible_box_exits_2_before_any_check(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(PRESETS["coarse"])
-        data["initial"] = {"preset": "csv", "path": "missing.csv"}
-        assert main(["verify", "-c", write_yaml(tmp_path, data)]) == 1
+        data["optimization"]["box"]["u_min"] = 2.0
+        assert main(["verify", "-c", write_yaml(tmp_path, data)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("configuration error: initial.path: cannot read CSV")
-        assert len(captured.err.splitlines()) == 1
-        assert "[FAIL]" not in captured.out
-        assert not (tmp_path / "out").exists()
+        assert captured.err.startswith("validation error: infeasible box")
+        assert "[PASS]" not in captured.out and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("failing", [None, "rectangle"])
     def test_all_presets_summary(self, tmp_path, monkeypatch, capsys, failing):

@@ -9,7 +9,8 @@ The nodal scheme terms are checked the same way: the fused evaluations
 (one pass per state for a term and its derivative, one resolvent per
 side) and the energy of the run's potential against the per-order
 formulas, and the compacted resolvent against the full-array safeguarded
-Newton loop.  The forward step, one product with
+Newton loop, seeded per element with the closed-form root of a cubic
+beta.  The forward step, one product with
 the block template per residual, is checked against the node-ordered
 chord Newton loop of two products per residual it replaced, and its
 stack of one column bitwise against the one-state loop the stacked step
@@ -31,7 +32,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from cho import forward, spaces
+from cho import forward, potentials, spaces
 from cho.adjoint import adjoint_solve, reduced_gradient
 from cho.control import (
     BoxBounds,
@@ -59,6 +60,7 @@ from cho.output import write_series_csv
 from cho.potentials import (
     RESOLVENT_RTOL,
     PotentialPair,
+    custom_potential,
     logarithmic_potential,
     regular_potential,
     resolvent,
@@ -418,6 +420,29 @@ def loop_resolvent(spec, eps, r):
     return J, ~active & ~landed
 
 
+def seeded_loop_resolvent(spec, eps, r):
+    """The resolvent of a cubic beta: the closed-form root, corrected once
+    per element in Python floats and kept where the correction meets the
+    loop's stopping rule inside the bracket [min(r, 0), max(r, 0)]; every
+    other node, and every node of any other potential, from
+    ``loop_resolvent``.  Returns J and the mask of exact nodes."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    J, exact = np.empty_like(r), np.ones(r.shape, bool)
+    seed = potentials._cubic_root(spec.cubic, eps, r) if spec.cubic else None
+    rest = []
+    for i, ri in enumerate(r.tolist()):
+        if seed is not None:
+            x = float(seed[i])
+            step = (x + eps * spec._beta(x) - ri) / (1.0 + eps * spec._dbeta(x))
+            if (abs(step) <= RESOLVENT_RTOL * max(1.0, abs(x))
+                    and min(ri, 0.0) <= x - step <= max(ri, 0.0)):
+                J[i] = x - step
+                continue
+        rest.append(i)
+    J[rest], exact[rest] = loop_resolvent(spec, eps, r[rest])
+    return J, exact
+
+
 def loop_yosida_beta(spec, eps, r):
     return (r - loop_resolvent(spec, eps, r)[0]) / eps
 
@@ -512,18 +537,34 @@ def test_energy_of_the_runs_potential(pair, mesh, scheme, eps):
     assert np.allclose(got, want, rtol=0.0, atol=RTOL * np.abs(want).max())
 
 
-@pytest.mark.parametrize("spec", [regular_potential(), logarithmic_potential(2.0)],
-                         ids=["regular", "logarithmic"])
+# The potentials of the resolvent tests: two with a cubic beta in closed
+# form, one with a quadratic beta, the logarithmic one, a cubic beta
+# increasing on the sampled [-10, 10] alone (p <= 0 for eps >= 1e-2) and
+# beta = r^5.
+RESOLVENT_SPECS = {
+    "regular": regular_potential(),
+    "cubic": custom_potential([0, 0, 0.5, 1 / 6, 0.5], [0]),
+    "quadratic": custom_potential([0, 0, 15.0, 0.1], [0]),
+    "logarithmic": logarithmic_potential(2.0),
+    "cubic-p<=0": custom_potential([0, 0, 550.0, -20.0, 0.25], [0]),
+    "quintic": custom_potential([0, 0, 0, 0, 0, 0, 1 / 6], [0]),
+}
+
+
+@pytest.mark.parametrize("spec", RESOLVENT_SPECS.values(), ids=RESOLVENT_SPECS.keys())
 @pytest.mark.parametrize("eps", [0.5, 0.1, 1e-2, 1e-3])
 def test_compacted_resolvent(spec, eps):
-    # Equal where the full-array loop converged without a small correction
-    # landing on a bracket end; elsewhere within the tolerance.  Rows, a
-    # stack and a strided view give the same values.
+    # Equal where the closed form was kept or the full-array loop converged
+    # without a small correction landing on a bracket end; elsewhere within
+    # the tolerance of the unseeded loop.  Rows, a stack and a strided view
+    # give the same values.
     rs = np.random.default_rng(2).uniform(-3.0, 3.0, (4, 81))
-    expected, exact = loop_resolvent(spec, eps, rs.ravel())
+    rs[0, :3] = 0.0
+    expected, exact = seeded_loop_resolvent(spec, eps, rs.ravel())
     got = resolvent(spec, eps, rs[:, ::-1].T).T[:, ::-1].ravel()
     assert np.array_equal(got[exact], expected[exact])
-    assert np.allclose(got, expected, rtol=RESOLVENT_RTOL, atol=0.0)
+    assert np.allclose(got, loop_resolvent(spec, eps, rs.ravel())[0],
+                       rtol=RESOLVENT_RTOL, atol=0.0)
     rows = np.concatenate([resolvent(spec, eps, row) for row in rs])
     assert np.array_equal(rows, got)
 

@@ -12,6 +12,7 @@ from cho import potentials
 from cho.errors import PotentialDomainError, SolverError, ValidationError
 from cho.forward import require_mean_value
 from cho.potentials import (
+    RESOLVENT_RTOL,
     PotentialPair,
     custom_potential,
     logarithmic_potential,
@@ -20,6 +21,7 @@ from cho.potentials import (
     separation_r0,
     yosida_beta,
     yosida_dbeta,
+    yosida_derivatives,
     yosida_hat,
 )
 from cho.spaces import PairField
@@ -211,6 +213,94 @@ class TestYosida:
         monkeypatch.setattr(potentials, "RESOLVENT_MAXITER", 2)
         with pytest.raises(SolverError, match="did not converge in 2 iterations"):
             resolvent(LOG, 0.1, np.linspace(-2.5, 2.5, 25))
+
+    @pytest.mark.parametrize("subset", [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (2, 1)])
+    @pytest.mark.parametrize("spec", [REG, LOG])
+    def test_derivative_subsets_are_the_full_triple(self, spec, subset):
+        rs = np.random.default_rng(4).uniform(-2.0, 2.0, (3, 17))
+        full = yosida_derivatives(spec, 0.05, rs)
+        got = yosida_derivatives(spec, 0.05, rs, subset)
+        assert len(got) == len(subset)
+        assert all(np.array_equal(z, full[k]) for k, z in zip(subset, got))
+
+
+# A custom potential with beta = J + 0.5 J^2 + 2 J^3, a cubic with b2 != 0.
+CUBIC = custom_potential([0, 0, 0.5, 1 / 6, 0.5], [0])
+
+
+class TestClosedFormResolvent:
+    """A cubic beta starts the resolvent from its closed-form root; a node
+    whose one Newton correction fails the loop's stopping rule, and every
+    node of any other potential, takes the safeguarded loop."""
+
+    @staticmethod
+    def loop_sizes(monkeypatch):
+        """The sizes of the node sets that take the safeguarded loop."""
+        sizes = []
+        loop = potentials._safeguarded
+        monkeypatch.setattr(potentials, "_safeguarded",
+                            lambda spec, eps, r: sizes.append(r.size) or loop(spec, eps, r))
+        return sizes
+
+    def test_coefficients(self):
+        assert REG.cubic == (0.0, 0.0, 1.0)
+        assert CUBIC.cubic == (1.0, 0.5, 2.0)
+        assert IDENTITY_BETA.cubic == (1.0, 0.0, 0.0)
+        assert LOG.cubic is None
+        assert custom_potential([0, 0, 0, 0, 0, 0, 1 / 6], [0]).cubic is None
+        # beta = 30 J + 0.3 J^2 and a cubic with p <= 0 have no closed form.
+        assert potentials._cubic_root((30.0, 0.3, 0.0), 0.1, np.ones(3)) is None
+        assert potentials._cubic_root((1100.0, -60.0, 1.0), 0.5, np.ones(3)) is None
+
+    @pytest.mark.parametrize("spec", [REG, CUBIC, IDENTITY_BETA], ids=["regular", "cubic", "linear"])
+    @pytest.mark.parametrize("eps", [0.5, 0.1, 1e-2, 1e-3, 1e-6])
+    def test_every_node_passes_the_check(self, monkeypatch, spec, eps):
+        # Magnitudes from 1e-12 to 1e3, both signs.
+        rng = np.random.default_rng(6)
+        rs = rng.uniform(-1e3, 1e3, 400) * 10.0 ** rng.uniform(-12.0, 0.0, 400)
+        sizes = self.loop_sizes(monkeypatch)
+        J = resolvent(spec, eps, rs)
+        assert sizes == []
+        loop = potentials._safeguarded(spec, eps, rs)
+        assert np.all(np.abs(J - loop) <= RESOLVENT_RTOL * np.maximum(1.0, np.abs(loop)))
+
+    @pytest.mark.parametrize("spec", [REG, CUBIC], ids=["regular", "cubic"])
+    def test_a_perturbed_seed_takes_the_loop(self, monkeypatch, spec):
+        # A root off by a relative 1e-9 passes the check on no node, and the
+        # loop gives every value.
+        rng = np.random.default_rng(7)
+        rs = rng.choice([-1.0, 1.0], 81) * rng.uniform(0.01, 3.0, 81)
+        root = potentials._cubic_root
+        monkeypatch.setattr(potentials, "_cubic_root",
+                            lambda *args: root(*args) * (1.0 + 1e-9))
+        sizes = self.loop_sizes(monkeypatch)
+        J = resolvent(spec, 0.1, rs)
+        assert sizes == [rs.size]
+        assert np.array_equal(J, potentials._safeguarded(spec, 0.1, rs))
+
+    def test_a_correction_off_its_bracket_takes_the_loop(self, monkeypatch):
+        # At r = 0 a root off by an absolute 1e-13 passes the step test,
+        # but its correction lands an ulp off 0, outside the bracket [0, 0],
+        # on some nodes; the loop gives them exactly 0.
+        root = potentials._cubic_root
+        offsets = np.random.default_rng(8).uniform(-1e-13, 1e-13, 81)
+        monkeypatch.setattr(potentials, "_cubic_root", lambda *args: root(*args) + offsets)
+        sizes = self.loop_sizes(monkeypatch)
+        J = resolvent(CUBIC, 0.1, np.zeros(81))
+        assert sizes and 0 < sizes[0] < 81
+        assert np.array_equal(J, np.zeros(81))
+
+    @pytest.mark.parametrize("spec", [
+        LOG,
+        custom_potential([0, 0, 550.0, -20.0, 0.25], [0]),   # p <= 0 at eps = 0.5
+        custom_potential([0, 0, 0, 0, 0, 0, 1 / 6], [0]),
+    ], ids=["logarithmic", "cubic-p<=0", "quintic"])
+    def test_outside_the_closed_form_is_the_loop(self, monkeypatch, spec):
+        rs = np.random.default_rng(9).uniform(-3.0, 3.0, 81)
+        sizes = self.loop_sizes(monkeypatch)
+        J = resolvent(spec, 0.5, rs)
+        assert sizes == [rs.size]
+        assert np.array_equal(J, potentials._safeguarded(spec, 0.5, rs))
 
 
 class TestMeanValueCondition:

@@ -52,9 +52,10 @@ def test_suite_assembles_its_operators_once(monkeypatch):
 def test_context_caps_the_check_mesh_and_builds_problems_on_it(domain, n_bulk):
     ctx = verify.CheckContext.build(RunConfig.from_dict({**PRESETS["default"], "domain": domain}))
     assert ctx.mesh is ctx.ops.mesh and ctx.mesh.n_bulk == n_bulk
-    # A capped mesh is not the configured one: the optimality check
-    # assembles the control problem's operators itself.
+    # A capped mesh is not the configured one: the context assembles the
+    # control problem's operators on the configured mesh.
     assert verify._check_domain(ctx.cfg.domain) != ctx.cfg.domain
+    assert ctx.control[0].problem.mesh.n_bulk > n_bulk
     problem = ctx.problem(0.4, 10, newton_tol=1e-12)
     assert problem.mesh is ctx.mesh and problem.ops is ctx.ops
     assert (problem.grid.T, problem.grid.N, problem.opts.newton_tol) == (0.4, 10, 1e-12)
