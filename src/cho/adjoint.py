@@ -35,8 +35,10 @@ which only diagnostics read, is solved on the first read of
 sparse factorization of that SPD matrix, then M q_N = K p_N with the
 cached ``CoupledOperators.mass_factor``.  The step solves refine on the
 template's one live factor to a relative residual of 1e-13.  A sweep
-releases the factor it finds, so step N rebuilds it at the last state,
-and that one factorization serves every backward step.
+releases the factor it finds, so step N rebuilds it at the last state.
+Off an exact template (``BlockTemplate.exact``) that one factorization
+serves every backward step; on an exact one, a dense template on an
+interval, every backward step factors its own matrix and refines once.
 """
 
 import numpy as np

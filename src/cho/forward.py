@@ -206,8 +206,9 @@ class Problem:
 
 # Module constants of the step solves.  Every step system is the block
 # template's one step matrix, refilled on its lambda diagonal alone while
-# its coefficients hold, and shares its one live factor, taken at some
-# reference diagonal; the solves below use it as a preconditioner.
+# its coefficients hold.  Off an exact template the systems share its one
+# live factor, taken at some reference diagonal, and the solves below use
+# it as a preconditioner; an exact template factors each system itself.
 #
 # A refined solve stops at this relative residual ||r - A x|| / ||r||.
 # Fresh factors land near 1e-16 to 1e-15; 1e-14 sits on the round-off
@@ -277,9 +278,12 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     The system is solved with A (trans="N") or A.T (trans="T") by
     iterative refinement: each sweep corrects the solution with the live
     factor and recomputes the residual with the exact refilled matrix.
-    The factor, taken at an earlier diagonal, is built here when there is
-    none or when a sweep stalls (``STALL_RATIO``) short of the round-off
-    level (``ROUNDOFF``).  A non-finite ``rhs`` or ``lam``, a singular
+    On an exact template (``BlockTemplate.exact``, a dense one on an
+    interval) the factor is built at this very matrix on every call, and
+    one sweep lands below ``REFINE_RTOL``.  Elsewhere the factor, taken at
+    an earlier diagonal, is built here when there is none or when a sweep
+    stalls (``STALL_RATIO``) short of the round-off level (``ROUNDOFF``).
+    A non-finite ``rhs`` or ``lam``, a singular
     matrix or a stall on a factor of this very matrix raises
     ``SolverError`` carrying ``step``.
     """
@@ -295,7 +299,7 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
     A = template.fill(a, b, lam)
     if trans == "T":
         A = A.T
-    if fresh := template.lu is None:
+    if fresh := template.lu is None or template.exact:
         _factor(template, a, b, lam, step)
     target = REFINE_RTOL * rnorm
     y, res, norm = np.zeros_like(rhs), rhs, rnorm
@@ -328,8 +332,9 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
 # non-finite residual or correction, which ends the step naming its cause.
 @np.errstate(over="ignore", invalid="ignore")
 def _chord_step(problem, winv, phi_n, mu_n, sources):
-    """Solve one implicit step for a stack of states by chord Newton on the
-    block template.
+    """Solve one implicit step for a stack of states by Newton on the block
+    template: true Newton per column on an exact template, chord Newton on
+    a shared factor elsewhere.
 
     ``phi_n`` and ``mu_n`` are (K, n) stacks of old states, one row per
     column, and ``sources`` the stack of gamma (M_bulk u + M_surf u_gamma);
@@ -339,22 +344,25 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     j.  An iteration makes one product with the template's step matrix,
     refilled without diag(lam) once per step and after each refactor, adds
     N(phi) at the mu rows, weights each column's residual norm by the
-    inverse lumped weights ``winv``, and corrects the running columns by
-    one solve with the template's live factor.  The residual is exact.  A
-    stopped column's row takes no part in the product or the solve: its
-    correction is zero, and its iterate stays as it stopped.
-    The columns share the factor, which is reused across iterations and
-    steps and rebuilt at most once per iteration, at the state of the
-    first running column that the last correction left more than
-    ``CHORD_RHO`` of its residual.
+    inverse lumped weights ``winv``, and corrects the running columns.
+    The residual is exact.  A stopped column's row takes no part in the
+    product or the solve: its correction is zero, and its iterate stays as
+    it stopped.  On an exact template (``BlockTemplate.exact``) each
+    running column j is corrected by one factorization at lam[j] and one
+    solve, so a column's iterates do not depend on the other columns of
+    its stack.  Elsewhere the running columns are corrected by one solve
+    with the template's live factor, which they share; it is reused
+    across iterations and steps and rebuilt at most once per iteration,
+    at the state of the first running column that the last correction
+    left more than ``CHORD_RHO`` of its residual.
 
     A column stops when its residual is at most ``newton_tol``, or when a
     correction on a factor built at its own state fails to reduce a
     residual already within the round-off floor ``NEWTON_ROUNDOFF`` *
     (|| |A| |y| ||_w + || c ||_w) of evaluating A y + N(phi) - c; it then
     keeps the iterate that the correction failed to improve.  A stall
-    above the floor rebuilds the factor as any slow iteration does.  An
-    error in a stack of more than one column names the column.
+    above the floor rebuilds the shared factor as any slow iteration does.
+    An error in a stack of more than one column names the column.
     """
     ops, template = problem.ops, problem.ops.block_template
     a, b = problem.jacobian_coefficients
@@ -368,11 +376,20 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     y = np.concatenate([phi_n, mu_n], axis=1)
     # Per column, the iteration it stopped at (-1 while it runs) and its
     # previous residual; the running columns in order; and ``fresh``, the
-    # column the live factor was just built at.
-    iters, prev, run, fresh = [-1] * K, [math.inf] * K, list(range(K)), None
+    # columns just corrected on a factor built at their own state, whose
+    # iterates before that correction ``kept`` holds.
+    iters, prev, run, fresh = [-1] * K, [math.inf] * K, list(range(K)), []
 
     def fail(j, message, residual=None):
         return SolverError((f"column {j}: " if K > 1 else "") + message, residual=residual)
+
+    def factor(j):
+        # The live factor at column j's state in this iteration.
+        try:
+            _factor(template, a, b, lam[j], None)
+        except SolverError as err:
+            raise fail(j, f"Newton iteration {it + 1}: {err}", res[j]) from err
+        fresh.append(j)
 
     A = template.fill(a, b)
     for it in range(NEWTON_MAX_ITER + 1):
@@ -387,12 +404,13 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
         if not math.isfinite(sum(res)):
             j = next(j for j, v in enumerate(res) if not math.isfinite(v))
             raise fail(j, f"Newton iteration {it}: non-finite step residual ({res[j]})", res[j])
-        if fresh is not None and tol < res[fresh] >= prev[fresh]:
-            floor = NEWTON_ROUNDOFF * (_wnorm(abs(A) @ np.abs(kept), winv)
-                                       + _wnorm(c[fresh], winv))
-            if prev[fresh] <= floor:
-                y[fresh], iters[fresh] = kept, it
-        fresh = None
+        for j in fresh:
+            if tol < res[j] >= prev[j]:
+                floor = NEWTON_ROUNDOFF * (_wnorm(abs(A) @ np.abs(kept[j]), winv)
+                                           + _wnorm(c[j], winv))
+                if prev[j] <= floor:
+                    y[j], iters[j] = kept[j], it
+        fresh = []
         for j in run:
             if res[j] <= tol:
                 iters[j] = it
@@ -407,20 +425,19 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
             j, node = bad
             raise fail(j, f"Newton iteration {it + 1}: {_where(None)}: non-finite "
                        f"Jacobian diagonal at node {node} ({lam[j, node]})", res[j])
-        # The first running column left more than CHORD_RHO of its residual.
-        for slow in run:
-            if res[slow] > CHORD_RHO * prev[slow]:
-                break
+        if template.exact:
+            dy = np.zeros_like(r)
+            for j in run:
+                factor(j)
+                dy[j] = template.lu.solve(-r[j])
         else:
-            slow = None
-        if slow is not None or template.lu is None:
-            j = run[0] if slow is None else slow
-            try:
-                _factor(template, a, b, lam[j], None)
-            except SolverError as err:
-                raise fail(j, f"Newton iteration {it + 1}: {err}", res[j]) from err
-            fresh, kept, A = j, y[j].copy(), template.fill(a, b)
-        dy = _running(lambda v: template.lu.solve(-v.T).T, r, run)
+            # The first running column left more than CHORD_RHO of its residual.
+            slow = next((j for j in run if res[j] > CHORD_RHO * prev[j]), None)
+            if slow is not None or template.lu is None:
+                factor(run[0] if slow is None else slow)
+            dy = _running(lambda v: template.lu.solve(-v.T).T, r, run)
+        if fresh:
+            kept, A = y.copy(), template.fill(a, b)
         if (bad := _nonfinite(dy)) is not None:
             raise fail(bad[0], f"Newton iteration {it + 1}: {_where(None)} returned "
                        "non-finite values", res[bad[0]])
@@ -518,10 +535,11 @@ def solve_many(problem: Problem, phi0: PairField, controls) -> list:
     (N, n_boundary); slab n acts on the step t_n -> t_{n+1}.  Each is
     validated as ``solve`` validates its one control, the mean-value
     condition included when the potential domain is bounded.  The states
-    march together, one column per control: every step is one chord Newton
-    on their stack, where a stopped column keeps its row, and the stack
-    shares the template's live factor.  A column therefore agrees with a
-    separate ``solve`` to within the Newton tolerance, not bitwise.  A
+    march together, one column per control: every step is one Newton on
+    their stack, where a stopped column keeps its row.  Off an exact
+    template the stack shares the template's live factor, so a column
+    agrees with a separate ``solve`` to within the Newton tolerance, not
+    bitwise; on an exact one each column is factored at its own state.  A
     failure names its step, and its column when there are several.
     """
     mesh, ops, grid = problem.mesh, problem.ops, problem.grid

@@ -120,8 +120,14 @@ def logarithmic_potential(c1: float = 2.0) -> PotentialSpec:
 def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
     """Polynomial potential from coefficient lists (ascending powers).
 
-    beta_hat must vanish at 0 and have a nondecreasing derivative on the
-    sampled range [-10, 10]; this is validated at construction.
+    beta_hat must vanish at 0 and have a derivative beta nondecreasing on
+    all of R; both are validated at construction.  The monotonicity test
+    is exact on the polynomial beta': it must be a nonnegative constant,
+    or of even degree with a positive leading coefficient and at least
+    -1e-12 sum_k |c_k| |r|^k, the size of its terms c_k r^k, at every
+    critical point r.  For deg beta <= 3, beta = b1 r + b2 r^2 + b3 r^3,
+    this reads b3 > 0 and b2^2 <= 3 b1 b3 (to that tolerance), or b3 = b2
+    = 0 <= b1; a beta_hat of odd degree >= 3 is never accepted.
     """
     bh = np.polynomial.Polynomial(np.asarray(beta_hat_coeffs, dtype=float))
     ph = np.polynomial.Polynomial(np.asarray(pi_hat_coeffs, dtype=float))
@@ -132,8 +138,18 @@ def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
     beta = bh.deriv()
     if abs(beta(0.0)) > 1e-14:
         raise ValidationError("beta must satisfy beta(0) = 0")
-    sample = np.linspace(-10.0, 10.0, 2001)
-    if np.any(np.diff(beta(sample)) < -1e-12):
+    slope = beta.deriv().trim()
+    c = slope.coef
+    if slope.degree() == 0:
+        monotone = c[0] >= 0.0
+    else:
+        # The real parts of every critical point: the minimum of beta' is
+        # at one of them, and each is a real point where beta' >= 0.
+        r = slope.deriv().roots().real
+        size = np.polynomial.Polynomial(np.abs(c))(np.abs(r))
+        monotone = (slope.degree() % 2 == 0 and c[-1] > 0.0
+                    and np.all(slope(r) >= -1e-12 * size))
+    if not monotone:
         raise ValidationError("beta = beta_hat' must be nondecreasing")
     b = beta.coef
     cubic = tuple(np.pad(b, (0, 4 - b.size))[1:].tolist()) if b.size <= 4 else None

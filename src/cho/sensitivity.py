@@ -9,7 +9,8 @@ linearized system.  The solve goes through the forward solver's shared
 block solve (``forward.solve_block_system``) on the block template's
 one step matrix, whose coefficients the forward run left in place, so
 each step refills only the diagonal lambda.  It refines on the live
-factor, usually the one the forward run left behind, to a relative
+factor, usually the one the forward run left behind (on an exact
+template, one built at each step's own matrix), to a relative
 residual of 1e-13, and raises ``SolverError`` on a singular matrix, a
 non-finite solution or a refinement that stalls on a fresh factor.
 

@@ -176,8 +176,10 @@ class CoupledOperators:
     @cached_property
     def block_template(self) -> "BlockTemplate":
         """Fixed pattern of the 2n x 2n step systems and their one live
-        factor, built on first use."""
-        return BlockTemplate(self.M_total, self.K_total)
+        factor, built on first use; exact when dense on an interval."""
+        template = BlockTemplate(self.M_total, self.K_total)
+        template.exact = template.dense and self.mesh.dim == 1
+        return template
 
     @cached_property
     def mass_factor(self):
@@ -187,10 +189,13 @@ class CoupledOperators:
 
 
 # Step matrices of order 2n <= DENSE_MAX are stored dense and factored by
-# LAPACK: at 2n = 66-162, on one core, a BLAS product and a getrs solve take
-# 3-14 us against 8-35 us for the scipy.sparse product and SuperLU solve.
-# Dense costs grow as (2n)^2 and (2n)^3; a forward, linearized and adjoint
-# round breaks even near 2n = 230 in 1D and 260 in 2D.
+# LAPACK band LU in node-interleaved order: at 2n = 66-162, on one core, a
+# BLAS product and a one-column band solve take 4-10 us against 8-35 us for
+# the scipy.sparse product and SuperLU solve, and a band factor 4-25 us
+# against 13-89 us for a dense getrf.  A band solve of K columns makes K
+# triangular band solves: at 2n = 162 and K = 21 it takes 1.8 times a dense
+# getrs.  With the dense getrf factor, a forward, linearized and adjoint
+# round broke even with the sparse storage near 2n = 230 in 1D and 260 in 2D.
 DENSE_MAX = 200
 
 
@@ -211,8 +216,11 @@ class BlockTemplate:
 
     The matrix is stored in node order, in one of two storages.  Up to
     order ``DENSE_MAX`` it is a Fortran-ordered ndarray, factored by LAPACK
-    ``dgetrf`` (``DenseLU``); above, it is a CSC matrix, and every step
-    factorization orders it afresh: ``splu`` with
+    band LU (``BandLU``) in the node-interleaved order (phi_0, mu_0, phi_1,
+    mu_1, ...), where the pattern's half-bandwidths are ``band``'s kl and
+    ku: 3 on an interval, 2 w + 1 on a mesh whose node-order pattern has
+    half-bandwidth w.  Above ``DENSE_MAX`` it is a CSC matrix, and every
+    step factorization orders it afresh: ``splu`` with
     ``permc_spec="MMD_AT_PLUS_A"`` takes a minimum-degree ordering of the
     pattern of A^T + A.  Either way ``data`` is the flat array the slots
     live in, ``fill(...) @ y`` is the product, ``fill(...).T @ y`` the
@@ -226,6 +234,12 @@ class BlockTemplate:
     and new coefficients rewrite every entry and release ``lu``.  The
     diagonal ``lu`` was factored at is not kept: callers solve with the
     exact refilled matrix and use ``lu`` as a preconditioner.
+
+    ``exact`` tells the solvers to factor every step system at its own
+    matrix rather than share ``lu`` across diagonals.
+    ``CoupledOperators.block_template`` sets it on dense templates of an
+    interval, whose band factor costs less than the refinement sweeps and
+    chord iterations a shared factor adds; elsewhere it is False.
     """
 
     def __init__(self, M, K):
@@ -245,10 +259,19 @@ class BlockTemplate:
             self.data = self.matrix.reshape(-1, order="F")
             self.slots = rows + 2 * n * cols
             self.diag = self.slots[diag]
+            # Node index i sits at 2 (i mod n) + i div n of the interleaved
+            # order.  ``band`` holds the half-bandwidths there, the flat
+            # index of each slot in LAPACK's band layout, and the orders.
+            position = 2 * (np.arange(2 * n) % n) + np.arange(2 * n) // n
+            ri, ci = position[rows], position[cols]
+            kl, ku = int((ri - ci).max()), int((ci - ri).max())
+            self.band = (kl, ku, kl + ku + ri - ci + (2 * kl + ku + 1) * ci,
+                         np.argsort(position), position)
         else:
             self.matrix = pattern
             self.data, self.slots, self.diag = pattern.data, slice(None), diag
         self.lu = self.coeffs = self.free = None
+        self.exact = False
 
     def fill(self, a, b, lam=None):
         """Write the blocks a_ij M + b_ij K (+ diag(lam) in block 21) into the
@@ -268,25 +291,34 @@ class BlockTemplate:
         ``RuntimeError`` and leaves no factor."""
         self.lu = None
         A = self.fill(a, b, lam)
-        self.lu = DenseLU(A) if self.dense else spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        self.lu = BandLU(self) if self.dense else spla.splu(A, permc_spec="MMD_AT_PLUS_A")
 
     def norm(self):
         """Frobenius norm of the filled matrix."""
         return np.linalg.norm(self.data)
 
 
-class DenseLU:
-    """LAPACK LU factor of a dense matrix that solves as ``SuperLU`` does:
-    ``solve(rhs, trans)`` with trans "N" or "T".  A zero pivot raises the
+class BandLU:
+    """LAPACK band LU factor (``dgbtrf``) of a dense template's filled
+    matrix, taken in the node-interleaved order, that solves as ``SuperLU``
+    does: ``solve(rhs, trans)`` with trans "N" or "T", for rhs of shape
+    (2n,) or (2n, K) in node order.  A zero pivot raises the
     ``RuntimeError`` that ``splu`` raises."""
 
-    def __init__(self, A):
-        self.lu, self.piv, info = lapack.dgetrf(A)
+    def __init__(self, template):
+        self.kl, self.ku, index, self.order, self.position = template.band
+        ab = np.zeros((2 * self.kl + self.ku + 1, len(self.order)), order="F")
+        ab.reshape(-1, order="F")[index] = template.data[template.slots]
+        self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=True)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")
 
     def solve(self, rhs, trans="N"):
-        return lapack.dgetrs(self.lu, self.piv, rhs, trans="NT".index(trans))[0]
+        # ``take`` permutes a (2n, K) stack at a third of the cost of
+        # fancy indexing, and a (2n,) vector at about the same.
+        x = lapack.dgbtrs(self.lu, self.kl, self.ku, rhs.take(self.order, 0), self.piv,
+                          trans="NT".index(trans), overwrite_b=True)[0]
+        return x.take(self.position, 0)
 
 
 def _slots(A):

@@ -7,7 +7,12 @@ from cho import spaces
 from cho.control import ControlPair
 from cho.forward import Physics, Problem, SolverOptions, TimeGrid
 from cho.mesh import build_interval
-from cho.potentials import PotentialPair, logarithmic_potential, regular_potential
+from cho.potentials import (
+    PotentialPair,
+    PotentialSpec,
+    logarithmic_potential,
+    regular_potential,
+)
 from cho.spaces import PairField
 
 
@@ -22,6 +27,18 @@ def make_problem(n_cells=12, length=1.0, T=0.4, N=8, tau=1.0, gamma=1.0,
         Physics(tau=tau, gamma=gamma),
         TimeGrid(T=T, N=N),
     )
+
+
+def unchecked_custom(beta_hat_coeffs):
+    """The custom potential of ``beta_hat_coeffs`` (ascending powers, pi_hat
+    = 0) built as ``custom_potential`` builds it, without its check that
+    beta is nondecreasing: the resolvent's tests also take specs that the
+    check rejects."""
+    bh = np.polynomial.Polynomial(np.asarray(beta_hat_coeffs, dtype=float))
+    b = bh.deriv().coef
+    cubic = tuple(np.pad(b, (0, 4 - b.size))[1:].tolist()) if b.size <= 4 else None
+    zero = np.polynomial.Polynomial([0.0])
+    return PotentialSpec("custom", False, [bh.deriv(k) for k in range(4)], [zero] * 4, cubic)
 
 
 @pytest.fixture(params=["sparse", "dense"])

@@ -25,7 +25,7 @@ from cho.potentials import (
     yosida_hat,
 )
 from cho.spaces import PairField
-from conftest import make_problem
+from conftest import make_problem, unchecked_custom
 
 REG = regular_potential()
 LOG = logarithmic_potential(2.0)
@@ -109,6 +109,25 @@ class TestCustomValidation:
     def test_beta_must_be_monotone(self):
         with pytest.raises(ValidationError, match="nondecreasing"):
             custom_potential([0, 0, -1.0], [0])
+
+    @pytest.mark.parametrize("beta_hat", [
+        [0, 0, 550.0, -20.0, 0.25],     # beta'(20) = -100, outside [-10, 10]
+        [0, 0, 15.0, 0.1],              # beta' = 30 + 0.6 r changes sign at -50
+        [0, 0, 1.0, 0.0, -1e-9],        # beta' = 2 - 1.2e-8 r^2 < 0 for |r| > 12910
+    ], ids=["cubic-far-dip", "quadratic", "negative-leading"])
+    def test_beta_must_be_monotone_on_all_of_the_line(self, beta_hat):
+        with pytest.raises(ValidationError, match="nondecreasing"):
+            custom_potential(beta_hat, [0])
+
+    @pytest.mark.parametrize("beta_hat", [
+        [0, 0, 0.5, 1 / 6, 0.5],            # CUBIC: b2^2 = 0.25 <= 3 b1 b3 = 6
+        [0, 0, 0.5],                        # IDENTITY_BETA and the quadratic beta_hat
+        [0, 0, 0, 0, 0, 0, 1 / 6],          # the quintic: beta' = 5 r^4
+        [0, 0, 0, 0, 0.25],                 # beta = r^3: b2^2 = 3 b1 b3 = 0
+        [0, 0, 1.5, 1.0, 0.25],             # beta' = 3 (1 + r)^2, zero at -1
+    ], ids=["cubic", "identity", "quintic", "regular", "touching"])
+    def test_monotone_beta_is_accepted(self, beta_hat):
+        assert custom_potential(beta_hat, [0]).kind == "custom"
 
 
 class TestYosida:
@@ -292,7 +311,7 @@ class TestClosedFormResolvent:
 
     @pytest.mark.parametrize("spec", [
         LOG,
-        custom_potential([0, 0, 550.0, -20.0, 0.25], [0]),   # p <= 0 at eps = 0.5
+        unchecked_custom([0, 0, 550.0, -20.0, 0.25]),   # p <= 0 at eps = 0.5
         custom_potential([0, 0, 0, 0, 0, 0, 1 / 6], [0]),
     ], ids=["logarithmic", "cubic-p<=0", "quintic"])
     def test_outside_the_closed_form_is_the_loop(self, monkeypatch, spec):

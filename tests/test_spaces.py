@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ import cho
 from cho.config import preset_config
 from cho.errors import ValidationError
 from cho.mesh import build_interval, build_rectangle
-from cho.spaces import DENSE_MAX, ControlPair, PairField, assemble
+from cho.spaces import DENSE_MAX, BandLU, ControlPair, PairField, assemble
 
 
 @pytest.fixture(scope="module")
@@ -293,8 +294,36 @@ class TestTemplateStorage:
         template = assemble(mesh).block_template
         dense = 2 * mesh.n_bulk <= DENSE_MAX
         assert template.dense == dense
+        assert template.exact == (dense and mesh.dim == 1)
         assert isinstance(template.matrix, np.ndarray) == dense
         assert sp.issparse(template.matrix) != dense
+
+    @pytest.mark.parametrize("mesh, bandwidths", [
+        (build_interval(12, 1.0), 3), (build_interval(DENSE_MAX // 2 - 1, 1.0), 3),
+        (build_rectangle(8, 8, 1.0, 1.0), 21),
+    ], ids=["interval-12", "interval-at-crossover", "8x8"])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_band_factor_solves_as_dense_lapack(self, mesh, bandwidths, trans, columns):
+        # In node-interleaved order the pattern's half-bandwidths are 3 on
+        # an interval and 2 w + 1 on a mesh whose node-order pattern has
+        # half-bandwidth w: w = nx + 2 = 10 on the 8 x 8 rectangle.
+        template = assemble(mesh).block_template
+        n = mesh.n_bulk
+        rng = np.random.default_rng(4)
+        lam = rng.uniform(-1.0, 2.0, n) / n
+        template.factor((21.0, 0.0, 20.0, -1.0), (0.0, 1.0, 1.0, 0.0), lam)
+        assert isinstance(template.lu, BandLU)
+        assert template.band[:2] == (bandwidths, bandwidths)
+        A = np.array(template.matrix)
+        rhs = rng.standard_normal((2 * n,) if columns is None else (2 * n, columns))
+        lu, piv, _ = lapack.dgetrf(A)
+        want = lapack.dgetrs(lu, piv, rhs, trans="NT".index(trans))[0]
+        got = template.lu.solve(rhs, trans)
+        assert got.shape == rhs.shape
+        # Both solves are backward stable: they agree to eps cond(A).
+        bound = np.finfo(float).eps * np.linalg.cond(A)
+        assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
     def test_large_template_allocates_no_dense_array(self):
         # At 64 x 64, 2n = 8450: a dense step matrix would take 571 MB.

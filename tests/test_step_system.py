@@ -12,7 +12,9 @@ The template is the one step matrix of every solve: a refill with the
 coefficients it holds rewrites only the diagonal lambda of block 21.  It
 keeps one live factor, taken at whatever diagonal it was last built for;
 the forward solver runs chord Newton on it and the linearized and adjoint
-solves refine on it.  The tests below check that the results do not
+solves refine on it.  An exact template, dense on an interval, instead
+factors every step system at its own matrix; two tests count that rule
+on both storages.  The tests below check that the results do not
 depend on that history, that a factor is released before the next one is
 built, and that a forward, linearized and adjoint round rewrites every
 entry only when the coefficients change.
@@ -330,6 +332,58 @@ def test_factorization_budget(factor_log):
     linearized_solve(problem, base, random_direction(mesh, grid, rng).scaled(0.1))
     adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
     assert factor_log.step_factors <= 3
+
+
+def test_exact_template_factors_every_backward_step_once(run, factor_log):
+    # On an exact template the linearized and adjoint solves factor each
+    # step system at its own diagonal and refine it in one sweep.  The CSC
+    # template of the interval is made exact, so both storages run the rule.
+    problem, _, u, base, cost = run
+    problem.ops.block_template.exact = True
+    for backward in (lambda: linearized_solve(problem, base, u),
+                     lambda: adjoint_solve(problem, base, cost)):
+        factors, solves = factor_log.step_factors, factor_log.solves
+        backward()
+        assert factor_log.step_factors - factors == problem.grid.N
+        assert factor_log.solves - solves == problem.grid.N
+
+
+def test_exact_template_factors_every_correction_at_its_column(monkeypatch, factor_log):
+    # A stack on an exact template: each chord correction of a running
+    # column is one factorization at that column's own lambda and one
+    # solve.  Column 0 rests at its steady state and stops at iteration 0
+    # of every step; the others run on.
+    problem = make_problem()
+    mesh, grid = problem.mesh, problem.grid
+    problem.ops.block_template.exact = True
+    controls = [ControlPair.zeros(mesh, grid), ControlPair.constant(mesh, grid, 0.5),
+                ControlPair.constant(mesh, grid, -0.3, 0.2)]
+    evaluations, factored = [], []
+    implicit, factor = Problem.implicit, BlockTemplate.factor
+    monkeypatch.setattr(Problem, "implicit",
+                        lambda self, phi: evaluations.append(implicit(self, phi))
+                        or evaluations[-1])
+
+    def recording(template, a, b, lam=None):
+        factored.append(lam.copy())
+        factor(template, a, b, lam)
+
+    monkeypatch.setattr(BlockTemplate, "factor", recording)
+    stack = forward.solve_many(problem, PairField.constant(mesh, 0.0), controls)
+    iters = np.array([traj.newton_iters for traj in stack])
+    assert (iters != iters[0]).any()
+    # The first evaluation is the initial chemical potential's; then each
+    # step evaluates its iterates, and iteration it corrects the columns
+    # whose step takes more than it iterations.
+    lams, expected = (lam for _, lam in evaluations[1:]), []
+    for k in range(grid.N):
+        for it in range(iters[:, k].max() + 1):
+            lam = next(lams)
+            expected += [lam[j] for j in range(len(controls)) if iters[j, k] > it]
+    assert next(lams, None) is None
+    assert len(factored) == len(expected) == iters.sum()
+    assert all(np.array_equal(got, want) for got, want in zip(factored, expected))
+    assert factor_log.step_factors == factor_log.solves == iters.sum()
 
 
 class CountedReads(np.ndarray):
