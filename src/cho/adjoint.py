@@ -108,7 +108,7 @@ def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, la
     zero = np.zeros(n)
 
     ops.block_template.lu = None
-    a, b = problem.jacobian_coefficients
+    c = problem.jacobian_coefficients
     for m in range(grid.N, 0, -1):
         k = m - lag
         if m == grid.N:
@@ -116,8 +116,7 @@ def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, la
         else:
             rhs1 = Z1[k] + ops.M_total @ (p[m] + tau * q[m]) / dt - dexp[k] * q[m]
         p[m - 1], q[m - 1] = solve_block_system(
-            ops, a, b, np.concatenate([rhs1, zero]), lam=lam[k], trans="T", step=m
-        )
+            ops, c, np.concatenate([rhs1, zero]), lam[k], trans="T", step=m)
     return AdjointTrajectory(problem, zeta3, p, q)
 
 

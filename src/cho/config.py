@@ -30,6 +30,7 @@ from .control import BoxBounds, ControlPair, ControlProblem, CostSpec, Optimizer
 from .errors import ChoError, ConfigError
 from .forward import Physics, Problem, SolverOptions, TimeGrid
 from .mesh import build_interval, build_rectangle, check_interval, check_rectangle
+from .output import CONTROL_TIMES, STATE_HEADER
 from .potentials import (
     PotentialPair,
     custom_potential,
@@ -408,8 +409,8 @@ def _table(source, n_rows, width, where):
             header = fh.readline()
     except OSError:
         header = ""  # np.loadtxt raises with its own message
-    timed = header.startswith("t_start (time),t_end (time),")
-    state = header.startswith("x (length),phi (1),mu (1)")
+    timed = header.startswith(CONTROL_TIMES)
+    state = header.startswith(STATE_HEADER)
     try:
         with warnings.catch_warnings():
             # numpy warns on an empty file; its (0, 1) shape fails below.

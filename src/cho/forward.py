@@ -132,13 +132,10 @@ class Problem:
 
     @cached_property
     def jacobian_coefficients(self):
-        """Block coefficients (a, b) of the step Jacobian
-
-            J = [[(1/dt + gamma) M, K], [(tau/dt) M + K + diag(lam), -M]]
-
-        in the form taken by ``solve_block_system``."""
+        """The step Jacobian's coefficients c = (1/dt + gamma, tau/dt), in
+        the form taken by ``solve_block_system``."""
         dt, physics = self.grid.dt, self.physics
-        return (1.0 / dt + physics.gamma, 0.0, physics.tau / dt, -1.0), (0.0, 1.0, 1.0, 0.0)
+        return 1.0 / dt + physics.gamma, physics.tau / dt
 
     @cached_property
     def interior(self):
@@ -181,20 +178,20 @@ class Problem:
         """(N(phi), lambda(phi)) with lambda = N'."""
         return self._lumped(self._implicit, phi)
 
-    def explicit(self, phi):
-        """(E(phi), E'(phi)); read-only zeros without convex splitting."""
+    def explicit(self, phi, order):
+        """E(phi) at order 0 or E'(phi) at 1; read-only zeros without a split."""
         if not self._split:
             # Allocated: np.broadcast_to costs five times as much at desk scale.
             zero = np.zeros(np.shape(phi))
             zero.flags.writeable = False
-            return zero, zero
-        return self._lumped(lambda spec, r: (spec.pi(r), spec.dpi(r)), phi)
+            return zero
+        return self._lumped(lambda spec, r: ((spec.pi, spec.dpi)[order](r),), phi)[0]
 
     def jacobian(self, phi):
         """(lambda(phi), E'(phi)), the state-dependent terms of the
         linearized step."""
         lam, = self._lumped(lambda spec, r: self._implicit(spec, r, (2,)), phi)
-        return lam, self.explicit(phi)[1]
+        return lam, self.explicit(phi, 1)
 
     def potential(self, phi):
         """Lumped values of the run's potential, whatever the split."""
@@ -254,27 +251,27 @@ def _nonfinite(v):
     return tuple(int(i) for i in np.argwhere(~np.isfinite(v))[0])
 
 
-def _factor(template, a, b, lam, step):
+def _factor(template, c, lam, step):
     """Rebuild the template's live factor at ``lam``; a singular matrix
     raises ``SolverError`` carrying ``step``.  Callers check ``lam`` for
     non-finite values first, since a reused factor would never see them;
     they read the factor from ``template.lu`` and keep no reference to it,
     so that the old factor is released before a new one is built."""
     try:
-        template.factor(a, b, lam)
+        template.factor(c, lam)
     except RuntimeError as err:
         raise SolverError(f"{_where(step)}: {err}", step=step) from err
 
 
-def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
-    """Solve one coupled block system to a relative residual of
-    ``REFINE_RTOL`` and return its two halves.
+def solve_block_system(ops, c, rhs, lam, trans="N", step=None):
+    """Solve one step system to a relative residual of ``REFINE_RTOL``
+    and return its two halves.
 
-    The matrix A = [[a11 M + b11 K, a12 M + b12 K], [a21 M + b21 K +
-    diag(lam), a22 M + b22 K]] is the block template's one step matrix,
-    dense with a LAPACK factor up to order ``spaces.DENSE_MAX`` and CSC
-    with a SuperLU factor above; a call with the coefficients it holds
-    refills only diag(lam), and one with others releases the live factor.
+    The step Jacobian A = [[c1 M, K], [c2 M + K + diag(lam), -M]] of
+    c = (c1, c2) is the block template's one step matrix, dense with a
+    LAPACK factor up to order ``spaces.DENSE_MAX`` and CSC with a SuperLU
+    factor above; a call with the coefficients it holds refills only
+    diag(lam), and one with others releases the live factor.
     The system is solved with A (trans="N") or A.T (trans="T") by
     iterative refinement: each sweep corrects the solution with the live
     factor and recomputes the residual with the exact refilled matrix.
@@ -293,14 +290,14 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
         rows = np.flatnonzero(~np.isfinite(rhs))[:3]
         raise SolverError(f"{_where(step)}: right-hand side of norm {rnorm}, "
                           f"non-finite at rows {rows}", step=step)
-    if lam is not None and (node := _nonfinite(lam)) is not None:
+    if (node := _nonfinite(lam)) is not None:
         raise SolverError(f"{_where(step)}: non-finite Jacobian diagonal at node "
                           f"{node[0]} ({lam[node]})", step=step)
-    A = template.fill(a, b, lam)
+    A = template.fill(c, lam)
     if trans == "T":
         A = A.T
     if fresh := template.lu is None or template.exact:
-        _factor(template, a, b, lam, step)
+        _factor(template, c, lam, step)
     target = REFINE_RTOL * rnorm
     y, res, norm = np.zeros_like(rhs), rhs, rnorm
     while not norm <= target:
@@ -322,7 +319,7 @@ def solve_block_system(ops, a, b, rhs, lam=None, trans="N", step=None):
                 f"{norm / rnorm:.1e}",
                 step=step,
             )
-        _factor(template, a, b, lam, step)
+        _factor(template, c, lam, step)
         fresh, y, res, norm = True, np.zeros_like(rhs), rhs, rnorm
     n = ops.mesh.n_bulk
     return y[:n], y[n:]
@@ -365,13 +362,13 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     An error in a stack of more than one column names the column.
     """
     ops, template = problem.ops, problem.ops.block_template
-    a, b = problem.jacobian_coefficients
+    coeffs = problem.jacobian_coefficients
     n, dt, tol, K = ops.mesh.n_bulk, problem.grid.dt, problem.opts.newton_tol, len(phi_n)
     # R1 = (1/dt + gamma) M phi + K mu - c1 and R2 = (tau/dt) M phi + K phi
     # - M mu + N(phi) - c2, with the old state and the sources in c1, c2.
     Mphi_n = (ops.M_total @ phi_n.T).T
     c1 = Mphi_n / dt + sources
-    c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
+    c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n, 0)
     c = np.concatenate([c1, c2], axis=1)
     y = np.concatenate([phi_n, mu_n], axis=1)
     # Per column, the iteration it stopped at (-1 while it runs) and its
@@ -386,12 +383,12 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     def factor(j):
         # The live factor at column j's state in this iteration.
         try:
-            _factor(template, a, b, lam[j], None)
+            _factor(template, coeffs, lam[j], None)
         except SolverError as err:
             raise fail(j, f"Newton iteration {it + 1}: {err}", res[j]) from err
         fresh.append(j)
 
-    A = template.fill(a, b)
+    A = template.fill(coeffs)
     for it in range(NEWTON_MAX_ITER + 1):
         nodal, lam = problem.implicit(y[:, :n])
         r = _running(lambda v: (A @ v.T).T, y, run)
@@ -437,7 +434,7 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
                 factor(run[0] if slow is None else slow)
             dy = _running(lambda v: template.lu.solve(-v.T).T, r, run)
         if fresh:
-            kept, A = y.copy(), template.fill(a, b)
+            kept, A = y.copy(), template.fill(coeffs)
         if (bad := _nonfinite(dy)) is not None:
             raise fail(bad[0], f"Newton iteration {it + 1}: {_where(None)} returned "
                        "non-finite values", res[bad[0]])
@@ -490,7 +487,7 @@ def initial_mu(problem: Problem, phi0: np.ndarray) -> np.ndarray:
     M mu0 = K phi0 + N(phi0) + E(phi0), one solve with the mass factor.  A
     non-finite right-hand side or mu0 raises ``SolverError`` at step 0."""
     ops = problem.ops
-    rhs = ops.K_total @ phi0 + problem.implicit(phi0)[0] + problem.explicit(phi0)[0]
+    rhs = ops.K_total @ phi0 + problem.implicit(phi0)[0] + problem.explicit(phi0, 0)
     if not np.all(np.isfinite(rhs)):
         node = int(np.flatnonzero(~np.isfinite(rhs))[0])
         raise SolverError(f"initial chemical potential: non-finite right-hand side "

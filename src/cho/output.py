@@ -12,6 +12,10 @@ import numpy as np
 from .forward import StateTrajectory, energy, exact_mean
 from .spaces import row_inner
 
+# Headers that ``config`` recognizes in a control table or snapshot it reads.
+CONTROL_TIMES = "t_start (time),t_end (time),"
+STATE_HEADER = "x (length),phi (1),mu (1)"
+
 
 def write_series_csv(path, problem, traj: StateTrajectory, controls) -> str:
     """Per-step time series: mean vs closed form, energy, range, iterations."""
@@ -33,7 +37,7 @@ def write_series_csv(path, problem, traj: StateTrajectory, controls) -> str:
 def write_state_csv(path, mesh, phi, mu) -> str:
     """1D snapshot: coordinate, order parameter, chemical potential."""
     rows = zip(mesh.bulk_nodes[:, 0], phi, mu)
-    _write_csv(path, "x (length),phi (1),mu (1)", rows)
+    _write_csv(path, STATE_HEADER, rows)
     return path
 
 
@@ -98,7 +102,7 @@ def write_control_csv(outdir, grid, controls):
     for name, arr in (("control_u", controls.u), ("control_ug", controls.uG)):
         path = os.path.join(outdir, f"{name}_0.csv")
         width = arr.shape[1]
-        header = "t_start (time),t_end (time)," + ",".join(
+        header = CONTROL_TIMES + ",".join(
             f"node_{i} (1)" for i in range(width)
         )
         rows = (

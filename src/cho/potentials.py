@@ -2,7 +2,7 @@
 
 Every potential is stored as its split F = beta_hat + pi_hat alone: a
 convex part (beta_hat, with monotone derivative beta) and a smooth
-concave perturbation (pi_hat, derivative pi), each through order 3; F
+concave perturbation (pi_hat, derivative pi), each through order 2; F
 and its derivatives are their sums.  Shipped kinds:
 
 * ``regular``      F(r) = (r^2 - 1)^2 / 4 on all of R,
@@ -30,11 +30,11 @@ class PotentialSpec:
         'regular', 'logarithmic' or 'custom'.
     bounded : bool
         Whether F is finite on D = (-1, 1) only, not on all of R.
-    convex : 4 callables
-        Vectorized evaluators of beta_hat, beta, beta' and beta''.
-    perturbation : 4 callables
-        Vectorized evaluators of pi_hat, pi, pi' and pi'', smooth on all
-        of R; a constant derivative may return a scalar.
+    convex : 3 callables
+        Vectorized evaluators of beta_hat, beta and beta'.
+    perturbation : 3 callables
+        Vectorized evaluators of pi_hat, pi and pi', smooth on all of R;
+        a constant derivative may return a scalar.
     cubic : (b1, b2, b3) or None
         The coefficients of beta(r) = b1 r + b2 r^2 + b3 r^3 when beta is
         a polynomial of degree <= 3; the Yosida resolvent then starts
@@ -47,7 +47,7 @@ class PotentialSpec:
         self.convex = tuple(convex)
         self.perturbation = tuple(perturbation)
         self.cubic = cubic
-        self._beta, self._dbeta = self.convex[1:3]
+        self._beta, self._dbeta = self.convex[1:]
 
     def check_domain(self, r):
         """Raise unless every value is strictly inside D; a NaN passes,
@@ -63,8 +63,8 @@ class PotentialSpec:
 
     def F(self, r, order: int = 0):
         """Value of the order-th derivative of F, domain-checked."""
-        if order not in (0, 1, 2, 3):
-            raise ValueError(f"order must be 0..3, got {order}")
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0..2, got {order}")
         return self.derivatives(r, (order,))[0]
 
     def derivatives(self, r, orders=(1, 2), convex: bool = False):
@@ -94,10 +94,8 @@ def regular_potential() -> PotentialSpec:
     """Classical quartic double well, beta_hat = r^4/4, pi_hat = 1/4 - r^2/2."""
     # Products, not np.power, which calls libm pow per element: about 50
     # times slower on a large array.
-    convex = (lambda r: 0.25 * (r * r) ** 2, lambda r: r * r * r,
-              lambda r: 3.0 * r * r, lambda r: 6.0 * r)
-    perturbation = (lambda r: 0.25 - 0.5 * (r * r), lambda r: -r,
-                    lambda r: -1.0, lambda r: 0.0)
+    convex = (lambda r: 0.25 * (r * r) ** 2, lambda r: r * r * r, lambda r: 3.0 * r * r)
+    perturbation = (lambda r: 0.25 - 0.5 * (r * r), lambda r: -r, lambda r: -1.0)
     return PotentialSpec("regular", False, convex, perturbation, cubic=(0.0, 0.0, 1.0))
 
 
@@ -106,14 +104,9 @@ def logarithmic_potential(c1: float = 2.0) -> PotentialSpec:
     strictly inside (-1, 1), where (1 +- r) log1p(+-r) is exact to round-off."""
     if not 1.0 < c1 < math.inf:
         raise ValidationError(f"logarithmic potential needs c1 > 1 and finite, got {c1}")
-    convex = (
-        lambda r: (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r),
-        lambda r: np.log1p(r) - np.log1p(-r),
-        lambda r: 2.0 / (1.0 - r * r),
-        lambda r: 4.0 * r / (1.0 - r * r) ** 2,
-    )
-    perturbation = (lambda r: -c1 * (r * r), lambda r: -2.0 * c1 * r,
-                    lambda r: -2.0 * c1, lambda r: 0.0)
+    convex = (lambda r: (1.0 + r) * np.log1p(r) + (1.0 - r) * np.log1p(-r),
+              lambda r: np.log1p(r) - np.log1p(-r), lambda r: 2.0 / (1.0 - r * r))
+    perturbation = (lambda r: -c1 * (r * r), lambda r: -2.0 * c1 * r, lambda r: -2.0 * c1)
     return PotentialSpec("logarithmic", True, convex, perturbation)
 
 
@@ -153,8 +146,8 @@ def custom_potential(beta_hat_coeffs, pi_hat_coeffs) -> PotentialSpec:
         raise ValidationError("beta = beta_hat' must be nondecreasing")
     b = beta.coef
     cubic = tuple(np.pad(b, (0, 4 - b.size))[1:].tolist()) if b.size <= 4 else None
-    return PotentialSpec("custom", False, [bh.deriv(k) for k in range(4)],
-                         [ph.deriv(k) for k in range(4)], cubic)
+    return PotentialSpec("custom", False, [bh.deriv(k) for k in range(3)],
+                         [ph.deriv(k) for k in range(3)], cubic)
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +324,14 @@ SEPARATION_GRID = 8193
 
 
 def separation_r0(pair: PotentialPair, N: float, phi0_sup: float):
-    """Smallest threshold r0 in [phi0_sup, 1) beyond which both derivatives
+    """Smallest threshold r0 in [phi0_sup, 1] beyond which both derivatives
     dominate +-N, or None when the domain is all of R (separation is then
     automatic from boundedness).
 
     Requires F'(r) >= N and F_Gamma'(r) >= N on [r0, 1) together with
-    F'(r) <= -N and F_Gamma'(r) <= -N on (-1, -r0]; existence follows from
-    the divergence of both derivatives at the endpoints.
+    F'(r) <= -N and F_Gamma'(r) <= -N on (-1, -r0].  When no double below
+    1 qualifies, r0 is 1.0 if both potentials are bounded, since both
+    derivatives then diverge at +-1; otherwise ``ValidationError`` is raised.
     """
     if not pair.bounded:
         return None
@@ -347,7 +341,7 @@ def separation_r0(pair: PotentialPair, N: float, phi0_sup: float):
         raise ValueError(f"N must be nonnegative, got {N}")
 
     start = max(phi0_sup, 0.0)
-    grid = np.linspace(start, 1.0 - 1e-12, SEPARATION_GRID)
+    grid = np.linspace(start, np.nextafter(1.0, 0.0), SEPARATION_GRID)
 
     def margins(r):
         """The smaller derivative at r and the larger at -r."""
@@ -360,6 +354,8 @@ def separation_r0(pair: PotentialPair, N: float, phi0_sup: float):
     left_ok = np.maximum.accumulate(left[::-1])[::-1] <= -N
     both = right_ok & left_ok
     if not both.any():
+        if pair.bulk.bounded:
+            return 1.0
         raise ValidationError(
             f"no separation threshold below 1 found for N = {N:g}"
         )

@@ -58,7 +58,7 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
     psi = np.zeros((grid.N + 1, n))
     eta = np.zeros((grid.N + 1, n))
 
-    a, b = problem.jacobian_coefficients
+    c = problem.jacobian_coefficients
     lam, dexp = problem.jacobian(base.phi)
     sources = physics.gamma * ops.mass(h.u, h.uG)
     for k in range(grid.N):
@@ -66,8 +66,7 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
         rhs1 = (1.0 / dt) * Mpsi + sources[k]
         rhs2 = (physics.tau / dt) * Mpsi - dexp[k] * psi[k]
         psi[k + 1], eta[k + 1] = solve_block_system(
-            ops, a, b, np.concatenate([rhs1, rhs2]), lam=lam[k + 1], step=k + 1
-        )
+            ops, c, np.concatenate([rhs1, rhs2]), lam[k + 1], step=k + 1)
     return LinearizedTrajectory(psi, eta)
 
 

@@ -176,10 +176,8 @@ class CoupledOperators:
     @cached_property
     def block_template(self) -> "BlockTemplate":
         """Fixed pattern of the 2n x 2n step systems and their one live
-        factor, built on first use; exact when dense on an interval."""
-        template = BlockTemplate(self.M_total, self.K_total)
-        template.exact = template.dense and self.mesh.dim == 1
-        return template
+        factor, built on first use."""
+        return BlockTemplate(self.M_total, self.K_total, self.mesh.dim == 1)
 
     @cached_property
     def mass_factor(self):
@@ -202,17 +200,18 @@ DENSE_MAX = 200
 class BlockTemplate:
     """The one step matrix of every step system, refilled in place.
 
-    It holds step Jacobians only: the forward and linearized steps solve
-    with one and the adjoint steps with its transpose, and the adjoint's
-    terminal pair is solved apart.  The matrix has the form
+    It holds the step Jacobian alone: the forward and linearized steps
+    solve with it and the adjoint steps with its transpose.  For the step
+    coefficients c = (c1, c2) = (1/dt + gamma, tau/dt) the matrix is
 
-        [[a11 M + b11 K,           a12 M + b12 K],
-         [a21 M + b21 K + diag(l), a22 M + b22 K]]
+        [[c1 M,                K],
+         [c2 M + K + diag(l), -M]]
 
     with M = M_total and K = K_total.  All four blocks share the union of
     the patterns of M, K and the identity, so one pattern serves every
-    coefficient set; per slot the template keeps its M value, its K value
-    and its block, plus the slots of the lower-left diagonal in node order.
+    step; per slot the template keeps its M value, its K part (K in
+    blocks 12 and 21, zero elsewhere) and its block, plus the slots of the
+    lower-left diagonal in node order.
 
     The matrix is stored in node order, in one of two storages.  Up to
     order ``DENSE_MAX`` it is a Fortran-ordered ndarray, factored by LAPACK
@@ -227,8 +226,8 @@ class BlockTemplate:
     product with the transpose, and ``lu.solve(rhs, trans)`` solves with
     the factor.
 
-    The template holds one coefficient set ``coeffs`` = (a, b) for its
-    matrix and its one live factor ``lu``, if any.  Only the diagonal of
+    The template holds the step coefficients ``coeffs`` = c of its matrix
+    and its one live factor ``lu``, if any.  Only the diagonal of
     block 21 depends on the state: a refill with the coefficients held
     rewrites those n slots alone, from their lambda-free values ``free``,
     and new coefficients rewrite every entry and release ``lu``.  The
@@ -236,21 +235,21 @@ class BlockTemplate:
     exact refilled matrix and use ``lu`` as a preconditioner.
 
     ``exact`` tells the solvers to factor every step system at its own
-    matrix rather than share ``lu`` across diagonals.
-    ``CoupledOperators.block_template`` sets it on dense templates of an
-    interval, whose band factor costs less than the refinement sweeps and
-    chord iterations a shared factor adds; elsewhere it is False.
+    matrix rather than share ``lu`` across diagonals.  It is True on dense
+    templates of an ``interval`` mesh, whose band factor costs less than
+    the refinement sweeps and chord iterations a shared factor adds.
     """
 
-    def __init__(self, M, K):
+    def __init__(self, M, K, interval):
         n = M.shape[0]
         S = abs(M) + abs(K) + sp.identity(n, format="csr")
         pattern = sp.bmat([[S, S], [S, S]], format="csc")
         pattern.sort_indices()
         rows, cols = _slots(pattern)
+        self.block = (2 * (rows >= n) + (cols >= n)).astype(np.int8)
         self.m = np.asarray(M[rows % n, cols % n]).ravel()
         self.k = np.asarray(K[rows % n, cols % n]).ravel()
-        self.block = (2 * (rows >= n) + (cols >= n)).astype(np.int8)
+        self.k *= np.take((0.0, 1.0, 1.0, 0.0), self.block)  # K in blocks 12 and 21
         # Slots run column by column, so these are in node order.
         diag = np.flatnonzero(rows - n == cols)
         self.dense = 2 * n <= DENSE_MAX
@@ -271,26 +270,26 @@ class BlockTemplate:
             self.matrix = pattern
             self.data, self.slots, self.diag = pattern.data, slice(None), diag
         self.lu = self.coeffs = self.free = None
-        self.exact = False
+        self.exact = self.dense and interval
 
-    def fill(self, a, b, lam=None):
-        """Write the blocks a_ij M + b_ij K (+ diag(lam) in block 21) into the
-        template, with a and b listed as (11, 12, 21, 22); returns the
+    def fill(self, c, lam=None):
+        """Write the step Jacobian of the coefficients c = (c1, c2), with
+        diag(lam) in block 21 when given, into the template; returns the
         matrix."""
-        data, coeffs = self.data, (tuple(a), tuple(b))
-        if coeffs != self.coeffs:
-            self.lu, self.coeffs = None, coeffs
-            data[self.slots] = np.take(a, self.block) * self.m + np.take(b, self.block) * self.k
+        data, c = self.data, tuple(c)
+        if c != self.coeffs:
+            self.lu, self.coeffs = None, c
+            data[self.slots] = np.take((c[0], 0.0, c[1], -1.0), self.block) * self.m + self.k
             self.free = data[self.diag]
         data[self.diag] = self.free if lam is None else self.free + lam
         return self.matrix
 
-    def factor(self, a, b, lam=None):
+    def factor(self, c, lam):
         """Fill the template and factor it, releasing the previous factor
         first so that two are never alive at once.  A singular matrix raises
         ``RuntimeError`` and leaves no factor."""
         self.lu = None
-        A = self.fill(a, b, lam)
+        A = self.fill(c, lam)
         self.lu = BandLU(self) if self.dense else spla.splu(A, permc_spec="MMD_AT_PLUS_A")
 
     def norm(self):

@@ -38,7 +38,7 @@ def unchecked_custom(beta_hat_coeffs):
     b = bh.deriv().coef
     cubic = tuple(np.pad(b, (0, 4 - b.size))[1:].tolist()) if b.size <= 4 else None
     zero = np.polynomial.Polynomial([0.0])
-    return PotentialSpec("custom", False, [bh.deriv(k) for k in range(4)], [zero] * 4, cubic)
+    return PotentialSpec("custom", False, [bh.deriv(k) for k in range(3)], [zero] * 3, cubic)
 
 
 @pytest.fixture(params=["sparse", "dense"])

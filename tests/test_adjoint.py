@@ -216,11 +216,11 @@ class SpyFactorizations:
                 raise RuntimeError("Factor is exactly singular")
             return splu(A, **kwargs)
 
-        def template_spy(template, a, b, lam=None):
+        def template_spy(template, c, lam):
             self.orders.append(template.matrix.shape[0])
             self.in_template = True
             try:
-                factor(template, a, b, lam)
+                factor(template, c, lam)
             finally:
                 self.in_template = False
 

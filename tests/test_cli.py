@@ -600,6 +600,18 @@ class TestVerify:
         assert out.count("[PASS]") == 11
         assert "[FAIL]" not in out
 
+    @pytest.mark.parametrize("side", [1.0, 0.5])
+    def test_rectangle_at_the_check_mesh_cap_passes(self, tmp_path, monkeypatch, capsys, side):
+        # On a 16 x 16 rectangle the separation check's mu bound is 26.3 on
+        # the unit square and 104.9 on [0, 0.5]^2, beyond F' = 24.3 of its
+        # logarithmic potential at 1 - 1e-12.
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(PRESETS["rectangle"])
+        data["domain"].update(nx=16, ny=16, lx=side, ly=side)
+        assert main(["verify", "-c", write_yaml(tmp_path, data)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("[PASS]") == 11 and "11/11 checks passed" in out
+
     @pytest.mark.parametrize("bound,value", [("u_max", np.inf), ("uG_min", -np.inf)])
     def test_infinite_box_bound_passes(self, tmp_path, monkeypatch, capsys, bound, value):
         # The optimality check draws its comparison controls from the box,

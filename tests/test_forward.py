@@ -66,7 +66,7 @@ class TestStep:
             phi_n, phi, mu = traj.phi[k], traj.phi[k + 1], traj.mu[k + 1]
             r1 = ops.M_total @ ((phi - phi_n) / dt + gamma * phi) + ops.K_total @ mu - source
             r2 = ((tau / dt) * (ops.M_total @ (phi - phi_n)) + ops.K_total @ phi
-                  + problem.implicit(phi)[0] + problem.explicit(phi_n)[0]
+                  + problem.implicit(phi)[0] + problem.explicit(phi_n, 0)
                   - ops.M_total @ mu)
             w = ops.lumped_total
             assert np.sqrt(r1 @ (r1 / w) + r2 @ (r2 / w)) <= problem.opts.newton_tol
@@ -83,11 +83,11 @@ class TestStep:
     def test_non_finite_right_hand_side_raises_at_its_step(self):
         problem = make_problem()
         ops = problem.ops
-        a, b = problem.jacobian_coefficients
         rhs = np.ones(2 * ops.mesh.n_bulk)
         rhs[3] = np.inf
         with pytest.raises(SolverError, match="linear solve at step 4") as err:
-            forward.solve_block_system(ops, a, b, rhs, np.ones(ops.mesh.n_bulk), step=4)
+            forward.solve_block_system(ops, problem.jacobian_coefficients, rhs,
+                                       np.ones(ops.mesh.n_bulk), step=4)
         assert err.value.step == 4
         assert "non-finite at rows [3]" in str(err.value)
 

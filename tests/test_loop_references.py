@@ -509,7 +509,8 @@ def test_fused_nodal_terms(pair, mesh, scheme, eps):
     exact = np.array([mask for _, mask in rows])
     assert exact.mean() > 0.9
     for phi, ref, mask in ((stack, expected, exact), (stack[2], expected[:, 2], exact[2])):
-        got_terms = problem.implicit(phi) + problem.explicit(phi) + problem.jacobian(phi)
+        got_terms = (*problem.implicit(phi), problem.explicit(phi, 0), problem.explicit(phi, 1),
+                     *problem.jacobian(phi))
         for which, (got, want) in enumerate(zip(got_terms, [*ref, ref[1], ref[3]])):
             scale = np.abs(want).max()
             assert np.abs(got - want)[mask].max() <= 1e-14 * scale, which
@@ -599,14 +600,14 @@ def test_regular_potential_is_pow_free():
 # The chord Newton step against its node-ordered form
 # ---------------------------------------------------------------------------
 
-def refactor_if_needed(template, a, b, lam, res, prev):
+def refactor_if_needed(template, c, lam, res, prev):
     """The one-state loops' rule: rebuild the factor at every iteration on
     an exact template; otherwise when there is none, when it was built for
     other coefficients, or when the residual fell by less than
     ``CHORD_RHO``."""
-    if (template.exact or template.lu is None or template.coeffs != (tuple(a), tuple(b))
+    if (template.exact or template.lu is None or template.coeffs != tuple(c)
             or res > forward.CHORD_RHO * prev):
-        template.factor(a, b, lam)
+        template.factor(c, lam)
 
 
 def loop_step(problem, phi_n, mu_n, u, ug):
@@ -620,21 +621,21 @@ def loop_step(problem, phi_n, mu_n, u, ug):
     w = ops.lumped_total
     Mphi_n = Mbar @ phi_n
     c1 = Mphi_n / dt + gamma * ops.mass(u, ug)
-    c2 = (tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
-    a, b = problem.jacobian_coefficients
+    c2 = (tau / dt) * Mphi_n - problem.explicit(phi_n, 0)
+    coeffs = problem.jacobian_coefficients
     X = np.column_stack([phi_n, mu_n])
     prev = np.inf
     for it in range(forward.NEWTON_MAX_ITER + 1):
         phi = X[:, 0]
         m, k = Mbar @ X, Kbar @ X
         nodal, lam = problem.implicit(phi)
-        r1 = a[0] * m[:, 0] + k[:, 1] - c1
-        r2 = a[2] * m[:, 0] + k[:, 0] - m[:, 1] + nodal - c2
+        r1 = coeffs[0] * m[:, 0] + k[:, 1] - c1
+        r2 = coeffs[1] * m[:, 0] + k[:, 0] - m[:, 1] + nodal - c2
         res = float(np.sqrt(r1 @ (r1 / w) + r2 @ (r2 / w)))
         if res <= opts.newton_tol:
             return phi, X[:, 1], it
         assert it < forward.NEWTON_MAX_ITER
-        refactor_if_needed(ops.block_template, a, b, lam, res, prev)
+        refactor_if_needed(ops.block_template, coeffs, lam, res, prev)
         rhs = -np.concatenate([r1, r2])
         dX = ops.block_template.lu.solve(rhs).reshape(2, -1)
         prev = res
@@ -718,18 +719,18 @@ def single_step(problem, winv, phi_n, mu_n, source):
     iterates that the stacked step replaced, which refilled the step matrix
     at every iteration and checked the diagonal with the factor."""
     ops, template = problem.ops, problem.ops.block_template
-    a, b = problem.jacobian_coefficients
+    coeffs = problem.jacobian_coefficients
     n, dt, tol = ops.mesh.n_bulk, problem.grid.dt, problem.opts.newton_tol
     Mphi_n = ops.M_total @ phi_n
     c1 = Mphi_n / dt + source
-    c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
+    c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n, 0)
     c = np.concatenate([c1, c2])
     y = np.concatenate([phi_n, mu_n])
     prev = np.inf
     for it in range(forward.NEWTON_MAX_ITER + 1):
         phi = y[:n]
         nodal, lam = problem.implicit(phi)
-        r = template.fill(a, b) @ y
+        r = template.fill(coeffs) @ y
         r[n:] += nodal
         r -= c
         res = math.sqrt(r @ (r * winv))
@@ -737,7 +738,7 @@ def single_step(problem, winv, phi_n, mu_n, source):
         if res <= tol:
             return phi, y[n:], it
         assert it < forward.NEWTON_MAX_ITER and np.isfinite(lam).all()
-        refactor_if_needed(template, a, b, lam, res, prev)
+        refactor_if_needed(template, coeffs, lam, res, prev)
         dy = template.lu.solve(-r)
         assert np.isfinite(dy).all()
         prev = res
@@ -812,17 +813,17 @@ def compacting_step(problem, winv, phi_n, mu_n, sources):
     every row is corrected on a factor of its own, and the round-off
     floor applies to each of them."""
     ops, template = problem.ops, problem.ops.block_template
-    a, b = problem.jacobian_coefficients
+    coeffs = problem.jacobian_coefficients
     n, dt, tol = ops.mesh.n_bulk, problem.grid.dt, problem.opts.newton_tol
     Mphi_n = (ops.M_total @ phi_n.T).T
     c1 = Mphi_n / dt + sources
-    c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n)[0]
+    c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n, 0)
     c = np.concatenate([c1, c2], axis=1)
     y = np.concatenate([phi_n, mu_n], axis=1)
     K = len(y)
     out, iters = np.empty((K, 2 * n)), np.zeros(K, dtype=int)
     cols, prev, fresh = list(range(K)), [math.inf] * K, []
-    A = template.fill(a, b)
+    A = template.fill(coeffs)
     for it in range(forward.NEWTON_MAX_ITER + 1):
         nodal, lam = problem.implicit(y[:, :n])
         r = (A @ y.T).T
@@ -852,16 +853,16 @@ def compacting_step(problem, winv, phi_n, mu_n, sources):
         if template.exact:
             dy = np.empty_like(r)
             for row in range(len(y)):
-                template.factor(a, b, lam[row])
+                template.factor(coeffs, lam[row])
                 dy[row] = template.lu.solve(-r[row])
-            fresh, kept, A = list(range(len(y))), y.copy(), template.fill(a, b)
+            fresh, kept, A = list(range(len(y))), y.copy(), template.fill(coeffs)
         else:
             slow = next((j for j, (v, p) in enumerate(zip(res, prev))
                          if v > forward.CHORD_RHO * p), None)
             if slow is not None or template.lu is None:
                 row = slow or 0
-                template.factor(a, b, lam[row])
-                fresh, kept, A = [row], y.copy(), template.fill(a, b)
+                template.factor(coeffs, lam[row])
+                fresh, kept, A = [row], y.copy(), template.fill(coeffs)
             dy = template.lu.solve(-r.T).T
         assert np.isfinite(dy).all()
         prev = res
@@ -935,31 +936,31 @@ def test_in_place_stack_is_the_compacting_stack(case):
 # The one step matrix against full refills and the chord's private copy
 # ---------------------------------------------------------------------------
 
-def full_fill(template, a, b, lam=None):
+def full_fill(template, c, lam=None):
     """The template fill that rewrote every entry on each call."""
     data = template.data
-    data[template.slots] = np.take(a, template.block) * template.m
-    data[template.slots] += np.take(b, template.block) * template.k
+    data[template.slots] = np.take((c[0], 0.0, c[1], -1.0), template.block) * template.m
+    data[template.slots] += template.k
     if lam is not None:
         data[template.diag] += lam
     return template.matrix
 
 
-def copy_fill(template, a, b, lam=None):
+def copy_fill(template, c, lam=None):
     """``full_fill``, with the lambda-free matrix handed out as the copy
     chord Newton held of it (CSR for the sparse storage)."""
-    A = full_fill(template, a, b, lam)
+    A = full_fill(template, c, lam)
     if lam is not None:
         return A
     return A.copy() if template.dense else A.tocsr()
 
 
-def full_factor(template, a, b, lam=None):
+def full_factor(template, c, lam):
     """The factorization that recorded its coefficients with its factor."""
     template.lu = template.coeffs = None
-    A = full_fill(template, a, b, lam)
+    A = full_fill(template, c, lam)
     template.lu = BandLU(template) if template.dense else spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-    template.coeffs = (tuple(a), tuple(b))
+    template.coeffs = tuple(c)
 
 
 def round_trip(problem, phi0, controls):

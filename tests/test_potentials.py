@@ -46,7 +46,7 @@ class TestEvaluation:
         assert LOG.F(0.0) == 0.0
 
     @pytest.mark.parametrize("spec", [REG, LOG, IDENTITY_BETA])
-    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2])
     def test_derivatives_match_central_differences(self, spec, order):
         rs = np.linspace(-0.85, 0.85, 9)
         d = 1e-6
@@ -80,9 +80,10 @@ class TestEvaluation:
     def test_regular_defined_everywhere(self):
         assert np.isfinite(REG.F(100.0))
 
-    def test_bad_order_rejected(self):
-        with pytest.raises(ValueError):
-            REG.F(0.0, order=4)
+    @pytest.mark.parametrize("order", [3, 4])
+    def test_bad_order_rejected(self, order):
+        with pytest.raises(ValueError, match="order must be 0..2"):
+            REG.F(0.0, order=order)
 
 
 def test_import_leaves_scipy_special_out():
@@ -384,6 +385,25 @@ class TestSeparationThreshold:
         r_small = separation_r0(pair, N=0.5, phi0_sup=0.2)
         r_large = separation_r0(pair, N=5.0, phi0_sup=0.2)
         assert 0.2 <= r_small < r_large < 1.0
+
+    def test_scan_reaches_the_last_double_below_one(self):
+        # F' of the c1 = 2 potential is 24.3 at 1 - 1e-12 and 33.4 at the
+        # largest double below 1: a bound of 26.4 has its threshold between.
+        N = 26.4
+        r0 = separation_r0(PotentialPair.same(LOG), N=N, phi0_sup=0.3)
+        assert 1.0 - 1e-12 < r0 < 1.0
+        assert LOG.F(r0, 1) >= N and LOG.F(-r0, 1) <= -N
+
+    def test_threshold_above_every_double_reads_one(self):
+        # Both derivatives diverge at +-1, so a bound beyond F' at the last
+        # double below 1 puts the threshold above every double below 1.
+        assert LOG.F(np.nextafter(1.0, 0.0), 1) < 40.0
+        assert separation_r0(PotentialPair.same(LOG), N=40.0, phi0_sup=0.3) == 1.0
+
+    def test_regular_bulk_with_logarithmic_boundary_raises(self):
+        # F' of the regular bulk stays near 0 up to 1, so no threshold exists.
+        with pytest.raises(ValidationError, match="no separation threshold"):
+            separation_r0(PotentialPair(bulk=REG, boundary=LOG), N=1.0, phi0_sup=0.3)
 
 
 class TestPotentialPair:

@@ -312,7 +312,7 @@ class TestTemplateStorage:
         n = mesh.n_bulk
         rng = np.random.default_rng(4)
         lam = rng.uniform(-1.0, 2.0, n) / n
-        template.factor((21.0, 0.0, 20.0, -1.0), (0.0, 1.0, 1.0, 0.0), lam)
+        template.factor((21.0, 20.0), lam)
         assert isinstance(template.lu, BandLU)
         assert template.band[:2] == (bandwidths, bandwidths)
         A = np.array(template.matrix)

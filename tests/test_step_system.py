@@ -2,11 +2,10 @@
 linearized and adjoint solvers.
 
 The reference block matrices below are the per-call assemblies the solvers
-used before the fixed template: the step Jacobian, the adjoint backward
-matrix and the terminal adjoint matrix.  The adjoint now solves its
-terminal pair apart, but the template takes any coefficient set, and the
-terminal one serves as a second set.  The template stores its matrix in
-node order, so its entries compare with them directly.
+used before the fixed template: the step Jacobian and the adjoint
+backward matrix.  A second time step gives a second set of step
+coefficients.  The template stores its matrix in node order, so its
+entries compare with them directly.
 
 The template is the one step matrix of every solve: a refill with the
 coefficients it holds rewrites only the diagonal lambda of block 21.  It
@@ -64,12 +63,13 @@ from test_cli import MINIMAL, write_yaml
 
 PHYSICS = Physics(tau=0.7, gamma=1.3)
 DT = 0.05
-TERMINAL = (1.0, PHYSICS.tau, 0.0, -1.0), (0.0, 0.0, 1.0, 0.0)
+# A second time step, for a second set of step coefficients.
+DT2 = 0.2
 
 
 def step_coefficients(ops, physics=PHYSICS, dt=DT):
-    """(a, b) of the step Jacobian of a problem on ``ops`` with these
-    physics and one step of length dt."""
+    """The step coefficients of a problem on ``ops`` with these physics
+    and one step of length dt."""
     return Problem(ops, PotentialPair.same(regular_potential()), SolverOptions(),
                    physics, TimeGrid(dt, 1)).jacobian_coefficients
 
@@ -89,11 +89,6 @@ def backward_reference(ops, physics, dt, lam):
         ],
         format="csc",
     )
-
-
-def terminal_reference(ops, tau):
-    M, K = ops.M_total, ops.K_total
-    return sp.bmat([[M, tau * M], [K, -M]], format="csc")
 
 
 @pytest.fixture(autouse=True)
@@ -144,29 +139,23 @@ def relative_error(x, y):
 class TestTemplate:
     def test_jacobian_matches_reference(self, system):
         ops, lam, _ = system
-        a, b = step_coefficients(ops)
-        J = ops.block_template.fill(a, b, lam)
+        J = ops.block_template.fill(step_coefficients(ops), lam)
         assert_same_entries(J, jacobian_reference(ops, PHYSICS, DT, lam))
 
     def test_backward_matrix_is_scaled_jacobian_transpose(self, system):
         ops, lam, _ = system
         n = ops.mesh.n_bulk
         template = ops.block_template
-        J = template.fill(*step_coefficients(ops), lam)
+        J = template.fill(step_coefficients(ops), lam)
         scale = sp.diags(np.concatenate([np.full(n, DT), np.ones(n)]))
         assert_same_entries(scale @ J.T, backward_reference(ops, PHYSICS, DT, lam))
-
-    def test_terminal_matches_reference(self, system):
-        ops, _, _ = system
-        B = ops.block_template.fill(*TERMINAL)
-        assert_same_entries(B, terminal_reference(ops, PHYSICS.tau))
 
     def test_pattern_is_fixed_across_refills(self, system):
         ops, lam, _ = system
         template = ops.block_template
         matrix, before = template.matrix, layout(template)
-        template.fill(*TERMINAL)
-        template.fill(*step_coefficients(ops), lam)
+        template.fill(step_coefficients(ops, dt=DT2))
+        template.fill(step_coefficients(ops), lam)
         assert ops.block_template is template and template.matrix is matrix
         assert all(np.array_equal(x, y) for x, y in zip(layout(template), before))
         # No entry outside the slots is ever written.
@@ -175,11 +164,11 @@ class TestTemplate:
     def test_lambda_refill_touches_only_the_diagonal(self, system):
         ops, lam, _ = system
         template = ops.block_template
-        a, b = step_coefficients(ops)
-        template.factor(a, b, lam)
+        c = step_coefficients(ops)
+        template.factor(c, lam)
         lu, before = template.lu, template.data.copy()
         for new_lam in (2.0 * lam, None):
-            A = template.fill(a, b, new_lam)
+            A = template.fill(c, new_lam)
             assert template.lu is lu
             off = np.ones(template.data.size, dtype=bool)
             off[template.diag] = False
@@ -191,12 +180,12 @@ class TestTemplate:
     def test_coefficient_change_releases_the_factor(self, system):
         ops, lam, _ = system
         template = ops.block_template
-        template.factor(*step_coefficients(ops), lam)
+        template.factor(step_coefficients(ops), lam)
         assert template.lu is not None
-        B = template.fill(*TERMINAL)
+        B = template.fill(step_coefficients(ops, dt=DT2), lam)
         assert template.lu is None
-        assert template.coeffs == TERMINAL
-        assert_same_entries(B, terminal_reference(ops, PHYSICS.tau))
+        assert template.coeffs == step_coefficients(ops, dt=DT2)
+        assert_same_entries(B, jacobian_reference(ops, PHYSICS, DT2, lam))
 
     def test_factorization_by_storage(self, system, storage, monkeypatch):
         # A sparse template is factored by SuperLU, ordered by minimum
@@ -210,7 +199,7 @@ class TestTemplate:
             return splu(A, permc_spec=permc_spec, **kwargs)
 
         monkeypatch.setattr(spla, "splu", spy)
-        ops.block_template.factor(*step_coefficients(ops), lam)
+        ops.block_template.factor(step_coefficients(ops), lam)
         assert orderings == (["MMD_AT_PLUS_A"] if storage == "sparse" else [])
 
     def test_data_is_the_matrix_storage(self, system):
@@ -224,7 +213,7 @@ class TestSolveAgainstReference:
         ops, lam, rng = system
         rhs = rng.standard_normal(2 * ops.mesh.n_bulk)
         x = np.concatenate(
-            solve_block_system(ops, *step_coefficients(ops), rhs, lam=lam)
+            solve_block_system(ops, step_coefficients(ops), rhs, lam)
         )
         ref = spla.spsolve(jacobian_reference(ops, PHYSICS, DT, lam), rhs)
         assert relative_error(x, ref) <= 1e-12
@@ -234,18 +223,10 @@ class TestSolveAgainstReference:
         rhs1 = rng.standard_normal(ops.mesh.n_bulk)
         zero = np.zeros_like(rhs1)
         x = np.concatenate(solve_block_system(
-            ops, *step_coefficients(ops), np.concatenate([rhs1 / DT, zero]),
-            lam=lam, trans="T",
+            ops, step_coefficients(ops), np.concatenate([rhs1 / DT, zero]), lam, trans="T",
         ))
         ref = spla.spsolve(backward_reference(ops, PHYSICS, DT, lam),
                            np.concatenate([rhs1, zero]))
-        assert relative_error(x, ref) <= 1e-12
-
-    def test_terminal_solve(self, system):
-        ops, _, rng = system
-        rhs = np.concatenate([rng.standard_normal(ops.mesh.n_bulk), np.zeros(ops.mesh.n_bulk)])
-        x = np.concatenate(solve_block_system(ops, *TERMINAL, rhs))
-        ref = spla.spsolve(terminal_reference(ops, PHYSICS.tau), rhs)
         assert relative_error(x, ref) <= 1e-12
 
 
@@ -288,10 +269,10 @@ def factor_log(monkeypatch):
         def __del__(self):
             log.live.pop()
 
-    def counting_factor(template, a, b, lam=None):
+    def counting_factor(template, c, lam):
         # Only the template's own factor, if any, may be alive here.
         assert len(log.live) <= int(template.lu is not None)
-        factor(template, a, b, lam)
+        factor(template, c, lam)
         assert not log.live, "a factor was alive while the next one was built"
         log.step_factors += 1
         template.lu = Factor(template.lu)
@@ -364,9 +345,9 @@ def test_exact_template_factors_every_correction_at_its_column(monkeypatch, fact
                         lambda self, phi: evaluations.append(implicit(self, phi))
                         or evaluations[-1])
 
-    def recording(template, a, b, lam=None):
+    def recording(template, c, lam):
         factored.append(lam.copy())
-        factor(template, a, b, lam)
+        factor(template, c, lam)
 
     monkeypatch.setattr(BlockTemplate, "factor", recording)
     stack = forward.solve_many(problem, PairField.constant(mesh, 0.0), controls)
@@ -544,12 +525,12 @@ class TestHistoryIndependence:
         n = mesh.n_bulk
         physics = Physics(tau=rng.uniform(0.1, 5.0), gamma=rng.uniform(0.0, 5.0))
         dt = 10.0 ** log_dt
-        a, b = step_coefficients(ops, physics, dt)
+        c = step_coefficients(ops, physics, dt)
         lam_bar = ops.lumped_total * rng.uniform(-1.0, 2.0, n) * 10.0 ** log_scale
         lam = ops.lumped_total * rng.uniform(-1.0, 2.0, n)
-        ops.block_template.factor(a, b, lam_bar)
+        ops.block_template.factor(c, lam_bar)
         rhs = rng.standard_normal(2 * n)
-        x = np.concatenate(solve_block_system(ops, a, b, rhs, lam=lam, trans=trans))
+        x = np.concatenate(solve_block_system(ops, c, rhs, lam, trans=trans))
         A = jacobian_reference(ops, physics, dt, lam)
         if trans == "T":
             A = A.T.tocsc()
@@ -561,10 +542,10 @@ class TestHistoryIndependence:
         # A factor taken far from the current diagonal stalls the
         # refinement; the solve rebuilds it once and still matches.
         ops, lam, rng = system
-        a, b = step_coefficients(ops)
-        ops.block_template.factor(a, b, lam + 1e3 * ops.lumped_total)
+        c = step_coefficients(ops)
+        ops.block_template.factor(c, lam + 1e3 * ops.lumped_total)
         rhs = rng.standard_normal(2 * ops.mesh.n_bulk)
-        x = np.concatenate(solve_block_system(ops, a, b, rhs, lam=lam, trans=trans))
+        x = np.concatenate(solve_block_system(ops, c, rhs, lam, trans=trans))
         A = jacobian_reference(ops, PHYSICS, DT, lam)
         ref = spla.spsolve(A.T.tocsc() if trans == "T" else A, rhs)
         assert relative_error(x, ref) <= 1e-12
@@ -593,7 +574,7 @@ def floor_solve(trans):
         A = A.T
     _, sv, vt = np.linalg.svd(A)
     x = np.concatenate(solve_block_system(
-        ops, *step_coefficients(ops, PHYSICS, dt), A @ vt[-1], lam=lam, trans=trans,
+        ops, step_coefficients(ops, PHYSICS, dt), A @ vt[-1], lam, trans=trans,
     ))
     return x, vt[-1], sv[0] / sv[-1]
 
@@ -612,7 +593,7 @@ class TestRoundOffTest:
     def test_norm_is_the_frobenius_norm(self, system):
         ops, lam, _ = system
         template = ops.block_template
-        A = template.fill(*step_coefficients(ops), lam)
+        A = template.fill(step_coefficients(ops), lam)
         assert template.norm() == pytest.approx(np.linalg.norm(entries(A)), rel=1e-14)
         assert template.norm() == pytest.approx(
             spla.norm(jacobian_reference(ops, PHYSICS, DT, lam)), rel=1e-14)
@@ -693,10 +674,10 @@ def singular_factor(monkeypatch, ops):
     _fresh_template(monkeypatch, ops)
     factor = BlockTemplate.factor
 
-    def singular(template, a, b, lam=None):
-        template.fill(a, b, lam)
+    def singular(template, c, lam):
+        template.fill(c, lam)
         last_column(template)[:] = 0.0
-        factor(template, a, b, lam)
+        factor(template, c, lam)
 
     monkeypatch.setattr(BlockTemplate, "factor", singular)
 
@@ -716,8 +697,8 @@ def scaled_factors(monkeypatch, ops, scale):
     _fresh_template(monkeypatch, ops)
     factor = BlockTemplate.factor
 
-    def scaled(template, a, b, lam=None):
-        factor(template, a, b, lam)
+    def scaled(template, c, lam):
+        factor(template, c, lam)
         template.lu = ScaledFactor(template.lu, scale)
 
     monkeypatch.setattr(BlockTemplate, "factor", scaled)
