@@ -150,6 +150,20 @@ class TestTemplate:
         scale = sp.diags(np.concatenate([np.full(n, DT), np.ones(n)]))
         assert_same_entries(scale @ J.T, backward_reference(ops, PHYSICS, DT, lam))
 
+    def test_refill_is_bitwise_the_block_sum(self, system):
+        # Each slot is c1 m, k, c2 m + k (+ lambda) or -m of its block, in
+        # the order of operations of the assembled sum, so a refill at
+        # either time step reproduces the reference bit for bit.
+        ops, lam, _ = system
+        template = ops.block_template
+        for dt in (DT, DT2):
+            c = step_coefficients(ops, dt=dt)
+            for l in (None, lam):
+                A = entries(template.fill(c, l))
+                reference = jacobian_reference(
+                    ops, PHYSICS, dt, np.zeros_like(lam) if l is None else l)
+                assert np.array_equal(A, entries(reference))
+
     def test_pattern_is_fixed_across_refills(self, system):
         ops, lam, _ = system
         template = ops.block_template
@@ -228,6 +242,18 @@ class TestSolveAgainstReference:
         ref = spla.spsolve(backward_reference(ops, PHYSICS, DT, lam),
                            np.concatenate([rhs1, zero]))
         assert relative_error(x, ref) <= 1e-12
+
+    def test_solve_after_a_time_step_change(self, system):
+        # One template solves at two time steps in turn; each solution
+        # matches the assembled step Jacobian of its own coefficients.
+        ops, lam, rng = system
+        rhs = rng.standard_normal(2 * ops.mesh.n_bulk)
+        for dt in (DT, DT2):
+            x = np.concatenate(
+                solve_block_system(ops, step_coefficients(ops, dt=dt), rhs, lam)
+            )
+            ref = spla.spsolve(jacobian_reference(ops, PHYSICS, dt, lam), rhs)
+            assert relative_error(x, ref) <= 1e-12
 
 
 @pytest.fixture
