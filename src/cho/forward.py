@@ -230,6 +230,10 @@ NEWTON_ROUNDOFF = 4 * np.finfo(float).eps
 # Chord Newton rebuilds the factor at the state of the first column that
 # one iteration leaves more than this fraction of its previous residual.
 CHORD_RHO = 0.2
+# The ratio on a dense template, whose band factor costs about one chord
+# iteration, from a step's second correction on: the first measures how
+# far the old state lies from the new one, not how stale the factor is.
+CHORD_RHO_BAND = 1e-3
 # Newton iterations per step before the step fails.
 NEWTON_MAX_ITER = 50
 # Iterates of a bounded potential stay inside (-1 + s, 1 - s) for this s.
@@ -351,7 +355,10 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     with the template's live factor, which they share; it is reused
     across iterations and steps and rebuilt at most once per iteration,
     at the state of the first running column that the last correction
-    left more than ``CHORD_RHO`` of its residual.
+    left more than rho of its residual: ``CHORD_RHO`` after a step's
+    first correction and on a CSC template, ``CHORD_RHO_BAND`` after the
+    later corrections on a dense one, whose band factor costs about one
+    iteration.
 
     A column stops when its residual is at most ``newton_tol``, or when a
     correction on a factor built at its own state fails to reduce a
@@ -428,8 +435,9 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
                 factor(j)
                 dy[j] = template.lu.solve(-r[j])
         else:
-            # The first running column left more than CHORD_RHO of its residual.
-            slow = next((j for j in run if res[j] > CHORD_RHO * prev[j]), None)
+            # The first running column left more than rho of its residual.
+            rho = CHORD_RHO_BAND if template.dense and it >= 2 else CHORD_RHO
+            slow = next((j for j in run if res[j] > rho * prev[j]), None)
             if slow is not None or template.lu is None:
                 factor(run[0] if slow is None else slow)
             dy = _running(lambda v: template.lu.solve(-v.T).T, r, run)

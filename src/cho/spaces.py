@@ -237,7 +237,11 @@ class BlockTemplate:
     ``exact`` tells the solvers to factor every step system at its own
     matrix rather than share ``lu`` across diagonals.  It is True on dense
     templates of an ``interval`` mesh, whose band factor costs less than
-    the refinement sweeps and chord iterations a shared factor adds.
+    the refinement sweeps and chord iterations a shared factor adds.  On
+    the other templates chord Newton rebuilds the shared ``lu`` when a
+    correction leaves more than ``forward.CHORD_RHO`` of its residual, or,
+    from a step's second correction on a dense template, whose band factor
+    costs about one iteration, more than ``forward.CHORD_RHO_BAND``.
     """
 
     def __init__(self, M, K, interval):

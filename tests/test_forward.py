@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from cho import forward
+from cho import forward, spaces
 from cho.control import ControlPair, random_direction
 from cho.errors import SolverError, ValidationError
 from cho.forward import (
@@ -24,7 +24,7 @@ from cho.forward import (
 )
 from cho.mesh import build_interval, build_rectangle
 from cho.potentials import PotentialPair, logarithmic_potential, regular_potential
-from cho.spaces import CoupledOperators, PairField
+from cho.spaces import BlockTemplate, CoupledOperators, PairField
 
 from conftest import cosine_ic, make_problem
 
@@ -458,6 +458,49 @@ class TestContinuousDependence:
         ratios = continuous_dependence(problem, phi0, u, h, scales=(1.0, 0.5, 0.25))
         assert max(ratios) / min(ratios) < 1.2
         assert all(np.isfinite(r) and r > 0 for r in ratios)
+
+
+# ---------------------------------------------------------------------------
+# The refactor ratio of each template storage
+# ---------------------------------------------------------------------------
+
+def _splitting_run(nx, monkeypatch, rho_band):
+    """A convex-splitting run on an nx x nx rectangle with gamma = 0, as
+    the energy-decay check solves it, with ``CHORD_RHO_BAND`` = ``rho_band``:
+    the trajectory, the template, and the number of factorizations."""
+    monkeypatch.setattr(forward, "CHORD_RHO_BAND", rho_band)
+    factors = []
+    factor = BlockTemplate.factor
+    monkeypatch.setattr(BlockTemplate, "factor",
+                        lambda self, c, lam: factors.append(1) or factor(self, c, lam))
+    mesh = build_rectangle(nx, nx, 1.0, 1.0)
+    problem = Problem.create(mesh, PotentialPair.same(regular_potential()),
+                             SolverOptions(scheme="convex-splitting", newton_tol=1e-12),
+                             Physics(tau=1.0, gamma=0.0), TimeGrid(T=1.0, N=50))
+    phi0 = PairField.from_bulk(mesh, np.random.default_rng(0).uniform(-0.8, 0.8, mesh.n_bulk))
+    traj = solve(problem, phi0, ControlPair.zeros(mesh, problem.grid))
+    return traj, problem.ops.block_template, len(factors)
+
+
+class TestChordRefactorRatio:
+    def test_band_factor_is_rebuilt_early(self, monkeypatch):
+        # 8 x 8: 355 Newton iterations on one factor under CHORD_RHO, 184
+        # on 5 factors under CHORD_RHO_BAND.
+        band, template, factors = _splitting_run(8, monkeypatch, forward.CHORD_RHO_BAND)
+        assert template.dense and not template.exact
+        chord, _, chord_factors = _splitting_run(8, monkeypatch, forward.CHORD_RHO)
+        assert band.newton_iters.sum() < 0.6 * chord.newton_iters.sum()
+        assert chord_factors <= factors <= band.grid.N // 5
+
+    @pytest.mark.parametrize("nx, dense_max", [(8, 0), (12, spaces.DENSE_MAX)])
+    def test_csc_templates_ignore_the_band_ratio(self, nx, dense_max, monkeypatch):
+        monkeypatch.setattr(spaces, "DENSE_MAX", dense_max)
+        runs = [_splitting_run(nx, monkeypatch, rho) for rho in (forward.CHORD_RHO_BAND, 0.5)]
+        (traj, template, _), (ref, _, _) = runs
+        assert not template.dense
+        assert np.array_equal(traj.newton_iters, ref.newton_iters)
+        assert np.array_equal(traj.phi, ref.phi)
+        assert np.array_equal(traj.mu, ref.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -600,13 +600,20 @@ def test_regular_potential_is_pow_free():
 # The chord Newton step against its node-ordered form
 # ---------------------------------------------------------------------------
 
-def refactor_if_needed(template, c, lam, res, prev):
+def chord_rho(template, it):
+    """The refactor ratio at iteration ``it``: ``CHORD_RHO_BAND`` on a
+    dense template from a step's second correction on, ``CHORD_RHO``
+    elsewhere."""
+    return forward.CHORD_RHO_BAND if template.dense and it >= 2 else forward.CHORD_RHO
+
+
+def refactor_if_needed(template, c, lam, res, prev, it):
     """The one-state loops' rule: rebuild the factor at every iteration on
     an exact template; otherwise when there is none, when it was built for
     other coefficients, or when the residual fell by less than
-    ``CHORD_RHO``."""
+    ``chord_rho``."""
     if (template.exact or template.lu is None or template.coeffs != tuple(c)
-            or res > forward.CHORD_RHO * prev):
+            or res > chord_rho(template, it) * prev):
         template.factor(c, lam)
 
 
@@ -635,7 +642,7 @@ def loop_step(problem, phi_n, mu_n, u, ug):
         if res <= opts.newton_tol:
             return phi, X[:, 1], it
         assert it < forward.NEWTON_MAX_ITER
-        refactor_if_needed(ops.block_template, coeffs, lam, res, prev)
+        refactor_if_needed(ops.block_template, coeffs, lam, res, prev, it)
         rhs = -np.concatenate([r1, r2])
         dX = ops.block_template.lu.solve(rhs).reshape(2, -1)
         prev = res
@@ -738,7 +745,7 @@ def single_step(problem, winv, phi_n, mu_n, source):
         if res <= tol:
             return phi, y[n:], it
         assert it < forward.NEWTON_MAX_ITER and np.isfinite(lam).all()
-        refactor_if_needed(template, coeffs, lam, res, prev)
+        refactor_if_needed(template, coeffs, lam, res, prev, it)
         dy = template.lu.solve(-r)
         assert np.isfinite(dy).all()
         prev = res
@@ -858,7 +865,7 @@ def compacting_step(problem, winv, phi_n, mu_n, sources):
             fresh, kept, A = list(range(len(y))), y.copy(), template.fill(coeffs)
         else:
             slow = next((j for j, (v, p) in enumerate(zip(res, prev))
-                         if v > forward.CHORD_RHO * p), None)
+                         if v > chord_rho(template, it) * p), None)
             if slow is not None or template.lu is None:
                 row = slow or 0
                 template.factor(coeffs, lam[row])
@@ -997,8 +1004,9 @@ def test_one_step_matrix_matches_full_refills(name, scheme, eps, monkeypatch, st
 def test_dense_and_sparse_storage_agree(name, scheme, eps, monkeypatch):
     # Each storage on operators of its own, so that both start without a
     # factor: the same Newton counts, and the fields to round-off.  On an
-    # interval the CSC template is made exact, so that both storages run
-    # the exact rule.
+    # interval the CSC template is made exact, and on a rectangle the band
+    # ratio is the CSC one, so that both storages run one rule.
+    monkeypatch.setattr(forward, "CHORD_RHO_BAND", forward.CHORD_RHO)
     problem, phi0, controls = _preset_case(name, scheme, eps)
     runs = []
     for dense_max in (0, 10**6):

@@ -324,10 +324,13 @@ def test_one_template_and_at_most_one_live_factor(monkeypatch, factor_log):
     assert problem.ops.block_template.lu is not None
 
 
-def test_factorization_budget(factor_log):
+def test_factorization_budget(factor_log, storage):
     # Forward, linearized and adjoint on an 8x8 rectangle: one factor for
-    # the forward run, which the linearized solve reuses, and one for the
-    # adjoint, the step Jacobian at the last state.
+    # the forward run on CSC, which the linearized solve reuses, and one
+    # for the adjoint, the step Jacobian at the last state.  The band
+    # factor is rebuilt whenever a later correction leaves more than
+    # CHORD_RHO_BAND: the forward run takes three factors and 30 Newton
+    # iterations, against one factor and 41 iterations on the CSC rule.
     mesh = build_rectangle(8, 8, 1.0, 1.0)
     grid = TimeGrid(T=0.4, N=8)
     problem = Problem.create(mesh, PotentialPair.same(regular_potential()),
@@ -338,7 +341,7 @@ def test_factorization_budget(factor_log):
     base = solve(problem, phi0, u)
     linearized_solve(problem, base, random_direction(mesh, grid, rng).scaled(0.1))
     adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
-    assert factor_log.step_factors <= 3
+    assert factor_log.step_factors <= (3 if storage == "sparse" else 4)
 
 
 def test_exact_template_factors_every_backward_step_once(run, factor_log):
