@@ -264,9 +264,13 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
     last move du = u_k - u_{k-1}, dg = g_k - g_{k-1}, clipped to
     [STEP_MIN, STEP_MAX]; the first one, and any with <du, dg> <= 0,
     starts at INITIAL_STEP.  This is the monotone spectral projected
-    gradient method of Birgin, Martinez and Raydan (2000).  The H1-in-time
-    budget is reported per iterate but not enforced (no closed-form
-    projection onto box and ball jointly).
+    gradient method of Birgin, Martinez and Raydan (2000).  Every trial
+    solve of a line search starts its Newton steps from the last accepted
+    trajectory (``solve``'s ``start``), whose increments predict the trial
+    state far better than the previous time step does; it converges to
+    the same tolerance, so J moves only at the level of ``newton_tol``.
+    The H1-in-time budget is reported per iterate but not enforced (no
+    closed-form projection onto box and ball jointly).
     """
     opts = opts or OptimizerOptions()
     problem, box = cp.problem, cp.box
@@ -277,8 +281,8 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
 
     u = project_box(u0, box)
 
-    def evaluate(uc):
-        traj = solve(problem, cp.phi0, uc)
+    def evaluate(uc, start=None):
+        traj = solve(problem, cp.phi0, uc, start)
         J = cost(cp.cost, traj, uc, ops)
         return traj, J
 
@@ -302,7 +306,7 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
         for _ in range(MAX_BACKTRACKS + 1):
             trial = project_box(u.plus(g, -s), box)
             descent = control_inner(g, trial.plus(u, -1.0), ops, dt)
-            traj_t, J_t = evaluate(trial)
+            traj_t, J_t = evaluate(trial, traj)
             newton_total += int(traj_t.newton_iters.sum())
             if J_t <= J + ARMIJO_C1 * descent:
                 break

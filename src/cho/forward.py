@@ -155,15 +155,18 @@ class Problem:
     def _split(self):
         return self.opts.scheme == "convex-splitting"
 
-    def _implicit(self, spec, r, orders=(1, 2)):
-        """Orders 0 to 2 of one potential's implicit part (1: N, 2: lambda)."""
+    def _nodal(self, spec, r):
+        """(N, lambda) of one potential's implicit part at the nodal values
+        r, from one domain check or one Yosida resolvent."""
         eps = self.opts.eps_yosida
-        if not eps:
-            return spec.derivatives(r, orders, convex=self._split)
-        parts = yosida_derivatives(spec, eps, r, orders)
+        if eps:
+            n1, n2 = yosida_derivatives(spec, eps, r, (1, 2))
+        else:
+            spec.check_domain(r)
+            n1, n2 = spec.convex[1](r), spec.convex[2](r)
         if self._split:
-            return parts
-        return tuple(z + spec.perturbation[k](r) for k, z in zip(orders, parts))
+            return n1, n2
+        return n1 + spec.perturbation[1](r), n2 + spec.perturbation[2](r)
 
     def _lumped(self, side, phi):
         ops, pair = self.ops, self.pair
@@ -176,7 +179,13 @@ class Problem:
 
     def implicit(self, phi):
         """(N(phi), lambda(phi)) with lambda = N'."""
-        return self._lumped(self._implicit, phi)
+        ops, pair = self.ops, self.pair
+        n1, n2 = self._nodal(pair.bulk, phi)
+        if pair.boundary is pair.bulk:
+            # A conforming pair: the coupling is one multiply by lumped_total.
+            return ops.lumped_total * n1, ops.lumped_total * n2
+        g1, g2 = self._nodal(pair.boundary, phi[..., ops.mesh.trace_map])
+        return ops.lumped(n1, g1), ops.lumped(n2, g2)
 
     def explicit(self, phi, order):
         """E(phi) at order 0 or E'(phi) at 1; read-only zeros without a split."""
@@ -190,14 +199,17 @@ class Problem:
     def jacobian(self, phi):
         """(lambda(phi), E'(phi)), the state-dependent terms of the
         linearized step."""
-        lam, = self._lumped(lambda spec, r: self._implicit(spec, r, (2,)), phi)
+        lam, = self._lumped(lambda spec, r: self._nodal(spec, r)[1:], phi)
         return lam, self.explicit(phi, 1)
 
     def potential(self, phi):
         """Lumped values of the run's potential, whatever the split."""
+        eps = self.opts.eps_yosida
+
         def whole(spec, r):
-            value, = self._implicit(spec, r, (0,))
-            return (value + spec.perturbation[0](r),) if self._split else (value,)
+            value, = (yosida_derivatives(spec, eps, r, (0,)) if eps
+                      else spec.derivatives(r, (0,), convex=True))
+            return (value + spec.perturbation[0](r),)
         return self._lumped(whole, phi)[0]
 
 
@@ -332,7 +344,7 @@ def solve_block_system(ops, c, rhs, lam, trans="N", step=None):
 # An overflow in a step (dt near the smallest double) shows as a
 # non-finite residual or correction, which ends the step naming its cause.
 @np.errstate(over="ignore", invalid="ignore")
-def _chord_step(problem, winv, phi_n, mu_n, sources):
+def _chord_step(problem, winv, phi_n, mu_n, sources, lead=None):
     """Solve one implicit step for a stack of states by Newton on the block
     template: true Newton per column on an exact template, chord Newton on
     a shared factor elsewhere.
@@ -340,6 +352,10 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     ``phi_n`` and ``mu_n`` are (K, n) stacks of old states, one row per
     column, and ``sources`` the stack of gamma (M_bulk u + M_surf u_gamma);
     returns the (K, n) stacks (phi, mu) and each column's iterations.
+    Newton starts from the old state, or, given the increment ``lead`` of
+    [phi, mu] over the step, from the old state plus ``lead`` in each
+    column where that phi stays inside the safeguarded interior
+    (``INTERIOR_SAFEGUARD``).
 
     The iterate is the (K, 2n) stack y of rows [phi, mu], row j for column
     j.  An iteration makes one product with the template's step matrix,
@@ -378,6 +394,13 @@ def _chord_step(problem, winv, phi_n, mu_n, sources):
     c2 = (problem.physics.tau / dt) * Mphi_n - problem.explicit(phi_n, 0)
     c = np.concatenate([c1, c2], axis=1)
     y = np.concatenate([phi_n, mu_n], axis=1)
+    if lead is not None:
+        guess = y + lead
+        if problem.interior is not None:
+            out = (np.abs(guess[:, :n][:, problem.interior])
+                   >= 1.0 - INTERIOR_SAFEGUARD).any(axis=1)
+            guess[out] = y[out]
+        y = guess
     # Per column, the iteration it stopped at (-1 while it runs) and its
     # previous residual; the running columns in order; and ``fresh``, the
     # columns just corrected on a factor built at their own state, whose
@@ -531,10 +554,17 @@ def require_mean_value(problem: Problem, phi0: PairField, M: float, what="") -> 
         )
 
 
-def solve_many(problem: Problem, phi0: PairField, controls) -> list:
+def solve_many(problem: Problem, phi0: PairField, controls, start=None) -> list:
     """March the state system over the whole grid from ``phi0`` under each
     ``ControlPair`` of the list ``controls``; returns one trajectory per
     control, in order.
+
+    Newton starts each step from the state it steps from.  Given a
+    trajectory ``start`` on the same mesh and grid, such as the solve of a
+    nearby control, step k + 1 starts from y_k + (G_{k+1} - G_k) instead,
+    with y = [phi, mu] and G = [start.phi, start.mu], in each column where
+    that phi stays inside the safeguarded interior; every start lands on
+    the step's solution to within ``newton_tol``.
 
     Each control has slabs ``u`` of shape (N, n_bulk) and ``uG`` of shape
     (N, n_boundary); slab n acts on the step t_n -> t_{n+1}.  Each is
@@ -560,6 +590,9 @@ def solve_many(problem: Problem, phi0: PairField, controls) -> list:
             raise ValidationError("initial datum must be strictly interior")
         for j, u in enumerate(controls):
             require_mean_value(problem, phi0, u.sup_norm(), f" in column {j}" if K > 1 else "")
+    if start is not None and start.phi.shape != (grid.N + 1, n):
+        raise ValidationError(f"start trajectory has shape {start.phi.shape}, "
+                              f"expected ({grid.N + 1}, {n})")
     if not controls:
         return []
 
@@ -573,10 +606,12 @@ def solve_many(problem: Problem, phi0: PairField, controls) -> list:
     sources = problem.physics.gamma * np.stack([ops.mass(u.u, u.uG) for u in controls], axis=1)
     # Inverse lumped weights of the mass-weighted residual norm.
     winv = np.tile(1.0 / ops.lumped_total, (1, 2))
+    # The start's increments over each step: (N, 2n) rows [dphi, dmu].
+    leads = [None] * grid.N if start is None else np.diff(np.hstack([start.phi, start.mu]), axis=0)
     for k in range(grid.N):
         try:
             phi[:, k + 1], mu[:, k + 1], iters[:, k] = _chord_step(
-                problem, winv, phi[:, k], mu[:, k], sources[k])
+                problem, winv, phi[:, k], mu[:, k], sources[k], leads[k])
         except SolverError as err:
             raise SolverError(
                 f"step {k + 1}/{grid.N} failed: {err}",
@@ -586,14 +621,16 @@ def solve_many(problem: Problem, phi0: PairField, controls) -> list:
     return [StateTrajectory(mesh, grid, phi[j], mu[j], iters[j]) for j in range(K)]
 
 
-def solve(problem: Problem, phi0: PairField, controls: ControlPair) -> StateTrajectory:
+def solve(problem: Problem, phi0: PairField, controls: ControlPair,
+          start=None) -> StateTrajectory:
     """March the state system over the whole grid under one ``ControlPair``
     with slabs ``u`` of shape (N, n_bulk) and ``uG`` of shape (N,
     n_boundary); slab n acts on the step t_n -> t_{n+1}.  Validates the
     mean-value condition before starting when the potential domain is
-    bounded.  It is ``solve_many`` on one control.
+    bounded.  It is ``solve_many`` on one control, from the trajectory
+    ``start`` when given.
     """
-    return solve_many(problem, phi0, [controls])[0]
+    return solve_many(problem, phi0, [controls], start)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -218,13 +218,17 @@ class BlockTemplate:
     band LU (``BandLU``) in the node-interleaved order (phi_0, mu_0, phi_1,
     mu_1, ...), where the pattern's half-bandwidths are ``band``'s kl and
     ku: 3 on an interval, 2 w + 1 on a mesh whose node-order pattern has
-    half-bandwidth w.  Above ``DENSE_MAX`` it is a CSC matrix, and every
-    step factorization orders it afresh: ``splu`` with
-    ``permc_spec="MMD_AT_PLUS_A"`` takes a minimum-degree ordering of the
-    pattern of A^T + A.  Either way ``data`` is the flat array the slots
-    live in, ``fill(...) @ y`` is the product, ``fill(...).T @ y`` the
-    product with the transpose, and ``lu.solve(rhs, trans)`` solves with
-    the factor.
+    half-bandwidth w.  A dense template also keeps its lambda-free matrix
+    in LAPACK's band layout of that order, ``banded``, written with the
+    dense array whenever the coefficients change, so that a factorization
+    copies it and adds lambda to one row: no gather from the dense array
+    and no scatter into the band layout per factor.  Above ``DENSE_MAX``
+    it is a CSC matrix, and every step factorization orders it afresh:
+    ``splu`` with ``permc_spec="MMD_AT_PLUS_A"`` takes a minimum-degree
+    ordering of the pattern of A^T + A.  Either way ``data`` is the flat
+    array the slots live in, ``fill(...) @ y`` is the product,
+    ``fill(...).T @ y`` the product with the transpose, and
+    ``lu.solve(rhs, trans)`` solves with the factor.
 
     The template holds the step coefficients ``coeffs`` = c of its matrix
     and its one live factor ``lu``, if any.  Only the diagonal of
@@ -268,8 +272,12 @@ class BlockTemplate:
             position = 2 * (np.arange(2 * n) % n) + np.arange(2 * n) // n
             ri, ci = position[rows], position[cols]
             kl, ku = int((ri - ci).max()), int((ci - ri).max())
-            self.band = (kl, ku, kl + ku + ri - ci + (2 * kl + ku + 1) * ci,
-                         np.argsort(position), position)
+            self.band = (kl, ku, np.argsort(position), position)
+            # The lambda-free matrix in LAPACK's band layout, rewritten with
+            # ``data`` when the coefficients change; ``band_slots`` holds the
+            # flat index there of each slot.
+            self.banded = np.zeros((2 * kl + ku + 1, 2 * n), order="F")
+            self.band_slots = kl + ku + ri - ci + (2 * kl + ku + 1) * ci
         else:
             self.matrix = pattern
             self.data, self.slots, self.diag = pattern.data, slice(None), diag
@@ -283,18 +291,28 @@ class BlockTemplate:
         data, c = self.data, tuple(c)
         if c != self.coeffs:
             self.lu, self.coeffs = None, c
-            data[self.slots] = np.take((c[0], 0.0, c[1], -1.0), self.block) * self.m + self.k
+            values = np.take((c[0], 0.0, c[1], -1.0), self.block) * self.m + self.k
+            data[self.slots] = values
+            if self.dense:
+                self.banded.reshape(-1, order="F")[self.band_slots] = values
             self.free = data[self.diag]
         data[self.diag] = self.free if lam is None else self.free + lam
         return self.matrix
 
     def factor(self, c, lam):
-        """Fill the template and factor it, releasing the previous factor
-        first so that two are never alive at once.  A singular matrix raises
-        ``RuntimeError`` and leaves no factor."""
+        """Factor the step matrix of the coefficients c with diag(lam) in
+        block 21, releasing the previous factor first so that two are never
+        alive at once.  A sparse template is filled and factored; a dense
+        one factors its band array and refills its dense array only for new
+        coefficients.  A singular matrix raises ``RuntimeError`` and leaves
+        no factor."""
         self.lu = None
-        A = self.fill(c, lam)
-        self.lu = BandLU(self) if self.dense else spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+        if not self.dense:
+            self.lu = spla.splu(self.fill(c, lam), permc_spec="MMD_AT_PLUS_A")
+            return
+        if tuple(c) != self.coeffs:
+            self.fill(c)
+        self.lu = BandLU(self, lam)
 
     def norm(self):
         """Frobenius norm of the filled matrix."""
@@ -302,16 +320,20 @@ class BlockTemplate:
 
 
 class BandLU:
-    """LAPACK band LU factor (``dgbtrf``) of a dense template's filled
-    matrix, taken in the node-interleaved order, that solves as ``SuperLU``
-    does: ``solve(rhs, trans)`` with trans "N" or "T", for rhs of shape
-    (2n,) or (2n, K) in node order.  A zero pivot raises the
+    """LAPACK band LU factor (``dgbtrf``) of a dense template's step matrix
+    at the diagonal ``lam``, taken in the node-interleaved order, that
+    solves as ``SuperLU`` does: ``solve(rhs, trans)`` with trans "N" or
+    "T", for rhs of shape (2n,) or (2n, K) in node order.  It factors a
+    copy of the template's lambda-free band array plus ``lam``, which is
+    bitwise the filled matrix in band layout.  A zero pivot raises the
     ``RuntimeError`` that ``splu`` raises."""
 
-    def __init__(self, template):
-        self.kl, self.ku, index, self.order, self.position = template.band
-        ab = np.zeros((2 * self.kl + self.ku + 1, len(self.order)), order="F")
-        ab.reshape(-1, order="F")[index] = template.data[template.slots]
+    def __init__(self, template, lam):
+        self.kl, self.ku, self.order, self.position = template.band
+        ab = template.banded.copy(order="F")
+        # Block 21's diagonal, (n + i, i) in node order, is row kl + ku + 1
+        # at column 2 i of the band layout.
+        ab[self.kl + self.ku + 1, 0::2] += lam
         self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=True)
         if info > 0:
             raise RuntimeError("Factor is exactly singular")

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from cho import control
 from cho.adjoint import adjoint_solve, reduced_gradient
-from cho.config import preset_config
+from cho.config import PRESETS, preset_config
 from cho.control import (
     BACKTRACK,
     INITIAL_STEP,
@@ -27,9 +28,10 @@ from cho.control import (
 )
 from cho.errors import SolverError, ValidationError
 from cho.forward import solve
-from cho.spaces import PairField
+from cho.spaces import CoupledOperators, PairField
 
 from conftest import cosine_ic, make_problem
+from test_benchmark_workloads import load_workloads
 
 BOX = BoxBounds(u_min=-1.0, u_max=1.0, uG_min=-1.0, uG_max=1.0)
 
@@ -343,6 +345,38 @@ class TestProjectedGradient:
         )
         with pytest.raises(ValidationError, match="mean-value condition fails for the box: "):
             projected_gradient(cp, ControlPair.zeros(problem.mesh, problem.grid))
+
+
+def _control_problems(case, tmp_path, monkeypatch):
+    """A preset's control problem, or the two of the benchmark's
+    optimize-1d workload at the seed that ends ``case``."""
+    if case in PRESETS:
+        return [preset_config(case).build_control_problem()]
+    wl = load_workloads(monkeypatch).Optimize1D(int(case.rpartition("-")[2]), str(tmp_path))
+    wl.write_inputs()
+    return wl.build()
+
+
+@pytest.mark.parametrize("case", [*PRESETS, "optimize-1d-1", "optimize-1d-2", "optimize-1d-3"])
+def test_warm_trial_solves_take_fewer_corrections(case, tmp_path, monkeypatch):
+    # Every trial solve starts from the last accepted trajectory.  Against
+    # trial solves that start from the previous time step, on operators of
+    # their own: the same iterates and final J to 1e-9, and no iterate
+    # takes more Newton corrections.
+    for cp, u0, opts in _control_problems(case, tmp_path, monkeypatch):
+        warm = projected_gradient(cp, u0, opts)
+        with monkeypatch.context() as m:
+            m.setattr(control, "solve", lambda problem, phi0, u, start=None: solve(
+                problem, phi0, u))
+            cold = projected_gradient(
+                replace(cp, problem=replace(cp.problem, ops=CoupledOperators(cp.problem.mesh))),
+                u0, opts)
+        assert warm.converged and cold.converged
+        assert len(warm.history) == len(cold.history)
+        assert abs(warm.history[-1].J - cold.history[-1].J) <= 1e-9 * cold.history[-1].J
+        spent = [(w.newton_total, c.newton_total) for w, c in zip(warm.history, cold.history)]
+        assert all(w <= c for w, c in spent)
+        assert sum(w for w, _ in spent) < sum(c for _, c in spent)
 
 
 class TestOptimizerOptions:

@@ -22,6 +22,7 @@ from cho.forward import (
     solve,
     yosida_continuation,
 )
+from cho.config import PRESETS, preset_config
 from cho.mesh import build_interval, build_rectangle
 from cho.potentials import PotentialPair, logarithmic_potential, regular_potential
 from cho.spaces import BlockTemplate, CoupledOperators, PairField
@@ -111,10 +112,9 @@ class TestInitialMu:
         assert np.linalg.norm(mu0 - direct) <= 1e-13 * np.linalg.norm(direct)
 
     def test_non_finite_potential_fails_at_step_0(self, monkeypatch):
-        implicit = Problem._implicit
-        monkeypatch.setattr(Problem, "_implicit", lambda self, spec, r, orders=(1, 2): tuple(
-            np.full_like(z, np.nan) if k == 1 else z
-            for k, z in zip(orders, implicit(self, spec, r, orders))))
+        nodal = Problem._nodal
+        monkeypatch.setattr(Problem, "_nodal", lambda self, spec, r: (
+            np.full_like(r, np.nan), nodal(self, spec, r)[1]))
         problem = make_problem()
         with pytest.raises(SolverError, match="initial chemical potential") as err:
             solve(problem, cosine_ic(problem.mesh), ControlPair.zeros(problem.mesh, problem.grid))
@@ -655,6 +655,49 @@ class TestSolveMany:
         err = capsys.readouterr().err
         assert "solver error: step 1/4 failed: column 1: Newton iteration 0" in err
         assert not (tmp_path / "out").exists()
+
+
+def _preset_run(name):
+    cfg = preset_config(name)
+    problem = cfg.build_problem()
+    return problem, cfg.build_initial(problem.mesh), cfg.build_controls(problem.mesh,
+                                                                         problem.grid)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_own_trajectory_needs_no_correction(self, name):
+        # From its own trajectory G, step k + 1 starts at y_k + (G_{k+1} -
+        # G_k), which is G_{k+1} up to round-off: every step stops at
+        # iteration 0, within round-off of the cold solve.
+        problem, phi0, u = _preset_run(name)
+        cold = solve(problem, phi0, u)
+        assert cold.newton_iters.all()
+        warm = solve(problem, phi0, u, start=cold)
+        assert not warm.newton_iters.any()
+        for got, want in ((warm.phi, cold.phi), (warm.mu, cold.mu)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_start_leaving_the_interior_falls_back(self):
+        # Logarithmic: a start that raises phi by 2 per step predicts phi
+        # outside (-1, 1) at every step, so every step starts from the old
+        # state, and the solve is the cold one bit for bit.
+        problem, phi0, u = _preset_run("logarithmic")
+        assert problem.interior is not None
+        cold = solve(replace(problem, ops=CoupledOperators(problem.mesh)), phi0, u)
+        N, n = cold.phi.shape
+        rising = StateTrajectory(problem.mesh, problem.grid,
+                                 2.0 * np.arange(N)[:, None] * np.ones(n), cold.mu, None)
+        warm = solve(problem, phi0, u, start=rising)
+        assert np.array_equal(warm.newton_iters, cold.newton_iters)
+        assert np.array_equal(warm.phi, cold.phi) and np.array_equal(warm.mu, cold.mu)
+
+    def test_start_on_another_grid_is_rejected(self):
+        problem, phi0, u = _preset_run("coarse")
+        other = solve(problem, phi0, u)
+        other.phi = other.phi[:-1]
+        with pytest.raises(ValidationError, match="^start trajectory has shape"):
+            solve(problem, phi0, u, start=other)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from cho import forward, potentials, spaces
 from cho.adjoint import adjoint_solve, reduced_gradient
@@ -962,11 +963,27 @@ def copy_fill(template, c, lam=None):
     return A.copy() if template.dense else A.tocsr()
 
 
+def gather_band_factor(template):
+    """The band factor of a dense template's filled matrix, gathered from
+    its dense array and scattered into LAPACK's band layout on every
+    factorization, as ``BandLU`` did before the template kept its band
+    array."""
+    lu = BandLU.__new__(BandLU)
+    lu.kl, lu.ku, lu.order, lu.position = template.band
+    ab = np.zeros((2 * lu.kl + lu.ku + 1, len(lu.order)), order="F")
+    ab.reshape(-1, order="F")[template.band_slots] = template.data[template.slots]
+    lu.lu, lu.piv, info = lapack.dgbtrf(ab, lu.kl, lu.ku, overwrite_ab=True)
+    if info > 0:
+        raise RuntimeError("Factor is exactly singular")
+    return lu
+
+
 def full_factor(template, c, lam):
     """The factorization that recorded its coefficients with its factor."""
     template.lu = template.coeffs = None
     A = full_fill(template, c, lam)
-    template.lu = BandLU(template) if template.dense else spla.splu(A, permc_spec="MMD_AT_PLUS_A")
+    template.lu = (gather_band_factor(template) if template.dense
+                   else spla.splu(A, permc_spec="MMD_AT_PLUS_A"))
     template.coeffs = tuple(c)
 
 

@@ -13,6 +13,8 @@ from cho.errors import ValidationError
 from cho.mesh import build_interval, build_rectangle
 from cho.spaces import DENSE_MAX, BandLU, ControlPair, PairField, assemble
 
+from test_loop_references import gather_band_factor
+
 
 @pytest.fixture(scope="module")
 def interval_ops():
@@ -315,7 +317,7 @@ class TestTemplateStorage:
         template.factor((21.0, 20.0), lam)
         assert isinstance(template.lu, BandLU)
         assert template.band[:2] == (bandwidths, bandwidths)
-        A = np.array(template.matrix)
+        A = np.array(template.fill((21.0, 20.0), lam))
         rhs = rng.standard_normal((2 * n,) if columns is None else (2 * n, columns))
         lu, piv, _ = lapack.dgetrf(A)
         want = lapack.dgetrs(lu, piv, rhs, trans="NT".index(trans))[0]
@@ -324,6 +326,29 @@ class TestTemplateStorage:
         # Both solves are backward stable: they agree to eps cond(A).
         bound = np.finfo(float).eps * np.linalg.cond(A)
         assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+    @pytest.mark.parametrize("mesh", [
+        build_interval(12, 1.0), build_interval(DENSE_MAX // 2 - 1, 1.0),
+        build_rectangle(8, 8, 1.0, 1.0),
+    ], ids=["interval-12", "interval-at-crossover", "8x8"])
+    def test_band_array_factor_is_the_gathered_factor(self, mesh):
+        # A factor copies the band array the template built with its
+        # coefficients and adds lambda to block 21's diagonal: bitwise the
+        # factor gathered from the filled dense array, at the coefficients
+        # of dt = 0.05 and 0.025 (tau = gamma = 1), after lambda refills.
+        # The dense array keeps the diagonal it was last filled with.
+        template = assemble(mesh).block_template
+        rng = np.random.default_rng(5)
+        for c in ((21.0, 20.0), (41.0, 40.0), (21.0, 20.0)):
+            for _ in range(3):
+                lam = rng.uniform(-1.0, 2.0, mesh.n_bulk) / mesh.n_bulk
+                before = np.array(template.fill(c, 2.0 * lam))
+                template.factor(c, lam)
+                assert np.array_equal(template.matrix, before)
+                template.fill(c, lam)
+                want = gather_band_factor(template)
+                assert np.array_equal(template.lu.lu, want.lu)
+                assert np.array_equal(template.lu.piv, want.piv)
 
     def test_large_template_allocates_no_dense_array(self):
         # At 64 x 64, 2n = 8450: a dense step matrix would take 571 MB.

@@ -478,7 +478,7 @@ class EvaluationLog:
     def __init__(self, monkeypatch):
         self.counts = {}
         for cls, name in ((Problem, "implicit"), (Problem, "explicit"),
-                          (Problem, "jacobian"), (Problem, "_implicit"),
+                          (Problem, "jacobian"), (Problem, "_nodal"),
                           (PotentialSpec, "check_domain"), (potentials, "resolvent")):
             monkeypatch.setattr(cls, name, self._counting(getattr(cls, name), name))
         self.take()
@@ -492,7 +492,7 @@ class EvaluationLog:
     def take(self):
         counts = dict(self.counts)
         self.counts = dict.fromkeys(
-            ("implicit", "explicit", "jacobian", "_implicit", "check_domain", "resolvent"), 0)
+            ("implicit", "explicit", "jacobian", "_nodal", "check_domain", "resolvent"), 0)
         return counts
 
 
@@ -522,14 +522,14 @@ def test_evaluation_budget(sides, scheme, eps, monkeypatch):
     implicit = int((base.newton_iters + 1).sum()) + 1
     passes = sides * implicit
     assert log.take() == {
-        "implicit": implicit, "explicit": grid.N + 1, "jacobian": 0, "_implicit": passes,
+        "implicit": implicit, "explicit": grid.N + 1, "jacobian": 0, "_nodal": passes,
         "check_domain": 0 if eps else passes, "resolvent": passes if eps else 0,
     }
     linearized_solve(problem, base, random_direction(mesh, grid, rng).scaled(0.1))
     adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
     passes = 2 * sides
     assert log.take() == {
-        "implicit": 0, "explicit": 2, "jacobian": 2, "_implicit": passes,
+        "implicit": 0, "explicit": 2, "jacobian": 2, "_nodal": passes,
         "check_domain": 0 if eps else passes, "resolvent": passes if eps else 0,
     }
 
@@ -674,13 +674,12 @@ def test_chord_refactors_and_converges(case, factor_log, monkeypatch):
 
 
 def nan_second_derivative(monkeypatch, ops):
-    implicit = Problem._implicit
+    nodal = Problem._nodal
 
-    def patched(self, spec, r, orders=(1, 2)):
-        return tuple(np.full_like(z, np.nan) if k == 2 else z
-                     for k, z in zip(orders, implicit(self, spec, r, orders)))
+    def patched(self, spec, r):
+        return nodal(self, spec, r)[0], np.full_like(r, np.nan)
 
-    monkeypatch.setattr(Problem, "_implicit", patched)
+    monkeypatch.setattr(Problem, "_nodal", patched)
 
 
 def _fresh_template(monkeypatch, ops):
@@ -691,9 +690,11 @@ def _fresh_template(monkeypatch, ops):
 
 
 def last_column(template):
-    """The stored entries of the template's last column, writable."""
+    """The stored entries of the last column of what a factorization reads,
+    writable: a sparse template's matrix, or a dense template's band array,
+    whose last column is also the last in node order (mu_{n-1})."""
     A = template.matrix
-    return A.data[A.indptr[-2]:] if sp.issparse(A) else A[:, -1]
+    return A.data[A.indptr[-2]:] if sp.issparse(A) else template.banded[:, -1]
 
 
 def singular_factor(monkeypatch, ops):
