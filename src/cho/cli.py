@@ -115,11 +115,13 @@ def cmd_optimize(cfg, args) -> int:
         cp.problem.grid, result.adjoint,
     )
     last = result.history[-1]
+    reason = ("" if result.converged
+              else " (stalled: the Armijo decrease is below the noise in J)" if result.stalled
+              else " (iteration budget exhausted)")
     print(cp.problem.mesh.summary())
     print(
         f"optimizer finished after {last.iteration} iterations: "
-        f"J = {last.J:.6e}, vi residual = {last.vi_residual:.3e}"
-        + ("" if result.converged else " (iteration budget exhausted)")
+        f"J = {last.J:.6e}, vi residual = {last.vi_residual:.3e}{reason}"
     )
     print(f"wrote {history}")
     return EXIT_OK

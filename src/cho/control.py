@@ -251,6 +251,7 @@ class OptimizeResult:
     gradient: ControlPair
     history: list = field(default_factory=list)
     converged: bool = False
+    stalled: bool = False
 
 
 def projected_gradient(cp: ControlProblem, u0: ControlPair,
@@ -269,8 +270,11 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
     trajectory (``solve``'s ``start``), whose increments predict the trial
     state far better than the previous time step does; it converges to
     the same tolerance, so J moves only at the level of ``newton_tol``.
-    The H1-in-time budget is reported per iterate but not enforced (no
-    closed-form projection onto box and ball jointly).
+    A first trial that fails Armijo with its predicted decrease
+    ARMIJO_C1 |<g, trial - u>| at most newton_tol |J|, within that noise,
+    ends the run unconverged and ``stalled``: no shorter step can show a
+    decrease either.  The H1-in-time budget is reported per iterate but
+    not enforced (no closed-form projection onto box and ball jointly).
     """
     opts = opts or OptimizerOptions()
     problem, box = cp.problem, cp.box
@@ -303,13 +307,15 @@ def projected_gradient(cp: ControlProblem, u0: ControlPair,
             if curvature > 0:
                 s = min(max(control_inner(du, du, ops, dt) / curvature, STEP_MIN), STEP_MAX)
         first_step = s
-        for _ in range(MAX_BACKTRACKS + 1):
+        for backtrack in range(MAX_BACKTRACKS + 1):
             trial = project_box(u.plus(g, -s), box)
             descent = control_inner(g, trial.plus(u, -1.0), ops, dt)
             traj_t, J_t = evaluate(trial, traj)
             newton_total += int(traj_t.newton_iters.sum())
             if J_t <= J + ARMIJO_C1 * descent:
                 break
+            if not backtrack and ARMIJO_C1 * abs(descent) <= problem.opts.newton_tol * abs(J):
+                return OptimizeResult(u, traj, adj, g, history, stalled=True)
             s *= BACKTRACK
         else:
             gnorm = control_norm(g, ops, dt)

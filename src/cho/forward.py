@@ -207,9 +207,9 @@ class Problem:
         eps = self.opts.eps_yosida
 
         def whole(spec, r):
-            value, = (yosida_derivatives(spec, eps, r, (0,)) if eps
-                      else spec.derivatives(r, (0,), convex=True))
-            return (value + spec.perturbation[0](r),)
+            if not eps:
+                return (spec.F(r),)
+            return (yosida_derivatives(spec, eps, r, (0,))[0] + spec.perturbation[0](r),)
         return self._lumped(whole, phi)[0]
 
 

@@ -118,27 +118,14 @@ def build_rectangle(nx: int, ny: int, Lx: float, Ly: float) -> BulkSurfaceMesh:
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
 
-    def nid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = nid(i, j), nid(i + 1, j)
-            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    elements = np.array(tris)
+    # Node (i, j) is nid[i, j]; each cell's two triangles in (i, j) order.
+    nid = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    v00, v10, v01, v11 = nid[:-1, :-1], nid[1:, :-1], nid[:-1, 1:], nid[1:, 1:]
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
 
     # Perimeter bulk indices, counterclockwise from (0, 0), no repeats.
-    loop = (
-        [nid(i, 0) for i in range(nx)]
-        + [nid(nx, j) for j in range(ny)]
-        + [nid(i, ny) for i in range(nx, 0, -1)]
-        + [nid(0, j) for j in range(ny, 0, -1)]
-    )
-    trace_map = np.array(loop)
-    nb = len(loop)
+    trace_map = np.concatenate([nid[:-1, 0], nid[-1, :-1], nid[:0:-1, -1], nid[0, :0:-1]])
+    nb = len(trace_map)
     boundary_elements = np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb])
 
     return BulkSurfaceMesh(

@@ -65,23 +65,17 @@ class PotentialSpec:
         """Value of the order-th derivative of F, domain-checked."""
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0..2, got {order}")
-        return self.derivatives(r, (order,))[0]
-
-    def derivatives(self, r, orders=(1, 2), convex: bool = False):
-        """Derivatives of the given orders of F, or of beta_hat alone when
-        ``convex`` (orders 1 and 2 give beta and beta'), at r after one
-        domain check."""
         self.check_domain(r)
         r = np.asarray(r, dtype=float)
-        if convex:
-            return tuple(self.convex[k](r) for k in orders)
-        return tuple(self.convex[k](r) + self.perturbation[k](r) for k in orders)
+        return self.convex[order](r) + self.perturbation[order](r)
 
     def beta(self, r):
-        return self.derivatives(r, (1,), convex=True)[0]
+        self.check_domain(r)
+        return self.convex[1](np.asarray(r, dtype=float))
 
     def dbeta(self, r):
-        return self.derivatives(r, (2,), convex=True)[0]
+        self.check_domain(r)
+        return self.convex[2](np.asarray(r, dtype=float))
 
     def pi(self, r):
         return self.perturbation[1](np.asarray(r, dtype=float))

@@ -192,8 +192,9 @@ class CoupledOperators:
 # the scipy.sparse product and SuperLU solve, and a band factor 4-25 us
 # against 13-89 us for a dense getrf.  A band solve of K columns makes K
 # triangular band solves: at 2n = 162 and K = 21 it takes 1.8 times a dense
-# getrs.  With the dense getrf factor, a forward, linearized and adjoint
-# round broke even with the sparse storage near 2n = 230 in 1D and 260 in 2D.
+# getrs.  The node-ordered dense product sets the cap: at 2n = 258 it takes
+# 11 us against 6 us for the CSC product, while a band factor and solve
+# still win there (22 and 14 us against 228 and 47 us for SuperLU).
 DENSE_MAX = 200
 
 

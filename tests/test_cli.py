@@ -555,6 +555,20 @@ class TestOptimize:
         assert np.all(np.diff(J) <= 1e-15)
         assert (tmp_path / "out" / "coarse" / "control_u_0.csv").exists()
 
+    def test_stall_names_its_reason(self, tmp_path, monkeypatch, capsys):
+        # The default preset in a box of +-0.1 stalls at the noise of J
+        # (see test_control) and says so instead of running out of budget.
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(PRESETS["default"])
+        data["optimization"]["box"] = {"u_min": -0.1, "u_max": 0.1,
+                                       "uG_min": -0.1, "uG_max": 0.1}
+        assert main(["optimize", "-c", write_yaml(tmp_path, data)]) == 0
+        out = capsys.readouterr().out
+        assert "(stalled: the Armijo decrease is below the noise in J)" in out
+        assert "budget" not in out
+        _, rows = read_csv(tmp_path / "out" / "default" / "history_0.csv")
+        assert rows.shape[0] <= 7
+
     def test_infinite_box_and_budget_run(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(MINIMAL)

@@ -1,4 +1,6 @@
+import copy
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from cho import control
 from cho.adjoint import adjoint_solve, reduced_gradient
-from cho.config import PRESETS, preset_config
+from cho.config import PRESETS, RunConfig, preset_config
 from cho.control import (
     BACKTRACK,
     INITIAL_STEP,
@@ -304,7 +306,7 @@ class TestProjectedGradient:
         result = projected_gradient(cp, u0, opts)
         history = result.history
         J = [h.J for h in history]
-        assert result.converged
+        assert result.converged and not result.stalled
         assert len(history) - 1 < fixed_start_iterations
         assert all(b <= a for a, b in zip(J, J[1:]))
         assert np.isclose(J[-1], fixed_start_J, rtol=1e-9, atol=0.0)
@@ -334,6 +336,38 @@ class TestProjectedGradient:
             str(failure.value),
         )
         assert message and float(message.group(1)) not in (INITIAL_STEP, STEP_MAX)
+
+    def test_wrong_gradient_still_raises_after_the_backtracks(self, monkeypatch):
+        # An ascent direction fails its first trial with a predicted decrease
+        # far above the noise in J, so the line search backtracks and fails.
+        real = control.reduced_gradient
+
+        def ascent(*args):
+            g = real(*args)
+            return ControlPair(-g.u, -g.uG)
+
+        monkeypatch.setattr(control, "reduced_gradient", ascent)
+        monkeypatch.setattr(control, "MAX_BACKTRACKS", 3)
+        cp = self.make_control_problem((1.0, 0.0, 1.0, 0.0, 0.5, 0.5),
+                                       targets={"phiQ": 0.2, "phiO": 0.2})
+        u0 = ControlPair.zeros(cp.problem.mesh, cp.problem.grid)
+        with pytest.raises(SolverError, match="line search failed at optimizer iteration 0"):
+            projected_gradient(cp, u0)
+
+    def test_stall_at_the_noise_of_J_ends_the_run(self):
+        # In a box of +-0.1 the default preset reaches vi 1.137e-6, just above
+        # tol: a first trial's Armijo decrease there is about 3e-16, below the
+        # noise newton_tol leaves in J, and it once backtracked to the end of
+        # all 400 iterations.
+        cp, u0, opts = stall_config().build_control_problem()
+        start = time.perf_counter()
+        result = projected_gradient(cp, u0, opts)
+        assert time.perf_counter() - start < 1.0
+        assert result.stalled and not result.converged
+        assert len(result.history) - 1 <= 6 < opts.max_iter
+        assert result.history[-1].vi_residual > opts.tol
+        J = [h.J for h in result.history]
+        assert all(b <= a for a, b in zip(J, J[1:]))
 
     def test_mz_guard_for_bounded_potentials(self):
         problem = make_problem(kind="logarithmic", gamma=1.0)
@@ -377,6 +411,13 @@ def test_warm_trial_solves_take_fewer_corrections(case, tmp_path, monkeypatch):
         spent = [(w.newton_total, c.newton_total) for w, c in zip(warm.history, cold.history)]
         assert all(w <= c for w, c in spent)
         assert sum(w for w, _ in spent) < sum(c for _, c in spent)
+
+
+def stall_config():
+    """The default preset with both control boxes at +-0.1."""
+    raw = copy.deepcopy(PRESETS["default"])
+    raw["optimization"]["box"] = {"u_min": -0.1, "u_max": 0.1, "uG_min": -0.1, "uG_max": 0.1}
+    return RunConfig.from_dict(raw)
 
 
 class TestOptimizerOptions:

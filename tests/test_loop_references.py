@@ -591,8 +591,8 @@ def test_regular_potential_is_pow_free():
     for got, want, scale in (
         (spec.F(r, 1), r**3 - r, np.abs(r) ** 3 + np.abs(r)),
         (spec.beta(r), r**3, np.abs(r) ** 3),
-        (spec.derivatives(r, (0,), convex=True)[0], 0.25 * r**4, 0.25 * r**4),
-        (spec.derivatives(r, (1, 2), convex=True)[0], r**3, np.abs(r) ** 3),
+        (spec.convex[0](r), 0.25 * r**4, 0.25 * r**4),
+        (spec.convex[1](r), r**3, np.abs(r) ** 3),
     ):
         assert np.all(np.abs(got - want) <= 4e-16 * scale)
 

@@ -83,6 +83,40 @@ class TestBuildRectangle:
         with pytest.raises(ValueError):
             build_rectangle(2, 2, 1.0, 0.0)
 
+    @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (5, 1), (1, 7), (8, 8), (16, 9), (64, 64)])
+    def test_index_arithmetic_is_the_cell_loop(self, nx, ny):
+        mesh = build_rectangle(nx, ny, 1.5, 0.7)
+        elements, trace_map, boundary_elements = loop_rectangle_indices(nx, ny)
+        for got, want in ((mesh.bulk_elements, elements), (mesh.trace_map, trace_map),
+                          (mesh.boundary_elements, boundary_elements)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+def loop_rectangle_indices(nx, ny):
+    """Element, trace-map and boundary-segment arrays of an nx x ny
+    rectangle, built cell by cell and node by node."""
+
+    def nid(i, j):
+        return i * (ny + 1) + j
+
+    tris = []
+    for i in range(nx):
+        for j in range(ny):
+            v00, v10 = nid(i, j), nid(i + 1, j)
+            v01, v11 = nid(i, j + 1), nid(i + 1, j + 1)
+            tris.append((v00, v10, v11))
+            tris.append((v00, v11, v01))
+    loop = (
+        [nid(i, 0) for i in range(nx)]
+        + [nid(nx, j) for j in range(ny)]
+        + [nid(i, ny) for i in range(nx, 0, -1)]
+        + [nid(0, j) for j in range(ny, 0, -1)]
+    )
+    nb = len(loop)
+    return (np.array(tris), np.array(loop),
+            np.column_stack([np.arange(nb), (np.arange(nb) + 1) % nb]))
+
 
 class TestTrace:
     def test_constant(self):

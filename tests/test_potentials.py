@@ -57,7 +57,7 @@ class TestEvaluation:
     def test_split_reassembles_potential(self):
         rs = np.linspace(-0.9, 0.9, 21)
         for spec in (REG, LOG):
-            beta_hat = spec.derivatives(rs, (0,), convex=True)[0]
+            beta_hat = spec.convex[0](rs)
             total = beta_hat + (spec.F(rs) - beta_hat)
             assert np.allclose(total, spec.F(rs), atol=1e-14)
             assert np.allclose(spec.beta(rs) + spec.pi(rs), spec.F(rs, 1), atol=1e-12)
@@ -158,7 +158,7 @@ class TestYosida:
         for eps in (0.3, 0.05):
             he = yosida_hat(LOG, eps, rs)
             assert np.all(he >= -1e-14)
-            assert np.all(he <= LOG.derivatives(rs, (0,), convex=True)[0] + 1e-12)
+            assert np.all(he <= LOG.convex[0](rs) + 1e-12)
 
     def test_defined_outside_singular_domain(self):
         # The regularization extends beyond (-1, 1).
