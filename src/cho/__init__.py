@@ -35,7 +35,6 @@ from .forward import (
     mean_ode_residual,
     separation_check,
     solve,
-    yosida_continuation,
 )
 from .mesh import BulkSurfaceMesh, build_interval, build_rectangle, trace
 from .potentials import (

@@ -199,8 +199,7 @@ class Problem:
     def jacobian(self, phi):
         """(lambda(phi), E'(phi)), the state-dependent terms of the
         linearized step."""
-        lam, = self._lumped(lambda spec, r: self._nodal(spec, r)[1:], phi)
-        return lam, self.explicit(phi, 1)
+        return self.implicit(phi)[1], self.explicit(phi, 1)
 
     def potential(self, phi):
         """Lumped values of the run's potential, whatever the split."""
@@ -699,30 +698,6 @@ def separation_check(traj: StateTrajectory, r0) -> SeparationReport:
         worst_node=int(node),
         worst_step=int(step),
     )
-
-
-def yosida_continuation(problem: Problem, phi0: PairField, controls, eps_list):
-    """Re-solve with beta replaced by its Yosida approximation for each eps.
-
-    eps_list must be strictly decreasing inside [0, 1); eps = 0 is the
-    unregularized run.  Returns the trajectories keyed by eps and a table
-    of discrete L2-in-time distances to the run at the smallest eps (one
-    row per larger eps).
-    """
-    eps_list = [float(e) for e in eps_list]
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
-        raise ValidationError("eps list must be strictly decreasing")
-    if any(not 0.0 <= e < 1.0 for e in eps_list):
-        raise ValidationError("every eps must lie in [0, 1)")
-    trajectories = {}
-    for eps in eps_list:
-        trajectories[eps] = solve(problem.with_options(eps_yosida=eps), phi0, controls)
-    ref = trajectories[eps_list[-1]]
-    table = [
-        (eps, traj_norm_L2H(problem.ops, problem.grid, trajectories[eps].phi - ref.phi))
-        for eps in eps_list[:-1]
-    ]
-    return trajectories, table
 
 
 # ---------------------------------------------------------------------------

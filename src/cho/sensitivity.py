@@ -14,10 +14,9 @@ template, one built at each step's own matrix), to a relative
 residual of 1e-13, and raises ``SolverError`` on a singular matrix, a
 non-finite solution or a refinement that stalls on a fresh factor.
 
-The Taylor and continuous-dependence tests solve the state system at one
-base control and at many perturbed ones.  The base and the perturbed
-controls march together in one stacked ``solve_many``, the base as its
-first column.
+The Taylor test solves the state system at one base control and at many
+perturbed ones.  The base and the perturbed controls march together in
+one stacked ``solve_many``, the base as its first column.
 Linearized solves take one direction at a time.
 """
 
@@ -25,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import control_norm
 from .forward import (
     Problem,
     StateTrajectory,
@@ -112,17 +110,3 @@ def taylor_test(problem: Problem, phi0, u, directions,
         ]
         results.append(TaylorResult(list(scales), remainders, orders, exact=exact))
     return results
-
-
-def continuous_dependence(problem: Problem, phi0, u, h, scales=(1.0, 0.5, 0.25)):
-    """Ratios ||S(u + s h) - S(u)||_Y / ||s h|| across scales, from one
-    stacked solve at u and at every u + s h.
-
-    First-order Lipschitz behavior of the state map makes the ratio
-    nearly scale-independent.
-    """
-    base, *perturbed = solve_many(problem, phi0, [u] + [u.plus(h, s) for s in scales])
-    ops, grid = problem.ops, problem.grid
-    hnorm = control_norm(h, ops, grid.dt)
-    return [traj_norm_Y(ops, grid, traj.phi - base.phi) / (abs(s) * hnorm)
-            for traj, s in zip(perturbed, scales)]

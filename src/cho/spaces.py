@@ -357,15 +357,18 @@ def assemble(mesh: BulkSurfaceMesh) -> CoupledOperators:
     return CoupledOperators(mesh)
 
 
+def _segment_p1(h):
+    """The P1 mass and stiffness blocks of segments of lengths h."""
+    m_loc = np.einsum("e,ij->eij", h / 6.0, np.array([[2.0, 1.0], [1.0, 2.0]]))
+    k_loc = np.einsum("e,ij->eij", 1.0 / h, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    return m_loc, k_loc
+
+
 def _assemble_bulk(mesh):
-    measures = element_measures(mesh)
+    elems, measures = mesh.bulk_elements, element_measures(mesh)
     if mesh.dim == 1:
-        elems = mesh.bulk_elements
-        h = measures
-        m_loc = np.einsum("e,ij->eij", h / 6.0, np.array([[2.0, 1.0], [1.0, 2.0]]))
-        k_loc = np.einsum("e,ij->eij", 1.0 / h, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        m_loc, k_loc = _segment_p1(measures)
     else:
-        elems = mesh.bulk_elements
         coords = mesh.bulk_nodes[elems]
         area = measures
         # Gradients of the P1 hat functions: grad N_i = rot(edge opposite i) / 2A.
@@ -391,9 +394,7 @@ def _assemble_boundary(mesh):
         K = sp.csr_matrix((nb, nb))
         return M, K
     seg = mesh.boundary_elements
-    h = boundary_segment_lengths(mesh)
-    m_loc = np.einsum("e,ij->eij", h / 6.0, np.array([[2.0, 1.0], [1.0, 2.0]]))
-    k_loc = np.einsum("e,ij->eij", 1.0 / h, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    m_loc, k_loc = _segment_p1(boundary_segment_lengths(mesh))
     M = _accumulate(m_loc, seg, nb)
     K = _accumulate(k_loc, seg, nb)
     return M, K

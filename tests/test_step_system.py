@@ -505,7 +505,7 @@ def test_evaluation_budget(sides, scheme, eps, monkeypatch):
     # residual (and one for the initial chemical potential), each one pass
     # per distinct potential with one domain check, or one resolvent when
     # eps > 0.  Linearized and adjoint: one stacked evaluation each,
-    # whatever N.
+    # whatever N, a jacobian that takes lambda from one implicit pass.
     mesh = build_rectangle(8, 8, 1.0, 1.0)
     grid = TimeGrid(T=0.4, N=8)
     log_potential = logarithmic_potential(2.0)
@@ -529,7 +529,7 @@ def test_evaluation_budget(sides, scheme, eps, monkeypatch):
     adjoint_solve(problem, base, CostSpec(alphas=(1.0,) * 6, phiQ=0.2))
     passes = 2 * sides
     assert log.take() == {
-        "implicit": 0, "explicit": 2, "jacobian": 2, "_nodal": passes,
+        "implicit": 2, "explicit": 2, "jacobian": 2, "_nodal": passes,
         "check_domain": 0 if eps else passes, "resolvent": passes if eps else 0,
     }
 

@@ -1,6 +1,7 @@
 """The verification harness: one CheckContext per suite run, one name per check."""
 
 import functools
+import re
 
 import pytest
 
@@ -74,3 +75,11 @@ def test_suite_results_equal_each_check_run_alone(name):
     taylor = NAMES.index("taylor")
     assert ([r.remainders for r in alone[taylor].extra]
             == [r.remainders for r in suite[taylor].extra])
+
+
+def test_separation_bounds_phi_away_from_one_on_the_rectangle():
+    # The mu bound comes from the steps, not from mu at t = 0, which peaks
+    # at the rectangle's corners and would push r0 to 1.
+    result = verify.check_separation(verify.CheckContext.build(preset_config("rectangle")))
+    r0 = float(re.search(r"r0 = ([0-9.]+)", result.detail).group(1))
+    assert result.passed and r0 < 0.99, result.line()
