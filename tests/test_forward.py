@@ -91,6 +91,21 @@ class TestStep:
         assert err.value.step == 4
         assert "non-finite at rows [3]" in str(err.value)
 
+    @pytest.mark.parametrize("build", [
+        lambda: make_problem(), lambda: make_problem(eps_yosida=1e-2),
+        lambda: make_problem(scheme="convex-splitting"),
+        lambda: make_problem(kind="logarithmic"), mixed_problem,
+    ], ids=["regular", "yosida", "splitting", "logarithmic", "mixed"])
+    def test_jacobian_lambda_equals_the_lumped_nodal_pass(self, build):
+        # jacobian takes lambda from the inlined pass of implicit; it equals
+        # the generic per-side lumping of each potential's nodal lambda, bit
+        # for bit, on a stack of states too.
+        problem = build()
+        x = problem.mesh.bulk_nodes[:, 0]
+        phi = np.stack([0.5 * np.cos(np.pi * x), 0.3 * np.sin(2 * np.pi * x)])
+        lam, = problem._lumped(lambda spec, r: problem._nodal(spec, r)[1:], phi)
+        assert np.array_equal(problem.jacobian(phi)[0], lam)
+
 
 class TestInitialMu:
     @pytest.mark.parametrize("kind", ["interval", "rectangle"])
@@ -397,7 +412,31 @@ class TestSeparationCheck:
         assert separation_check(traj, r0).passed
 
 
+def _yosida_errors(problem, phi0, controls, eps_list):
+    """L2(H) distances of the runs at every eps but the last to the run at
+    the last, each eps solved through ``with_options``."""
+    *runs, ref = [solve(problem.with_options(eps_yosida=eps), phi0, controls)
+                  for eps in eps_list]
+    return ref, [forward.traj_norm_L2H(problem.ops, problem.grid, traj.phi - ref.phi)
+                 for traj in runs]
+
+
 class TestYosidaContinuation:
+    def test_errors_decrease_for_regular(self):
+        problem = make_problem(T=0.3, N=6)
+        phi0 = cosine_ic(problem.mesh, 0.4)
+        controls = ControlPair.constant(problem.mesh, problem.grid, 0.1)
+        _, errs = _yosida_errors(problem, phi0, controls, (1e-1, 1e-2, 1e-3))
+        assert len(errs) == 2 and errs[0] > errs[1] > 0
+
+    def test_zero_eps_is_the_unregularized_reference(self):
+        problem = make_problem(T=0.3, N=6)
+        phi0 = cosine_ic(problem.mesh, 0.4)
+        controls = ControlPair.constant(problem.mesh, problem.grid, 0.1)
+        ref, errs = _yosida_errors(problem, phi0, controls, (1e-1, 1e-2, 0.0))
+        assert np.array_equal(ref.phi, solve(problem, phi0, controls).phi)
+        assert errs[0] > errs[1] > 0
+
     def test_logarithmic_completes_with_regularization(self):
         # The regularized operator is globally defined, so the run survives
         # data that would violate the interior requirements at eps = 0.
@@ -407,6 +446,25 @@ class TestYosidaContinuation:
         for eps in (1e-1, 1e-2):
             traj = solve(problem.with_options(eps_yosida=eps), phi0, controls)
             assert np.all(np.isfinite(traj.phi))
+
+
+class TestContinuousDependence:
+    def test_ratio_stable_across_scales(self):
+        from cho.control import control_norm
+
+        problem = make_problem(T=0.4, N=10)
+        phi0 = cosine_ic(problem.mesh, 0.2)
+        u = ControlPair.constant(problem.mesh, problem.grid, 0.05)
+        h = random_direction(problem.mesh, problem.grid, np.random.default_rng(3))
+        h = h.scaled(0.2 / h.sup_norm())
+        scales = (1.0, 0.5, 0.25)
+        base, *perturbed = forward.solve_many(problem, phi0,
+                                              [u] + [u.plus(h, s) for s in scales])
+        hnorm = control_norm(h, problem.ops, problem.grid.dt)
+        ratios = [forward.traj_norm_Y(problem.ops, problem.grid, traj.phi - base.phi)
+                  / (s * hnorm) for traj, s in zip(perturbed, scales)]
+        assert max(ratios) / min(ratios) < 1.2
+        assert all(np.isfinite(r) and r > 0 for r in ratios)
 
 
 # ---------------------------------------------------------------------------
