@@ -45,7 +45,7 @@ from .potentials import (
     regular_potential,
     separation_r0,
 )
-from .sensitivity import LinearizedTrajectory, linearized_solve, taylor_test
+from .sensitivity import LinearizedTrajectory, linearized_solve
 from .spaces import CoupledOperators, PairField, assemble
 
 __version__ = "0.1.0"

@@ -136,8 +136,8 @@ def cmd_verify(cfg, label) -> int:
     _create(outdir)
     for res in results:
         if res.name == "taylor" and res.extra:
-            for k, taylor in enumerate(res.extra):
-                write_taylor_csv(os.path.join(outdir, f"taylor_{k}.csv"), taylor)
+            for k, table in enumerate(res.extra):
+                write_taylor_csv(os.path.join(outdir, f"taylor_{k}.csv"), *table)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return EXIT_OK if not failed else EXIT_VALIDATION

@@ -378,7 +378,7 @@ def _convert(value, kind, where):
                 raise ValueError(f"expected an integer, got {value!r}")
             value = int(value)
         return kind(value)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad value for {where}: {err}") from err
 
 

@@ -41,9 +41,11 @@ class TimeGrid:
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError(f"step count must be >= 1, got {self.N}")
+        if 8 * (self.N + 1) > np.iinfo(np.intp).max:
+            raise ValidationError(f"step count {self.N} needs a time array numpy cannot size")
         if not 0 < self.T < math.inf:
             raise ValidationError(f"final time T must be positive and finite, got {self.T}")
-        if 1.0 / self.dt == math.inf:
+        if self.dt == 0.0 or 1.0 / self.dt == math.inf:
             raise ValidationError(f"time step T/N = {self.dt:g} has no finite reciprocal")
 
     @property

@@ -71,6 +71,8 @@ def check_interval(n_cells: int, length: float):
     """Raise ValueError unless ``build_interval`` accepts these arguments."""
     if n_cells < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+    if 8 * (n_cells + 1) > np.iinfo(np.intp).max:
+        raise ValueError(f"n_cells = {n_cells} needs a node array numpy cannot size")
     if not 0 < length < np.inf:
         raise ValueError(f"length must be positive and finite, got {length}")
 
@@ -101,6 +103,8 @@ def check_rectangle(nx: int, ny: int, Lx: float, Ly: float):
     """Raise ValueError unless ``build_rectangle`` accepts these arguments."""
     if nx < 1 or ny < 1:
         raise ValueError(f"nx, ny must be >= 1, got ({nx}, {ny})")
+    if 16 * (nx + 1) * (ny + 1) > np.iinfo(np.intp).max:
+        raise ValueError(f"nx, ny = ({nx}, {ny}) need a node array numpy cannot size")
     if not (0 < Lx < np.inf and 0 < Ly < np.inf):
         raise ValueError(f"side lengths must be positive and finite, got ({Lx}, {Ly})")
 

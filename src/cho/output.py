@@ -98,13 +98,12 @@ def write_control_csv(outdir, grid, controls):
     return paths
 
 
-def write_taylor_csv(path, result) -> str:
+def write_taylor_csv(path, scales, remainders, orders) -> str:
     """Remainder decay table of a first-order expansion test."""
     # Order k compares scales k - 1 and k; the first row has none.
-    orders = np.full(len(result.scales), np.nan)
-    orders[1:len(result.orders) + 1] = result.orders
-    _write_csv(path, "s (1),remainder (1),observed_order (1)",
-               result.scales, result.remainders, orders)
+    observed = np.full(len(scales), np.nan)
+    observed[1:len(orders) + 1] = orders
+    _write_csv(path, "s (1),remainder (1),observed_order (1)", scales, remainders, observed)
     return path
 
 

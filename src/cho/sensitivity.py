@@ -3,7 +3,7 @@
 The linearized step is the exact Jacobian of the discrete forward step:
 per step it solves the same block system as the converged Newton
 iteration, with the potential derivative frozen at the end-of-step base
-state.  This makes the Taylor test and the adjoint gradient exact at
+state.  This makes the Taylor check and the adjoint gradient exact at
 the discrete level while the scheme itself discretizes the continuous
 linearized system.  The solve goes through the forward solver's shared
 block solve (``forward.solve_block_system``) on the block template's
@@ -13,24 +13,11 @@ factor, usually the one the forward run left behind (on an exact
 template, one built at each step's own matrix), to a relative
 residual of 1e-13, and raises ``SolverError`` on a singular matrix, a
 non-finite solution or a refinement that stalls on a fresh factor.
-
-The Taylor test solves the state system at one base control and at many
-perturbed ones.  The base and the perturbed controls march together in
-one stacked ``solve_many``, the base as its first column.
-Linearized solves take one direction at a time.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import (
-    Problem,
-    StateTrajectory,
-    solve_block_system,
-    solve_many,
-    traj_norm_Y,
-)
+from .forward import Problem, StateTrajectory, solve_block_system
 
 
 class LinearizedTrajectory:
@@ -66,47 +53,3 @@ def linearized_solve(problem: Problem, base: StateTrajectory, h) -> LinearizedTr
         psi[k + 1], eta[k + 1] = solve_block_system(
             ops, c, np.concatenate([rhs1, rhs2]), lam[k + 1], step=k + 1)
     return LinearizedTrajectory(psi, eta)
-
-
-@dataclass
-class TaylorResult:
-    """Remainder decay of the first-order expansion of the state map."""
-
-    scales: list
-    remainders: list
-    orders: list
-    exact: bool = False
-
-    def min_order(self) -> float:
-        return min(self.orders) if self.orders else np.inf
-
-
-def taylor_test(problem: Problem, phi0, u, directions,
-                scales=(1.0, 0.5, 0.25, 0.125)) -> list:
-    """Measure || S(u + s h) - S(u) - s psi_h || across shrinking scales
-    for each direction h, from one stacked solve at u and at every
-    u + s h; returns one ``TaylorResult`` per direction.
-
-    The remainder is taken in the discrete H1-in-time / L-infinity-energy
-    norm; observed orders log2(rho(s)/rho(s/2)) should approach 2 for a
-    three-times differentiable potential.  When the remainder sits at
-    round-off (state map affine in the control) the result is flagged
-    ``exact`` and no orders are reported.
-    """
-    base, *perturbed = solve_many(problem, phi0, [u] + [u.plus(h, s) for h in directions
-                                                          for s in scales])
-    perturbed = iter(perturbed)
-    ops, grid = problem.ops, problem.grid
-    scale_ref = traj_norm_Y(ops, grid, base.phi) + 1.0
-    results = []
-    for h in directions:
-        psi = linearized_solve(problem, base, h).psi
-        remainders = [traj_norm_Y(ops, grid, next(perturbed).phi - base.phi - s * psi)
-                      for s in scales]
-        exact = max(remainders) <= 1e-12 * scale_ref
-        orders = [] if exact else [
-            float(np.log2(r1 / r2)) if r2 > 0 else np.inf
-            for r1, r2 in zip(remainders, remainders[1:])
-        ]
-        results.append(TaylorResult(list(scales), remainders, orders, exact=exact))
-    return results

@@ -13,7 +13,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cho import cli
+from cho import cli, verify
 from cho.cli import main
 from cho.config import PRESETS, RunConfig, load_config, preset_config
 from cho.errors import ConfigError
@@ -614,6 +614,23 @@ class TestVerify:
         assert out.count("[PASS]") == 11
         assert "[FAIL]" not in out
 
+    def test_verify_writes_each_directions_taylor_table(self, tmp_path, monkeypatch):
+        # taylor_k.csv holds direction k's scales and remainders, and its
+        # orders one row down: order k compares scales k - 1 and k.
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--preset", "coarse"]) == 0
+        cfg = preset_config("coarse")
+        outdir = tmp_path / cfg.output.directory / cfg.run_name
+        assert sorted(p.name for p in outdir.glob("taylor_*.csv")) == [
+            f"taylor_{k}.csv" for k in range(3)]
+        tables = verify.check_taylor(verify.CheckContext.build(cfg)).extra
+        for k, (scales, remainders, orders) in enumerate(tables):
+            header, rows = read_csv(outdir / f"taylor_{k}.csv")
+            assert header == ["s (1)", "remainder (1)", "observed_order (1)"]
+            assert len(orders) == len(scales) - 1
+            expected = np.column_stack([scales, remainders, [np.nan, *orders]])
+            assert np.array_equal(rows, expected, equal_nan=True)
+
     @pytest.mark.parametrize("side", [1.0, 0.5])
     def test_rectangle_at_the_check_mesh_cap_passes(self, tmp_path, monkeypatch, capsys, side):
         # On a 16 x 16 rectangle mu at t = 0 peaks at 26.3 on the unit square
@@ -740,9 +757,10 @@ def _leaves(node, path=()):
 
 # The replacement values of the configuration fuzz.  10**12 goes to size
 # keys alone: numpy refuses such an allocation at once, where a size it
-# could allocate would really be allocated.
+# could allocate would really be allocated.  10**400 is beyond a double
+# and beyond any array numpy can size.
 FUZZ_VALUES = (0, 1, -1, 2, 3, 0.5, -0.5, 1e-12, 1e-300, 0.999, -0.999, float("nan"),
-               float("inf"), True, None, "x", [], {}, [1, 2])
+               float("inf"), True, None, "x", [], {}, [1, 2], 10**400)
 SIZE_KEYS = (("domain", "cells"), ("time", "steps"))
 COARSE_LEAVES = list(_leaves(PRESETS["coarse"]))
 MUTATIONS = st.sampled_from(COARSE_LEAVES).flatmap(lambda path: st.tuples(
@@ -771,6 +789,29 @@ class TestNoTraceback:
         code, err = _run_captured([command, "-c", write_yaml(tmp_path, data)])
         assert code == 1
         assert err.startswith("configuration error: ") and "does not fit in memory" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mutations", [
+        {("domain", "cells"): 2**62},
+        {("domain", "cells"): 2**63},
+        {("domain", "cells"): 10**400},
+        {("time", "steps"): 2**63},
+        {("time", "T"): 1e-300, ("time", "steps"): 10**30},
+        {("time", "T"): 5e-324, ("time", "steps"): 3},
+        {("time", "T"): 10**400},
+    ], ids=["cells-2^62", "cells-2^63", "cells-10^400", "steps-2^63", "dt-1e-330",
+            "dt-0", "T-10^400"])
+    def test_a_number_an_array_or_a_double_cannot_hold_exits_1(self, tmp_path, monkeypatch,
+                                                               mutations):
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(PRESETS["coarse"])
+        for (section, key), value in mutations.items():
+            data[section][key] = value
+        code, err = _run_captured(["simulate", "-c", write_yaml(tmp_path, data)])
+        section = next(iter(mutations))[0]
+        assert code == 1
+        assert err.startswith("configuration error: ") and section in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 

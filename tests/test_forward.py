@@ -151,6 +151,9 @@ INF = float("inf")
     (lambda: Physics(tau=1.0, gamma=INF), "gamma"),
     (lambda: SolverOptions(newton_tol=INF), "newton_tol"),
     (lambda: TimeGrid(T=1e-308, N=8), "no finite reciprocal"),
+    (lambda: TimeGrid(T=5e-324, N=3), "no finite reciprocal"),
+    (lambda: TimeGrid(T=1e-300, N=10**30), "numpy cannot size"),
+    (lambda: TimeGrid(T=0.5, N=2**63), "numpy cannot size"),
 ])
 def test_nan_parameters_rejected(build, fragment):
     with pytest.raises(ValidationError, match=fragment):

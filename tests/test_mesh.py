@@ -34,6 +34,11 @@ class TestBuildInterval:
         with pytest.raises(ValueError):
             build_interval(n_cells, length)
 
+    @pytest.mark.parametrize("n_cells", [2**62, 2**63, 10**400], ids=["2^62", "2^63", "10^400"])
+    def test_rejects_a_count_numpy_cannot_size(self, n_cells):
+        with pytest.raises(ValueError, match="numpy cannot size"):
+            build_interval(n_cells, 1.0)
+
     def test_boundary_is_the_two_endpoints(self):
         mesh = build_interval(7, 3.0)
         pts = mesh.bulk_nodes[mesh.trace_map, 0]
@@ -82,6 +87,12 @@ class TestBuildRectangle:
             build_rectangle(0, 2, 1.0, 1.0)
         with pytest.raises(ValueError):
             build_rectangle(2, 2, 1.0, 0.0)
+
+    @pytest.mark.parametrize("nx,ny", [(2**62, 1), (1, 2**63), (2**31, 2**31)],
+                             ids=["2^62x1", "1x2^63", "2^31x2^31"])
+    def test_rejects_counts_numpy_cannot_size(self, nx, ny):
+        with pytest.raises(ValueError, match="numpy cannot size"):
+            build_rectangle(nx, ny, 1.0, 1.0)
 
     @pytest.mark.parametrize("nx,ny", [(1, 1), (2, 3), (5, 1), (1, 7), (8, 8), (16, 9), (64, 64)])
     def test_index_arithmetic_is_the_cell_loop(self, nx, ny):

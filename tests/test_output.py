@@ -15,7 +15,6 @@ from cho import output
 from cho.control import IterateRecord
 from cho.forward import TimeGrid
 from cho.mesh import build_interval, build_rectangle
-from cho.sensitivity import TaylorResult
 
 SPECIALS = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, 0.1, -2.5, 1.0 / 3.0])
 
@@ -85,11 +84,11 @@ def test_control_csv(tmp_path):
 
 @pytest.mark.parametrize("orders", [[1.9999, np.inf, -0.0], []], ids=["orders", "exact"])
 def test_taylor_csv(tmp_path, orders):
-    result = TaylorResult([0.5, 0.25, 0.125, 0.0625], list(SPECIALS[:4]), orders)
-    path = output.write_taylor_csv(tmp_path / "taylor.csv", result)
+    scales, remainders = [0.5, 0.25, 0.125, 0.0625], list(SPECIALS[:4])
+    path = output.write_taylor_csv(tmp_path / "taylor.csv", scales, remainders, orders)
     rows = []
-    for k, (s, rho) in enumerate(zip(result.scales, result.remainders)):
-        order = result.orders[k - 1] if 0 < k <= len(result.orders) else float("nan")
+    for k, (s, rho) in enumerate(zip(scales, remainders)):
+        order = orders[k - 1] if 0 < k <= len(orders) else float("nan")
         rows.append((s, rho, order))
     assert same_bytes(tmp_path, path, "s (1),remainder (1),observed_order (1)", rows)
 

@@ -3,10 +3,8 @@ import pytest
 
 from cho.control import ControlPair, control_norm, random_direction
 from cho.errors import ValidationError
-from cho.forward import solve, solve_many, traj_norm_Y
-from cho.potentials import PotentialPair, custom_potential
-from cho import sensitivity
-from cho.sensitivity import linearized_solve, taylor_test
+from cho.forward import solve, traj_norm_Y
+from cho.sensitivity import linearized_solve
 
 from conftest import cosine_ic, make_problem
 
@@ -93,62 +91,3 @@ class TestLinearizedSolve:
         rates = [e1 / e2 for e1, e2 in zip(errors, errors[1:])]
         assert all(1.8 <= r <= 2.2 for r in rates)
 
-
-class TestTaylorTest:
-    def test_quadratic_orders_for_smooth_potential(self, base_setup):
-        problem, phi0, u, base = base_setup
-        h = unit_direction(problem, 5).scaled(0.3)
-        result, = taylor_test(problem, phi0, u, [h], scales=(0.5, 0.25, 0.125, 0.0625))
-        assert not result.exact
-        assert result.min_order() >= 1.9
-
-    def test_zero_direction_zero_remainder(self, base_setup):
-        problem, phi0, u, base = base_setup
-        result, = taylor_test(problem, phi0, u,
-                              [ControlPair.zeros(problem.mesh, problem.grid)],
-                              scales=(0.5, 0.25))
-        assert all(r == 0.0 for r in result.remainders)
-
-    def test_directions_share_one_base_solve(self, base_setup, monkeypatch):
-        # One call solves at u once and at every u + s h, in one stacked
-        # solve; each result equals that direction's call alone.
-        problem, phi0, u, base = base_setup
-        directions = [unit_direction(problem, 7).scaled(0.3),
-                      unit_direction(problem, 8).scaled(0.3)]
-        scales = (0.5, 0.25)
-        alone = [taylor_test(problem, phi0, u, [h], scales=scales)[0] for h in directions]
-        calls = []
-
-        def counted(problem, phi0, controls):
-            calls.append(len(controls))
-            return solve_many(problem, phi0, controls)
-
-        monkeypatch.setattr(sensitivity, "solve_many", counted)
-        together = taylor_test(problem, phi0, u, directions, scales=scales)
-        assert calls == [1 + len(directions) * len(scales)]
-        assert len(together) == len(directions)
-        for one, result in zip(alone, together):
-            assert result.scales == one.scales
-            assert result.remainders == one.remainders
-            assert result.exact == one.exact
-
-    def test_affine_state_map_reported_exact(self):
-        # F'' constant (quadratic potential): the state map is affine in the
-        # control, so the first-order expansion has no remainder.
-        from cho.forward import Physics, Problem, SolverOptions, TimeGrid
-        from cho.mesh import build_interval
-
-        mesh = build_interval(10, 1.0)
-        quadratic = custom_potential(beta_hat_coeffs=[0, 0, 0.5],
-                                     pi_hat_coeffs=[0])
-        problem = Problem.create(
-            mesh, PotentialPair.same(quadratic),
-            SolverOptions(newton_tol=1e-12), Physics(1.0, 1.0),
-            TimeGrid(T=0.4, N=8),
-        )
-        phi0 = cosine_ic(mesh, 0.3)
-        u = ControlPair.constant(mesh, problem.grid, 0.1)
-        h = unit_direction(problem, 6)
-        result, = taylor_test(problem, phi0, u, [h], scales=(1.0, 0.5, 0.25))
-        assert result.exact
-        assert result.orders == []

@@ -7,6 +7,7 @@ import pytest
 
 from cho import verify
 from cho.config import PRESETS, RunConfig, preset_config
+from cho.control import ControlPair
 from cho.errors import SolverError
 from cho.spaces import CoupledOperators
 
@@ -73,8 +74,8 @@ def test_suite_results_equal_each_check_run_alone(name):
     for one, result in zip(alone, suite):
         assert (one.passed, one.detail) == (result.passed, result.detail), one.name
     taylor = NAMES.index("taylor")
-    assert ([r.remainders for r in alone[taylor].extra]
-            == [r.remainders for r in suite[taylor].extra])
+    assert ([remainders for _, remainders, _ in alone[taylor].extra]
+            == [remainders for _, remainders, _ in suite[taylor].extra])
 
 
 def test_separation_bounds_phi_away_from_one_on_the_rectangle():
@@ -83,3 +84,46 @@ def test_separation_bounds_phi_away_from_one_on_the_rectangle():
     result = verify.check_separation(verify.CheckContext.build(preset_config("rectangle")))
     r0 = float(re.search(r"r0 = ([0-9.]+)", result.detail).group(1))
     assert result.passed and r0 < 0.99, result.line()
+
+
+class TestTaylor:
+    def test_quadratic_orders_for_smooth_potential(self):
+        result = verify.check_taylor(verify.CheckContext.build(preset_config("default")))
+        assert result.passed, result.line()
+        assert len(result.extra) == 3
+        for scales, remainders, orders in result.extra:
+            assert len(orders) == len(scales) - 1 == len(remainders) - 1
+            assert min(orders) >= 1.9
+
+    def test_zero_direction_zero_remainder(self, monkeypatch):
+        monkeypatch.setattr(verify, "_direction",
+                            lambda problem, seed, size: ControlPair.zeros(problem.mesh,
+                                                                          problem.grid))
+        result = verify.check_taylor(verify.CheckContext.build(preset_config("default")))
+        for _, remainders, orders in result.extra:
+            assert all(r == 0.0 for r in remainders)
+            assert orders == []
+
+    def test_directions_share_one_stacked_solve(self, monkeypatch):
+        # The base control and every u + s h of the three directions and
+        # four scales march in one stack, the base as its first column.
+        calls = []
+        solve_many = verify.solve_many
+
+        def counted(problem, phi0, controls):
+            calls.append(len(controls))
+            return solve_many(problem, phi0, controls)
+
+        monkeypatch.setattr(verify, "solve_many", counted)
+        result = verify.check_taylor(verify.CheckContext.build(preset_config("default")))
+        assert calls == [1 + 3 * 4]
+        assert [len(remainders) for _, remainders, _ in result.extra] == [4, 4, 4]
+
+    def test_affine_state_map_reported_exact(self):
+        # F'' constant (quadratic potential): the state map is affine in the
+        # control, so the first-order expansion has no remainder.
+        potential = {"kind": "custom", "beta_hat": [0, 0, 0.5], "pi_hat": [0]}
+        cfg = RunConfig.from_dict({**PRESETS["default"], "potential": potential})
+        result = verify.check_taylor(verify.CheckContext.build(cfg))
+        assert all(orders == [] for _, _, orders in result.extra)
+        assert result.detail.startswith("min orders inf/inf/inf")
