@@ -33,7 +33,6 @@ from .forward import (
     energy,
     exact_mean,
     mean_ode_residual,
-    separation_check,
     solve,
 )
 from .mesh import BulkSurfaceMesh, build_interval, build_rectangle, trace

@@ -43,15 +43,30 @@ EXIT_SOLVER = 3
 
 def _outdir(cfg):
     """The run's output directory, not created yet.  Raises ``ConfigError``
-    when the nearest existing path on the way to it is not a directory,
-    so that a run reports it before any work."""
+    when the nearest existing path on the way to it (a dangling link
+    included) is not a directory, or when a name still to be created is
+    longer than that directory's file system takes, so that a run reports
+    it before any work.  The error names ``output.directory`` when the
+    offending path is that directory or on the way to it, else ``run_name``."""
     path = os.path.join(cfg.output.directory, cfg.run_name)
-    existing = os.path.abspath(path)
-    while not os.path.exists(existing):
-        existing = os.path.dirname(existing)
+    base = os.path.abspath(cfg.output.directory)
+
+    def fail(culprit, code):
+        on_the_way = os.path.commonpath([culprit, base]) == culprit
+        key = "output.directory" if on_the_way else "run_name"
+        raise ConfigError(f"{key}: cannot create {path}: {os.strerror(code)}")
+
+    existing, missing = os.path.abspath(path), []
+    while not os.path.lexists(existing):
+        existing, name = os.path.split(existing)
+        missing.insert(0, name)
     if not os.path.isdir(existing):
-        raise ConfigError(
-            f"output.directory: cannot create {path}: {os.strerror(errno.ENOTDIR)}")
+        fail(existing, errno.ENOTDIR)
+    name_max = os.pathconf(existing, "PC_NAME_MAX")
+    for name in missing:
+        existing = os.path.join(existing, name)
+        if len(os.fsencode(name)) > name_max:
+            fail(existing, errno.ENAMETOOLONG)
     return path
 
 

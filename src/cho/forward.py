@@ -674,34 +674,6 @@ def energy(problem: Problem, phi):
     return 0.5 * row_inner(problem.ops.K_total, phi, phi) + potential
 
 
-@dataclass
-class SeparationReport:
-    applicable: bool
-    passed: bool
-    r0: float = np.nan
-    worst_value: float = np.nan
-    worst_node: int = -1
-    worst_step: int = -1
-
-
-def separation_check(traj: StateTrajectory, r0) -> SeparationReport:
-    """Verify max over time and nodes of |phi| stays below the threshold."""
-    if r0 is None:
-        return SeparationReport(applicable=False, passed=True)
-    absphi = np.abs(traj.phi)
-    flat = int(np.argmax(absphi))
-    step, node = np.unravel_index(flat, absphi.shape)
-    worst = float(absphi[step, node])
-    return SeparationReport(
-        applicable=True,
-        passed=worst <= r0 + 1e-12,
-        r0=float(r0),
-        worst_value=worst,
-        worst_node=int(node),
-        worst_step=int(step),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Discrete trajectory norms (conforming bulk-indexed time series)
 # ---------------------------------------------------------------------------

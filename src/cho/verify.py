@@ -21,7 +21,8 @@ the ten random controls of ``mean-bound``, the perturbed controls of
 controls of ``adjoint-duality`` and ``optimality``, each with its base
 control as the first column.  Their columns share one chord Newton, so a
 number can move at round-off against separate solves, well inside every
-bound.
+bound.  Each pass bound and slack is written once, in ``BOUNDS``, and
+``@_check`` registers each check in ``ALL_CHECKS``, in module order.
 """
 
 import functools
@@ -43,7 +44,6 @@ from .forward import (
     energy,
     exact_mean,
     mean_ode_residual,
-    separation_check,
     solve,
     solve_many,
     traj_norm_L2H,
@@ -109,20 +109,54 @@ class CheckContext:
                        physics, TimeGrid(T=T, N=N))
 
 
+# Pass bounds as the checks print them, and slacks; tests/test_verify.py pins them.
+BOUNDS = {
+    "mean-ode": {"residual": "<= 1e-9", "order": "1.0 +- 0.3"},
+    "constant-data": {"ratio": "in [1.7, 2.3]"},
+    "energy-decay": {"increment": "<= 1e-12"},
+    "mean-bound": {"slack": 1e-9},
+    "separation": {"slack": 1e-12},
+    "yosida": {"last": "<= 1e-3"},
+    "continuous-dependence": {"variation": "< 20%"},
+    "taylor": {"order": ">= 1.9", "round_off": 1e-12},
+    "adjoint-duality": {"gap": "<= 1e-10", "fd": "<= 1e-6"},
+    "optimality": {"vi": "<= 1e-6", "form": ">= -1e-5", "monotone": 1e-15},
+    "homogeneous-zero": {"state": "<= 1e-12"},
+}
+
+
+def _meets(value, bound):
+    """Whether ``value`` meets a printed bound: ``in [lo, hi]``, ``c +- w``,
+    ``<= x``, ``< x`` or ``>= x``, an x ending in % being a share of 1."""
+    if bound.startswith("in ["):
+        lo, hi = map(float, bound[4:-1].split(", "))
+        return lo <= value <= hi
+    if " +- " in bound:
+        centre, width = map(float, bound.split(" +- "))
+        return centre - width <= value <= centre + width
+    op, limit = bound.split(" ")
+    limit = float(limit[:-1]) / 100 if limit.endswith("%") else float(limit)
+    return {"<=": value <= limit, "<": value < limit, ">=": value >= limit}[op]
+
+
+_SUITE = []
+
+
 def _check(name):
-    """Name a check.  Its body takes the CheckContext and returns (passed,
-    detail) or (passed, detail, extra); the check returns them as a
-    CheckResult called ``name``, and ``run_suite`` reports an aborted
-    check under the same ``check.name``, which a ``functools.wraps``
-    wrapper of the check keeps.  A check starts without a live step
-    factor, so its numbers do not depend on the checks run before it; the
-    mass factor is exact, and checks share it."""
+    """Register a check called ``name``.  Its body takes the CheckContext
+    and ``BOUNDS[name]`` and returns (passed, detail) or (passed, detail,
+    extra); the check returns them as a CheckResult called ``name``, and
+    ``run_suite`` reports an aborted check under the same ``check.name``,
+    which a ``functools.wraps`` wrapper of the check keeps.  A check
+    starts without a live step factor, so its numbers do not depend on the
+    checks run before it; the mass factor is exact, and checks share it."""
     def register(body):
         @functools.wraps(body)
         def check(ctx: CheckContext) -> CheckResult:
             ctx.ops.block_template.lu = None
-            return CheckResult(name, *body(ctx))
+            return CheckResult(name, *body(ctx, BOUNDS[name]))
         check.name = name
+        _SUITE.append(check)
         return check
     return register
 
@@ -146,7 +180,7 @@ def _direction(problem, seed, size):
 
 
 @_check("mean-ode")
-def check_mean_ode(ctx):
+def check_mean_ode(ctx, bound):
     """Discrete mean dynamics residual and first-order closed-form error."""
     mesh, cfg = ctx.mesh, ctx.cfg
     gamma = min(cfg.physics.gamma, 1.0)
@@ -174,15 +208,16 @@ def check_mean_ode(ctx):
 
     residuals, errors = zip(*(run(N) for N in (8, 16, 32, 64)))
     orders = [float(np.log2(e1 / e2)) for e1, e2 in zip(errors, errors[1:])]
-    ok = max(residuals) <= 1e-9 and all(0.7 <= o <= 1.3 for o in orders)
+    ok = (_meets(max(residuals), bound["residual"])
+          and all(_meets(o, bound["order"]) for o in orders))
     return ok, (
-        f"max residual {max(residuals):.2e} (<= 1e-9), orders "
-        + "/".join(f"{o:.2f}" for o in orders) + " (1.0 +- 0.3)"
+        f"max residual {max(residuals):.2e} ({bound['residual']}), orders "
+        + "/".join(f"{o:.2f}" for o in orders) + f" ({bound['order']})"
     )
 
 
 @_check("constant-data")
-def check_constant_data(ctx):
+def check_constant_data(ctx, bound):
     """Spatially constant run against the scalar exponential solution."""
     pair = PotentialPair.same(regular_potential())
     physics = Physics(tau=1.0, gamma=2.0)
@@ -196,11 +231,12 @@ def check_constant_data(ctx):
         return abs(float(traj.phi[-1][0]) - exact)
 
     ratio = terminal_error(16) / terminal_error(32)
-    return 1.7 <= ratio <= 2.3, f"dt-halving error ratio {ratio:.3f} (in [1.7, 2.3])"
+    return (_meets(ratio, bound["ratio"]),
+            f"dt-halving error ratio {ratio:.3f} ({bound['ratio']})")
 
 
 @_check("energy-decay")
-def check_energy_decay(ctx):
+def check_energy_decay(ctx, bound):
     """Unconditional energy decay of the convex-splitting scheme."""
     mesh, pair = ctx.mesh, PotentialPair.same(regular_potential())
     problem = ctx.problem(1.0, 200, pair, Physics(tau=1.0, gamma=0.0),
@@ -209,13 +245,13 @@ def check_energy_decay(ctx):
     phi0 = PairField.from_bulk(mesh, rng.uniform(-0.8, 0.8, mesh.n_bulk))
     traj = solve(problem, phi0, ControlPair.zeros(mesh, problem.grid))
     worst = float(np.diff(energy(problem, traj.phi)).max())
-    return worst <= 1e-12, (
-        f"worst energy increment {worst:.2e} over {problem.grid.N} steps (<= 1e-12)"
+    return _meets(worst, bound["increment"]), (
+        f"worst energy increment {worst:.2e} over {problem.grid.N} steps ({bound['increment']})"
     )
 
 
 @_check("mean-bound")
-def check_mean_bound(ctx):
+def check_mean_bound(ctx, bound):
     """Discrete mean stays inside the reaction-limited interval, over ten
     random controls solved in one stack."""
     mesh, cfg = ctx.mesh, ctx.cfg
@@ -223,8 +259,8 @@ def check_mean_bound(ctx):
     problem = ctx.problem(cfg.time.T, min(cfg.time.N, 50),
                           physics=Physics(tau=cfg.physics.tau, gamma=gamma))
     M, m0 = 0.3, 0.1
-    lo = -max(-m0, 0.0) - M / gamma - 1e-9
-    hi = max(m0, 0.0) + M / gamma + 1e-9
+    lo = -max(-m0, 0.0) - M / gamma - bound["slack"]
+    hi = max(m0, 0.0) + M / gamma + bound["slack"]
     phi0 = PairField.constant(mesh, m0)
     rng = np.random.default_rng(42)
     controls = [
@@ -242,7 +278,7 @@ def check_mean_bound(ctx):
 
 
 @_check("separation")
-def check_separation(ctx):
+def check_separation(ctx, bound):
     """Logarithmic run stays below the separation threshold."""
     mesh, potential = ctx.mesh, ctx.cfg.potential
     c1 = potential.c1 if potential.kind == "logarithmic" else 2.0
@@ -255,15 +291,15 @@ def check_separation(ctx):
     traj = solve(problem, phi0, controls)
     # The mu bound skips mu0, which peaks at a rectangle's corners.
     N_mu = float(np.abs(traj.mu[1:]).max())
-    report = separation_check(traj, separation_r0(pair, N_mu, 0.3))
-    return report.applicable and report.passed, (
-        f"max |phi| = {report.worst_value:.4f} <= r0 = {report.r0:.4f} "
-        f"(mu bound {N_mu:.3f})"
+    r0 = separation_r0(pair, N_mu, 0.3)
+    worst = float(np.abs(traj.phi).max())
+    return worst <= r0 + bound["slack"], (
+        f"max |phi| = {worst:.4f} <= r0 = {r0:.4f} (mu bound {N_mu:.3f})"
     )
 
 
 @_check("yosida")
-def check_yosida(ctx):
+def check_yosida(ctx, bound):
     """Yosida-regularized runs approach the unregularized one."""
     problem = ctx.problem(0.5, 20, PotentialPair.same(regular_potential()))
     phi0 = _tanh_ic(ctx.mesh, 0.4)
@@ -271,12 +307,12 @@ def check_yosida(ctx):
     *runs, ref = [solve(problem.with_options(eps_yosida=eps), phi0, controls)
                   for eps in (1e-1, 1e-2, 1e-3, 0.0)]
     errors = [traj_norm_L2H(problem.ops, problem.grid, traj.phi - ref.phi) for traj in runs]
-    ok = errors[0] > errors[1] > errors[2] and errors[2] <= 1e-3
-    return ok, "errors " + " > ".join(f"{e:.2e}" for e in errors) + " , last <= 1e-3"
+    ok = errors[0] > errors[1] > errors[2] and _meets(errors[2], bound["last"])
+    return ok, "errors " + " > ".join(f"{e:.2e}" for e in errors) + f" , last {bound['last']}"
 
 
 @_check("continuous-dependence")
-def check_contdep(ctx):
+def check_contdep(ctx, bound):
     """First-order Lipschitz behavior of the control-to-state map."""
     problem = ctx.problem(0.4, 16)
     phi0, u = _base_point(problem)
@@ -286,13 +322,13 @@ def check_contdep(ctx):
     ratios = [traj_norm_Y(problem.ops, problem.grid, traj.phi - base.phi) / (abs(s) * hnorm)
               for traj, s in zip(perturbed, scales)]
     variation = max(ratios) / min(ratios) - 1.0
-    return variation < 0.2, (
-        f"ratio variation {100 * variation:.2f}% across scales 1, 1/2, 1/4 (< 20%)"
+    return _meets(variation, bound["variation"]), (
+        f"ratio variation {100 * variation:.2f}% across scales 1, 1/2, 1/4 ({bound['variation']})"
     )
 
 
 @_check("taylor")
-def check_taylor(ctx):
+def check_taylor(ctx, bound):
     """Quadratic remainder of the first-order state expansion.
 
     One stacked ``solve_many`` solves the state at the base control u and
@@ -300,10 +336,10 @@ def check_taylor(ctx):
     The remainders ||S(u + s h) - S(u) - s psi_h||_Y, in the discrete
     H1-in-time / L-infinity-energy norm, have orders log2(r(s) / r(s/2))
     near 2 for a smooth potential.  A direction whose remainders all sit
-    at round-off, at most 1e-12 (||S(u)||_Y + 1), where the state map is
-    affine in the control, gets no orders and minimum order inf.  The
-    extra payload holds one (scales, remainders, orders) table per
-    direction.
+    at round-off, at most the ``round_off`` slack times (||S(u)||_Y + 1),
+    where the state map is affine in the control, gets no orders and
+    minimum order inf.  The extra payload holds one (scales, remainders,
+    orders) table per direction.
 
     The remainder order is a property of the (smooth) discrete step map at
     the configured resolution, so the configured step count is used as is,
@@ -317,7 +353,7 @@ def check_taylor(ctx):
     base, *perturbed = solve_many(problem, phi0, [u] + [u.plus(h, s) for h in directions
                                                           for s in scales])
     perturbed = iter(perturbed)
-    round_off = 1e-12 * (traj_norm_Y(ops, grid, base.phi) + 1.0)
+    round_off = bound["round_off"] * (traj_norm_Y(ops, grid, base.phi) + 1.0)
     tables = []
     for h in directions:
         psi = sen_mod.linearized_solve(problem, base, h).psi
@@ -329,16 +365,16 @@ def check_taylor(ctx):
         ]
         tables.append((scales, remainders, orders))
     min_orders = [min(orders, default=np.inf) for _, _, orders in tables]
-    return all(o >= 1.9 for o in min_orders), (
-        "min orders " + "/".join(f"{o:.2f}" for o in min_orders) + " (>= 1.9)"
+    return all(_meets(o, bound["order"]) for o in min_orders), (
+        "min orders " + "/".join(f"{o:.2f}" for o in min_orders) + f" ({bound['order']})"
     ), tables
 
 
-def _gradient_checks(problem, phi0, u, cost_spec, seeds):
-    """Worst duality gap and central-FD gradient error over random
-    directions, and whether they meet the bounds gap <= 1e-10 and FD
-    error <= 1e-6.  The base and the four FD controls of every direction
-    are solved in one stack."""
+def _gradient_checks(problem, phi0, u, cost_spec, seeds, bound):
+    """Whether the worst duality gap and central-FD gradient error over
+    random directions meet the ``adjoint-duality`` ``bound``, and both
+    with their bounds as text.  The base and the four FD controls of every
+    direction are solved in one stack."""
     ops, grid = problem.ops, problem.grid
     directions = [_direction(problem, seed, 0.1) for seed in seeds]
     d = 1e-2
@@ -362,42 +398,40 @@ def _gradient_checks(problem, phi0, u, cost_spec, seeds):
         fd = (8.0 * (Jp - Jm) - (J2p - J2m)) / (12.0 * d)
         fd_errors.append(abs(dJ_adj - fd) / max(abs(fd), 1e-14))
     gap, fd = max(duality_gaps), max(fd_errors)
-    return gap <= 1e-10 and fd <= 1e-6, gap, fd
+    return _meets(gap, bound["gap"]) and _meets(fd, bound["fd"]), (
+        f"max duality gap {gap:.2e} ({bound['gap']}), max FD error {fd:.2e} ({bound['fd']})"
+    )
 
 
 @_check("adjoint-duality")
-def check_adjoint(ctx):
+def check_adjoint(ctx, bound):
     """Exact discrete duality and agreement with a central-difference oracle."""
     problem = ctx.problem(0.4, 10, newton_tol=1e-12)
     cost_spec = ctl_mod.CostSpec(alphas=(1.0, 0.5, 1.0, 0.5, 0.2, 0.2),
                                  phiQ=0.2, phiS=0.1, phiO=0.2, phiG=0.1)
-    ok, gap, fd = _gradient_checks(problem, *_base_point(problem), cost_spec,
-                                   seeds=range(5))
-    return ok, (
-        f"max duality gap {gap:.2e} (<= 1e-10), "
-        f"max FD error {fd:.2e} (<= 1e-6) over 5 directions"
-    )
+    ok, errors = _gradient_checks(problem, *_base_point(problem), cost_spec, range(5), bound)
+    return ok, f"{errors} over 5 directions"
 
 
 @_check("optimality")
-def check_optimality(ctx):
+def check_optimality(ctx, bound):
     """Projected gradient reaches a certified box-stationary point."""
     cp, u0, pg_opts = ctx.control
     problem = cp.problem
     grid = problem.grid
 
     # Gradient correctness on the same bundle before optimizing.
-    ok, gap, fd = _gradient_checks(
+    ok, errors = _gradient_checks(
         problem.with_options(newton_tol=1e-12), cp.phi0,
-        ctl_mod.project_box(u0, cp.box), cp.cost, seeds=range(2),
+        ctl_mod.project_box(u0, cp.box), cp.cost, range(2), BOUNDS["adjoint-duality"],
     )
     if not ok:
-        return False, f"gradient check failed on the bundle (gap {gap:.2e}, fd {fd:.2e})"
+        return False, f"gradient check failed on the bundle: {errors}"
 
     pg_opts = replace(pg_opts, tol=min(pg_opts.tol, 1e-6))
     result = ctl_mod.projected_gradient(cp, u0, pg_opts)
     J_values = [h.J for h in result.history]
-    monotone = all(b <= a + 1e-15 for a, b in zip(J_values, J_values[1:]))
+    monotone = all(b <= a + bound["monotone"] for a, b in zip(J_values, J_values[1:]))
     vi = result.history[-1].vi_residual
 
     rng = np.random.default_rng(11)
@@ -414,15 +448,16 @@ def check_optimality(ctx):
         # The first-order form <gamma p + a5 u_*, u - u_*> + boundary analogue.
         worst_form = min(worst_form, control_inner(result.gradient, other.plus(result.u, -1.0),
                                                    problem.ops, grid.dt))
-    ok = result.converged and monotone and vi <= 1e-6 and worst_form >= -1e-5
+    ok = (result.converged and monotone and _meets(vi, bound["vi"])
+          and _meets(worst_form, bound["form"]))
     return ok, (
-        f"vi residual {vi:.2e} (<= 1e-6) after {len(result.history) - 1} iterations, "
-        f"J monotone: {monotone}, worst bilinear form {worst_form:.2e} (>= -1e-5)"
+        f"vi residual {vi:.2e} ({bound['vi']}) after {len(result.history) - 1} iterations, "
+        f"J monotone: {monotone}, worst bilinear form {worst_form:.2e} ({bound['form']})"
     )
 
 
 @_check("homogeneous-zero")
-def check_homogeneous(ctx):
+def check_homogeneous(ctx, bound):
     """Zero data propagates to exactly zero forward/linearized/adjoint states."""
     problem = ctx.problem(0.4, 10)
     zero_u = ControlPair.zeros(ctx.mesh, problem.grid)
@@ -439,24 +474,12 @@ def check_homogeneous(ctx):
     adj_mag = max(float(np.abs(adj.p).max()), float(np.abs(adj.q).max()))
 
     worst = max(fwd, lin_mag, adj_mag)
-    return worst <= 1e-12, (
-        f"max |state| over zero-data forward/linearized/adjoint: {worst:.2e} (<= 1e-12)"
+    return _meets(worst, bound["state"]), (
+        f"max |state| over zero-data forward/linearized/adjoint: {worst:.2e} ({bound['state']})"
     )
 
 
-ALL_CHECKS = (
-    check_mean_ode,
-    check_constant_data,
-    check_energy_decay,
-    check_mean_bound,
-    check_separation,
-    check_yosida,
-    check_contdep,
-    check_taylor,
-    check_adjoint,
-    check_optimality,
-    check_homogeneous,
-)
+ALL_CHECKS = tuple(_SUITE)
 
 
 def run_suite(cfg: RunConfig):

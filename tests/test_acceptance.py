@@ -1,13 +1,14 @@
 """Acceptance gate: one test per verification criterion, at desk scale.
 
 Every criterion runs at its stated tolerance through the shared
-verification suite (cho.verify), which pins the tolerances, and prints
-one pass/fail line; run with ``pytest tests/test_acceptance.py -v -s``
-to see the lines as they complete.  As in ``run_suite``, the checks share
-one ``CheckContext``: the check mesh and operators of the default preset,
-assembled once for the module.
+verification suite (cho.verify) and prints one pass/fail line; run with
+``pytest tests/test_acceptance.py -v -s`` to see the lines as they
+complete.  As in ``run_suite``, the checks share one ``CheckContext``:
+the check mesh and operators of the default preset, assembled once for
+the module.
 
-Criteria:
+Criteria, with the numbers of ``verify.BOUNDS``, which
+tests/test_verify.py pins:
  1. mean-ode               residual <= 1e-9; closed-form order 1.0 +- 0.3
  2. constant-data          dt-halving error ratio in [1.7, 2.3]
  3. energy-decay           increments <= 1e-12 over >= 200 steps

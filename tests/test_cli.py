@@ -31,6 +31,17 @@ MINIMAL = {
 }
 
 
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if the solver, the optimizer or the suite is called."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before its output directory was checked")
+
+    for name in ("solve", "projected_gradient", "run_suite"):
+        monkeypatch.setattr(cli, name, never)
+
+
 def write_yaml(tmp_path, data, name="cfg.yaml"):
     path = tmp_path / name
     with open(path, "w") as fh:
@@ -381,15 +392,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
     def test_output_directory_that_is_a_file_exits_1(self, tmp_path, monkeypatch, capsys,
-                                                     command):
+                                                     no_run, command):
         # Reported before the work: the solver, the optimizer and the suite
         # are never called.
-
-        def never(*args, **kwargs):
-            raise AssertionError("the run started before its output directory was checked")
-
-        for name in ("solve", "projected_gradient", "run_suite"):
-            monkeypatch.setattr(cli, name, never)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "taken").write_text("")
         data = copy.deepcopy(MINIMAL)
@@ -398,6 +403,32 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: output.directory: cannot create ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
+    @pytest.mark.parametrize("case, key", [
+        ("long-run-name", "run_name"),
+        ("long-directory", "output.directory"),
+        ("dangling-link", "output.directory"),
+    ])
+    def test_unusable_output_path_exits_1_naming_its_key(self, tmp_path, monkeypatch, capsys,
+                                                         no_run, command, case, key):
+        # A name longer than the file system takes, or a link to nowhere on
+        # the way, is reported before the work, under the key it comes from.
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(PRESETS["coarse"])
+        if case == "long-run-name":
+            data["run_name"] = "x" * 300
+        elif case == "long-directory":
+            data["output"]["directory"] = "out/" + "x" * 300
+        else:
+            (tmp_path / "out").symlink_to("nowhere")
+        config = write_yaml(tmp_path, data)
+        before = sorted(tmp_path.iterdir())
+        assert main([command, "-c", config]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith(f"configuration error: {key}: cannot create out/"), err
+        assert len(err.splitlines()) == 1 and "[PASS]" not in out
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_series_mean_satisfies_discrete_dynamics(self, tmp_path, monkeypatch):
         # (m_{n+1} - m_n)/dt + gamma m_{n+1} = gamma omega to solver accuracy.

@@ -18,7 +18,6 @@ from cho.forward import (
     initial_mu,
     mean_ode_residual,
     require_mean_value,
-    separation_check,
     solve,
 )
 from cho.config import PRESETS, preset_config
@@ -385,34 +384,6 @@ class TestEnergy:
         # A stack of rows gives each row's energy.
         rows = [energy(problem, phi) for phi in traj.phi]
         assert np.allclose(E, rows, rtol=1e-14, atol=0.0)
-
-
-class TestSeparationCheck:
-    def test_not_applicable_for_regular(self, generic_run):
-        problem, phi0, controls, traj = generic_run
-        report = separation_check(traj, None)
-        assert not report.applicable and report.passed
-
-    def test_synthetic_violation_reports_node(self):
-        problem = make_problem(n_cells=4, N=2)
-        phi = np.zeros((3, 5))
-        phi[2, 3] = 0.9999
-        traj = StateTrajectory(problem.mesh, problem.grid, phi, np.zeros_like(phi),
-                               np.zeros(2, dtype=int))
-        report = separation_check(traj, 0.9)
-        assert report.applicable and not report.passed
-        assert (report.worst_step, report.worst_node) == (2, 3)
-        assert np.isclose(report.worst_value, 0.9999)
-
-    def test_logarithmic_run_stays_separated(self):
-        from cho.potentials import separation_r0
-
-        problem = make_problem(kind="logarithmic", T=0.5, N=20)
-        phi0 = cosine_ic(problem.mesh, 0.3)
-        controls = ControlPair.constant(problem.mesh, problem.grid, 0.2, 0.1)
-        traj = solve(problem, phi0, controls)
-        r0 = separation_r0(problem.pair, float(np.abs(traj.mu[1:]).max()), 0.3)
-        assert separation_check(traj, r0).passed
 
 
 def _yosida_errors(problem, phi0, controls, eps_list):

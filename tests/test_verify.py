@@ -3,6 +3,7 @@
 import functools
 import re
 
+import numpy as np
 import pytest
 
 from cho import verify
@@ -76,6 +77,119 @@ def test_suite_results_equal_each_check_run_alone(name):
     taylor = NAMES.index("taylor")
     assert ([remainders for _, remainders, _ in alone[taylor].extra]
             == [remainders for _, remainders, _ in suite[taylor].extra])
+
+
+# A literal copy of the bounds the suite certifies: loosening
+# one is a change of what ``cho verify`` certifies and must show here.
+PINNED_BOUNDS = {
+    "mean-ode": {"residual": "<= 1e-9", "order": "1.0 +- 0.3"},
+    "constant-data": {"ratio": "in [1.7, 2.3]"},
+    "energy-decay": {"increment": "<= 1e-12"},
+    "mean-bound": {"slack": 1e-9},
+    "separation": {"slack": 1e-12},
+    "yosida": {"last": "<= 1e-3"},
+    "continuous-dependence": {"variation": "< 20%"},
+    "taylor": {"order": ">= 1.9", "round_off": 1e-12},
+    "adjoint-duality": {"gap": "<= 1e-10", "fd": "<= 1e-6"},
+    "optimality": {"vi": "<= 1e-6", "form": ">= -1e-5", "monotone": 1e-15},
+    "homogeneous-zero": {"state": "<= 1e-12"},
+}
+
+
+def test_bounds_are_pinned():
+    assert verify.BOUNDS == PINNED_BOUNDS
+    assert tuple(verify.BOUNDS) == NAMES == tuple(check.name for check in verify.ALL_CHECKS)
+
+
+# Each form of printed bound, with the literal comparison it must equal.
+LITERALS = {
+    "<= 1e-9": lambda v: v <= 1e-9,
+    "1.0 +- 0.3": lambda v: 0.7 <= v <= 1.3,
+    "in [1.7, 2.3]": lambda v: 1.7 <= v <= 2.3,
+    "< 20%": lambda v: v < 0.2,
+    ">= 1.9": lambda v: v >= 1.9,
+    ">= -1e-5": lambda v: v >= -1e-5,
+}
+
+
+@pytest.mark.parametrize("bound", LITERALS)
+def test_a_printed_bound_reads_as_its_literal(bound):
+    # Each end of each bound and the doubles on either side of it.
+    ends = [1e-9, 0.7, 1.3, 1.7, 2.3, 0.2, 1.9, -1e-5]
+    values = [np.nextafter(e, d) for e in ends for d in (-np.inf, np.inf)] + ends + [np.nan]
+    assert [verify._meets(v, bound) for v in values] == [LITERALS[bound](v) for v in values]
+
+
+@pytest.fixture(scope="module")
+def coarse_ctx():
+    return verify.CheckContext.build(preset_config("coarse"))
+
+
+# One tightened entry per printed bound, each beyond what the coarse
+# preset measures.
+TIGHTENED = [
+    (verify.check_mean_ode, "residual", "<= 1e-20"),
+    (verify.check_mean_ode, "order", "1.0 +- 0.01"),
+    (verify.check_constant_data, "ratio", "in [1.99, 2.01]"),
+    (verify.check_energy_decay, "increment", "<= -1e-3"),
+    (verify.check_yosida, "last", "<= 1e-9"),
+    (verify.check_contdep, "variation", "< 0%"),
+    (verify.check_taylor, "order", ">= 2.5"),
+    (verify.check_adjoint, "gap", "<= 1e-30"),
+    (verify.check_adjoint, "fd", "<= 1e-15"),
+    (verify.check_optimality, "vi", "<= 1e-9"),
+    (verify.check_optimality, "form", ">= 0"),
+    (verify.check_homogeneous, "state", "< 0"),
+]
+
+
+@pytest.mark.parametrize("check, key, tightened", TIGHTENED,
+                         ids=[f"{check.name}-{key}" for check, key, _ in TIGHTENED])
+def test_a_tightened_bound_fails_its_check_and_is_printed(monkeypatch, coarse_ctx, check,
+                                                         key, tightened):
+    assert check(coarse_ctx).passed
+    monkeypatch.setitem(verify.BOUNDS[check.name], key, tightened)
+    result = check(coarse_ctx)
+    assert not result.passed and tightened in result.detail, result.line()
+
+
+@pytest.mark.parametrize("check, key, slack", [
+    (verify.check_mean_bound, "slack", -0.35),
+    (verify.check_separation, "slack", -1.0),
+    (verify.check_optimality, "monotone", -1.0),
+], ids=["mean-bound", "separation", "optimality-monotone"])
+def test_a_tightened_slack_fails_its_check(monkeypatch, coarse_ctx, check, key, slack):
+    monkeypatch.setitem(verify.BOUNDS[check.name], key, slack)
+    assert not check(coarse_ctx).passed
+
+
+@pytest.mark.parametrize("key, tightened", [("gap", "<= 1e-30"), ("fd", "<= 1e-15")])
+def test_optimality_prints_the_gradient_bounds_it_missed(monkeypatch, coarse_ctx, key,
+                                                         tightened):
+    monkeypatch.setitem(verify.BOUNDS["adjoint-duality"], key, tightened)
+    result = verify.check_optimality(coarse_ctx)
+    assert not result.passed
+    assert result.detail.startswith("gradient check failed on the bundle: max duality gap")
+    assert f"({tightened})" in result.detail, result.line()
+
+
+def test_separation_passes_on_the_logarithmic_preset():
+    result = verify.check_separation(verify.CheckContext.build(preset_config("logarithmic")))
+    assert result.passed, result.line()
+
+
+def test_separation_fails_where_phi_nears_one(monkeypatch, coarse_ctx):
+    solve = verify.solve
+
+    def violating(problem, phi0, controls):
+        traj = solve(problem, phi0, controls)
+        traj.phi[2, 3] = -0.9999
+        return traj
+
+    monkeypatch.setattr(verify, "solve", violating)
+    result = verify.check_separation(coarse_ctx)
+    assert not result.passed
+    assert result.detail.startswith("max |phi| = 0.9999 <= r0 = "), result.line()
 
 
 def test_separation_bounds_phi_away_from_one_on_the_rectangle():
