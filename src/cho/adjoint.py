@@ -88,20 +88,19 @@ class AdjointTrajectory:
         return self._p[N], self._q[N]
 
 
-def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, lag):
+def _sweep_backward(problem: Problem, lam, dexp, Z1, zeta3):
     """Backward steps m = N..1, without the terminal pair.
 
-    Backward step m solves J^T (p, q) = (rhs1, 0) with the step Jacobian
-    J of diagonal lam[k] and rhs1 = Z1[k] + M (p_m + tau q_m) / dt -
-    dexp[k] q_m, where k = m - lag and Z1 are the running sources of
-    ``CostSpec.sources``.  At m = N the terminal condition gives M (p_N +
-    tau q_N) = zeta3, and the dexp term, which enters below the terminal
-    step only, drops.  The sweep releases the live factor first, so step
-    N rebuilds it at lam[N - lag].
+    Backward step m solves J^T (p, q)_{m-1} = (rhs1, 0) with the step
+    Jacobian J of diagonal lam[m-1] and rhs1 = Z1[m-1] + M (p_m + tau q_m)
+    / dt - dexp[m-1] q_m: each row of lam, dexp and Z1 sits at the index
+    of the unknown it solves for.  At m = N the terminal condition gives
+    M (p_N + tau q_N) = zeta3, and the dexp term, which enters below the
+    terminal step only, drops.  The sweep releases the live factor first,
+    so step N rebuilds it at lam[N - 1].
     """
     ops, grid = problem.ops, problem.grid
     tau, dt = problem.physics.tau, grid.dt
-    Z1, zeta3 = cost.sources(ops, base.phi)
     n = problem.mesh.n_bulk
     p = np.zeros((grid.N + 1, n))
     q = np.zeros((grid.N + 1, n))
@@ -110,20 +109,20 @@ def _sweep_backward(problem: Problem, base: StateTrajectory, cost, lam, dexp, la
     ops.block_template.lu = None
     c = problem.jacobian_coefficients
     for m in range(grid.N, 0, -1):
-        k = m - lag
         if m == grid.N:
-            rhs1 = Z1[k] + zeta3 / dt
+            rhs1 = Z1[m - 1] + zeta3 / dt
         else:
-            rhs1 = Z1[k] + ops.M_total @ (p[m] + tau * q[m]) / dt - dexp[k] * q[m]
+            rhs1 = Z1[m - 1] + ops.M_total @ (p[m] + tau * q[m]) / dt - dexp[m - 1] * q[m]
         p[m - 1], q[m - 1] = solve_block_system(
-            ops, c, np.concatenate([rhs1, zero]), lam[k], trans="T", step=m)
+            ops, c, np.concatenate([rhs1, zero]), lam[m - 1], trans="T", step=m)
     return AdjointTrajectory(problem, zeta3, p, q)
 
 
 def adjoint_solve(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:
     """Exact transpose of the discrete linearized dynamics against the cost."""
     lam, dexp = problem.jacobian(base.phi)
-    return _sweep_backward(problem, base, cost, lam, dexp, lag=0)
+    Z1, zeta3 = cost.sources(problem.ops, base.phi)
+    return _sweep_backward(problem, lam[1:], dexp[1:], Z1[1:], zeta3)
 
 
 def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> AdjointTrajectory:
@@ -137,8 +136,8 @@ def adjoint_continuous_form(problem: Problem, base: StateTrajectory, cost) -> Ad
     ``Problem.jacobian``, evaluated once over the stack.
     """
     lam, dexp = problem.jacobian(base.phi[:-1])
-    lam = lam + dexp
-    return _sweep_backward(problem, base, cost, lam, np.broadcast_to(0.0, lam.shape), lag=1)
+    Z1, zeta3 = cost.sources(problem.ops, base.phi)
+    return _sweep_backward(problem, lam + dexp, np.broadcast_to(0.0, lam.shape), Z1[:-1], zeta3)
 
 
 def reduced_gradient(problem: Problem, u, adj: AdjointTrajectory, cost):

@@ -7,14 +7,17 @@
 Exit codes: 0 success, 1 malformed command line or configuration
 (unknown key, bad type or range, a non-finite number other than a box
 bound or m_prime, unreadable or non-finite CSV, a size that does not fit
-in memory) or violated standing assumption, 2 data validation failure
-(mean-value condition, infeasible box), 3 solver failure, including a
-potential evaluated outside its domain.  Memory that runs out while the
-results are written leaves the output directory partly written.
+in memory, an output directory the file system refuses to create before
+the work or a result file it refuses to write) or violated standing
+assumption, 2 data validation failure (mean-value condition, infeasible
+box), 3 solver failure, including a potential evaluated outside its
+domain.  A command that fails removes the empty directories it created;
+memory that runs out while the results are written leaves the output
+directory partly written.
 """
 
 import argparse
-import errno
+import contextlib
 import os
 import shutil
 import sys
@@ -41,48 +44,41 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 
 
+@contextlib.contextmanager
 def _outdir(cfg):
-    """The run's output directory, not created yet.  Raises ``ConfigError``
-    when the nearest existing path on the way to it (a dangling link
-    included) is not a directory, or when a name still to be created is
-    longer than that directory's file system takes, so that a run reports
-    it before any work.  The error names ``output.directory`` when the
-    offending path is that directory or on the way to it, else ``run_name``."""
+    """Create the run's output directory before any work and yield its
+    path.  ``os.makedirs`` decides: a refusal for ``output.directory``
+    ("" is the working directory) names that key, one for
+    ``<output.directory>/<run_name>`` names ``run_name``, and an
+    ``OSError`` while the results are written names the file.  If the
+    command raises, the empty directories this call created are removed."""
     path = os.path.join(cfg.output.directory, cfg.run_name)
-    base = os.path.abspath(cfg.output.directory)
-
-    def fail(culprit, code):
-        on_the_way = os.path.commonpath([culprit, base]) == culprit
-        key = "output.directory" if on_the_way else "run_name"
-        raise ConfigError(f"{key}: cannot create {path}: {os.strerror(code)}")
-
-    existing, missing = os.path.abspath(path), []
-    while not os.path.lexists(existing):
-        existing, name = os.path.split(existing)
-        missing.insert(0, name)
-    if not os.path.isdir(existing):
-        fail(existing, errno.ENOTDIR)
-    name_max = os.pathconf(existing, "PC_NAME_MAX")
-    for name in missing:
-        existing = os.path.join(existing, name)
-        if len(os.fsencode(name)) > name_max:
-            fail(existing, errno.ENAMETOOLONG)
-    return path
-
-
-def _create(outdir):
-    """Create the output directory once the run has succeeded."""
+    created, head = [], path     # the missing directories, deepest first
+    while head and not os.path.lexists(head):
+        created.append(head)
+        head = os.path.dirname(head)
     try:
-        os.makedirs(outdir, exist_ok=True)
-    except OSError as err:
-        raise ConfigError(f"output.directory: cannot create {outdir}: {err.strerror}") from err
+        for target, key in ((cfg.output.directory or os.curdir, "output.directory"),
+                            (path, "run_name")):
+            try:
+                os.makedirs(target, exist_ok=True)
+            except OSError as err:
+                raise ConfigError(f"{key}: cannot create {path}: {err.strerror}") from err
+        try:
+            yield path
+        except OSError as err:
+            raise ConfigError(f"cannot write {err.filename or path}: {err.strerror}") from err
+    except BaseException:
+        for made in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(made)
+        raise
 
 
 def _prepare_outdir(outdir, args):
-    """Create the run's output directory with its config.yaml: a verbatim
-    copy of the -c file, unless it is that file, or the --preset mapping,
-    which loads back to the run's configuration."""
-    _create(outdir)
+    """Write the run's config.yaml: a verbatim copy of the -c file, unless
+    it is that file, or the --preset mapping, which loads back to the
+    run's configuration."""
     target = os.path.join(outdir, "config.yaml")
     if args.config is not None:
         if not (os.path.exists(target) and os.path.samefile(args.config, target)):
@@ -92,8 +88,7 @@ def _prepare_outdir(outdir, args):
             yaml.safe_dump(PRESETS[args.preset], fh, sort_keys=False)
 
 
-def cmd_simulate(cfg, args) -> int:
-    outdir = _outdir(cfg)
+def cmd_simulate(cfg, args, outdir) -> int:
     problem = cfg.build_problem()
     mesh, grid = problem.mesh, problem.grid
     phi0 = cfg.build_initial(mesh)
@@ -110,8 +105,7 @@ def cmd_simulate(cfg, args) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(cfg, args) -> int:
-    outdir = _outdir(cfg)
+def cmd_optimize(cfg, args, outdir) -> int:
     cp, u0, pg_opts = cfg.build_control_problem()
     result = projected_gradient(cp, u0, pg_opts)
     # Solve the terminal adjoint pair, which adjoint_norms_0.csv reports,
@@ -142,13 +136,11 @@ def cmd_optimize(cfg, args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(cfg, label) -> int:
-    outdir = _outdir(cfg)
+def cmd_verify(cfg, label, outdir) -> int:
     results = run_suite(cfg)
     print(f"verification suite [{label}]")
     for res in results:
         print("  " + res.line())
-    _create(outdir)
     for res in results:
         if res.name == "taylor" and res.extra:
             for k, table in enumerate(res.extra):
@@ -163,7 +155,8 @@ def cmd_verify_all() -> int:
     worst = EXIT_OK
     for name in PRESETS:
         cfg = preset_config(name)
-        code = cmd_verify(cfg, name)
+        with _outdir(cfg) as outdir:
+            code = cmd_verify(cfg, name, outdir)
         rows.append((name, code))
         worst = max(worst, code)
     print("\nsummary")
@@ -217,11 +210,12 @@ def main(argv=None) -> int:
             cfg = preset_config(args.preset)
         else:
             raise ConfigError("either -c/--config or --preset is required")
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args)
-        if args.command == "optimize":
-            return cmd_optimize(cfg, args)
-        return cmd_verify(cfg, args.config or args.preset)
+        with _outdir(cfg) as outdir:
+            if args.command == "simulate":
+                return cmd_simulate(cfg, args, outdir)
+            if args.command == "optimize":
+                return cmd_optimize(cfg, args, outdir)
+            return cmd_verify(cfg, args.config or args.preset, outdir)
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -127,16 +127,21 @@ BOUNDS = {
 
 def _meets(value, bound):
     """Whether ``value`` meets a printed bound: ``in [lo, hi]``, ``c +- w``,
-    ``<= x``, ``< x`` or ``>= x``, an x ending in % being a share of 1."""
+    or one that ``_limit`` reads."""
     if bound.startswith("in ["):
         lo, hi = map(float, bound[4:-1].split(", "))
         return lo <= value <= hi
     if " +- " in bound:
         centre, width = map(float, bound.split(" +- "))
         return centre - width <= value <= centre + width
-    op, limit = bound.split(" ")
-    limit = float(limit[:-1]) / 100 if limit.endswith("%") else float(limit)
+    op, limit = bound.split(" ")[0], _limit(bound)
     return {"<=": value <= limit, "<": value < limit, ">=": value >= limit}[op]
+
+
+def _limit(bound):
+    """The x of ``<= x``, ``< x`` or ``>= x``, an x ending in % a share of 1."""
+    limit = bound.split(" ")[1]
+    return float(limit[:-1]) / 100 if limit.endswith("%") else float(limit)
 
 
 _SUITE = []
@@ -428,7 +433,7 @@ def check_optimality(ctx, bound):
     if not ok:
         return False, f"gradient check failed on the bundle: {errors}"
 
-    pg_opts = replace(pg_opts, tol=min(pg_opts.tol, 1e-6))
+    pg_opts = replace(pg_opts, tol=min(pg_opts.tol, _limit(bound["vi"])))
     result = ctl_mod.projected_gradient(cp, u0, pg_opts)
     J_values = [h.J for h in result.history]
     monotone = all(b <= a + bound["monotone"] for a, b in zip(J_values, J_values[1:]))

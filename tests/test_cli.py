@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import io
+import os
 import re
 import tempfile
 import warnings
@@ -430,6 +431,68 @@ class TestSimulate:
         assert len(err.splitlines()) == 1 and "[PASS]" not in out
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
+    def test_a_directory_past_path_max_exits_1_before_any_work(self, tmp_path, monkeypatch,
+                                                               capsys, no_run, command):
+        # Every name is under NAME_MAX, the whole path is past PATH_MAX: the
+        # file system refuses it before the work, and the nested directories
+        # created on the way go.
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(PRESETS["coarse"])
+        depth = os.pathconf(tmp_path, "PC_PATH_MAX") // 251 + 1
+        data["output"]["directory"] = "/".join(["x" * 250] * depth)
+        config = write_yaml(tmp_path, data)
+        before = sorted(tmp_path.iterdir())
+        assert main([command, "-c", config]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("configuration error: output.directory: cannot create x"), err
+        assert len(err.splitlines()) == 1 and "[PASS]" not in out
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "config.yaml"), ("optimize", "config.yaml"), ("verify", "taylor_0.csv"),
+    ])
+    def test_a_file_past_path_max_exits_1_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                   command, name):
+        # The run's directory can be created, its files cannot: the first
+        # refused file is named on one line, and the empty directories go.
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(PRESETS["coarse"])
+        path_max = os.pathconf(tmp_path, "PC_PATH_MAX")
+        directory = "/".join(["y" * 250] * (path_max // 251))
+        data["output"]["directory"] = directory
+        data["run_name"] = "r" * (path_max - 3 - len(directory))
+        config = write_yaml(tmp_path, data)
+        before = sorted(tmp_path.iterdir())
+        assert main([command, "-c", config]) == 1
+        err = capsys.readouterr().err
+        outdir = os.path.join(directory, data["run_name"])
+        assert err.startswith(f"configuration error: cannot write {outdir}/{name}: "), err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_empty_output_directory_is_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = copy.deepcopy(MINIMAL)
+        data["output"]["directory"] = ""
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 0
+        assert (tmp_path / "t" / "series_0.csv").exists()
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores the directory mode")
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "verify"])
+    def test_a_read_only_parent_exits_1_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                       no_run, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "locked").mkdir(mode=0o555)
+        data = copy.deepcopy(PRESETS["coarse"])
+        data["output"]["directory"] = "locked/out"
+        assert main([command, "-c", write_yaml(tmp_path, data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output.directory: cannot create "
+                              "locked/out/coarse: "), err
+        assert len(err.splitlines()) == 1
+        assert list((tmp_path / "locked").iterdir()) == []
+
     def test_series_mean_satisfies_discrete_dynamics(self, tmp_path, monkeypatch):
         # (m_{n+1} - m_n)/dt + gamma m_{n+1} = gamma omega to solver accuracy.
         monkeypatch.chdir(tmp_path)
@@ -455,6 +518,18 @@ class TestSimulate:
         assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith(
             "validation error: mean-value condition fails: ")
+
+    def test_a_failed_run_removes_only_the_directories_it_created(self, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        data = copy.deepcopy(MINIMAL)
+        data["potential"] = {"kind": "logarithmic"}
+        data["initial"] = {"preset": "constant", "value": 0.6}
+        data["control"] = {"u": 0.5, "uG": 0.5}
+        data["output"]["directory"] = "out/new"
+        assert main(["simulate", "-c", write_yaml(tmp_path, data)]) == 2
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_mean_value_violation_for_the_box_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

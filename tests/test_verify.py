@@ -137,7 +137,7 @@ TIGHTENED = [
     (verify.check_taylor, "order", ">= 2.5"),
     (verify.check_adjoint, "gap", "<= 1e-30"),
     (verify.check_adjoint, "fd", "<= 1e-15"),
-    (verify.check_optimality, "vi", "<= 1e-9"),
+    (verify.check_optimality, "vi", "<= 1e-20"),
     (verify.check_optimality, "form", ">= 0"),
     (verify.check_homogeneous, "state", "< 0"),
 ]
@@ -151,6 +151,16 @@ def test_a_tightened_bound_fails_its_check_and_is_printed(monkeypatch, coarse_ct
     monkeypatch.setitem(verify.BOUNDS[check.name], key, tightened)
     result = check(coarse_ctx)
     assert not result.passed and tightened in result.detail, result.line()
+
+
+def test_a_tightened_vi_bound_drives_the_optimizer_to_it(monkeypatch, coarse_ctx):
+    # The optimizer's stop tolerance is the bound itself, so a tighter
+    # bound that the optimizer can reach still passes.
+    monkeypatch.setitem(verify.BOUNDS["optimality"], "vi", "<= 1e-9")
+    result = verify.check_optimality(coarse_ctx)
+    assert result.passed, result.line()
+    vi = float(result.detail.split()[2])
+    assert vi <= 1e-9 and "(<= 1e-9)" in result.detail
 
 
 @pytest.mark.parametrize("check, key, slack", [
