@@ -436,7 +436,7 @@ class TestSimulate:
                                                                capsys, no_run, command):
         # Every name is under NAME_MAX, the whole path is past PATH_MAX: the
         # file system refuses it before the work, and the nested directories
-        # created on the way go.
+        # created on the way are removed.
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(PRESETS["coarse"])
         depth = os.pathconf(tmp_path, "PC_PATH_MAX") // 251 + 1
@@ -454,8 +454,9 @@ class TestSimulate:
     ])
     def test_a_file_past_path_max_exits_1_naming_it(self, tmp_path, monkeypatch, capsys,
                                                    command, name):
-        # The run's directory can be created, its files cannot: the first
-        # refused file is named on one line, and the empty directories go.
+        # The run's directory is PATH_MAX - 2 bytes long, so it can be created
+        # and its files cannot: the first refused file is named on one line,
+        # and the empty directories are removed.
         monkeypatch.chdir(tmp_path)
         data = copy.deepcopy(PRESETS["coarse"])
         path_max = os.pathconf(tmp_path, "PC_PATH_MAX")
